@@ -1,9 +1,29 @@
 """Flow search on open graph states.
 
-Decides whether a geometry admits a flow, constructs a witnessing corrector
-map together with its coarsest dependency order, and computes the depth.
-The search is a plain backtracking enumeration; correctness is anchored by
-:func:`brute_force_flow_oracle`, which re-derives existence exhaustively.
+Decides whether a geometry admits a flow and constructs a corrector map of
+minimum depth together with its coarsest dependency order.  The search
+peels layers backwards from the outputs (Mhalla & Perdrix, *Finding
+optimal flows efficiently*, arXiv:0709.2670; de Beaudrap gives the same
+existence criterion, arXiv:quant-ph/0611284):
+
+* the outputs are processed first;
+* in each round, every processed non-input vertex with exactly one
+  unprocessed neighbour ``u`` is a corrector candidate, and the first such
+  candidate in ascending id order becomes ``f(u)``; ``u`` joins the
+  round's layer;
+* a flow exists exactly when every vertex ends up processed.
+
+A per-vertex count of unprocessed neighbours makes the search
+near-linear.  The levels of the found ``f`` are recomputed by
+:func:`dependency_order`, the coarsest layering; its depth is the minimum
+over all flows.  Under the Pauli-Y relaxation a loop candidate joins a
+round's layer, after the round's ordinary correctors and as its own
+corrector, once all its neighbours were processed in earlier rounds;
+loop-free flows are tried first.
+
+:func:`brute_force_flow_oracle` re-derives existence exhaustively, and
+every returned flow passes :func:`causalflow.graph_model.validate_flow`.
+No function here recurses.
 
 All functions are pure; independent searches may run concurrently.
 """
@@ -11,9 +31,16 @@ All functions are pure; independent searches may run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Mapping, Sequence
+from itertools import permutations
+from typing import AbstractSet, Mapping
 
-from .graph_model import Flow, OpenGraphState, validate_flow
+from .graph_model import (
+    Flow,
+    GraphFormatError,
+    OpenGraphState,
+    validate_flow,
+    validate_graph,
+)
 
 DEFAULT_ORACLE_BOUND = 7
 
@@ -71,29 +98,31 @@ def _constraint_successors(
 
 
 def _find_cycle(succ: Mapping[int, set[int]]) -> tuple[int, ...]:
-    """Locate one directed cycle in the constraint relation."""
+    """Locate one directed cycle in the constraint relation.
+
+    Depth-first search with an explicit stack of successor iterators, so
+    long constraint chains do not hit the recursion limit.
+    """
     color: dict[int, int] = {}
-    stack: list[int] = []
-
-    def visit(v: int) -> tuple[int, ...] | None:
-        color[v] = 1
-        stack.append(v)
-        for w in sorted(succ.get(v, ())):
-            if color.get(w, 0) == 1:
-                return tuple(stack[stack.index(w):]) + (w,)
-            if color.get(w, 0) == 0:
-                found = visit(w)
-                if found:
-                    return found
-        color[v] = 2
-        stack.pop()
-        return None
-
-    for v in sorted(succ):
-        if color.get(v, 0) == 0:
-            cycle = visit(v)
-            if cycle:
-                return cycle
+    for root in sorted(succ):
+        if root in color:
+            continue
+        color[root] = 1
+        path = [root]
+        pending = [iter(sorted(succ[root]))]
+        while pending:
+            for w in pending[-1]:
+                state = color.get(w, 0)
+                if state == 1:
+                    return tuple(path[path.index(w):]) + (w,)
+                if state == 0:
+                    color[w] = 1
+                    path.append(w)
+                    pending.append(iter(sorted(succ.get(w, ()))))
+                    break
+            else:
+                color[path.pop()] = 2
+                pending.pop()
     raise AssertionError("no cycle present")
 
 
@@ -138,64 +167,74 @@ def dependency_order(g: OpenGraphState, f: Mapping[int, int]) -> LayeringOutcome
 def _search(
     g: OpenGraphState, loop_candidates: AbstractSet[int]
 ) -> FlowSearchResult:
-    """Backtracking search over injective corrector assignments.
+    """Backward layer peeling, as described in the module docstring.
 
-    Measured vertices are assigned in ascending id order; candidates for
-    each are its prepared neighbors (plus itself when a loop is allowed).
-    Acyclicity of the partial constraint relation is rechecked after each
-    assignment, pruning dead branches early.  The first complete assignment
-    in this order is returned, so results are reproducible.
+    ``loop_candidates`` must be measured non-input vertices.  Only the
+    neighbours of a round's layer change their count of unprocessed
+    neighbours, so the next round's correctors and loop vertices are
+    sought among those alone.
     """
-    measured = list(g.measured)
-    prepared = set(g.prepared)
-    if len(measured) > len(prepared):
-        return FlowSearchResult(found=False)
     adjacency = g._adjacency
-
-    candidates: list[list[int]] = []
-    for i in measured:
-        opts = sorted(adjacency[i] & prepared)
-        if i in loop_candidates and i in prepared:
-            opts.append(i)
-        if not opts:
-            return FlowSearchResult(found=False)
-        candidates.append(opts)
-
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
-
-    def acyclic() -> bool:
-        return dependency_order(g, assignment).ok
-
-    def backtrack(pos: int) -> bool:
-        if pos == len(measured):
-            return True
-        i = measured[pos]
-        for j in candidates[pos]:
-            if j in used:
-                continue
-            assignment[i] = j
-            used.add(j)
-            if acyclic() and backtrack(pos + 1):
-                return True
-            del assignment[i]
-            used.remove(j)
-        return False
-
-    if not backtrack(0):
+    inputs = frozenset(g.inputs)
+    processed = set(g.outputs)
+    unprocessed = {v: len(adjacency[v] - processed) for v in g.vertices}
+    ready = {v for v in processed - inputs if unprocessed[v] == 1}
+    loops_ready = {v for v in loop_candidates if unprocessed[v] == 0}
+    f: dict[int, int] = {}
+    while ready or loops_ready:
+        layer: dict[int, int] = {}
+        for v in sorted(ready):
+            (u,) = adjacency[v] - processed
+            layer.setdefault(u, v)
+        for u in sorted(loops_ready):
+            layer.setdefault(u, u)
+        f.update(layer)
+        processed.update(layer)
+        touched = set(layer)
+        for u in layer:
+            for w in adjacency[u]:
+                unprocessed[w] -= 1
+                touched.add(w)
+        ready = {
+            w
+            for w in touched
+            if w in processed and w not in inputs and unprocessed[w] == 1
+        }
+        loops_ready = {
+            w
+            for w in touched
+            if w in loop_candidates and w not in processed and unprocessed[w] == 0
+        }
+    if len(processed) != len(g.vertices):
         return FlowSearchResult(found=False)
-    layering = dependency_order(g, assignment)
+    layering = dependency_order(g, f)
     assert layering.levels is not None
-    loops = frozenset(i for i, j in assignment.items() if i == j)
-    flow = Flow(assignment, layering.levels, loops)
+    loops = frozenset(i for i, j in f.items() if i == j)
+    flow = Flow(f, layering.levels, loops)
     check = validate_flow(g, flow, allow_loops=bool(loops))
     if not check.ok:
         raise AssertionError(f"search produced an invalid flow: {check.violations}")
     return FlowSearchResult(found=True, flow=flow, depth=flow.depth)
 
 
+def _find_flow(
+    g: OpenGraphState, loop_candidates: AbstractSet[int]
+) -> FlowSearchResult:
+    """Validate ``g``, then search loop-free first and, only if that fails,
+    with loops on the prepared ``loop_candidates``."""
+    check = validate_graph(g)
+    if not check.ok:
+        raise GraphFormatError("invalid open graph: " + "; ".join(check.violations))
+    result = _search(g, frozenset())
+    loop_candidates = frozenset(loop_candidates).difference(g.inputs)
+    if result.found or not loop_candidates:
+        return result
+    return _search(g, loop_candidates)
+
+
 def find_flow(g: OpenGraphState, allow_loops: bool = False) -> FlowSearchResult:
-    """Find a flow on ``(G, I, O)`` with its coarsest dependency order.
+    """Find a flow of minimum depth on ``(G, I, O)``, with its coarsest
+    dependency order.
 
     With ``allow_loops`` the corrector may fix any measured-and-prepared
     vertex (the Pauli-Y relaxation); loop-free flows are preferred when
@@ -206,26 +245,13 @@ def find_flow(g: OpenGraphState, allow_loops: bool = False) -> FlowSearchResult:
     FlowSearchResult
         ``found`` plus, when found, a flow that passes
         :func:`causalflow.graph_model.validate_flow` and its depth.
+
+    Raises
+    ------
+    GraphFormatError
+        If ``g`` fails :func:`causalflow.graph_model.validate_graph`.
     """
-    result = _search(g, frozenset())
-    if result.found or not allow_loops:
-        return result
-    loop_candidates = frozenset(g.measured) & frozenset(g.prepared)
-    return _search(g, loop_candidates)
-
-
-def find_flow_with_loop_candidates(
-    g: OpenGraphState, loop_candidates: AbstractSet[int]
-) -> FlowSearchResult:
-    """Flow search where only the given vertices may carry a loop.
-
-    Loop-free flows are preferred; used by the Pauli-measurement rules
-    where loops are legal exactly on the qubits measured at right angle.
-    """
-    result = _search(g, frozenset())
-    if result.found:
-        return result
-    return _search(g, frozenset(loop_candidates))
+    return _find_flow(g, frozenset(g.measured) if allow_loops else frozenset())
 
 
 def find_biflow(g: OpenGraphState) -> tuple[FlowSearchResult, FlowSearchResult]:
@@ -252,7 +278,7 @@ def brute_force_flow_oracle(
     set (plus loop choices when allowed), keeping those that satisfy the
     edge condition, and runs :func:`dependency_order` on each; a flow
     exists exactly when some candidate yields an acyclic constraint
-    relation.  Deliberately independent of the backtracking search.
+    relation.  Deliberately independent of the layer-peeling search.
     """
     if len(g.vertices) > max_vertices:
         raise OracleSizeError(
@@ -266,58 +292,16 @@ def brute_force_flow_oracle(
         levels = {v: 0 for v in g.vertices}
         return FlowSearchResult(True, Flow({}, levels), 1)
     adjacency = g._adjacency
-
-    best: Flow | None = None
-
-    def enumerate_maps(pos: int, current: dict[int, int], used: set[int]):
-        nonlocal best
-        if best is not None:
-            return
-        if pos == len(measured):
-            layering = dependency_order(g, current)
+    for targets in permutations(prepared, len(measured)):
+        if all(
+            j in adjacency[i] or (allow_loops and j == i)
+            for i, j in zip(measured, targets)
+        ):
+            f = dict(zip(measured, targets))
+            layering = dependency_order(g, f)
             if layering.ok:
                 assert layering.levels is not None
-                loops = frozenset(i for i, j in current.items() if i == j)
-                best = Flow(dict(current), layering.levels, loops)
-            return
-        i = measured[pos]
-        for j in prepared:
-            if j in used:
-                continue
-            legal = j in adjacency[i] or (allow_loops and j == i)
-            if not legal:
-                continue
-            current[i] = j
-            used.add(j)
-            enumerate_maps(pos + 1, current, used)
-            del current[i]
-            used.remove(j)
-
-    enumerate_maps(0, {}, set())
-    if best is None:
-        return FlowSearchResult(found=False)
-    return FlowSearchResult(True, best, best.depth)
-
-
-def enumerate_valid_layerings(
-    g: OpenGraphState, f: Mapping[int, int], max_level: int | None = None
-) -> Sequence[dict[int, int]]:
-    """All level assignments (bounded) that satisfy the constraints of ``f``.
-
-    Test helper for the coarsest-order minimality property: the layering
-    from :func:`dependency_order` must have depth no larger than any
-    assignment listed here.
-    """
-    from itertools import product
-
-    vertices = list(g.vertices)
-    bound = max_level if max_level is not None else len(vertices)
-    succ = _constraint_successors(g, f)
-    valid: list[dict[int, int]] = []
-    for combo in product(range(bound), repeat=len(vertices)):
-        levels = dict(zip(vertices, combo))
-        if all(
-            levels[w] > levels[v] for v, ws in succ.items() for w in ws
-        ):
-            valid.append(levels)
-    return valid
+                loops = frozenset(i for i, j in f.items() if i == j)
+                flow = Flow(f, layering.levels, loops)
+                return FlowSearchResult(True, flow, flow.depth)
+    return FlowSearchResult(found=False)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 
@@ -200,16 +201,17 @@ class Flow:
     ----------
     f : mapping int -> int
         Corrector assignment from measured vertices to prepared vertices.
+        Stored as a read-only copy.
     levels : mapping int -> int
         Layer index of every vertex; ``u`` is strictly later than ``v``
-        exactly when ``levels[u] > levels[v]``.
+        exactly when ``levels[u] > levels[v]``.  Stored as a read-only copy.
     loops : frozenset of int
         Vertices with ``f(i) == i``.  Only legal for the Pauli-Y relaxation
         (see :mod:`causalflow.pauli_rules`); an ordinary flow has none.
     """
 
-    f: dict[int, int]
-    levels: dict[int, int]
+    f: Mapping[int, int]
+    levels: Mapping[int, int]
     loops: frozenset[int] = field(default_factory=frozenset)
 
     def __init__(
@@ -218,8 +220,8 @@ class Flow:
         levels: Mapping[int, int],
         loops: Iterable[int] = (),
     ) -> None:
-        object.__setattr__(self, "f", dict(f))
-        object.__setattr__(self, "levels", dict(levels))
+        object.__setattr__(self, "f", MappingProxyType(dict(f)))
+        object.__setattr__(self, "levels", MappingProxyType(dict(levels)))
         object.__setattr__(self, "loops", frozenset(loops))
 
     def __eq__(self, other: object) -> bool:
@@ -229,6 +231,11 @@ class Flow:
             self.f == other.f
             and self.levels == other.levels
             and self.loops == other.loops
+        )
+
+    def __hash__(self) -> int:
+        return hash(
+            (frozenset(self.f.items()), frozenset(self.levels.items()), self.loops)
         )
 
     @property

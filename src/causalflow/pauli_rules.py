@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import AbstractSet, Mapping
 
-from .flow_finder import FlowSearchResult, find_flow_with_loop_candidates
+from .flow_finder import FlowSearchResult, _find_flow
 from .graph_model import Flow, OpenGraphState
 from .pattern import CorrectX, Pattern, PatternError, normalize_angle, synthesize
 from .simulator import DeterminismVerdict, classify_determinism
@@ -49,11 +49,13 @@ def find_flow_with_loops(
     ------
     PatternError
         If ``y_qubits`` contains a non-measured vertex.
+    GraphFormatError
+        If ``g`` fails :func:`causalflow.graph_model.validate_graph`.
     """
     stray = sorted(set(y_qubits) - set(g.measured))
     if stray:
         raise PatternError(f"y-measured qubits {stray} are not measured vertices")
-    return find_flow_with_loop_candidates(g, frozenset(y_qubits))
+    return _find_flow(g, frozenset(y_qubits))
 
 
 def drop_x_corrections(

@@ -263,7 +263,7 @@ def test_criterion_04_synthesis_at_scale(flow_instances):
 
 
 def test_criterion_05_flow_solver_soundness():
-    """Backtracking search agrees with the brute-force oracle on every
+    """Layer-peeling search agrees with the brute-force oracle on every
     graph with at most 4 vertices (all I/O choices) and on 200 random
     graphs with at most 7 vertices; all returned flows validate."""
     checked = 0

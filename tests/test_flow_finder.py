@@ -6,16 +6,67 @@ import random
 import pytest
 
 from causalflow import (
+    GraphFormatError,
     OpenGraphState,
     OracleSizeError,
     brute_force_flow_oracle,
     dependency_order,
     find_biflow,
     find_flow,
+    find_flow_with_loops,
     validate_flow,
 )
-from causalflow.flow_finder import enumerate_valid_layerings
+from causalflow.flow_finder import _constraint_successors
 from conftest import no_flow_geometry, path_state, random_open_graph
+
+
+def enumerate_valid_layerings(g, f, max_level=None):
+    """All level assignments below ``max_level`` that satisfy the
+    constraints of ``f``; the coarsest layering from
+    :func:`dependency_order` must be no deeper than any of them."""
+    vertices = list(g.vertices)
+    bound = max_level if max_level is not None else len(vertices)
+    succ = _constraint_successors(g, f)
+    valid = []
+    for combo in itertools.product(range(bound), repeat=len(vertices)):
+        levels = dict(zip(vertices, combo))
+        if all(levels[w] > levels[v] for v, ws in succ.items() for w in ws):
+            valid.append(levels)
+    return valid
+
+
+def exhaustive_min_depth(g):
+    """Minimum depth over every loop-free flow of ``g``, or None without one.
+
+    Tries every injective corrector map along edges; each acyclic one is a
+    flow whose least depth is that of its coarsest layering.
+    """
+    measured = list(g.measured)
+    adjacency = {v: set() for v in g.vertices}
+    for u, v in g.edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    best = None
+    for targets in itertools.permutations(sorted(g.prepared), len(measured)):
+        if all(j in adjacency[i] for i, j in zip(measured, targets)):
+            outcome = dependency_order(g, dict(zip(measured, targets)))
+            if outcome.ok:
+                depth = 1 + max(outcome.levels.values(), default=0)
+                best = depth if best is None else min(best, depth)
+    return best
+
+
+def all_labelled_open_graphs(max_vertices):
+    """Every graph on ``1..n``, ``n <= max_vertices``, with every I/O choice."""
+    for n in range(1, max_vertices + 1):
+        vs = list(range(1, n + 1))
+        pairs = list(itertools.combinations(vs, 2))
+        subsets = [s for k in range(n + 1) for s in itertools.combinations(vs, k)]
+        for bits in range(1 << len(pairs)):
+            edges = [e for k, e in enumerate(pairs) if bits >> k & 1]
+            for inputs in subsets:
+                for outputs in subsets:
+                    yield OpenGraphState(vs, edges, inputs, outputs)
 
 
 class TestFindFlow:
@@ -55,6 +106,62 @@ class TestFindFlow:
         )
 
 
+class TestMinimumDepth:
+    def _check(self, g):
+        result = find_flow(g)
+        best = exhaustive_min_depth(g)
+        assert result.found == (best is not None), g
+        if result.found:
+            assert result.depth == best, g
+
+    def test_every_graph_up_to_four_vertices(self):
+        for g in all_labelled_open_graphs(4):
+            self._check(g)
+
+    def test_random_graphs_up_to_seven_vertices(self):
+        rng = random.Random(53)
+        for _ in range(400):
+            self._check(random_open_graph(rng, max_vertices=7))
+
+    def test_long_path(self):
+        n = 10_000
+        result = find_flow(path_state(n, [1], [n]))
+        assert result.found
+        assert result.depth == n
+
+
+class TestLoops:
+    def test_loops_only_without_loop_free_flow(self):
+        rng = random.Random(59)
+        graphs = list(all_labelled_open_graphs(3))
+        graphs += [random_open_graph(rng, max_vertices=6) for _ in range(200)]
+        with_loops = 0
+        for g in graphs:
+            result = find_flow(g, allow_loops=True)
+            assert result.found == brute_force_flow_oracle(g, True).found
+            if result.found and result.flow.loops:
+                assert not brute_force_flow_oracle(g).found
+                with_loops += 1
+        assert with_loops > 10
+
+
+class TestGraphValidation:
+    def test_undeclared_edge_endpoint_rejected(self):
+        g = OpenGraphState([1, 2], [(1, 2), (2, 3)], [1], [2])
+        with pytest.raises(GraphFormatError, match="edge endpoint 3 not a vertex"):
+            find_flow(g)
+
+    def test_every_entry_point_validates(self):
+        g = OpenGraphState([1, 2], [(1, 2), (2, 3)], [1], [2])
+        for search in (
+            lambda: find_flow(g, allow_loops=True),
+            lambda: find_biflow(g),
+            lambda: find_flow_with_loops(g, {1}),
+        ):
+            with pytest.raises(GraphFormatError):
+                search()
+
+
 class TestDependencyOrder:
     def test_path_three_layering(self):
         g = path_state(3, [1], [3])
@@ -72,6 +179,17 @@ class TestDependencyOrder:
     def test_single_edge(self):
         g = path_state(2, [1], [2])
         assert dependency_order(g, {1: 2}).levels == {1: 0, 2: 1}
+
+    def test_long_cycle_is_reported(self):
+        n = 5000
+        g = OpenGraphState(range(n), [(i, (i + 1) % n) for i in range(n)])
+        f = {i: (i + 1) % n for i in range(n)}
+        outcome = dependency_order(g, f)
+        assert not outcome.ok
+        cycle = outcome.cycle
+        assert cycle[0] == cycle[-1]
+        succ = _constraint_successors(g, f)
+        assert all(b in succ[a] for a, b in zip(cycle, cycle[1:]))
 
     def test_coarsest_layering_minimizes_depth(self):
         g = path_state(3, [1], [3])

@@ -155,6 +155,30 @@ class TestValidateFlow:
             checked += 1
 
 
+class TestFlowImmutable:
+    def test_hashable_and_consistent_with_eq(self):
+        fl = find_flow(path_state(3, [1], [3])).flow
+        same = Flow({2: 3, 1: 2}, {3: 2, 2: 1, 1: 0})
+        assert fl == same
+        assert hash(fl) == hash(same)
+        assert len({fl, same}) == 1
+
+    def test_mappings_are_read_only(self):
+        fl = find_flow(path_state(3, [1], [3])).flow
+        with pytest.raises(TypeError):
+            fl.f[1] = 9
+        with pytest.raises(TypeError):
+            fl.levels[1] = 9
+
+    def test_constructor_copies_its_arguments(self):
+        f, levels = {1: 2}, {1: 0, 2: 1}
+        fl = Flow(f, levels)
+        f[1] = 9
+        levels[2] = 5
+        assert fl.f == {1: 2}
+        assert fl.levels == {1: 0, 2: 1}
+
+
 class TestJson:
     def test_graph_round_trip(self):
         g = no_flow_geometry()

@@ -73,6 +73,10 @@ class TestFindFlowWithLoops:
             if find_flow(g).found:
                 assert find_flow_with_loops(g, frozenset(g.measured)).found
 
+    def test_input_y_qubit_gets_no_loop(self):
+        g = OpenGraphState([1], [], [1], [])
+        assert not find_flow_with_loops(g, {1}).found
+
     def test_y_qubits_must_be_measured(self):
         with pytest.raises(PatternError, match="not measured"):
             find_flow_with_loops(path_state(2, [1], [2]), {2})
