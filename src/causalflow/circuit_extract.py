@@ -20,7 +20,13 @@ import numpy as np
 
 from .graph_model import Flow, OpenGraphState, validate_flow
 from .pattern import PatternError
-from .simulator import HADAMARD, SimulationError, phase_gate, plus_ket
+from .simulator import (
+    HADAMARD,
+    SimulationError,
+    _TensorEngine,
+    phase_gate,
+    plus_ket,
+)
 
 
 @dataclass(frozen=True)
@@ -252,49 +258,23 @@ def simulate_circuit(c: Circuit, max_wires: int = 16) -> np.ndarray:
     Ancilla wires enter as plus states and are contracted into the map;
     the returned matrix has one output-space axis ordered by the circuit's
     declared output wires and one input axis per input wire in declaration
-    order.
+    order.  Runs on the simulator's tensor engine, one wire per axis.
     """
     n_wires = len(c.wires)
     if n_wires > max_wires:
         raise SimulationError(f"{n_wires} wires exceed the bound {max_wires}")
-    input_wires = [w.id for w in c.wires if w.source == "input"]
-    n_in = len(input_wires)
-
-    tensor = np.eye(1 << n_in, dtype=complex).reshape((2,) * (2 * n_in))
-    axis_of: dict[int, int] = {w: k for k, w in enumerate(input_wires)}
-    domain_axes = list(range(n_in, 2 * n_in))
+    eng = _TensorEngine([w.id for w in c.wires if w.source == "input"], batch=1)
     for w in c.wires:
         if w.source == "plus":
-            axis_of[w.id] = tensor.ndim
-            tensor = np.multiply.outer(tensor, plus_ket(0.0))
-
-    def apply_1q(wire: int, gate: np.ndarray) -> None:
-        nonlocal tensor
-        ax = axis_of[wire]
-        moved = np.moveaxis(tensor, ax, -1)
-        tensor = np.moveaxis(moved @ gate.T, -1, ax)
-
+            eng.add_qubit(w.id, plus_ket(0.0))
     for gate in c.gates:
         if isinstance(gate, CZGate):
-            idx: list = [slice(None)] * tensor.ndim
-            idx[axis_of[gate.a]] = 1
-            idx[axis_of[gate.b]] = 1
-            tensor = tensor.copy()
-            tensor[tuple(idx)] *= -1.0
+            eng.apply_cz(gate.a, gate.b)
         elif isinstance(gate, PhaseGate):
-            apply_1q(gate.wire, phase_gate(gate.theta))
+            eng.apply_1q(gate.wire, phase_gate(gate.theta))
         else:
-            apply_1q(gate.wire, HADAMARD)
-
-    perm = [axis_of[w] for w in c.outputs] + domain_axes
-    spectators = [
-        ax for ax in range(tensor.ndim) if ax not in perm
-    ]
-    if spectators:
-        raise SimulationError(
-            f"wires {spectators} are neither outputs nor inputs"
-        )
-    return np.transpose(tensor, perm).reshape(1 << len(c.outputs), 1 << n_in)
+            eng.apply_1q(gate.wire, HADAMARD)
+    return eng.finalize(c.outputs)[0, 0]
 
 
 def gate_counts(c: Circuit) -> dict[str, int]:

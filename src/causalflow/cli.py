@@ -12,18 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from .circuit_extract import extract_circuit, simulate_circuit
 from .flow_finder import find_biflow, find_flow
-from .graph_model import (
-    GraphFormatError,
-    OpenGraphState,
-    graph_from_json_dict,
-    validate_graph,
-)
+from .graph_model import GraphFormatError, OpenGraphState, graph_from_json_dict
 from .pattern import (
     PatternError,
     PatternFormatError,
@@ -34,8 +30,9 @@ from .pattern import (
     synthesize,
     synthesize_stabilizer_form,
 )
-from .pauli_rules import find_flow_with_loops
 from .simulator import (
+    DEFAULT_TOLERANCE,
+    EXACT_TOLERANCE,
     SimulationError,
     check_rewrite_identities,
     classify_determinism,
@@ -67,10 +64,10 @@ def _load_graph(path: str) -> tuple[OpenGraphState, frozenset[int]]:
         graph = graph_from_json_dict(data)
     except GraphFormatError as exc:
         raise _CliError(f"{path}: {exc}") from exc
-    check = validate_graph(graph)
-    if not check.ok:
-        raise _CliError(f"{path}: " + "; ".join(check.violations))
-    y_measured = frozenset(int(q) for q in data.get("y_measured", []))
+    try:
+        y_measured = frozenset(int(q) for q in data.get("y_measured", []))
+    except (TypeError, ValueError) as exc:
+        raise _CliError(f"{path}: bad y_measured entry: {exc}") from exc
     return graph, y_measured
 
 
@@ -83,20 +80,30 @@ def _load_angles(path: str | None, qubits: Sequence[int]) -> dict[int, float]:
     if not isinstance(data, dict):
         raise _CliError(f"{path}: expected a JSON object of vertex -> radians")
     for key, value in data.items():
-        angles[int(key)] = float(value)
+        try:
+            q, angle = int(key), float(value)
+        except (TypeError, ValueError) as exc:
+            raise _CliError(f"{path}: bad angle entry {key!r}: {exc}") from exc
+        if not math.isfinite(angle):
+            raise _CliError(f"{path}: angle {value!r} of {key} is not finite")
+        angles[q] = angle
     return angles
 
 
-def _y_measured(args, from_file: frozenset[int]) -> frozenset[int]:
+def _find_flow_for(args, graph: OpenGraphState, y_from_file: frozenset[int]):
+    """Loop candidates: ``--y-measured``, else the graph file's
+    ``y_measured``, else every measured qubit under ``--loops``."""
+    y_qubits = y_from_file
     if args.y_measured:
-        return frozenset(int(t) for t in args.y_measured.replace(",", " ").split())
-    return from_file
-
-
-def _find_flow_for(args, graph: OpenGraphState, y_qubits: frozenset[int]):
-    if y_qubits:
-        return find_flow_with_loops(graph, y_qubits)
-    return find_flow(graph, allow_loops=args.loops)
+        try:
+            y_qubits = frozenset(
+                int(t) for t in args.y_measured.replace(",", " ").split()
+            )
+        except ValueError as exc:
+            raise _CliError(f"--y-measured: {exc}") from exc
+    if not y_qubits and args.loops:
+        y_qubits = frozenset(graph.measured)
+    return find_flow(graph, loop_candidates=y_qubits)
 
 
 def _emit(data) -> None:
@@ -115,14 +122,14 @@ def _cmd_flow(args) -> int:
             }
         )
         return EXIT_OK if forward.found and reverse.found else EXIT_NEGATIVE
-    result = _find_flow_for(args, graph, _y_measured(args, y_from_file))
+    result = _find_flow_for(args, graph, y_from_file)
     _emit(result.to_json_dict())
     return EXIT_OK if result.found else EXIT_NEGATIVE
 
 
 def _cmd_synth(args) -> int:
     graph, y_from_file = _load_graph(args.graph)
-    result = _find_flow_for(args, graph, _y_measured(args, y_from_file))
+    result = _find_flow_for(args, graph, y_from_file)
     if not result.found or result.flow is None:
         print("no flow exists for this open graph state", file=sys.stderr)
         return EXIT_NEGATIVE
@@ -153,7 +160,7 @@ def _cmd_verify(args) -> int:
         pattern,
         angle_samples=args.samples,
         seed=args.seed,
-        tolerance=args.tolerance,
+        tolerance=DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance,
         max_measurements=args.max_qubits,
     )
     _emit(verdict.to_json_dict())
@@ -193,7 +200,7 @@ def _cmd_adjoint(args) -> int:
 
 def _cmd_identities(args) -> int:
     report = check_rewrite_identities(
-        tolerance=args.tolerance if args.tolerance_set else 1e-12,
+        tolerance=EXACT_TOLERANCE if args.tolerance is None else args.tolerance,
         grid_points=args.angles_grid,
         n_random=args.random,
         seed=args.seed,
@@ -212,7 +219,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument(
-        "--tolerance", type=float, default=1e-9, help="numerical tolerance"
+        "--tolerance",
+        type=float,
+        help="numerical tolerance (default 1e-9 for verify, 1e-12 for identities)",
     )
     parser.add_argument(
         "--max-qubits",
@@ -277,16 +286,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    args.tolerance_set = any(a.startswith("--tolerance") for a in argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (PatternError, GraphFormatError, SimulationError) as exc:
+    except (_CliError, PatternError, GraphFormatError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

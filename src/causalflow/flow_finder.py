@@ -41,6 +41,7 @@ from .graph_model import (
     validate_flow,
     validate_graph,
 )
+from .pattern import PatternError
 
 DEFAULT_ORACLE_BOUND = 7
 
@@ -217,28 +218,18 @@ def _search(
     return FlowSearchResult(found=True, flow=flow, depth=flow.depth)
 
 
-def _find_flow(
-    g: OpenGraphState, loop_candidates: AbstractSet[int]
+def find_flow(
+    g: OpenGraphState, loop_candidates: AbstractSet[int] = frozenset()
 ) -> FlowSearchResult:
-    """Validate ``g``, then search loop-free first and, only if that fails,
-    with loops on the prepared ``loop_candidates``."""
-    check = validate_graph(g)
-    if not check.ok:
-        raise GraphFormatError("invalid open graph: " + "; ".join(check.violations))
-    result = _search(g, frozenset())
-    loop_candidates = frozenset(loop_candidates).difference(g.inputs)
-    if result.found or not loop_candidates:
-        return result
-    return _search(g, loop_candidates)
-
-
-def find_flow(g: OpenGraphState, allow_loops: bool = False) -> FlowSearchResult:
     """Find a flow of minimum depth on ``(G, I, O)``, with its coarsest
     dependency order.
 
-    With ``allow_loops`` the corrector may fix any measured-and-prepared
-    vertex (the Pauli-Y relaxation); loop-free flows are preferred when
-    both exist.
+    Each vertex in ``loop_candidates`` may be its own corrector (the
+    Pauli-Y relaxation for qubits measured at a right angle); pass
+    ``g.measured`` to allow every measured vertex.  A loop waives the edge
+    and strictly-later conditions on the vertex itself but still requires
+    every neighbour strictly later.  Loop-free flows are preferred when
+    both exist, and an input is never offered a loop.
 
     Returns
     -------
@@ -250,17 +241,31 @@ def find_flow(g: OpenGraphState, allow_loops: bool = False) -> FlowSearchResult:
     ------
     GraphFormatError
         If ``g`` fails :func:`causalflow.graph_model.validate_graph`.
+    PatternError
+        If ``loop_candidates`` contains a vertex that is not measured.
     """
-    return _find_flow(g, frozenset(g.measured) if allow_loops else frozenset())
+    check = validate_graph(g)
+    if not check.ok:
+        raise GraphFormatError("invalid open graph: " + "; ".join(check.violations))
+    stray = sorted(set(loop_candidates) - set(g.measured))
+    if stray:
+        raise PatternError(f"y-measured qubits {stray} are not measured vertices")
+    result = _search(g, frozenset())
+    loop_candidates = frozenset(loop_candidates).difference(g.inputs)
+    if result.found or not loop_candidates:
+        return result
+    return _search(g, loop_candidates)
 
 
 def find_biflow(g: OpenGraphState) -> tuple[FlowSearchResult, FlowSearchResult]:
     """Search both ``(G, I, O)`` and the role-swapped ``(G, O, I)``.
 
     A bi-flow exists when both directions are found; the two results are
-    independently valid, and a bi-flow forces ``|I| == |O|``.
+    independently valid, and a bi-flow forces ``|I| == |O|``.  The graph
+    is validated once: the role swap leaves its edges and vertices as
+    they are.
     """
-    return find_flow(g), find_flow(g.reversed())
+    return find_flow(g), _search(g.reversed(), frozenset())
 
 
 class OracleSizeError(ValueError):

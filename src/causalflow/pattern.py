@@ -23,8 +23,11 @@ _ANGLE_EPS = 1e-12
 
 
 def normalize_angle(angle: float) -> float:
-    """Map an angle into [0, 2*pi)."""
-    a = math.fmod(float(angle), TWO_PI)
+    """Map an angle into [0, 2*pi); a non-finite angle raises PatternError."""
+    a = float(angle)
+    if not math.isfinite(a):
+        raise PatternError(f"angle {a!r} is not finite")
+    a = math.fmod(a, TWO_PI)
     if a < 0.0:
         a += TWO_PI
     if a >= TWO_PI:
@@ -33,6 +36,7 @@ def normalize_angle(angle: float) -> float:
 
 
 def _is_zero_angle(angle: float) -> bool:
+    """The one exact-angle rule: ``angle`` is 0 mod 2*pi within 1e-12."""
     a = normalize_angle(angle)
     return a < _ANGLE_EPS or TWO_PI - a < _ANGLE_EPS
 
@@ -332,22 +336,7 @@ def synthesize(
     PatternError
         If the flow does not validate or an angle map is not total.
     """
-    preps = _check_synthesis_inputs(g, fl, meas_angles, prep_angles)
-    cmds = _prologue(g, preps)
-    adjacency = g._adjacency
-    for i in _measured_in_flow_order(g, fl):
-        cmds.append(Measure(i, meas_angles[i]))
-        if i in fl.loops:
-            cmds.extend(_loop_correction_block(g, i))
-            continue
-        j = fl.f[i]
-        cmds.append(_x_correction(j, preps.get(j, 0.0), i))
-        cmds.extend(CorrectZ(k, {i}) for k in sorted(adjacency[j] - {i}))
-    pattern = Pattern(g.vertices, g.inputs, g.outputs, cmds)
-    check = check_runnable(pattern)
-    if not check.ok:
-        raise AssertionError(f"synthesized pattern not runnable: {check.violations}")
-    return pattern
+    return _synthesize(g, fl, meas_angles, prep_angles, z_first=False)
 
 
 def synthesize_stabilizer_form(
@@ -362,11 +351,21 @@ def synthesize_stabilizer_form(
     projection, so neither is emitted and the pattern stays runnable.  The
     surviving corrections act on pairwise distinct qubits and commute, so
     this realizes exactly the same branch maps as :func:`synthesize`; only
-    the within-block command order differs.
+    the within-block command order differs (Z before X).
 
     Preparation angles must all be zero in this form.
     """
-    preps = _check_synthesis_inputs(g, fl, meas_angles, None)
+    return _synthesize(g, fl, meas_angles, None, z_first=True)
+
+
+def _synthesize(
+    g: OpenGraphState,
+    fl: Flow,
+    meas_angles: Mapping[int, float],
+    prep_angles: Mapping[int, float] | None,
+    z_first: bool,
+) -> Pattern:
+    preps = _check_synthesis_inputs(g, fl, meas_angles, prep_angles)
     cmds = _prologue(g, preps)
     adjacency = g._adjacency
     for i in _measured_in_flow_order(g, fl):
@@ -375,8 +374,9 @@ def synthesize_stabilizer_form(
             cmds.extend(_loop_correction_block(g, i))
             continue
         j = fl.f[i]
-        cmds.extend(CorrectZ(k, {i}) for k in sorted(adjacency[j] - {i}))
-        cmds.append(CorrectX(j, {i}))
+        x = [_x_correction(j, preps.get(j, 0.0), i)]
+        zs = [CorrectZ(k, {i}) for k in sorted(adjacency[j] - {i})]
+        cmds.extend(zs + x if z_first else x + zs)
     pattern = Pattern(g.vertices, g.inputs, g.outputs, cmds)
     check = check_runnable(pattern)
     if not check.ok:
@@ -493,7 +493,10 @@ def parse_pattern(text: str) -> Pattern:
         if line.startswith(("V:", "I:", "O:")):
             key = line[0]
             seen_headers.add(key)
-            ids = [int(t) for t in line[2:].split()]
+            try:
+                ids = [int(t) for t in line[2:].split()]
+            except ValueError as exc:
+                raise PatternFormatError(f"bad header line {line!r}") from exc
             {"V": vertices, "I": inputs, "O": outputs}[key].extend(ids)
             continue
         parts = line.split()

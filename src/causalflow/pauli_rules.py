@@ -5,57 +5,25 @@ Two relaxations apply when measurement angles hit the Pauli axes exactly:
 * a qubit measured at a right angle (pi/2) may act as its own corrector
   (a "loop"), with the correction realized on its neighbors through the
   qubit's graph stabilizer; the resulting pattern is deterministic only at
-  that angle, so it is never uniformly deterministic;
+  that angle, so it is never uniformly deterministic.  Loop flows come from
+  :func:`causalflow.flow_finder.find_flow` with ``loop_candidates``;
 * an X correction sent into a qubit measured at angle zero has no effect
   on the measurement statistics and can be dropped.
 
-Angle exactness: the special cases trigger only when an angle equals 0 or
-pi/2 to within 1e-12; near-Pauli angles are treated as generic.
+Angle exactness: X corrections are dropped only when the angle equals 0
+to within 1e-12 (the rule of :mod:`causalflow.pattern`); near-Pauli angles
+are treated as generic.
 
 All functions here are pure over immutable inputs.
 """
 
 from __future__ import annotations
 
-import math
-from typing import AbstractSet, Mapping
+from typing import Mapping
 
-from .flow_finder import FlowSearchResult, _find_flow
 from .graph_model import Flow, OpenGraphState
-from .pattern import CorrectX, Pattern, PatternError, normalize_angle, synthesize
+from .pattern import CorrectX, Pattern, _is_zero_angle, synthesize
 from .simulator import DeterminismVerdict, classify_determinism
-
-_ANGLE_EPS = 1e-12
-RIGHT_ANGLE = math.pi / 2.0
-
-
-def _is_exact(angle: float, target: float) -> bool:
-    d = abs(normalize_angle(angle) - normalize_angle(target))
-    return min(d, 2.0 * math.pi - d) < _ANGLE_EPS
-
-
-def find_flow_with_loops(
-    g: OpenGraphState, y_qubits: AbstractSet[int]
-) -> FlowSearchResult:
-    """Flow search where the given qubits may be their own correctors.
-
-    ``y_qubits`` must be measured qubits intended for right-angle
-    measurement.  A loop vertex waives the edge and strictly-later
-    conditions on itself but still requires every neighbor strictly later.
-    Loop-free flows are preferred when both exist, preserving uniform
-    determinism.
-
-    Raises
-    ------
-    PatternError
-        If ``y_qubits`` contains a non-measured vertex.
-    GraphFormatError
-        If ``g`` fails :func:`causalflow.graph_model.validate_graph`.
-    """
-    stray = sorted(set(y_qubits) - set(g.measured))
-    if stray:
-        raise PatternError(f"y-measured qubits {stray} are not measured vertices")
-    return _find_flow(g, frozenset(y_qubits))
 
 
 def drop_x_corrections(
@@ -74,9 +42,8 @@ def drop_x_corrections(
     angles = dict(p.measure_angles())
     if meas_angles is not None:
         angles.update(meas_angles)
-    droppable = {
-        q for q, a in angles.items() if q in set(p.measurement_order) and _is_exact(a, 0.0)
-    }
+    measured = set(p.measurement_order)
+    droppable = {q for q, a in angles.items() if q in measured and _is_zero_angle(a)}
     kept = tuple(
         c
         for c in p.commands
@@ -102,9 +69,3 @@ def classify_loop_pattern(
     pattern = synthesize(g, loop_flow, angles)
     return classify_determinism(pattern, angle_samples=angle_samples, seed=seed)
 
-
-def loop_qubits_at_right_angle(
-    fl: Flow, angles: Mapping[int, float]
-) -> bool:
-    """True when every loop vertex is measured at exactly pi/2."""
-    return all(_is_exact(angles.get(i, 0.0), RIGHT_ANGLE) for i in fl.loops)

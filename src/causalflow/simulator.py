@@ -184,12 +184,20 @@ def matrix_from_json(data: Sequence) -> np.ndarray:
     )
 
 
-def _runnable_or_raise(p: Pattern) -> None:
+def _runnable_or_raise(p: Pattern, max_measurements: int | None = None) -> int:
+    """Measurement count of ``p``, once it is known to be runnable and,
+    when ``max_measurements`` is given, within that branch bound."""
     check = check_runnable(p)
     if not check.ok:
         raise PatternError(
             "pattern is not runnable: " + "; ".join(check.violations)
         )
+    n = p.n_measurements
+    if max_measurements is not None and n > max_measurements:
+        raise SimulationError(
+            f"{n} measurements exceed the branch bound {max_measurements}"
+        )
+    return n
 
 
 def _input_index_bits(index: int, n: int) -> list[int]:
@@ -276,7 +284,9 @@ def run_branch(p: Pattern, outcomes: str) -> np.ndarray:
 
 
 class _TensorEngine:
-    """Batched all-branches tensor engine.
+    """Batched all-branches tensor engine: the one kernel under
+    :func:`enumerate_branches`, :func:`classify_determinism`,
+    :func:`realized_embedding` and the circuit simulator.
 
     Axis 0 is the batch (one entry per measurement-angle vector); every
     pattern qubit owns one further axis.  A measurement rotates its qubit
@@ -327,11 +337,7 @@ class _TensorEngine:
 
     def contract_bra(self, q: int, bra: np.ndarray) -> None:
         ax = self.axis_of.pop(q)
-        moved = np.moveaxis(self.t, ax, -1)
-        if bra.ndim == 1:
-            self.t = moved @ bra
-        else:
-            self.t = np.einsum("b...j,bj->b...", moved, bra)
+        self.t = np.moveaxis(self.t, ax, -1) @ bra
         for table in (self.axis_of, self.branch_axis_of):
             for key in table:
                 if table[key] > ax:
@@ -346,11 +352,7 @@ class _TensorEngine:
         idx[ctrl] = 1
         sub = self.t[tuple(idx)]
         sub_tgt = tgt - 1 if tgt > ctrl else tgt
-        moved = np.moveaxis(sub, sub_tgt, -1)
-        if gate.ndim == 2:
-            moved = moved @ gate.T
-        else:
-            moved = np.einsum("b...j,bij->b...i", moved, gate)
+        moved = np.moveaxis(sub, sub_tgt, -1) @ gate.T
         self.t[tuple(idx)] = np.moveaxis(moved, -1, sub_tgt)
 
     def finalize(self, outputs: Sequence[int]) -> np.ndarray:
@@ -436,12 +438,7 @@ def enumerate_branches(
         If the measurement count exceeds ``max_measurements`` or the
         branch family fails the trace-preservation check.
     """
-    _runnable_or_raise(p)
-    n = p.n_measurements
-    if n > max_measurements:
-        raise SimulationError(
-            f"{n} measurements exceed the branch bound {max_measurements}"
-        )
+    n = _runnable_or_raise(p, max_measurements)
     maps = _all_branch_tensor(p, [p.measure_angles()])[0]
     _check_trace_preserving(maps, tolerance)
     if input_state is not None:
@@ -549,12 +546,7 @@ def classify_determinism(
     random measurement-angle vectors over the same geometry and
     corrections, all evaluated in a single batched pass.
     """
-    _runnable_or_raise(p)
-    n = p.n_measurements
-    if n > max_measurements:
-        raise SimulationError(
-            f"{n} measurements exceed the branch bound {max_measurements}"
-        )
+    n = _runnable_or_raise(p, max_measurements)
     base_angles = p.measure_angles()
     rng = np.random.default_rng(seed)
     angle_sets: list[Mapping[int, float]] = [base_angles]
@@ -705,10 +697,6 @@ class IdentityReport:
         }
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a, b)
-
-
 def _identity_deviations(alpha: float) -> dict[str, float]:
     """Deviations of every rewrite identity at one angle, worst case over s."""
     eye2 = np.eye(2, dtype=complex)
@@ -731,12 +719,12 @@ def _identity_deviations(alpha: float) -> dict[str, float]:
         xs = PAULI_X if s else eye2
         zs = PAULI_Z if s else eye2
         xas = xa if s else eye2
-        zi = _kron(zs, eye2)
-        zj = _kron(eye2, zs)
-        xi = _kron(xs, eye2)
-        xj = _kron(eye2, xs)
-        xaj = _kron(eye2, xas)
-        xai = _kron(xas, eye2)
+        zi = np.kron(zs, eye2)
+        zj = np.kron(eye2, zs)
+        xi = np.kron(xs, eye2)
+        xj = np.kron(eye2, xs)
+        xaj = np.kron(eye2, xas)
+        xai = np.kron(xas, eye2)
         devs[f"z-conjugates-to-x-pair-through-cz-{tag}"] = dev(
             zi @ CZ_MATRIX, xj @ CZ_MATRIX @ xj
         )

@@ -30,7 +30,6 @@ from causalflow import (
     extract_circuit,
     find_biflow,
     find_flow,
-    find_flow_with_loops,
     gate_counts,
     max_deviation_up_to_phase,
     realized_embedding,
@@ -403,7 +402,7 @@ def test_criterion_09_loop_flow_behavior():
     right angle and produces witnesses at generic angles."""
     g = loop_geometry()
     assert not find_flow(g).found
-    result = find_flow_with_loops(g, {2})
+    result = find_flow(g, loop_candidates={2})
     assert result.found and result.flow.loops == {2}
     at_right = classify_loop_pattern(
         g, result.flow, {2: math.pi / 2.0}, angle_samples=10, seed=9

@@ -19,7 +19,6 @@ from causalflow import (
     decompose_stars,
     extract_circuit,
     find_flow,
-    find_flow_with_loops,
     gate_counts,
     max_deviation_up_to_phase,
     realized_embedding,
@@ -66,7 +65,7 @@ class TestDecomposeStars:
 
     def test_loops_rejected(self):
         g = loop_geometry()
-        fl = find_flow_with_loops(g, {2}).flow
+        fl = find_flow(g, loop_candidates={2}).flow
         with pytest.raises(PatternError, match="loop"):
             decompose_stars(g, fl, {2: 0.0})
 

@@ -80,6 +80,21 @@ class TestFlowCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["flow"]["loops"] == [2]
 
+    def test_loops_flag_allows_every_measured_qubit(self, write, capsys):
+        path = graph_file(write, loop_geometry())
+        assert main(["flow", path, "--loops"]) == 0
+        assert json.loads(capsys.readouterr().out)["flow"]["loops"] == [2]
+
+    def test_non_integer_y_measured_flag(self, write, capsys):
+        path = graph_file(write, loop_geometry())
+        assert main(["flow", path, "--y-measured", "2,x"]) == 2
+        assert "error: --y-measured" in capsys.readouterr().err
+
+    def test_non_integer_y_measured_field(self, write, capsys):
+        path = graph_file(write, loop_geometry(), extra={"y_measured": ["two"]})
+        assert main(["flow", path]) == 2
+        assert "bad y_measured entry" in capsys.readouterr().err
+
     def test_loops_via_json_field(self, write, capsys):
         path = graph_file(write, loop_geometry(), extra={"y_measured": [2]})
         assert main(["flow", path]) == 0
@@ -123,6 +138,20 @@ class TestSynthCommand:
         kinds = [type(c).__name__ for c in pattern.commands]
         assert kinds.index("CorrectZ") < kinds.index("CorrectX")
 
+    @pytest.mark.parametrize("doc", [{"1": "north"}, {"one": 0.5}, {"1": None}])
+    def test_malformed_angle_entry(self, write, capsys, doc):
+        path = graph_file(write, hadamard_geometry())
+        angles = write("angles.json", doc)
+        assert main(["synth", path, "--angles", angles]) == 2
+        assert "bad angle entry" in capsys.readouterr().err
+
+    def test_overflowing_angle(self, write, capsys):
+        path = graph_file(write, hadamard_geometry())
+        angles = write("angles.json", '{"1": 1e400}')
+        assert main(["synth", path, "--angles", angles]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not finite" in err
+
     def test_prep_angles(self, write, capsys):
         path = graph_file(write, path_state(3, [1], [3]))
         preps = write("preps.json", {"2": 0.5})
@@ -154,6 +183,21 @@ class TestVerifyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["runnable"] is False
         assert any(v.startswith("R0") for v in doc["violations"])
+
+    def test_nan_angle_rejected(self, write, capsys):
+        path = write("nan.pat", H_TEXT.replace("M 1 0.0", "M 1 nan"))
+        assert main(["verify", path]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:")
+
+    def test_non_integer_header(self, write, capsys):
+        path = write("hdr.pat", H_TEXT.replace("V: 1 2", "V: 1 x"))
+        assert main(["verify", path]) == 2
+        assert "bad header line" in capsys.readouterr().err
+
+    def test_default_tolerance(self, write, capsys):
+        assert main(["verify", write("h.pat", H_TEXT)]) == 0
+        assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-9
 
     def test_seeded_determinism(self, write, capsys):
         path = write("h.pat", H_TEXT)
@@ -210,6 +254,12 @@ class TestIdentitiesCommand:
 
     def test_custom_grid(self, capsys):
         assert main(["identities", "--angles-grid", "64", "--random", "5"]) == 0
+
+    def test_default_and_abbreviated_tolerance(self, capsys):
+        main(["identities"])
+        assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-12
+        assert main(["--tol", "0.5", "identities"]) == 0
+        assert json.loads(capsys.readouterr().out)["tolerance"] == 0.5
 
     def test_absurd_tolerance_reports_residuals(self, capsys):
         code = main(["--tolerance", "1e-30", "identities"])

@@ -13,7 +13,6 @@ from causalflow import (
     dependency_order,
     find_biflow,
     find_flow,
-    find_flow_with_loops,
     validate_flow,
 )
 from causalflow.flow_finder import _constraint_successors
@@ -137,7 +136,7 @@ class TestLoops:
         graphs += [random_open_graph(rng, max_vertices=6) for _ in range(200)]
         with_loops = 0
         for g in graphs:
-            result = find_flow(g, allow_loops=True)
+            result = find_flow(g, loop_candidates=g.measured)
             assert result.found == brute_force_flow_oracle(g, True).found
             if result.found and result.flow.loops:
                 assert not brute_force_flow_oracle(g).found
@@ -154,9 +153,8 @@ class TestGraphValidation:
     def test_every_entry_point_validates(self):
         g = OpenGraphState([1, 2], [(1, 2), (2, 3)], [1], [2])
         for search in (
-            lambda: find_flow(g, allow_loops=True),
+            lambda: find_flow(g, loop_candidates=g.measured),
             lambda: find_biflow(g),
-            lambda: find_flow_with_loops(g, {1}),
         ):
             with pytest.raises(GraphFormatError):
                 search()
@@ -284,7 +282,7 @@ class TestOracle:
                     g = OpenGraphState(vs, edges, inputs, outputs)
                     for loops in (False, True):
                         assert (
-                            find_flow(g, loops).found
+                            find_flow(g, g.measured if loops else ()).found
                             == brute_force_flow_oracle(g, loops).found
                         )
 
@@ -294,7 +292,7 @@ class TestOracle:
             g = random_open_graph(rng, max_vertices=6)
             for loops in (False, True):
                 assert (
-                    find_flow(g, loops).found
+                    find_flow(g, g.measured if loops else ()).found
                     == brute_force_flow_oracle(g, loops).found
                 )
 

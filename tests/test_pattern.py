@@ -29,6 +29,7 @@ from causalflow import (
     synthesize,
     synthesize_stabilizer_form,
 )
+from causalflow.pattern import normalize_angle
 from conftest import hadamard_geometry, path_state, random_angles, random_open_graph
 
 H_TEXT = "V: 1 2\nI: 1\nO: 2\nN 2 0.0\nE 1 2\nM 1 0.0\nX 2 [1]\n"
@@ -328,12 +329,31 @@ class TestTextFormat:
         with pytest.raises(PatternFormatError):
             parse_pattern("V: 1\nI: 1\nO: 1\nM 1\n")
 
+    def test_parser_rejects_non_integer_header(self):
+        with pytest.raises(PatternFormatError, match="bad header line"):
+            parse_pattern("V: 1 x\nI: 1\nO: 1\n")
+
+    def test_parser_rejects_non_finite_angles(self):
+        for line in ("M 1 nan", "N 2 inf", "XA 2 -inf [1]"):
+            with pytest.raises(PatternFormatError):
+                parse_pattern(f"V: 1 2\nI: 1\nO: 2\n{line}\n")
+
 
 class TestAngles:
     def test_normalized_into_range(self):
         assert Measure(1, -0.5).angle == pytest.approx(2 * math.pi - 0.5)
         assert Prepare(1, 2 * math.pi).angle == 0.0
         assert CorrectXPhase(1, 7.0, {2}).angle == pytest.approx(7.0 - 2 * math.pi)
+
+    def test_non_finite_angles_rejected(self):
+        for angle in (math.nan, math.inf, -math.inf, float("1e400")):
+            with pytest.raises(PatternError, match="not finite"):
+                normalize_angle(angle)
+        with pytest.raises(PatternError, match="not finite"):
+            Measure(1, math.nan)
+        g = hadamard_geometry()
+        with pytest.raises(PatternError, match="not finite"):
+            synthesize(g, find_flow(g).flow, {1: math.inf})
 
     def test_entangle_normalizes_orientation(self):
         assert Entangle(2, 1) == Entangle(1, 2)

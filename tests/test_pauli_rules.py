@@ -23,23 +23,23 @@ from causalflow import (
     drop_x_corrections,
     enumerate_branches,
     find_flow,
-    find_flow_with_loops,
     kraus_map,
     synthesize,
     validate_flow,
 )
-from causalflow.pauli_rules import loop_qubits_at_right_angle
 from conftest import loop_geometry, path_state, random_open_graph
 
 RIGHT = math.pi / 2.0
 
 
 class TestFindFlowWithLoops:
+    """``find_flow`` with loop candidates: the Pauli-Y relaxation."""
+
     def test_loop_rescues_geometry_without_flow(self):
         g = loop_geometry()
         assert not find_flow(g).found
         assert not brute_force_flow_oracle(g).found
-        result = find_flow_with_loops(g, {2})
+        result = find_flow(g, loop_candidates={2})
         assert result.found
         assert result.flow.f == {2: 2}
         assert result.flow.loops == {2}
@@ -55,7 +55,7 @@ class TestFindFlowWithLoops:
         outcome = dependency_order(g, {1: 2, 2: 2})
         assert not outcome.ok
         assert {1, 2} <= set(outcome.cycle)
-        result = find_flow_with_loops(g, {2})
+        result = find_flow(g, loop_candidates={2})
         assert result.found
         assert result.flow.loops == frozenset()
         assert result.flow.f == {1: 2, 2: 3}
@@ -64,28 +64,28 @@ class TestFindFlowWithLoops:
         rng = random.Random(43)
         for _ in range(60):
             g = random_open_graph(rng, max_vertices=5)
-            assert find_flow_with_loops(g, frozenset()) == find_flow(g)
+            assert find_flow(g, loop_candidates=frozenset()) == find_flow(g)
 
     def test_loops_only_enlarge_the_search_space(self):
         rng = random.Random(47)
         for _ in range(80):
             g = random_open_graph(rng, max_vertices=5)
             if find_flow(g).found:
-                assert find_flow_with_loops(g, frozenset(g.measured)).found
+                assert find_flow(g, loop_candidates=frozenset(g.measured)).found
 
     def test_input_y_qubit_gets_no_loop(self):
         g = OpenGraphState([1], [], [1], [])
-        assert not find_flow_with_loops(g, {1}).found
+        assert not find_flow(g, loop_candidates={1}).found
 
     def test_y_qubits_must_be_measured(self):
         with pytest.raises(PatternError, match="not measured"):
-            find_flow_with_loops(path_state(2, [1], [2]), {2})
+            find_flow(path_state(2, [1], [2]), loop_candidates={2})
 
 
 class TestLoopSynthesis:
     def test_loop_correction_block(self):
         g = loop_geometry()
-        fl = find_flow_with_loops(g, {2}).flow
+        fl = find_flow(g, loop_candidates={2}).flow
         p = synthesize(g, fl, {2: RIGHT})
         assert p.commands == (
             Prepare(2, 0.0),
@@ -99,13 +99,13 @@ class TestLoopSynthesis:
 
     def test_loop_requires_zero_prep_angle(self):
         g = loop_geometry()
-        fl = find_flow_with_loops(g, {2}).flow
+        fl = find_flow(g, loop_candidates={2}).flow
         with pytest.raises(PatternError, match="zero preparation"):
             synthesize(g, fl, {2: RIGHT}, {2: 0.3})
 
     def test_loop_pattern_realizes_a_unitary(self):
         g = loop_geometry()
-        fl = find_flow_with_loops(g, {2}).flow
+        fl = find_flow(g, loop_candidates={2}).flow
         p = synthesize(g, fl, {2: RIGHT})
         reports = enumerate_branches(p)
         a = reports[0].branch_map * math.sqrt(2.0)
@@ -115,8 +115,7 @@ class TestLoopSynthesis:
 class TestClassifyLoopPattern:
     def test_right_angle_is_strongly_deterministic_not_uniform(self):
         g = loop_geometry()
-        fl = find_flow_with_loops(g, {2}).flow
-        assert loop_qubits_at_right_angle(fl, {2: RIGHT})
+        fl = find_flow(g, loop_candidates={2}).flow
         verdict = classify_loop_pattern(g, fl, {2: RIGHT}, angle_samples=10, seed=2)
         assert verdict.classification is Classification.STRONGLY_DETERMINISTIC
         assert not verdict.uniform
@@ -124,15 +123,14 @@ class TestClassifyLoopPattern:
     @pytest.mark.parametrize("angle", [0.4, 1.1, 2.9, 4.4])
     def test_generic_angle_breaks_determinism(self, angle):
         g = loop_geometry()
-        fl = find_flow_with_loops(g, {2}).flow
-        assert not loop_qubits_at_right_angle(fl, {2: angle})
+        fl = find_flow(g, loop_candidates={2}).flow
         verdict = classify_loop_pattern(g, fl, {2: angle}, angle_samples=0)
         assert verdict.classification is Classification.NOT_DETERMINISTIC
         assert verdict.witness is not None
 
     def test_without_loops_matches_plain_classification(self):
         g = path_state(3, [1], [3])
-        fl = find_flow_with_loops(g, {2}).flow
+        fl = find_flow(g, loop_candidates={2}).flow
         assert not fl.loops
         angles = {1: 0.9, 2: 1.7}
         a = classify_loop_pattern(g, fl, angles, angle_samples=5, seed=9)
@@ -220,7 +218,7 @@ class TestLoopGeometryShape:
         g = loop_geometry()
         measured = set(g.measured)
         assert measured == {2}
-        result = find_flow_with_loops(g, measured)
+        result = find_flow(g, loop_candidates=measured)
         assert result.depth == 2
 
     def test_isolated_loop_vertex_has_no_corrections_to_equalize(self):
@@ -229,7 +227,7 @@ class TestLoopGeometryShape:
         # branches stay merely proportional.
         g = OpenGraphState([1], [], [], [])
         assert not find_flow(g).found
-        result = find_flow_with_loops(g, {1})
+        result = find_flow(g, loop_candidates={1})
         assert result.found and result.flow.loops == {1}
         p = synthesize(g, result.flow, {1: RIGHT})
         verdict = classify_determinism(p, angle_samples=0)
