@@ -13,13 +13,13 @@ geometry's realized embedding up to global phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Union
 
 import numpy as np
 
 from .graph_model import Flow, OpenGraphState, validate_flow
-from .pattern import PatternError
+from .pattern import PatternError, _check_angles
 from .simulator import (
     HADAMARD,
     SimulationError,
@@ -127,14 +127,6 @@ def circuit_from_json_dict(data: Mapping) -> Circuit:
     return Circuit(wires, tuple(gates), tuple(int(o) for o in data["outputs"]))
 
 
-def _checked_flow(g: OpenGraphState, fl: Flow) -> None:
-    if fl.loops:
-        raise PatternError("circuit extraction requires a loop-free flow")
-    check = validate_flow(g, fl, allow_loops=False)
-    if not check.ok:
-        raise PatternError(f"invalid flow: {'; '.join(check.violations)}")
-
-
 def decompose_stars(
     g: OpenGraphState, fl: Flow, meas_angles: Mapping[int, float]
 ) -> tuple[list[StarPattern], list[tuple[int, int]]]:
@@ -145,10 +137,12 @@ def decompose_stars(
     shrinking graph, and are then removed.  Edges whose endpoints are both
     outputs are never consumed by a star and come back as the residual.
     """
-    _checked_flow(g, fl)
-    missing = sorted(set(g.measured) - set(meas_angles))
-    if missing:
-        raise PatternError(f"measurement angles missing for {missing}")
+    if fl.loops:
+        raise PatternError("circuit extraction requires a loop-free flow")
+    check = validate_flow(g, fl, allow_loops=False)
+    if not check.ok:
+        raise PatternError(f"invalid flow: {'; '.join(check.violations)}")
+    _check_angles("measurement", g.measured, meas_angles)
     removed: set[int] = set()
     stars: list[StarPattern] = []
     adjacency = g._adjacency
@@ -188,68 +182,47 @@ def extract_circuit(
     wire continuing as its corrected output's wire.  A wire is an input
     wire exactly when its earliest segment is an input qubit; every other
     wire begins as a plus-state ancilla.  Residual output-output
-    controlled-Z gates are placed as soon as both endpoint wires have
-    received their final star block, which commutes with emitting them all
-    at the end.
+    controlled-Z gates are placed as soon as both endpoint wires are final
+    (after the first star listing the output, or at once if it is an input
+    or in no star), which commutes with emitting them all at the end.
     """
     stars, residual = decompose_stars(g, fl, meas_angles)
-
     wires: list[Wire] = []
     wire_of: dict[int, int] = {}
 
-    def new_wire(source: str) -> int:
-        wid = len(wires)
-        wires.append(Wire(wid, source))
-        return wid
+    def wire(q: int, source: str = "plus") -> int:
+        if q not in wire_of:
+            wire_of[q] = len(wires)
+            wires.append(Wire(len(wires), source))
+        return wire_of[q]
 
+    # first_star[q]: 1-based index of the first star whose outputs list q.
+    first_star: dict[int, int] = {}
+    for k, star in enumerate(stars, 1):
+        for q in star.outputs:
+            first_star.setdefault(q, k)
     for q in g.inputs:
-        wire_of[q] = new_wire("input")
-    touched = {s.input for s in stars} | {w for s in stars for w in s.outputs}
+        wire(q, "input")
     for q in g.outputs:
-        if q not in touched and q not in wire_of:
-            wire_of[q] = new_wire("plus")
+        if q not in first_star:
+            wire(q)
+    # after_stars[k]: residual edges placed right after the first k stars.
+    after_stars: list[list[tuple[int, int]]] = [[] for _ in range(len(stars) + 1)]
+    for u, v in residual:
+        k = max(0 if q in wire_of else first_star[q] for q in (u, v))
+        after_stars[k].append((u, v))
 
-    oset = set(g.outputs)
-    finalized = {q for q in oset if q in wire_of and q not in set(g.measured)}
-    pending = list(residual)
-    gates: list[Gate] = []
-
-    def flush_residual() -> None:
-        remaining: list[tuple[int, int]] = []
-        for u, v in pending:
-            if u in finalized and v in finalized:
-                gates.append(CZGate(wire_of[u], wire_of[v]))
-            else:
-                remaining.append((u, v))
-        pending[:] = remaining
-
-    flush_residual()
-    for star in stars:
-        if star.input not in wire_of:
-            wire_of[star.input] = new_wire("plus")
-        for w in star.outputs:
-            if w == star.corrected:
-                continue
-            if w not in wire_of:
-                wire_of[w] = new_wire("plus")
-            if w in oset:
-                finalized.add(w)
+    gates: list[Gate] = [CZGate(wire_of[u], wire_of[v]) for u, v in after_stars[0]]
+    for k, star in enumerate(stars, 1):
         for gate in star_to_gates(star):
             if isinstance(gate, CZGate):
-                gates.append(CZGate(wire_of[gate.a], wire_of[gate.b]))
-            elif isinstance(gate, PhaseGate):
-                gates.append(PhaseGate(wire_of[gate.wire], gate.theta))
+                gates.append(CZGate(wire(gate.a), wire(gate.b)))
             else:
-                gates.append(HadamardGate(wire_of[gate.wire]))
+                gates.append(replace(gate, wire=wire(gate.wire)))
         wire_of[star.corrected] = wire_of.pop(star.input)
-        if star.corrected in oset:
-            finalized.add(star.corrected)
-        flush_residual()
-    if pending:
-        raise AssertionError(f"residual edges never became placeable: {pending}")
+        gates.extend(CZGate(wire_of[u], wire_of[v]) for u, v in after_stars[k])
 
-    outputs = tuple(wire_of[q] for q in g.outputs)
-    return Circuit(tuple(wires), tuple(gates), outputs)
+    return Circuit(tuple(wires), tuple(gates), tuple(wire_of[q] for q in g.outputs))
 
 
 def simulate_circuit(c: Circuit, max_wires: int = 16) -> np.ndarray:

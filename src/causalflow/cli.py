@@ -31,6 +31,7 @@ from .pattern import (
     synthesize_stabilizer_form,
 )
 from .simulator import (
+    DEFAULT_MAX_MEASUREMENTS,
     DEFAULT_TOLERANCE,
     EXACT_TOLERANCE,
     SimulationError,
@@ -104,6 +105,20 @@ def _find_flow_for(args, graph: OpenGraphState, y_from_file: frozenset[int]):
     if not y_qubits and args.loops:
         y_qubits = frozenset(graph.measured)
     return find_flow(graph, loop_candidates=y_qubits)
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive: {text}")
+    return value
+
+
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text}")
+    return value
 
 
 def _emit(data) -> None:
@@ -217,16 +232,16 @@ def _build_parser() -> argparse.ArgumentParser:
             "deterministic synthesis, branch simulation, circuit extraction."
         ),
     )
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument("--seed", type=_non_negative, default=0, help="random seed")
     parser.add_argument(
         "--tolerance",
-        type=float,
+        type=_tolerance,
         help="numerical tolerance (default 1e-9 for verify, 1e-12 for identities)",
     )
     parser.add_argument(
         "--max-qubits",
         type=int,
-        default=12,
+        default=DEFAULT_MAX_MEASUREMENTS,
         help="bound on the number of enumerated measurements",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -259,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="classify a pattern's determinism")
     p_verify.add_argument("pattern")
-    p_verify.add_argument("--samples", type=int, default=20)
+    p_verify.add_argument("--samples", type=_non_negative, default=20)
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_extract = sub.add_parser("extract", help="extract an equivalent circuit")
@@ -279,8 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_adjoint.set_defaults(handler=_cmd_adjoint)
 
     p_ident = sub.add_parser("identities", help="run the rewrite-identity suite")
-    p_ident.add_argument("--angles-grid", type=int, default=16)
-    p_ident.add_argument("--random", type=int, default=50)
+    p_ident.add_argument("--angles-grid", type=_non_negative, default=16)
+    p_ident.add_argument("--random", type=_non_negative, default=50)
     p_ident.set_defaults(handler=_cmd_identities)
     return parser
 

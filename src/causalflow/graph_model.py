@@ -207,7 +207,7 @@ class Flow:
         exactly when ``levels[u] > levels[v]``.  Stored as a read-only copy.
     loops : frozenset of int
         Vertices with ``f(i) == i``.  Only legal for the Pauli-Y relaxation
-        (see :mod:`causalflow.pauli_rules`); an ordinary flow has none.
+        (see :func:`causalflow.pattern.synthesize`); an ordinary flow has none.
     """
 
     f: Mapping[int, int]

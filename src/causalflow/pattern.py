@@ -41,6 +41,32 @@ def _is_zero_angle(angle: float) -> bool:
     return a < _ANGLE_EPS or TWO_PI - a < _ANGLE_EPS
 
 
+def drop_x_corrections(
+    p: Pattern, meas_angles: Mapping[int, float] | None = None
+) -> Pattern:
+    """Remove X corrections aimed at qubits measured at angle exactly zero.
+
+    The Pauli-X special case: such a correction commutes into the
+    measurement without changing any outcome statistics, each branch map
+    moving at most by a sign, so the realized channel is untouched.  Zero
+    means within 1e-12 (:func:`_is_zero_angle`).  Corrections into outputs
+    and phase-conjugated corrections are kept.  ``meas_angles`` overrides
+    the angles recorded in the pattern, for callers that carry them
+    separately.
+    """
+    angles = dict(p.measure_angles())
+    if meas_angles is not None:
+        angles.update(meas_angles)
+    measured = set(p.measurement_order)
+    droppable = {q for q, a in angles.items() if q in measured and _is_zero_angle(a)}
+    kept = tuple(
+        c
+        for c in p.commands
+        if not (isinstance(c, CorrectX) and c.qubit in droppable)
+    )
+    return Pattern(p.vertices, p.inputs, p.outputs, kept)
+
+
 @dataclass(frozen=True)
 class Prepare:
     """Prepare ``qubit`` in the equatorial state with the given phase."""
@@ -248,6 +274,18 @@ def _measured_in_flow_order(g: OpenGraphState, fl: Flow) -> list[int]:
     return sorted(g.measured, key=lambda i: (fl.levels[i], i))
 
 
+def _check_angles(
+    kind: str, qubits: Iterable[int], angles: Mapping[int, float]
+) -> None:
+    """Raise PatternError unless every qubit has a finite ``kind`` angle."""
+    missing = sorted(set(qubits) - set(angles))
+    if missing:
+        raise PatternError(f"{kind} angles missing for {missing}")
+    bad = sorted(q for q in qubits if not math.isfinite(angles[q]))
+    if bad:
+        raise PatternError(f"{kind} angles not finite for {bad}")
+
+
 def _check_synthesis_inputs(
     g: OpenGraphState,
     fl: Flow,
@@ -257,14 +295,10 @@ def _check_synthesis_inputs(
     check = validate_flow(g, fl, allow_loops=bool(fl.loops))
     if not check.ok:
         raise PatternError(f"invalid flow: {'; '.join(check.violations)}")
-    missing = sorted(set(g.measured) - set(meas_angles))
-    if missing:
-        raise PatternError(f"measurement angles missing for {missing}")
+    _check_angles("measurement", g.measured, meas_angles)
     preps = {q: 0.0 for q in g.prepared}
     if prep_angles is not None:
-        missing = sorted(set(g.prepared) - set(prep_angles))
-        if missing:
-            raise PatternError(f"preparation angles missing for {missing}")
+        _check_angles("preparation", g.prepared, prep_angles)
         preps.update({q: normalize_angle(a) for q, a in prep_angles.items()})
     for i in fl.loops:
         if not _is_zero_angle(preps.get(i, 0.0)):
@@ -324,12 +358,13 @@ def synthesize(
     level, ties by id) its measurement followed by an X correction on
     ``f(i)`` and Z corrections on the other neighbors of ``f(i)``, each
     gated on the outcome of ``i``.  The X correction carries the phase of
-    the corrected qubit's preparation when that is nonzero.  Loop vertices
-    get the neighbor-correction block described in
-    :mod:`causalflow.pauli_rules`.
+    the corrected qubit's preparation when that is nonzero.  A loop vertex
+    (the Pauli-Y relaxation, ``find_flow(g, loop_candidates=...)``) gets
+    the stabilizer block of :func:`_loop_correction_block`; its pattern is
+    deterministic only at exactly pi/2, so it is never uniform.
 
-    The result passes :func:`check_runnable`, and all of its branch maps
-    are equal for every choice of angles.
+    The result passes :func:`check_runnable`; without loops, all of its
+    branch maps are equal for every choice of angles.
 
     Raises
     ------
@@ -467,6 +502,7 @@ def print_pattern(p: Pattern) -> str:
 
 
 _SIGNAL_RE = re.compile(r"^\[([0-9,\s]*)\]$")
+_COMMAND_TOKENS = {"N": 3, "E": 3, "M": 3, "X": 3, "Z": 3, "XA": 4}
 
 
 def _parse_signals(token: str) -> frozenset[int]:
@@ -480,15 +516,16 @@ def _parse_signals(token: str) -> frozenset[int]:
 
 
 def parse_pattern(text: str) -> Pattern:
-    """Parse the text format produced by :func:`print_pattern`."""
+    """Parse the text format produced by :func:`print_pattern`; ``#``
+    starts a comment, and each command takes exactly its own tokens."""
     vertices: list[int] = []
     inputs: list[int] = []
     outputs: list[int] = []
     commands: list[Command] = []
     seen_headers: set[str] = set()
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         if line.startswith(("V:", "I:", "O:")):
             key = line[0]
@@ -501,6 +538,8 @@ def parse_pattern(text: str) -> Pattern:
             continue
         parts = line.split()
         kind = parts[0]
+        if len(parts) != _COMMAND_TOKENS.get(kind):
+            raise PatternFormatError(f"bad command line {line!r}")
         try:
             if kind == "N":
                 commands.append(Prepare(int(parts[1]), float(parts[2])))
@@ -512,15 +551,13 @@ def parse_pattern(text: str) -> Pattern:
                 commands.append(CorrectX(int(parts[1]), _parse_signals(parts[2])))
             elif kind == "Z":
                 commands.append(CorrectZ(int(parts[1]), _parse_signals(parts[2])))
-            elif kind == "XA":
+            else:
                 commands.append(
                     CorrectXPhase(
                         int(parts[1]), float(parts[2]), _parse_signals(parts[3])
                     )
                 )
-            else:
-                raise PatternFormatError(f"unknown command {kind!r}")
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             if isinstance(exc, PatternFormatError):
                 raise
             raise PatternFormatError(f"bad command line {line!r}") from exc

@@ -31,6 +31,7 @@ from .pattern import (
     Pattern,
     PatternError,
     Prepare,
+    _check_angles,
     check_runnable,
 )
 
@@ -372,15 +373,19 @@ class _TensorEngine:
         return t.reshape(self.batch, 1 << n, dim_out, dim_in)
 
 
+def _check_tensor_axes(n_qubits: int, n_inputs: int) -> None:
+    """Raise, before allocating, for a dense tensor over the axes bound."""
+    if n_qubits + n_inputs + 1 > _MAX_TENSOR_AXES:
+        raise SimulationError(
+            f"{n_qubits} qubits with {n_inputs} inputs exceeds the dense tensor bound"
+        )
+
+
 def _all_branch_tensor(
     p: Pattern, angle_sets: Sequence[Mapping[int, float]]
 ) -> np.ndarray:
     """(batch, 2^n, out, in) branch maps for each measurement-angle set."""
-    if len(p.vertices) + len(p.inputs) + 1 > _MAX_TENSOR_AXES:
-        raise SimulationError(
-            f"{len(p.vertices)} qubits with {len(p.inputs)} inputs exceeds "
-            "the dense tensor bound"
-        )
+    _check_tensor_axes(len(p.vertices), len(p.inputs))
     batch = len(angle_sets)
     eng = _TensorEngine(p.inputs, batch)
     for cmd in p.commands:
@@ -590,17 +595,16 @@ def realized_embedding(
     Prepares every non-input qubit, applies all entanglers, and projects
     each measured qubit onto its outcome-0 bra.  On geometries with flow
     this equals every rescaled branch map of the synthesized pattern and
-    is an isometry.
+    is an isometry.  Preparation angles default to 0.  Raises PatternError
+    on a missing or non-finite angle, SimulationError over the tensor bound.
     """
     check = validate_graph(g)
     if not check.ok:
         raise PatternError("invalid graph: " + "; ".join(check.violations))
-    missing = sorted(set(g.measured) - set(meas_angles))
-    if missing:
-        raise PatternError(f"measurement angles missing for {missing}")
-    preps = {q: 0.0 for q in g.prepared}
-    if prep_angles is not None:
-        preps.update(prep_angles)
+    _check_angles("measurement", g.measured, meas_angles)
+    preps = {q: 0.0 for q in g.prepared} | dict(prep_angles or {})
+    _check_angles("preparation", g.prepared, preps)
+    _check_tensor_axes(len(g.vertices), len(g.inputs))
     eng = _TensorEngine(g.inputs, batch=1)
     for q in g.prepared:
         eng.add_qubit(q, plus_ket(preps[q]))

@@ -25,7 +25,6 @@ from causalflow import (
     brute_force_flow_oracle,
     check_rewrite_identities,
     classify_determinism,
-    classify_loop_pattern,
     enumerate_branches,
     extract_circuit,
     find_biflow,
@@ -404,13 +403,15 @@ def test_criterion_09_loop_flow_behavior():
     assert not find_flow(g).found
     result = find_flow(g, loop_candidates={2})
     assert result.found and result.flow.loops == {2}
-    at_right = classify_loop_pattern(
-        g, result.flow, {2: math.pi / 2.0}, angle_samples=10, seed=9
+    at_right = classify_determinism(
+        synthesize(g, result.flow, {2: math.pi / 2.0}), angle_samples=10, seed=9
     )
     generic_angles = [0.7, 2.0, 3.9, 5.3]
     witnesses = []
     for angle in generic_angles:
-        verdict = classify_loop_pattern(g, result.flow, {2: angle}, angle_samples=0)
+        verdict = classify_determinism(
+            synthesize(g, result.flow, {2: angle}), angle_samples=0
+        )
         witnesses.append(
             verdict.classification is Classification.NOT_DETERMINISTIC
             and verdict.witness is not None

@@ -1,5 +1,6 @@
 """Tests for star decomposition, circuit extraction, and circuit simulation."""
 
+import math
 import random
 
 import numpy as np
@@ -129,6 +130,33 @@ class TestExtractCircuit:
             simulate_circuit(circuit), np.kron(HADAMARD, HADAMARD), atol=1e-12
         )
 
+    def test_residual_cz_lands_between_stars(self):
+        # Output 4 hangs off output 1, which is final only after star 5;
+        # their controlled-Z comes right after that star, before star 2.
+        g = OpenGraphState(
+            [1, 2, 3, 4, 5], [(1, 2), (1, 4), (1, 5), (2, 3)], [], [1, 3, 4]
+        )
+        fl = find_flow(g).flow
+        assert fl.f == {5: 1, 2: 3}
+        circuit = extract_circuit(g, fl, {2: 1.1, 5: 0.3})
+        assert circuit.wires == (Wire(0, "plus"), Wire(1, "plus"), Wire(2, "plus"))
+        assert circuit.gates == (
+            PhaseGate(1, -0.3),
+            HadamardGate(1),
+            CZGate(1, 0),
+            CZGate(2, 1),
+            PhaseGate(2, -1.1),
+            HadamardGate(2),
+        )
+        assert circuit.outputs == (1, 2, 0)
+        embedding = realized_embedding(g, {2: 1.1, 5: 0.3})
+        assert max_deviation_up_to_phase(simulate_circuit(circuit), embedding) < 1e-12
+
+    def test_non_finite_angle_rejected(self):
+        g = hadamard_geometry()
+        with pytest.raises(PatternError, match="not finite"):
+            extract_circuit(g, find_flow(g).flow, {1: math.inf})
+
     def test_outputs_only_graph_is_residual_czs(self):
         g = OpenGraphState(
             [1, 2, 3], [(1, 2), (1, 3), (2, 3)], [1, 2, 3], [1, 2, 3]
@@ -208,3 +236,9 @@ def test_circuit_json_round_trip():
     doc = circuit.to_json_dict()
     assert doc["wires"] == [{"id": 0, "source": "input"}]
     assert circuit_from_json_dict(doc) == circuit
+    with_cz = Circuit((Wire(0, "input"), Wire(1, "plus")), (CZGate(0, 1),), (0, 1))
+    assert with_cz.to_json_dict()["gates"] == [{"g": "CZ", "a": 0, "b": 1}]
+    assert circuit_from_json_dict(with_cz.to_json_dict()) == with_cz
+    doc["gates"].append({"g": "T", "w": 0})
+    with pytest.raises(ValueError, match="unknown gate kind"):
+        circuit_from_json_dict(doc)

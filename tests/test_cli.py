@@ -13,9 +13,13 @@ from causalflow import (
     realized_embedding,
     rescale_branch_map,
     enumerate_branches,
+    find_flow,
+    print_pattern,
+    synthesize,
     validate_flow,
 )
 from causalflow.cli import main
+from causalflow.simulator import DEFAULT_MAX_MEASUREMENTS
 from conftest import hadamard_geometry, loop_geometry, no_flow_geometry, path_state
 
 H_TEXT = "V: 1 2\nI: 1\nO: 2\nN 2 0.0\nE 1 2\nM 1 0.0\nX 2 [1]\n"
@@ -199,6 +203,22 @@ class TestVerifyCommand:
         assert main(["verify", write("h.pat", H_TEXT)]) == 0
         assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-9
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0"])
+    def test_tolerance_must_be_finite_and_positive(self, write, capsys, tolerance):
+        path = write("h.pat", H_TEXT)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--tolerance", tolerance, "verify", path])
+        assert exit_info.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "error:" in out.err
+
+    def test_max_qubits_defaults_to_library_bound(self, write, capsys):
+        n = DEFAULT_MAX_MEASUREMENTS + 2
+        g = path_state(n, [1], [n])
+        pattern = synthesize(g, find_flow(g).flow, {q: 0.0 for q in g.measured})
+        assert main(["verify", write("long.pat", print_pattern(pattern))]) == 2
+        assert f"branch bound {DEFAULT_MAX_MEASUREMENTS}" in capsys.readouterr().err
+
     def test_seeded_determinism(self, write, capsys):
         path = write("h.pat", H_TEXT)
         main(["--seed", "11", "verify", path])
@@ -273,3 +293,21 @@ class TestIdentitiesCommand:
 def test_graph_round_trip_through_cli_format(write):
     g = no_flow_geometry()
     assert graph_from_json_dict(g.to_json_dict()) == g
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "PATTERN", "--samples", "-3"],
+        ["--seed", "-1", "verify", "PATTERN"],
+        ["identities", "--random", "-5"],
+        ["identities", "--angles-grid", "-3"],
+    ],
+)
+def test_negative_counts_rejected(write, capsys, argv):
+    path = write("h.pat", H_TEXT)
+    with pytest.raises(SystemExit) as exit_info:
+        main([path if a == "PATTERN" else a for a in argv])
+    assert exit_info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "error:" in out.err

@@ -272,6 +272,40 @@ class TestAdjoint:
             adjoint(p, Flow({3: 1}, {1: 1, 2: 0, 3: 0}))
 
 
+class TestRelabelAndNotation:
+    def test_relabel_renames_every_correction_kind(self):
+        p = Pattern(
+            [1, 2, 3],
+            [1],
+            [3],
+            [CorrectX(2, {1}), CorrectZ(3, {1, 2}), CorrectXPhase(3, 0.5, {2})],
+        )
+        q = relabel(p, {1: 7, 2: 8, 3: 9})
+        assert (q.vertices, q.inputs, q.outputs) == ((7, 8, 9), (7,), (9,))
+        assert q.commands == (
+            CorrectX(8, {7}),
+            CorrectZ(9, {7, 8}),
+            CorrectXPhase(9, 0.5, {8}),
+        )
+
+    def test_operator_notation_z_and_phase_x(self):
+        p = Pattern(
+            [1, 2],
+            [1],
+            [2],
+            [
+                Prepare(2, 0.5),
+                Entangle(1, 2),
+                Measure(1, 0.0),
+                CorrectZ(2, {1}),
+                CorrectXPhase(2, 0.5, {1}),
+            ],
+        )
+        assert operator_notation(p) == (
+            "(X_2^0.5)^{s_1} Z_2^{s_1} M_1^0 E_{1,2} N_2^0.5"
+        )
+
+
 class TestTextFormat:
     def test_hadamard_exact_text(self):
         g = hadamard_geometry()
@@ -329,6 +363,24 @@ class TestTextFormat:
         with pytest.raises(PatternFormatError):
             parse_pattern("V: 1\nI: 1\nO: 1\nM 1\n")
 
+    def test_parser_strips_inline_comments(self):
+        text = (
+            "V: 1 2  # qubits\nI: 1\nO: 2\n"
+            "N 2 0.0      # prepare qubit 2 at phase 0\n"
+            "E 1 2        # controlled-Z\n"
+            "M 1 0.0      # measure qubit 1 at angle 0\n"
+            "X 2 [1]      # X on qubit 2 iff outcome of qubit 1 is 1\n"
+        )
+        assert parse_pattern(text) == hadamard_pattern()
+
+    @pytest.mark.parametrize(
+        "line",
+        ["X 2 [1] [9]", "M 1 0.5 extra", "E 1 2 3", "Z 2 [1] 0", "XA 2 0.5 [1] x", "N 2"],
+    )
+    def test_parser_requires_exact_token_count(self, line):
+        with pytest.raises(PatternFormatError, match="bad command line"):
+            parse_pattern(f"V: 1 2\nI: 1\nO: 2\n{line}\n")
+
     def test_parser_rejects_non_integer_header(self):
         with pytest.raises(PatternFormatError, match="bad header line"):
             parse_pattern("V: 1 x\nI: 1\nO: 1\n")
@@ -352,8 +404,10 @@ class TestAngles:
         with pytest.raises(PatternError, match="not finite"):
             Measure(1, math.nan)
         g = hadamard_geometry()
-        with pytest.raises(PatternError, match="not finite"):
+        with pytest.raises(PatternError, match="measurement angles not finite"):
             synthesize(g, find_flow(g).flow, {1: math.inf})
+        with pytest.raises(PatternError, match="preparation angles not finite"):
+            synthesize(g, find_flow(g).flow, {1: 0.1}, {2: math.nan})
 
     def test_entangle_normalizes_orientation(self):
         assert Entangle(2, 1) == Entangle(1, 2)

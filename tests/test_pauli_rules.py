@@ -18,7 +18,6 @@ from causalflow import (
     Prepare,
     brute_force_flow_oracle,
     classify_determinism,
-    classify_loop_pattern,
     dependency_order,
     drop_x_corrections,
     enumerate_branches,
@@ -116,7 +115,9 @@ class TestClassifyLoopPattern:
     def test_right_angle_is_strongly_deterministic_not_uniform(self):
         g = loop_geometry()
         fl = find_flow(g, loop_candidates={2}).flow
-        verdict = classify_loop_pattern(g, fl, {2: RIGHT}, angle_samples=10, seed=2)
+        verdict = classify_determinism(
+            synthesize(g, fl, {2: RIGHT}), angle_samples=10, seed=2
+        )
         assert verdict.classification is Classification.STRONGLY_DETERMINISTIC
         assert not verdict.uniform
 
@@ -124,7 +125,7 @@ class TestClassifyLoopPattern:
     def test_generic_angle_breaks_determinism(self, angle):
         g = loop_geometry()
         fl = find_flow(g, loop_candidates={2}).flow
-        verdict = classify_loop_pattern(g, fl, {2: angle}, angle_samples=0)
+        verdict = classify_determinism(synthesize(g, fl, {2: angle}), angle_samples=0)
         assert verdict.classification is Classification.NOT_DETERMINISTIC
         assert verdict.witness is not None
 
@@ -132,10 +133,11 @@ class TestClassifyLoopPattern:
         g = path_state(3, [1], [3])
         fl = find_flow(g, loop_candidates={2}).flow
         assert not fl.loops
+        assert fl == find_flow(g).flow
         angles = {1: 0.9, 2: 1.7}
-        a = classify_loop_pattern(g, fl, angles, angle_samples=5, seed=9)
+        a = classify_determinism(synthesize(g, fl, angles), angle_samples=5, seed=9)
         b = classify_determinism(
-            synthesize(g, fl, angles), angle_samples=5, seed=9
+            synthesize(g, find_flow(g).flow, angles), angle_samples=5, seed=9
         )
         assert a.classification == b.classification
         assert a.uniform == b.uniform

@@ -216,6 +216,20 @@ class TestRealizedEmbedding:
         g = OpenGraphState([1, 2], [(1, 2)], [1, 2], [1, 2])
         np.testing.assert_allclose(realized_embedding(g, {}), CZ, atol=1e-14)
 
+    def test_non_finite_angles_rejected(self):
+        g = hadamard_geometry()
+        with pytest.raises(PatternError, match="measurement angles not finite"):
+            realized_embedding(g, {1: math.nan})
+        with pytest.raises(PatternError, match="preparation angles not finite"):
+            realized_embedding(g, {1: 0.0}, {2: math.inf})
+        with pytest.raises(PatternError, match="measurement angles missing"):
+            realized_embedding(g, {})
+
+    def test_over_tensor_bound_raises_before_allocating(self):
+        g = path_state(30, [1], [30])
+        with pytest.raises(SimulationError, match="dense tensor bound"):
+            realized_embedding(g, {q: 0.0 for q in g.measured})
+
     def test_flow_determinism_invariant(self):
         """Random flow geometries, 20 angle vectors each: synthesized patterns
         are strongly deterministic and match the rescaled embedding."""
