@@ -13,6 +13,7 @@ geometry's realized embedding up to global phase.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 from typing import Mapping, Union
 
@@ -20,13 +21,7 @@ import numpy as np
 
 from .graph_model import Flow, OpenGraphState, validate_flow
 from .pattern import PatternError, _check_angles
-from .simulator import (
-    HADAMARD,
-    SimulationError,
-    _TensorEngine,
-    phase_gate,
-    plus_ket,
-)
+from .simulator import SimulationError, _TensorEngine, plus_ket
 
 
 @dataclass(frozen=True)
@@ -244,10 +239,10 @@ def simulate_circuit(c: Circuit, max_wires: int = 16) -> np.ndarray:
         if isinstance(gate, CZGate):
             eng.apply_cz(gate.a, gate.b)
         elif isinstance(gate, PhaseGate):
-            eng.apply_1q(gate.wire, phase_gate(gate.theta))
+            eng.phase(gate.wire, cmath.exp(1j * gate.theta))
         else:
-            eng.apply_1q(gate.wire, HADAMARD)
-    return eng.finalize(c.outputs)[0, 0]
+            eng.butterfly(gate.wire)
+    return eng.maps(0, c.outputs)[0]
 
 
 def gate_counts(c: Circuit) -> dict[str, int]:

@@ -2,11 +2,21 @@
 
 The engine is a dense complex state tensor over the currently live qubits.
 Two routes are provided on purpose: :func:`run_branch` evaluates a single
-outcome string column by column (the simple reference), while
-:func:`enumerate_branches` runs one tensor pass in which measured qubits
-are rotated into their measurement basis and kept as branch indices, so
-every branch map falls out of a single contraction.  The two agree exactly
-and are cross-checked in the test suite.
+outcome string column by column with 2x2 gate matrices (the simple
+reference), while :func:`enumerate_branches` runs one tensor pass in which
+measured qubits are rotated into their measurement basis and kept as
+branch indices, so every branch map falls out of a single contraction.
+The two agree to rounding and are cross-checked in the test suite.
+
+The tensor pass applies no matrices.  A pattern only ever needs X, Z, the
+phase-conjugated X, diagonal phases, the Hadamard and equatorial
+measurement bras, and each of these is an in-place operation on the
+0-half and the 1-half of one axis: multiply the 1-half by a phase, swap
+the halves, or the butterfly (a + b, a - b)/sqrt(2).  A dependent
+correction is the same operation restricted to the slice where its
+signal's branch bit is 1.  The pass, with its scratch and the classifier's
+temporaries, must fit a byte budget checked before it allocates; the
+classifier splits its angle samples into batches that fit.
 
 Branch evaluations are pure and order-independent; verdicts do not depend
 on enumeration order.
@@ -14,10 +24,11 @@ on enumeration order.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -38,23 +49,16 @@ from .pattern import (
 DEFAULT_TOLERANCE = 1e-9
 EXACT_TOLERANCE = 1e-12
 DEFAULT_MAX_MEASUREMENTS = 12
-_MAX_TENSOR_AXES = 24
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _SQRT2_INV
 CZ_MATRIX = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
 class SimulationError(RuntimeError):
     """Raised when a pattern cannot be simulated within configured bounds."""
-
-
-def phase_gate(theta: float) -> np.ndarray:
-    """diag(1, e^{i theta})."""
-    return np.array([[1.0, 0.0], [0.0, np.exp(1j * theta)]], dtype=complex)
 
 
 def x_phase_gate(alpha: float) -> np.ndarray:
@@ -66,7 +70,7 @@ def x_phase_gate(alpha: float) -> np.ndarray:
 
 def plus_ket(alpha: float = 0.0) -> np.ndarray:
     """(|0> + e^{i alpha}|1>)/sqrt(2) as a column of amplitudes."""
-    return np.array([1.0, np.exp(1j * alpha)], dtype=complex) * _SQRT2_INV
+    return np.array([_SQRT2_INV, _SQRT2_INV * cmath.exp(1j * alpha)])
 
 
 def measurement_bras(alpha: float) -> np.ndarray:
@@ -185,6 +189,13 @@ def matrix_from_json(data: Sequence) -> np.ndarray:
     )
 
 
+def _check_tolerance(tolerance: float) -> None:
+    """Every comparison with a nan tolerance is false, and a tolerance <= 0
+    fails exact equality, so both would give a wrong verdict."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
+
+
 def _runnable_or_raise(p: Pattern, max_measurements: int | None = None) -> int:
     """Measurement count of ``p``, once it is known to be runnable and,
     when ``max_measurements`` is given, within that branch bound."""
@@ -294,124 +305,169 @@ class _TensorEngine:
     into the measurement basis and keeps the axis as a branch index, so
     dependent corrections become controlled gates on that index.  One
     domain axis per input qubit carries the matrix structure.
+
+    Every gate is an in-place operation on the 0-half and the 1-half of one
+    qubit's axis, restricted, when a control qubit is given, to the slice
+    where the control's axis (a branch bit, or a live qubit for
+    controlled-Z) reads 1:
+
+    * :meth:`phase` multiplies the 1-half by a factor: Z, CZ and P(theta);
+    * :meth:`flip` swaps the halves: X, and between two phases the
+      phase-conjugated X;
+    * :meth:`butterfly` maps the halves (a, b) to (a + f b, a - f b)/sqrt(2)
+      with one factor f per batch entry: the Hadamard (f = 1) and the
+      equatorial measurement at angle alpha (f = e^{-i alpha}).
+
+    No general 2x2 matrix is applied.  Scratch is one copy of a half-axis
+    slice, at most half the tensor.  The butterflies' 1/sqrt(2) factors
+    collect in :attr:`scale` and are applied once, when :meth:`maps` reads
+    the result.
     """
 
     def __init__(self, inputs: Sequence[int], batch: int) -> None:
         n_in = len(inputs)
         if batch < 1:
             raise ValueError("batch must be positive")
-        base = np.eye(1 << n_in, dtype=complex).reshape((2,) * (2 * n_in))
-        self.t = np.broadcast_to(base, (batch,) + base.shape).copy()
+        eye = np.eye(1 << n_in, dtype=complex)[np.newaxis]
+        self.t = eye.repeat(batch, axis=0).reshape((batch,) + (2,) * (2 * n_in))
         self.batch = batch
         self.axis_of = {q: 1 + k for k, q in enumerate(inputs)}
         self.domain_axes = list(range(1 + n_in, 1 + 2 * n_in))
-        self.branch_axis_of: dict[int, int] = {}
         self.branch_order: list[int] = []
+        self.scale = 1.0
 
     def add_qubit(self, q: int, state: np.ndarray) -> None:
         self.axis_of[q] = self.t.ndim
         self.t = np.multiply.outer(self.t, state)
 
-    def _apply_at(self, axis: int, gate: np.ndarray) -> None:
-        moved = np.moveaxis(self.t, axis, -1)
-        if gate.ndim == 2:
-            moved = moved @ gate.T
-        else:
-            moved = np.einsum("b...j,bij->b...i", moved, gate)
-        self.t = np.moveaxis(moved, -1, axis)
+    def _half(self, q: int, bit: int, control: int | None = None) -> np.ndarray:
+        idx: list = [slice(None)] * self.t.ndim
+        idx[self.axis_of[q]] = bit
+        if control is not None:
+            idx[self.axis_of[control]] = 1
+        return self.t[tuple(idx)]
 
-    def apply_1q(self, q: int, gate: np.ndarray) -> None:
-        self._apply_at(self.axis_of[q], gate)
+    def phase(self, q: int, factor: complex, control: int | None = None) -> None:
+        """Multiply the 1-half of ``q`` by ``factor``."""
+        one = self._half(q, 1, control)
+        one *= factor
+
+    def flip(self, q: int, control: int | None = None) -> None:
+        """Swap the 0-half and the 1-half of ``q``."""
+        zero = self._half(q, 0, control)
+        one = self._half(q, 1, control)
+        scratch = zero.copy()
+        zero[...] = one
+        one[...] = scratch
+
+    def butterfly(self, q: int, factors: np.ndarray | None = None) -> None:
+        """Map the halves (a, b) of ``q`` to (a + f b, a - f b)/sqrt(2), with
+        one factor f per batch entry (1 when omitted): :meth:`phase` by f
+        followed by the Hadamard, in one pass."""
+        zero = self._half(q, 0)
+        one = self._half(q, 1)
+        if factors is None:
+            scratch = one.copy()
+        else:
+            scratch = one * factors.reshape((-1,) + (1,) * (one.ndim - 1))
+        np.subtract(zero, scratch, out=one)
+        zero += scratch
+        self.scale *= _SQRT2_INV
 
     def apply_cz(self, a: int, b: int) -> None:
-        idx: list = [slice(None)] * self.t.ndim
-        idx[self.axis_of[a]] = 1
-        idx[self.axis_of[b]] = 1
-        self.t[tuple(idx)] *= -1.0
+        self.phase(b, -1.0, control=a)
 
-    def measure_keep_branch(self, q: int, bras: np.ndarray) -> None:
-        """Rotate ``q`` into its measurement basis; axis becomes a branch index."""
-        ax = self.axis_of.pop(q)
-        self._apply_at(ax, bras)
-        self.branch_axis_of[q] = ax
+    def measure_keep_branch(self, q: int, alphas: Sequence[float]) -> None:
+        """Rotate ``q`` into the basis of the equatorial measurement at
+        ``alphas`` (one angle per batch entry); its axis becomes a branch index."""
+        self.butterfly(q, np.exp(-1j * np.asarray(alphas)))
         self.branch_order.append(q)
 
-    def contract_bra(self, q: int, bra: np.ndarray) -> None:
+    def contract_bra(self, q: int, alpha: float) -> None:
+        """Project ``q`` onto the outcome-0 bra of the measurement at ``alpha``."""
+        self.phase(q, cmath.exp(-1j * alpha))
+        self.t = np.add(self._half(q, 0), self._half(q, 1))
+        self.scale *= _SQRT2_INV
         ax = self.axis_of.pop(q)
-        self.t = np.moveaxis(self.t, ax, -1) @ bra
-        for table in (self.axis_of, self.branch_axis_of):
-            for key in table:
-                if table[key] > ax:
-                    table[key] -= 1
+        for key in self.axis_of:
+            if self.axis_of[key] > ax:
+                self.axis_of[key] -= 1
         self.domain_axes = [a - 1 if a > ax else a for a in self.domain_axes]
 
-    def controlled_1q(self, control_qubit: int, target: int, gate: np.ndarray) -> None:
-        """Apply ``gate`` on ``target`` where the branch bit of ``control_qubit`` is 1."""
-        ctrl = self.branch_axis_of[control_qubit]
-        tgt = self.axis_of[target]
-        idx: list = [slice(None)] * self.t.ndim
-        idx[ctrl] = 1
-        sub = self.t[tuple(idx)]
-        sub_tgt = tgt - 1 if tgt > ctrl else tgt
-        moved = np.moveaxis(sub, sub_tgt, -1) @ gate.T
-        self.t[tuple(idx)] = np.moveaxis(moved, -1, sub_tgt)
-
-    def finalize(self, outputs: Sequence[int]) -> np.ndarray:
-        """Tensor as (batch, branches, output space, input space)."""
-        if set(self.axis_of) != set(outputs):
-            raise SimulationError(
-                f"live qubits {sorted(self.axis_of)} differ from outputs"
-            )
-        perm = [0]
-        perm += [self.branch_axis_of[q] for q in self.branch_order]
-        perm += [self.axis_of[q] for q in outputs]
-        perm += self.domain_axes
-        t = np.transpose(self.t, perm)
-        n = len(self.branch_order)
-        dim_out = 1 << len(outputs)
-        dim_in = 1 << len(self.domain_axes)
-        return t.reshape(self.batch, 1 << n, dim_out, dim_in)
+    def maps(self, b: int, outputs: Sequence[int]) -> np.ndarray:
+        """Branch maps of batch entry ``b`` as (branches, output space, input
+        space), a new array of one batch entry's size."""
+        live = self.axis_of.keys() - set(self.branch_order)
+        if live != set(outputs):
+            raise SimulationError(f"live qubits {sorted(live)} differ from outputs")
+        perm = [self.axis_of[q] - 1 for q in self.branch_order]
+        perm += [self.axis_of[q] - 1 for q in outputs]
+        perm += [a - 1 for a in self.domain_axes]
+        shape = (
+            1 << len(self.branch_order),
+            1 << len(outputs),
+            1 << len(self.domain_axes),
+        )
+        return (self.t[b].transpose(perm) * self.scale).reshape(shape)
 
 
-def _check_tensor_axes(n_qubits: int, n_inputs: int) -> None:
-    """Raise, before allocating, for a dense tensor over the axes bound."""
-    if n_qubits + n_inputs + 1 > _MAX_TENSOR_AXES:
+# Bytes one dense pass may hold at once, checked before it allocates: every
+# tensor of up to 23 qubit and input axes fits at batch 1 (see _max_batch).
+_MAX_DENSE_BYTES = 512 * 2**20
+
+
+def _max_batch(n_qubits: int, n_inputs: int) -> int:
+    """Largest batch whose dense pass fits :data:`_MAX_DENSE_BYTES`; 0 if none.
+
+    A batch entry is a complex tensor over every qubit and input axis, of
+    ``sample`` bytes.  A pass holds the ``batch`` entries plus the larger of
+    the kernel's scratch (half the tensor) and three entries' worth of
+    classifier temporaries (one entry's branch maps laid out as matrices,
+    and the differences or products its reductions form).
+    """
+    sample = np.dtype(complex).itemsize << (n_qubits + n_inputs)
+    return max(
+        0, min(2 * _MAX_DENSE_BYTES // (3 * sample), _MAX_DENSE_BYTES // sample - 3)
+    )
+
+
+def _check_dense_bytes(batch: int, n_qubits: int, n_inputs: int) -> None:
+    """Raise, before allocating, for a dense pass over the byte budget."""
+    if batch > _max_batch(n_qubits, n_inputs):
         raise SimulationError(
-            f"{n_qubits} qubits with {n_inputs} inputs exceeds the dense tensor bound"
+            f"{n_qubits} qubits with {n_inputs} inputs at batch {batch} exceed "
+            f"the dense tensor bound of {_MAX_DENSE_BYTES} bytes"
         )
 
 
-def _all_branch_tensor(
+def _run_branches(
     p: Pattern, angle_sets: Sequence[Mapping[int, float]]
-) -> np.ndarray:
-    """(batch, 2^n, out, in) branch maps for each measurement-angle set."""
-    _check_tensor_axes(len(p.vertices), len(p.inputs))
-    batch = len(angle_sets)
-    eng = _TensorEngine(p.inputs, batch)
+) -> _TensorEngine:
+    """One dense pass over every branch, for each measurement-angle set."""
+    _check_dense_bytes(len(angle_sets), len(p.vertices), len(p.inputs))
+    eng = _TensorEngine(p.inputs, len(angle_sets))
     for cmd in p.commands:
         if isinstance(cmd, Prepare):
             eng.add_qubit(cmd.qubit, plus_ket(cmd.angle))
         elif isinstance(cmd, Entangle):
             eng.apply_cz(cmd.a, cmd.b)
         elif isinstance(cmd, Measure):
-            angles = [aset.get(cmd.qubit, cmd.angle) for aset in angle_sets]
-            if all(a == angles[0] for a in angles):
-                eng.measure_keep_branch(cmd.qubit, measurement_bras(angles[0]))
-            else:
-                eng.measure_keep_branch(
-                    cmd.qubit, np.stack([measurement_bras(a) for a in angles])
-                )
+            eng.measure_keep_branch(
+                cmd.qubit, [aset.get(cmd.qubit, cmd.angle) for aset in angle_sets]
+            )
         elif isinstance(cmd, CorrectX):
             for s in cmd.signals:
-                eng.controlled_1q(s, cmd.qubit, PAULI_X)
+                eng.flip(cmd.qubit, control=s)
         elif isinstance(cmd, CorrectZ):
             for s in cmd.signals:
-                eng.controlled_1q(s, cmd.qubit, PAULI_Z)
+                eng.phase(cmd.qubit, -1.0, control=s)
         elif isinstance(cmd, CorrectXPhase):
-            gate = x_phase_gate(cmd.angle)
+            e = cmath.exp(1j * cmd.angle)
             for s in cmd.signals:
-                eng.controlled_1q(s, cmd.qubit, gate)
-    return eng.finalize(p.outputs)
+                eng.phase(cmd.qubit, e.conjugate(), control=s)
+                eng.flip(cmd.qubit, control=s)
+                eng.phase(cmd.qubit, e, control=s)
+    return eng
 
 
 def _check_trace_preserving(maps: np.ndarray, tolerance: float) -> float:
@@ -439,12 +495,16 @@ def enumerate_branches(
 
     Raises
     ------
+    ValueError
+        If ``tolerance`` is not finite and positive.
     SimulationError
-        If the measurement count exceeds ``max_measurements`` or the
-        branch family fails the trace-preservation check.
+        If the measurement count exceeds ``max_measurements``, the pattern
+        exceeds the dense tensor bound, or the branch family fails the
+        trace-preservation check.
     """
+    _check_tolerance(tolerance)
     n = _runnable_or_raise(p, max_measurements)
-    maps = _all_branch_tensor(p, [p.measure_angles()])[0]
+    maps = _run_branches(p, [p.measure_angles()]).maps(0, p.outputs)
     _check_trace_preserving(maps, tolerance)
     if input_state is not None:
         input_state = np.asarray(input_state, dtype=complex)
@@ -454,7 +514,7 @@ def enumerate_branches(
             )
     reports = []
     for s in range(1 << n):
-        outcomes = format(s, f"0{n}b") if n else ""
+        outcomes = _outcome_label(s, 1 << n)
         probability = None
         if input_state is not None:
             probability = float(np.linalg.norm(maps[s] @ input_state) ** 2)
@@ -503,8 +563,29 @@ def _pair_witness(
     return worst
 
 
+def _outcome_label(branch: int, n_branches: int) -> str:
+    """Outcome string of a branch index, first measurement leftmost."""
+    n = n_branches.bit_length() - 1
+    return format(branch, f"0{n}b") if n else ""
+
+
+def _is_strong(maps: np.ndarray, tolerance: float) -> bool:
+    """The strong-equality test of :func:`_classify_maps` alone: every branch
+    map within ``tolerance`` of the first branch of largest norm, entrywise.
+
+    Same reference branch and same arithmetic, so it passes exactly when
+    :func:`_classify_maps` returns strong; it skips the entrywise scale and
+    needs one sample's maps at a time.
+    """
+    n_branches = maps.shape[0]
+    if n_branches <= 1:
+        return True
+    ref = int(np.argmax(np.linalg.norm(maps.reshape(n_branches, -1), axis=1)))
+    return float(np.max(np.abs(maps - maps[ref]))) < tolerance
+
+
 def _classify_maps(
-    maps: np.ndarray, outcome_labels: Sequence[str], tolerance: float
+    maps: np.ndarray, tolerance: float
 ) -> tuple[Classification, Witness | None]:
     n_branches = maps.shape[0]
     if n_branches <= 1:
@@ -530,7 +611,10 @@ def _classify_maps(
         if failure is not None:
             defect, probe = failure
             return Classification.NOT_DETERMINISTIC, Witness(
-                outcome_labels[ref], outcome_labels[s], probe, defect
+                _outcome_label(ref, n_branches),
+                _outcome_label(s, n_branches),
+                probe,
+                defect,
             )
     return Classification.DETERMINISTIC, None
 
@@ -549,9 +633,23 @@ def classify_determinism(
     maps count as proportional to everything).  ``uniform`` is decided by
     re-running the classification on ``angle_samples`` fresh uniformly
     random measurement-angle vectors over the same geometry and
-    corrections, all evaluated in a single batched pass.
+    corrections, evaluated in batched passes as large as the dense byte
+    budget allows; it stops at the first sample that is not deterministic.
+
+    Raises
+    ------
+    ValueError
+        If ``tolerance`` is not finite and positive, or ``angle_samples``
+        is negative.
+    SimulationError
+        If the measurement count exceeds ``max_measurements`` or one batch
+        entry alone exceeds the dense tensor bound.
     """
-    n = _runnable_or_raise(p, max_measurements)
+    _check_tolerance(tolerance)
+    if angle_samples < 0:
+        raise ValueError(f"angle_samples must be >= 0, got {angle_samples}")
+    _runnable_or_raise(p, max_measurements)
+    _check_dense_bytes(1, len(p.vertices), len(p.inputs))
     base_angles = p.measure_angles()
     rng = np.random.default_rng(seed)
     angle_sets: list[Mapping[int, float]] = [base_angles]
@@ -559,16 +657,23 @@ def classify_determinism(
         angle_sets.append(
             {q: float(rng.uniform(0.0, 2.0 * math.pi)) for q in base_angles}
         )
-    tensor = _all_branch_tensor(p, angle_sets)
-    labels = [format(s, f"0{n}b") if n else "" for s in range(1 << n)]
+    chunk = _max_batch(len(p.vertices), len(p.inputs))
 
-    classification, witness = _classify_maps(tensor[0], labels, tolerance)
-    uniform = classification.is_deterministic
-    for b in range(1, tensor.shape[0]):
-        sample_class, _ = _classify_maps(tensor[b], labels, tolerance)
-        if not sample_class.is_deterministic:
-            uniform = False
-            break
+    def sample_verdicts() -> Iterator[tuple[Classification, Witness | None]]:
+        for start in range(0, len(angle_sets), chunk):
+            eng = _run_branches(p, angle_sets[start : start + chunk])
+            for b in range(eng.batch):
+                maps = eng.maps(b, p.outputs)
+                if _is_strong(maps, tolerance):
+                    yield Classification.STRONGLY_DETERMINISTIC, None
+                else:
+                    yield _classify_maps(maps, tolerance)
+
+    verdicts = sample_verdicts()
+    classification, witness = next(verdicts)
+    uniform = classification.is_deterministic and all(
+        c.is_deterministic for c, _ in verdicts
+    )
     return DeterminismVerdict(
         classification, uniform, witness, angle_samples, seed, tolerance
     )
@@ -604,16 +709,15 @@ def realized_embedding(
     _check_angles("measurement", g.measured, meas_angles)
     preps = {q: 0.0 for q in g.prepared} | dict(prep_angles or {})
     _check_angles("preparation", g.prepared, preps)
-    _check_tensor_axes(len(g.vertices), len(g.inputs))
+    _check_dense_bytes(1, len(g.vertices), len(g.inputs))
     eng = _TensorEngine(g.inputs, batch=1)
     for q in g.prepared:
         eng.add_qubit(q, plus_ket(preps[q]))
     for u, v in set(g.edges):
         eng.apply_cz(u, v)
     for q in g.measured:
-        eng.contract_bra(q, measurement_bras(meas_angles[q])[0])
-    tensor = eng.finalize(g.outputs)
-    matrix = tensor[0, 0]
+        eng.contract_bra(q, meas_angles[q])
+    matrix = eng.maps(0, g.outputs)[0]
     return matrix * (2.0 ** (len(g.measured) / 2.0))
 
 

@@ -33,6 +33,37 @@ def phase_matrix(theta: float) -> np.ndarray:
     return np.diag([1.0, np.exp(1j * theta)]).astype(complex)
 
 
+def kron_circuit_matrix(c: Circuit) -> np.ndarray:
+    """Map of ``c`` as a product of full 2^n x 2^n gate matrices, built with
+    np.kron over the wires in declaration order."""
+    position = {w.id: k for k, w in enumerate(c.wires)}
+    n = len(c.wires)
+    eye = np.eye(2, dtype=complex)
+    one = np.diag([0.0, 1.0]).astype(complex)
+
+    def on_wires(factors: dict) -> np.ndarray:
+        full = np.eye(1, dtype=complex)
+        for k in range(n):
+            full = np.kron(full, factors.get(k, eye))
+        return full
+
+    plus = np.array([[1.0], [1.0]], dtype=complex) / np.sqrt(2.0)
+    state = np.eye(1, dtype=complex)
+    for w in c.wires:
+        state = np.kron(state, eye if w.source == "input" else plus)
+    for gate in c.gates:
+        if isinstance(gate, CZGate):
+            both = on_wires({position[gate.a]: one, position[gate.b]: one})
+            state = (np.eye(1 << n) - 2.0 * both) @ state
+        elif isinstance(gate, PhaseGate):
+            state = on_wires({position[gate.wire]: phase_matrix(gate.theta)}) @ state
+        else:
+            state = on_wires({position[gate.wire]: HADAMARD}) @ state
+    rows = state.reshape((2,) * n + (state.shape[1],))
+    order = [position[w] for w in c.outputs] + [n]
+    return rows.transpose(order).reshape(state.shape)
+
+
 class TestDecomposeStars:
     def test_single_edge_one_star_no_residual(self):
         g = hadamard_geometry()
@@ -221,6 +252,38 @@ class TestSimulateCircuit:
         c = Circuit((Wire(0, "plus"),), (HadamardGate(0),), (0,))
         np.testing.assert_allclose(
             simulate_circuit(c), np.array([[1.0], [0.0]]), atol=1e-14
+        )
+
+    def test_matches_kron_product_of_gates(self):
+        rng = random.Random(83)
+        arng = np.random.default_rng(83)
+        checked = 0
+        while checked < 40:
+            g = random_open_graph(rng, max_vertices=6)
+            result = find_flow(g)
+            if not result.found:
+                continue
+            c = extract_circuit(g, result.flow, random_angles(arng, g.measured))
+            np.testing.assert_allclose(
+                simulate_circuit(c), kron_circuit_matrix(c), atol=1e-12
+            )
+            checked += 1
+        # Gates on ancillas, a CZ whose first wire comes later, and outputs
+        # out of declaration order.
+        c = Circuit(
+            (Wire(0, "input"), Wire(1, "plus"), Wire(2, "input")),
+            (
+                HadamardGate(1),
+                CZGate(2, 0),
+                PhaseGate(1, 0.7),
+                CZGate(1, 2),
+                HadamardGate(0),
+                PhaseGate(2, -1.9),
+            ),
+            (2, 0, 1),
+        )
+        np.testing.assert_allclose(
+            simulate_circuit(c), kron_circuit_matrix(c), atol=1e-12
         )
 
     def test_wire_bound(self):

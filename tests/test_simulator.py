@@ -9,6 +9,8 @@ import pytest
 from causalflow import (
     Classification,
     CorrectX,
+    CorrectXPhase,
+    CorrectZ,
     Entangle,
     Measure,
     OpenGraphState,
@@ -19,6 +21,7 @@ from causalflow import (
     adjoint,
     check_rewrite_identities,
     classify_determinism,
+    drop_x_corrections,
     enumerate_branches,
     find_biflow,
     find_flow,
@@ -29,7 +32,15 @@ from causalflow import (
     run_branch,
     synthesize,
 )
-from causalflow.simulator import matrix_from_json, matrix_to_json
+from causalflow import simulator
+from causalflow.simulator import (
+    _classify_maps,
+    _is_strong,
+    _max_batch,
+    _run_branches,
+    matrix_from_json,
+    matrix_to_json,
+)
 from conftest import CZ, HADAMARD, hadamard_geometry, path_state, random_angles, random_open_graph
 
 KET0_BRA0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -196,6 +207,177 @@ class TestClassification:
         assert doc["classification"] == "deterministic"
         assert doc["uniform"] is False
         assert doc["seed"] == 2
+
+
+def _flow_patterns(seed: int, count: int, max_vertices: int = 6):
+    """Seeded (geometry, flow) pairs with at least one measured qubit."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        g = random_open_graph(rng, max_vertices=max_vertices)
+        result = find_flow(g)
+        if result.found and g.measured:
+            found.append((g, result.flow))
+    return found
+
+
+def _mutants(p: Pattern, rng: random.Random) -> list[Pattern]:
+    """``p`` with one correction dropped, and with one correction's X and Z swapped."""
+    spots = [
+        k for k, c in enumerate(p.commands) if isinstance(c, (CorrectX, CorrectXPhase, CorrectZ))
+    ]
+    if not spots:
+        return []
+    k = rng.choice(spots)
+    cmd = p.commands[k]
+    swapped = (
+        CorrectZ(cmd.qubit, cmd.signals)
+        if isinstance(cmd, (CorrectX, CorrectXPhase))
+        else CorrectX(cmd.qubit, cmd.signals)
+    )
+    rest = list(p.commands[:k]), list(p.commands[k + 1 :])
+    return [
+        Pattern(p.vertices, p.inputs, p.outputs, rest[0] + rest[1]),
+        Pattern(p.vertices, p.inputs, p.outputs, rest[0] + [swapped] + rest[1]),
+    ]
+
+
+class TestBatchedEngine:
+    def test_every_batch_entry_matches_run_branch(self):
+        """Distinct angle vectors in one pass; every batch entry's branch maps
+        equal run_branch on the pattern with that entry's angles.  Random
+        preparation angles turn X corrections into phase-conjugated ones."""
+        arng = np.random.default_rng(61)
+        control_first = set()
+        kinds = set()
+        for k, (g, fl) in enumerate(_flow_patterns(61, 14)):
+            prep = random_angles(arng, g.prepared) if k % 2 else {q: 0.0 for q in g.prepared}
+            batch = [
+                synthesize(g, fl, random_angles(arng, g.measured), prep) for _ in range(3)
+            ]
+            p = batch[0]
+            axis_order = list(p.inputs) + [c.qubit for c in p.commands if isinstance(c, Prepare)]
+            axis = {q: k for k, q in enumerate(axis_order)}
+            for cmd in p.commands:
+                if isinstance(cmd, (CorrectX, CorrectXPhase, CorrectZ)):
+                    kinds.add(type(cmd))
+                    control_first.update(axis[s] < axis[cmd.qubit] for s in cmd.signals)
+            eng = _run_branches(p, [q.measure_angles() for q in batch])
+            for b, q in enumerate(batch):
+                maps = eng.maps(b, p.outputs)
+                n = p.n_measurements
+                for s in range(1 << n):
+                    label = format(s, f"0{n}b")
+                    np.testing.assert_allclose(maps[s], run_branch(q, label), atol=1e-12)
+        assert kinds == {CorrectX, CorrectXPhase, CorrectZ}
+        assert control_first == {True, False}
+
+
+class TestStrongPreCheck:
+    def test_agrees_with_classify_maps(self):
+        """Strong, deterministic-only and non-deterministic samples from
+        synthesized, X-dropped and mutated patterns: the pre-check plus the
+        fallback gives the verdict and witness of _classify_maps."""
+        rng = random.Random(67)
+        arng = np.random.default_rng(67)
+        seen = set()
+        patterns = [projector_pattern()]
+        for g, fl in _flow_patterns(67, 30):
+            p = synthesize(g, fl, random_angles(arng, g.measured), random_angles(arng, g.prepared))
+            patterns += [p, drop_x_corrections(synthesize(g, fl, {q: 0.0 for q in g.measured}))]
+            patterns += _mutants(p, rng)
+        for p in patterns:
+            angle_sets = [p.measure_angles()] + [
+                random_angles(arng, p.measurement_order) for _ in range(3)
+            ]
+            eng = _run_branches(p, angle_sets)
+            for b in range(eng.batch):
+                maps = eng.maps(b, p.outputs)
+                expected = _classify_maps(maps, 1e-9)
+                if _is_strong(maps, 1e-9):
+                    got = (Classification.STRONGLY_DETERMINISTIC, None)
+                else:
+                    got = _classify_maps(maps, 1e-9)
+                assert got[0] is expected[0]
+                if expected[1] is None:
+                    assert got[1] is None
+                else:
+                    assert got[1].branch_a == expected[1].branch_a
+                    assert got[1].branch_b == expected[1].branch_b
+                    assert got[1].deviation == expected[1].deviation
+                    assert np.array_equal(got[1].input_state, expected[1].input_state)
+                seen.add(expected[0])
+        assert seen == set(Classification)
+
+    def test_chunked_run_matches_unchunked(self, monkeypatch):
+        """A budget of two batch entries splits 8 angle vectors into four
+        passes and leaves every verdict as it was."""
+        g = path_state(4, [1], [4])
+        fl = find_flow(g).flow
+        strong = synthesize(g, fl, {1: 0.4, 2: 1.3, 3: 2.9})
+        patterns = [strong, strong.without_corrections(), projector_pattern()]
+        unchunked = [classify_determinism(p, angle_samples=7, seed=4) for p in patterns]
+
+        sizes = []
+
+        def counting(p, angle_sets):
+            sizes.append(len(angle_sets))
+            return _run_branches(p, angle_sets)
+
+        sample = np.dtype(complex).itemsize << (len(g.vertices) + len(g.inputs))
+        monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", 5 * sample)
+        monkeypatch.setattr(simulator, "_run_branches", counting)
+        assert _max_batch(len(g.vertices), len(g.inputs)) == 2
+        chunked = [classify_determinism(p, angle_samples=7, seed=4) for p in patterns]
+        assert sizes[:4] == [2, 2, 2, 2]
+        for a, b in zip(unchunked, chunked):
+            assert a.classification is b.classification
+            assert a.uniform == b.uniform
+            assert (a.witness is None) == (b.witness is None)
+            if a.witness is not None:
+                assert (a.witness.branch_a, a.witness.branch_b) == (
+                    b.witness.branch_a,
+                    b.witness.branch_b,
+                )
+                np.testing.assert_allclose(a.witness.input_state, b.witness.input_state)
+                assert a.witness.deviation == pytest.approx(b.witness.deviation, abs=1e-12)
+        assert [v.classification for v in chunked] == [
+            Classification.STRONGLY_DETERMINISTIC,
+            Classification.NOT_DETERMINISTIC,
+            Classification.DETERMINISTIC,
+        ]
+        assert [v.uniform for v in chunked] == [True, False, False]
+
+
+class TestDenseBudget:
+    def test_every_tensor_of_23_axes_fits_at_batch_one(self):
+        for n_inputs in range(0, 6):
+            assert _max_batch(23 - n_inputs, n_inputs) == 1
+            assert _max_batch(24 - n_inputs, n_inputs) == 0
+
+    def test_twenty_samples_fit_in_one_pass_on_small_grids(self):
+        assert _max_batch(15, 3) >= 21
+
+    def test_classify_over_bound_raises_before_allocating(self):
+        g = path_state(30, [1], [30])
+        p = synthesize(g, find_flow(g).flow, {q: 0.0 for q in g.measured})
+        with pytest.raises(SimulationError, match="dense tensor bound"):
+            classify_determinism(p, max_measurements=40)
+        with pytest.raises(SimulationError, match="dense tensor bound"):
+            enumerate_branches(p, max_measurements=40)
+
+
+class TestClassifierArguments:
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            classify_determinism(projector_pattern(), tolerance=tolerance)
+        with pytest.raises(ValueError, match="tolerance"):
+            enumerate_branches(projector_pattern(), tolerance=tolerance)
+
+    def test_negative_angle_samples_rejected(self):
+        with pytest.raises(ValueError, match="angle_samples"):
+            classify_determinism(projector_pattern(), angle_samples=-5)
 
 
 class TestRealizedEmbedding:
