@@ -51,6 +51,9 @@ EXACT_TOLERANCE = 1e-12
 DEFAULT_MAX_MEASUREMENTS = 12
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
+# Each butterfly grows the engine's entries by up to sqrt(2) and shrinks its
+# deferred scale by as much; at this scale the two are multiplied together.
+_MIN_SCALE = 2.0**-500
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -70,7 +73,7 @@ def x_phase_gate(alpha: float) -> np.ndarray:
 
 def plus_ket(alpha: float = 0.0) -> np.ndarray:
     """(|0> + e^{i alpha}|1>)/sqrt(2) as a column of amplitudes."""
-    return np.array([_SQRT2_INV, _SQRT2_INV * cmath.exp(1j * alpha)])
+    return np.array([1.0, np.exp(1j * alpha)], dtype=complex) * _SQRT2_INV
 
 
 def measurement_bras(alpha: float) -> np.ndarray:
@@ -320,8 +323,9 @@ class _TensorEngine:
 
     No general 2x2 matrix is applied.  Scratch is one copy of a half-axis
     slice, at most half the tensor.  The butterflies' 1/sqrt(2) factors
-    collect in :attr:`scale` and are applied once, when :meth:`maps` reads
-    the result.
+    collect in :attr:`scale` and are applied when :meth:`maps` reads the
+    result, or earlier, once ``scale`` falls below :data:`_MIN_SCALE`, so
+    that a long gate sequence keeps entries and ``scale`` normal floats.
     """
 
     def __init__(self, inputs: Sequence[int], batch: int) -> None:
@@ -372,7 +376,15 @@ class _TensorEngine:
             scratch = one * factors.reshape((-1,) + (1,) * (one.ndim - 1))
         np.subtract(zero, scratch, out=one)
         zero += scratch
+        self._shrink_scale()
+
+    def _shrink_scale(self) -> None:
+        """Account for one factor 1/sqrt(2), folding :attr:`scale` into the
+        tensor before it leaves the range of normal floats."""
         self.scale *= _SQRT2_INV
+        if self.scale < _MIN_SCALE:
+            self.t *= self.scale
+            self.scale = 1.0
 
     def apply_cz(self, a: int, b: int) -> None:
         self.phase(b, -1.0, control=a)
@@ -387,7 +399,7 @@ class _TensorEngine:
         """Project ``q`` onto the outcome-0 bra of the measurement at ``alpha``."""
         self.phase(q, cmath.exp(-1j * alpha))
         self.t = np.add(self._half(q, 0), self._half(q, 1))
-        self.scale *= _SQRT2_INV
+        self._shrink_scale()
         ax = self.axis_of.pop(q)
         for key in self.axis_of:
             if self.axis_of[key] > ax:
@@ -408,7 +420,10 @@ class _TensorEngine:
             1 << len(outputs),
             1 << len(self.domain_axes),
         )
-        return (self.t[b].transpose(perm) * self.scale).reshape(shape)
+        entry = self.t[b].transpose(perm)
+        out = np.empty(entry.shape, dtype=complex)
+        np.multiply(entry, self.scale, out=out)
+        return out.reshape(shape)
 
 
 # Bytes one dense pass may hold at once, checked before it allocates: every
@@ -536,7 +551,8 @@ def _vectors_parallel(
 def _pair_witness(
     a: np.ndarray, b: np.ndarray, tolerance: float, scale: float
 ) -> tuple[float, np.ndarray] | None:
-    """Probe input states; return (defect, probe) for the worst failure.
+    """Probe input states; return (defect, probe) for the worst failure,
+    the first probe of largest defect up to rounding.
 
     Probing the basis states plus their pairwise real and imaginary
     combinations decides proportionality of the action on every input, the
@@ -545,7 +561,6 @@ def _pair_witness(
     matrices.
     """
     dim_in = a.shape[1]
-    worst: tuple[float, np.ndarray] | None = None
     probes: list[np.ndarray] = [np.eye(dim_in, dtype=complex)[:, k] for k in range(dim_in)]
     for k in range(dim_in):
         for l in range(k + 1, dim_in):
@@ -556,11 +571,22 @@ def _pair_witness(
             e_kli = e_kl.copy()
             e_kli[l] = 1.0j
             probes.append(e_kli)
-    for probe in probes:
-        defect = _vectors_parallel(a @ probe, b @ probe, tolerance, scale)
-        if defect > tolerance and (worst is None or defect > worst[0]):
-            worst = (defect, probe / np.linalg.norm(probe))
-    return worst
+    defects = np.array(
+        [_vectors_parallel(a @ probe, b @ probe, tolerance, scale) for probe in probes]
+    )
+    k = _first_near_max(defects)
+    if defects[k] <= tolerance:
+        return None
+    return float(defects[k]), probes[k] / np.linalg.norm(probes[k])
+
+
+def _first_near_max(values: np.ndarray) -> int:
+    """Index of the first of ``values`` (non-negative) within a relative
+    1e-12 of the largest.  Values equal in exact arithmetic, as branch norms
+    and probe defects often are, then give the same index whichever
+    rounding the arithmetic that produced them took."""
+    top = values[values.argmax()]
+    return int((values >= top * (1.0 - 1e-12)).argmax())
 
 
 def _outcome_label(branch: int, n_branches: int) -> str:
@@ -569,36 +595,21 @@ def _outcome_label(branch: int, n_branches: int) -> str:
     return format(branch, f"0{n}b") if n else ""
 
 
-def _is_strong(maps: np.ndarray, tolerance: float) -> bool:
-    """The strong-equality test of :func:`_classify_maps` alone: every branch
-    map within ``tolerance`` of the first branch of largest norm, entrywise.
-
-    Same reference branch and same arithmetic, so it passes exactly when
-    :func:`_classify_maps` returns strong; it skips the entrywise scale and
-    needs one sample's maps at a time.
-    """
-    n_branches = maps.shape[0]
-    if n_branches <= 1:
-        return True
-    ref = int(np.argmax(np.linalg.norm(maps.reshape(n_branches, -1), axis=1)))
-    return float(np.max(np.abs(maps - maps[ref]))) < tolerance
-
-
 def _classify_maps(
     maps: np.ndarray, tolerance: float
 ) -> tuple[Classification, Witness | None]:
     n_branches = maps.shape[0]
     if n_branches <= 1:
         return Classification.STRONGLY_DETERMINISTIC, None
-    scale = float(np.max(np.abs(maps))) or 1.0
     flat = maps.reshape(n_branches, -1)
     norms = np.linalg.norm(flat, axis=1)
-    ref = int(np.argmax(norms))
+    ref = _first_near_max(norms)
 
-    strong_dev = float(np.max(np.abs(maps - maps[ref])))
+    strong_dev = float(np.abs(maps - maps[ref]).max())
     if strong_dev < tolerance:
         return Classification.STRONGLY_DETERMINISTIC, None
 
+    scale = float(np.abs(maps).max()) or 1.0
     for s in range(n_branches):
         if s == ref or norms[s] <= tolerance * scale:
             continue
@@ -663,11 +674,7 @@ def classify_determinism(
         for start in range(0, len(angle_sets), chunk):
             eng = _run_branches(p, angle_sets[start : start + chunk])
             for b in range(eng.batch):
-                maps = eng.maps(b, p.outputs)
-                if _is_strong(maps, tolerance):
-                    yield Classification.STRONGLY_DETERMINISTIC, None
-                else:
-                    yield _classify_maps(maps, tolerance)
+                yield _classify_maps(eng.maps(b, p.outputs), tolerance)
 
     verdicts = sample_verdicts()
     classification, witness = next(verdicts)

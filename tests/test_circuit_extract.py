@@ -286,6 +286,13 @@ class TestSimulateCircuit:
             simulate_circuit(c), kron_circuit_matrix(c), atol=1e-12
         )
 
+    def test_long_hadamard_chain(self):
+        """Thousands of butterflies leave the entries and the deferred
+        1/sqrt(2) factors within range: HH pairs give the identity."""
+        for count, expected in ((2100, np.eye(2)), (4001, HADAMARD)):
+            c = Circuit((Wire(0, "input"),), (HadamardGate(0),) * count, (0,))
+            np.testing.assert_allclose(simulate_circuit(c), expected, atol=1e-12)
+
     def test_wire_bound(self):
         wires = tuple(Wire(k, "plus") for k in range(5))
         c = Circuit(wires, (), tuple(range(5)))

@@ -35,7 +35,6 @@ from causalflow import (
 from causalflow import simulator
 from causalflow.simulator import (
     _classify_maps,
-    _is_strong,
     _max_batch,
     _run_branches,
     matrix_from_json,
@@ -273,14 +272,17 @@ class TestBatchedEngine:
         assert control_first == {True, False}
 
 
-class TestStrongPreCheck:
-    def test_agrees_with_classify_maps(self):
+class TestBatchedClassifier:
+    def test_engine_and_run_branch_give_same_verdict_and_witness(self):
         """Strong, deterministic-only and non-deterministic samples from
-        synthesized, X-dropped and mutated patterns: the pre-check plus the
-        fallback gives the verdict and witness of _classify_maps."""
+        synthesized, X-dropped and mutated patterns: classifying a batch
+        entry's maps gives the verdict and witness of classifying the maps
+        run_branch builds for that entry's angles, although the two routes
+        round differently and tied branch norms and probe defects abound."""
         rng = random.Random(67)
         arng = np.random.default_rng(67)
         seen = set()
+        witnesses = 0
         patterns = [projector_pattern()]
         for g, fl in _flow_patterns(67, 30):
             p = synthesize(g, fl, random_angles(arng, g.measured), random_angles(arng, g.prepared))
@@ -291,23 +293,29 @@ class TestStrongPreCheck:
                 random_angles(arng, p.measurement_order) for _ in range(3)
             ]
             eng = _run_branches(p, angle_sets)
-            for b in range(eng.batch):
-                maps = eng.maps(b, p.outputs)
-                expected = _classify_maps(maps, 1e-9)
-                if _is_strong(maps, 1e-9):
-                    got = (Classification.STRONGLY_DETERMINISTIC, None)
-                else:
-                    got = _classify_maps(maps, 1e-9)
+            n = p.n_measurements
+            for b, angles in enumerate(angle_sets):
+                q = Pattern(
+                    p.vertices,
+                    p.inputs,
+                    p.outputs,
+                    [Measure(c.qubit, angles[c.qubit]) if isinstance(c, Measure) else c for c in p.commands],
+                )
+                reference = np.array([run_branch(q, format(s, f"0{n}b")) for s in range(1 << n)])
+                expected = _classify_maps(reference, 1e-9)
+                got = _classify_maps(eng.maps(b, p.outputs), 1e-9)
                 assert got[0] is expected[0]
                 if expected[1] is None:
                     assert got[1] is None
                 else:
+                    witnesses += 1
                     assert got[1].branch_a == expected[1].branch_a
                     assert got[1].branch_b == expected[1].branch_b
-                    assert got[1].deviation == expected[1].deviation
-                    assert np.array_equal(got[1].input_state, expected[1].input_state)
+                    assert got[1].deviation == pytest.approx(expected[1].deviation, abs=1e-12)
+                    np.testing.assert_array_equal(got[1].input_state, expected[1].input_state)
                 seen.add(expected[0])
         assert seen == set(Classification)
+        assert witnesses > 10
 
     def test_chunked_run_matches_unchunked(self, monkeypatch):
         """A budget of two batch entries splits 8 angle vectors into four
