@@ -14,7 +14,7 @@ geometry's realized embedding up to global phase.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
@@ -71,6 +71,14 @@ class HadamardGate:
 
 Gate = Union[CZGate, PhaseGate, HadamardGate]
 
+# The one per-kind table: each gate class with its JSON kind and, in
+# document order, the (JSON key, field name, type) of each of its fields.
+_GATES: dict[type, tuple[str, tuple[tuple[str, str, type], ...]]] = {
+    CZGate: ("CZ", (("a", "a", int), ("b", "b", int))),
+    PhaseGate: ("P", (("w", "wire", int), ("theta", "theta", float))),
+    HadamardGate: ("H", (("w", "wire", int),)),
+}
+
 
 @dataclass(frozen=True)
 class Circuit:
@@ -93,12 +101,11 @@ class Circuit:
     def to_json_dict(self) -> dict:
         gates = []
         for gate in self.gates:
-            if isinstance(gate, CZGate):
-                gates.append({"g": "CZ", "a": gate.a, "b": gate.b})
-            elif isinstance(gate, PhaseGate):
-                gates.append({"g": "P", "w": gate.wire, "theta": gate.theta})
-            else:
-                gates.append({"g": "H", "w": gate.wire})
+            kind, keys = _GATES[type(gate)]
+            entry = {"g": kind}
+            for key, name, _ in keys:
+                entry[key] = getattr(gate, name)
+            gates.append(entry)
         return {
             "wires": [{"id": w.id, "source": w.source} for w in self.wires],
             "gates": gates,
@@ -111,12 +118,10 @@ def circuit_from_json_dict(data: Mapping) -> Circuit:
     gates: list[Gate] = []
     for g in data["gates"]:
         kind = g["g"]
-        if kind == "CZ":
-            gates.append(CZGate(int(g["a"]), int(g["b"])))
-        elif kind == "P":
-            gates.append(PhaseGate(int(g["w"]), float(g["theta"])))
-        elif kind == "H":
-            gates.append(HadamardGate(int(g["w"])))
+        for cls, (name, keys) in _GATES.items():
+            if kind == name:
+                gates.append(cls(*(read(g[k]) for k, _, read in keys)))
+                break
         else:
             raise ValueError(f"unknown gate kind {kind!r}")
     return Circuit(wires, tuple(gates), tuple(int(o) for o in data["outputs"]))
@@ -152,29 +157,15 @@ def decompose_stars(
     return stars, residual
 
 
-def star_to_gates(star: StarPattern) -> list[Gate]:
-    """Gate block for one star, expressed over qubit ids.
-
-    Controlled-Z onto every non-corrected output, then the phase of minus
-    the measurement angle and a Hadamard on the input, whose wire carries
-    the corrected output from here on.  Wire relabeling happens in
-    :func:`extract_circuit`.
-    """
-    gates: list[Gate] = [
-        CZGate(star.input, w) for w in star.outputs if w != star.corrected
-    ]
-    gates.append(PhaseGate(star.input, -star.angle))
-    gates.append(HadamardGate(star.input))
-    return gates
-
-
 def extract_circuit(
     g: OpenGraphState, fl: Flow, meas_angles: Mapping[int, float]
 ) -> Circuit:
     """Compile a flow geometry into a controlled-Z / phase / Hadamard circuit.
 
-    Star blocks are emitted in decomposition order with the star's input
-    wire continuing as its corrected output's wire.  A wire is an input
+    Star blocks are emitted in decomposition order: controlled-Z from the
+    star's input onto every non-corrected output, then the phase of minus
+    the measurement angle and a Hadamard on the input's wire, which
+    continues as the corrected output's wire.  A wire is an input
     wire exactly when its earliest segment is an input qubit; every other
     wire begins as a plus-state ancilla.  Residual output-output
     controlled-Z gates are placed as soon as both endpoint wires are final
@@ -209,11 +200,9 @@ def extract_circuit(
 
     gates: list[Gate] = [CZGate(wire_of[u], wire_of[v]) for u, v in after_stars[0]]
     for k, star in enumerate(stars, 1):
-        for gate in star_to_gates(star):
-            if isinstance(gate, CZGate):
-                gates.append(CZGate(wire(gate.a), wire(gate.b)))
-            else:
-                gates.append(replace(gate, wire=wire(gate.wire)))
+        w = wire(star.input)
+        gates.extend(CZGate(w, wire(q)) for q in star.outputs if q != star.corrected)
+        gates += [PhaseGate(w, -star.angle), HadamardGate(w)]
         wire_of[star.corrected] = wire_of.pop(star.input)
         gates.extend(CZGate(wire_of[u], wire_of[v]) for u, v in after_stars[k])
 
@@ -247,12 +236,7 @@ def simulate_circuit(c: Circuit, max_wires: int = 16) -> np.ndarray:
 
 def gate_counts(c: Circuit) -> dict[str, int]:
     """Histogram of gate kinds in a circuit."""
-    counts = {"CZ": 0, "P": 0, "H": 0}
+    counts = {kind: 0 for kind, _ in _GATES.values()}
     for gate in c.gates:
-        if isinstance(gate, CZGate):
-            counts["CZ"] += 1
-        elif isinstance(gate, PhaseGate):
-            counts["P"] += 1
-        else:
-            counts["H"] += 1
+        counts[_GATES[type(gate)][0]] += 1
     return counts

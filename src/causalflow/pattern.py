@@ -2,9 +2,9 @@
 
 A pattern is an ordered list of preparation, entanglement, measurement and
 dependent-correction commands over declared qubits, together with input and
-output subsets.  Commands are stored left-to-right in execution order; the
-classic right-to-left operator product is available from
-:func:`operator_notation`.
+output subsets.  Commands are stored left-to-right in execution order.
+Each command kind has one row in a table of its text token and field
+names, from which printing, parsing and relabelling are derived.
 
 Patterns are immutable values and synthesis is a pure function.
 """
@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from dataclasses import dataclass, field, fields
+from typing import Callable, Iterable, Mapping, Union
 
 from .graph_model import Flow, OpenGraphState, ValidationResult, validate_flow
 
@@ -110,9 +110,8 @@ class CorrectX:
     qubit: int
     signals: frozenset[int] = field(default_factory=frozenset)
 
-    def __init__(self, qubit: int, signals: Iterable[int] = ()) -> None:
-        object.__setattr__(self, "qubit", qubit)
-        object.__setattr__(self, "signals", frozenset(signals))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "signals", frozenset(self.signals))
 
 
 @dataclass(frozen=True)
@@ -122,9 +121,8 @@ class CorrectZ:
     qubit: int
     signals: frozenset[int] = field(default_factory=frozenset)
 
-    def __init__(self, qubit: int, signals: Iterable[int] = ()) -> None:
-        object.__setattr__(self, "qubit", qubit)
-        object.__setattr__(self, "signals", frozenset(signals))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "signals", frozenset(self.signals))
 
 
 @dataclass(frozen=True)
@@ -140,10 +138,9 @@ class CorrectXPhase:
     angle: float
     signals: frozenset[int] = field(default_factory=frozenset)
 
-    def __init__(self, qubit: int, angle: float, signals: Iterable[int] = ()) -> None:
-        object.__setattr__(self, "qubit", qubit)
-        object.__setattr__(self, "angle", normalize_angle(angle))
-        object.__setattr__(self, "signals", frozenset(signals))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "angle", normalize_angle(self.angle))
+        object.__setattr__(self, "signals", frozenset(self.signals))
 
 
 Command = Union[Prepare, Entangle, Measure, CorrectX, CorrectZ, CorrectXPhase]
@@ -440,24 +437,50 @@ def adjoint(p: Pattern, reverse: Flow) -> Pattern:
     )
 
 
+def _format_signals(signals: frozenset[int]) -> str:
+    return "[" + ",".join(str(s) for s in sorted(signals)) + "]"
+
+
+_SIGNAL_RE = re.compile(r"^\[([0-9,\s]*)\]$")
+
+
+def _parse_signals(token: str) -> frozenset[int]:
+    match = _SIGNAL_RE.match(token)
+    if not match:
+        raise PatternFormatError(f"bad signal set {token!r}")
+    body = match.group(1).strip()
+    if not body:
+        return frozenset()
+    return frozenset(int(s) for s in body.replace(",", " ").split())
+
+
+# The one per-kind table: each command class with its text token and, in
+# constructor order, each field's name with how the text format writes and
+# reads it.  Fields named ``angle`` are floats, ``signals`` outcome sets,
+# and every other field is a qubit id.
+_FIELD_CODECS = {"angle": (repr, float), "signals": (_format_signals, _parse_signals)}
+_COMMANDS: dict[type, tuple[str, tuple[tuple[str, Callable, Callable], ...]]] = {
+    cls: (token, tuple((f.name, *_FIELD_CODECS.get(f.name, (str, int))) for f in fields(cls)))
+    for cls, token in [(Prepare, "N"), (Entangle, "E"), (Measure, "M"),
+                       (CorrectX, "X"), (CorrectZ, "Z"), (CorrectXPhase, "XA")]
+}
+_COMMAND_OF_TOKEN = {token: (cls, fs) for cls, (token, fs) in _COMMANDS.items()}
+
+
 def relabel(p: Pattern, mapping: Mapping[int, int]) -> Pattern:
     """Rename qubits throughout a pattern via a bijective id map."""
 
     def m(q: int) -> int:
         return mapping.get(q, q)
 
+    def renamed(name: str, value):
+        if name == "signals":
+            return {m(s) for s in value}
+        return value if name == "angle" else m(value)
+
     def relabel_cmd(cmd: Command) -> Command:
-        if isinstance(cmd, Prepare):
-            return Prepare(m(cmd.qubit), cmd.angle)
-        if isinstance(cmd, Entangle):
-            return Entangle(m(cmd.a), m(cmd.b))
-        if isinstance(cmd, Measure):
-            return Measure(m(cmd.qubit), cmd.angle)
-        if isinstance(cmd, CorrectX):
-            return CorrectX(m(cmd.qubit), {m(s) for s in cmd.signals})
-        if isinstance(cmd, CorrectZ):
-            return CorrectZ(m(cmd.qubit), {m(s) for s in cmd.signals})
-        return CorrectXPhase(m(cmd.qubit), cmd.angle, {m(s) for s in cmd.signals})
+        cls = type(cmd)
+        return cls(*[renamed(n, getattr(cmd, n)) for n, _, _ in _COMMANDS[cls][1]])
 
     return Pattern(
         (m(v) for v in p.vertices),
@@ -465,10 +488,6 @@ def relabel(p: Pattern, mapping: Mapping[int, int]) -> Pattern:
         (m(v) for v in p.outputs),
         tuple(relabel_cmd(c) for c in p.commands),
     )
-
-
-def _format_signals(signals: frozenset[int]) -> str:
-    return "[" + ",".join(str(s) for s in sorted(signals)) + "]"
 
 
 def print_pattern(p: Pattern) -> str:
@@ -484,35 +503,12 @@ def print_pattern(p: Pattern) -> str:
         "O: " + " ".join(str(v) for v in p.outputs),
     ]
     for cmd in p.commands:
-        if isinstance(cmd, Prepare):
-            lines.append(f"N {cmd.qubit} {cmd.angle!r}")
-        elif isinstance(cmd, Entangle):
-            lines.append(f"E {cmd.a} {cmd.b}")
-        elif isinstance(cmd, Measure):
-            lines.append(f"M {cmd.qubit} {cmd.angle!r}")
-        elif isinstance(cmd, CorrectX):
-            lines.append(f"X {cmd.qubit} {_format_signals(cmd.signals)}")
-        elif isinstance(cmd, CorrectZ):
-            lines.append(f"Z {cmd.qubit} {_format_signals(cmd.signals)}")
-        else:
-            lines.append(
-                f"XA {cmd.qubit} {cmd.angle!r} {_format_signals(cmd.signals)}"
-            )
+        token, fs = _COMMANDS[type(cmd)]
+        parts = [token]
+        for name, write, _ in fs:
+            parts.append(write(getattr(cmd, name)))
+        lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
-
-
-_SIGNAL_RE = re.compile(r"^\[([0-9,\s]*)\]$")
-_COMMAND_TOKENS = {"N": 3, "E": 3, "M": 3, "X": 3, "Z": 3, "XA": 4}
-
-
-def _parse_signals(token: str) -> frozenset[int]:
-    match = _SIGNAL_RE.match(token)
-    if not match:
-        raise PatternFormatError(f"bad signal set {token!r}")
-    body = match.group(1).strip()
-    if not body:
-        return frozenset()
-    return frozenset(int(s) for s in body.replace(",", " ").split())
 
 
 def parse_pattern(text: str) -> Pattern:
@@ -537,26 +533,14 @@ def parse_pattern(text: str) -> Pattern:
             {"V": vertices, "I": inputs, "O": outputs}[key].extend(ids)
             continue
         parts = line.split()
-        kind = parts[0]
-        if len(parts) != _COMMAND_TOKENS.get(kind):
+        cls, fs = _COMMAND_OF_TOKEN.get(parts[0], (None, ()))
+        if cls is None or len(parts) != 1 + len(fs):
             raise PatternFormatError(f"bad command line {line!r}")
         try:
-            if kind == "N":
-                commands.append(Prepare(int(parts[1]), float(parts[2])))
-            elif kind == "E":
-                commands.append(Entangle(int(parts[1]), int(parts[2])))
-            elif kind == "M":
-                commands.append(Measure(int(parts[1]), float(parts[2])))
-            elif kind == "X":
-                commands.append(CorrectX(int(parts[1]), _parse_signals(parts[2])))
-            elif kind == "Z":
-                commands.append(CorrectZ(int(parts[1]), _parse_signals(parts[2])))
-            else:
-                commands.append(
-                    CorrectXPhase(
-                        int(parts[1]), float(parts[2]), _parse_signals(parts[3])
-                    )
-                )
+            args = []
+            for (_, _, read), token in zip(fs, parts[1:]):
+                args.append(read(token))
+            commands.append(cls(*args))
         except ValueError as exc:
             if isinstance(exc, PatternFormatError):
                 raise
@@ -564,33 +548,3 @@ def parse_pattern(text: str) -> Pattern:
     if "V" not in seen_headers:
         raise PatternFormatError("missing V: header")
     return Pattern(vertices, inputs, outputs, commands)
-
-
-def _angle_str(angle: float) -> str:
-    return f"{angle:.10g}"
-
-
-def _signal_str(signals: frozenset[int]) -> str:
-    return "+".join(f"s_{s}" for s in sorted(signals)) or "0"
-
-
-def operator_notation(p: Pattern) -> str:
-    """Render the command list as a right-to-left operator product."""
-    tokens: list[str] = []
-    for cmd in reversed(p.commands):
-        if isinstance(cmd, Prepare):
-            tokens.append(f"N_{cmd.qubit}^{_angle_str(cmd.angle)}")
-        elif isinstance(cmd, Entangle):
-            tokens.append(f"E_{{{cmd.a},{cmd.b}}}")
-        elif isinstance(cmd, Measure):
-            tokens.append(f"M_{cmd.qubit}^{_angle_str(cmd.angle)}")
-        elif isinstance(cmd, CorrectX):
-            tokens.append(f"X_{cmd.qubit}^{{{_signal_str(cmd.signals)}}}")
-        elif isinstance(cmd, CorrectZ):
-            tokens.append(f"Z_{cmd.qubit}^{{{_signal_str(cmd.signals)}}}")
-        else:
-            tokens.append(
-                f"(X_{cmd.qubit}^{_angle_str(cmd.angle)})^"
-                f"{{{_signal_str(cmd.signals)}}}"
-            )
-    return " ".join(tokens)

@@ -28,7 +28,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -134,15 +134,6 @@ class BranchReport:
     branch_map: np.ndarray
     probability: float | None = None
 
-    def to_json_dict(self) -> dict:
-        data: dict = {
-            "outcomes": self.outcomes,
-            "map": matrix_to_json(self.branch_map),
-        }
-        if self.probability is not None:
-            data["probability"] = float(self.probability)
-        return data
-
 
 @dataclass(frozen=True, eq=False)
 class DeterminismVerdict:
@@ -177,19 +168,6 @@ class DeterminismVerdict:
             "seed": self.seed,
             "tolerance": self.tolerance,
         }
-
-
-def matrix_to_json(m: np.ndarray) -> list:
-    """Complex matrix as nested [re, im] pairs."""
-    return [
-        [[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(m)
-    ]
-
-
-def matrix_from_json(data: Sequence) -> np.ndarray:
-    return np.array(
-        [[complex(re, im) for re, im in row] for row in data], dtype=complex
-    )
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -709,6 +687,9 @@ def realized_embedding(
     this equals every rescaled branch map of the synthesized pattern and
     is an isometry.  Preparation angles default to 0.  Raises PatternError
     on a missing or non-finite angle, SimulationError over the tensor bound.
+    Entanglers run in sorted order, each qubit is prepared just before its
+    first one and projected, if measured, right after its last one; the
+    byte budget is checked on the most qubits in flight, before allocating.
     """
     check = validate_graph(g)
     if not check.ok:
@@ -716,54 +697,28 @@ def realized_embedding(
     _check_angles("measurement", g.measured, meas_angles)
     preps = {q: 0.0 for q in g.prepared} | dict(prep_angles or {})
     _check_angles("preparation", g.prepared, preps)
-    _check_dense_bytes(1, len(g.vertices), len(g.inputs))
+    measured = set(g.measured)
+    # one step per qubit in no entangler, then one per entangler
+    steps = [(q,) for q in g.vertices if not g._adjacency[q]] + sorted(g.edges)
+    last_step = {q: k for k, step in enumerate(steps) for q in step}
+    live, peak, leaving = set(g.inputs), len(g.inputs), []
+    for k, step in enumerate(steps):
+        live.update(step)
+        peak = max(peak, len(live))
+        leaving.append([q for q in step if q in measured and last_step[q] == k])
+        live.difference_update(leaving[-1])
+    _check_dense_bytes(1, peak, len(g.inputs))
     eng = _TensorEngine(g.inputs, batch=1)
-    for q in g.prepared:
-        eng.add_qubit(q, plus_ket(preps[q]))
-    for u, v in set(g.edges):
-        eng.apply_cz(u, v)
-    for q in g.measured:
-        eng.contract_bra(q, meas_angles[q])
+    for step, done in zip(steps, leaving):
+        for q in step:
+            if q not in eng.axis_of:
+                eng.add_qubit(q, plus_ket(preps[q]))
+        if len(step) == 2:
+            eng.apply_cz(*step)
+        for q in done:
+            eng.contract_bra(q, meas_angles[q])
     matrix = eng.maps(0, g.outputs)[0]
     return matrix * (2.0 ** (len(g.measured) / 2.0))
-
-
-@dataclass(frozen=True, eq=False)
-class KrausChannel:
-    """Completely positive trace-preserving map given by branch maps."""
-
-    kraus: tuple[np.ndarray, ...]
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        out_dim = self.kraus[0].shape[0]
-        result = np.zeros((out_dim, out_dim), dtype=complex)
-        for a in self.kraus:
-            result += a @ rho @ a.conj().T
-        return result
-
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        return self.apply(rho)
-
-
-def kraus_map(reports: Iterable[BranchReport]) -> KrausChannel:
-    """Channel rho -> sum_s A_s rho A_s^dag from one branch enumeration."""
-    kraus = tuple(r.branch_map for r in reports)
-    if not kraus:
-        raise ValueError("no branch reports given")
-    return KrausChannel(kraus)
-
-
-def simulation_report(
-    reports: Iterable[BranchReport], verdict: DeterminismVerdict
-) -> dict:
-    """Combined JSON document: branch maps, verdict, tolerance, seed."""
-    return {
-        "branches": [r.to_json_dict() for r in reports],
-        "verdict": verdict.to_json_dict(),
-        "tolerance": verdict.tolerance,
-        "seed": verdict.seed,
-    }
 
 
 def max_deviation_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:

@@ -24,7 +24,6 @@ from causalflow import (
     max_deviation_up_to_phase,
     realized_embedding,
     simulate_circuit,
-    star_to_gates,
 )
 from conftest import CZ, HADAMARD, hadamard_geometry, loop_geometry, path_state, random_angles, random_open_graph
 
@@ -107,23 +106,12 @@ class TestDecomposeStars:
 
 
 class TestStarGates:
-    def test_two_qubit_star_has_no_cz(self):
-        gates = star_to_gates(StarPattern(1, (2,), 0.7, 2))
-        assert gates == [PhaseGate(1, -0.7), HadamardGate(1)]
-
-    def test_three_qubit_star_has_one_cz(self):
-        gates = star_to_gates(StarPattern(1, (2, 3), 0.7, 2))
-        assert gates == [CZGate(1, 3), PhaseGate(1, -0.7), HadamardGate(1)]
-
-    def test_zero_angle_keeps_identity_phase(self):
-        gates = star_to_gates(StarPattern(1, (2,), 0.0, 2))
-        assert gates[0] == PhaseGate(1, -0.0)
-
     def test_three_qubit_star_matrix(self):
         alpha = 1.234
         g = OpenGraphState([1, 2, 3], [(1, 2), (1, 3)], [1], [2, 3])
         fl = find_flow(g).flow
         circuit = extract_circuit(g, fl, {1: alpha})
+        assert circuit.gates == (CZGate(0, 1), PhaseGate(0, -alpha), HadamardGate(0))
         np.testing.assert_allclose(
             simulate_circuit(circuit),
             realized_embedding(g, {1: alpha}),

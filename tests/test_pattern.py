@@ -22,7 +22,6 @@ from causalflow import (
     check_runnable,
     find_biflow,
     find_flow,
-    operator_notation,
     parse_pattern,
     print_pattern,
     relabel,
@@ -113,7 +112,6 @@ class TestSynthesize:
         fl = find_flow(g).flow
         p = synthesize(g, fl, {1: 0.0})
         assert p == hadamard_pattern()
-        assert operator_notation(p) == "X_2^{s_1} M_1^0 E_{1,2} N_2^0"
 
     def test_path_three_command_order(self):
         g = path_state(3, [1], [3])
@@ -278,32 +276,34 @@ class TestRelabelAndNotation:
             [1, 2, 3],
             [1],
             [3],
-            [CorrectX(2, {1}), CorrectZ(3, {1, 2}), CorrectXPhase(3, 0.5, {2})],
-        )
-        q = relabel(p, {1: 7, 2: 8, 3: 9})
-        assert (q.vertices, q.inputs, q.outputs) == ((7, 8, 9), (7,), (9,))
-        assert q.commands == (
-            CorrectX(8, {7}),
-            CorrectZ(9, {7, 8}),
-            CorrectXPhase(9, 0.5, {8}),
-        )
-
-    def test_operator_notation_z_and_phase_x(self):
-        p = Pattern(
-            [1, 2],
-            [1],
-            [2],
             [
-                Prepare(2, 0.5),
+                Prepare(2, 0.25),
+                Prepare(3),
                 Entangle(1, 2),
-                Measure(1, 0.0),
-                CorrectZ(2, {1}),
-                CorrectXPhase(2, 0.5, {1}),
+                Entangle(2, 3),
+                Measure(1, 0.75),
+                CorrectX(2, {1}),
+                Measure(2),
+                CorrectZ(3, {1, 2}),
+                CorrectXPhase(3, 0.5, {2}),
             ],
         )
-        assert operator_notation(p) == (
-            "(X_2^0.5)^{s_1} Z_2^{s_1} M_1^0 E_{1,2} N_2^0.5"
+        q = relabel(p, {1: 9, 2: 8, 3: 7})
+        assert (q.vertices, q.inputs, q.outputs) == ((7, 8, 9), (9,), (7,))
+        assert q.commands == (
+            Prepare(8, 0.25),
+            Prepare(7),
+            Entangle(8, 9),
+            Entangle(7, 8),
+            Measure(9, 0.75),
+            CorrectX(8, {9}),
+            Measure(8),
+            CorrectZ(7, {8, 9}),
+            CorrectXPhase(7, 0.5, {8}),
         )
+        # Entangle(1, 2) became Entangle(9, 8), stored with its ends in order
+        assert [(c.a, c.b) for c in q.commands[2:4]] == [(8, 9), (7, 8)]
+        assert relabel(q, {9: 1, 8: 2, 7: 3}) == p
 
 
 class TestTextFormat:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,13 +24,14 @@ from causalflow import (
     classify_determinism,
     drop_x_corrections,
     enumerate_branches,
+    extract_circuit,
     find_biflow,
     find_flow,
-    kraus_map,
     max_deviation_up_to_phase,
     realized_embedding,
     rescale_branch_map,
     run_branch,
+    simulate_circuit,
     synthesize,
 )
 from causalflow import simulator
@@ -37,8 +39,6 @@ from causalflow.simulator import (
     _classify_maps,
     _max_batch,
     _run_branches,
-    matrix_from_json,
-    matrix_to_json,
 )
 from conftest import CZ, HADAMARD, hadamard_geometry, path_state, random_angles, random_open_graph
 
@@ -416,9 +416,44 @@ class TestRealizedEmbedding:
             realized_embedding(g, {})
 
     def test_over_tensor_bound_raises_before_allocating(self):
-        g = path_state(30, [1], [30])
+        # every qubit of a complete graph is in flight at its first vertex's
+        # last entangler: 26 qubits and 1 input axis exceed the budget
+        vertices = range(1, 27)
+        g = OpenGraphState(
+            vertices, [(u, v) for u in vertices for v in vertices if u < v], [1], [26]
+        )
         with pytest.raises(SimulationError, match="dense tensor bound"):
             realized_embedding(g, {q: 0.0 for q in g.measured})
+
+    @pytest.mark.parametrize("n", [24, 30])
+    def test_long_path_contracts_as_it_goes(self, n):
+        """The tensor holds only the qubits in flight, so long paths, whose
+        whole tensor exceeds the budget, give the extracted circuit's map."""
+        g = path_state(n, [1], [n])
+        arng = np.random.default_rng(n)
+        meas = random_angles(arng, g.measured)
+        embedding = realized_embedding(g, meas)
+        assert embedding.shape == (2, 2)
+        circuit = simulate_circuit(extract_circuit(g, find_flow(g).flow, meas))
+        assert max_deviation_up_to_phase(circuit, embedding) < 1e-12
+
+    def test_grid_peak_memory_follows_qubits_in_flight(self):
+        """All 15 qubits and 3 inputs of the 3x5 grid at once take 4 MiB;
+        in flight they stay under 1 MB."""
+        vid = {(r, c): 5 * r + c + 1 for r in range(3) for c in range(5)}
+        edges = [(vid[r, c], vid[r, c + 1]) for r in range(3) for c in range(4)]
+        edges += [(vid[r, c], vid[r + 1, c]) for r in range(2) for c in range(5)]
+        g = OpenGraphState(vid.values(), edges, [1, 6, 11], [5, 10, 15])
+        meas = random_angles(np.random.default_rng(15), g.measured)
+        tracemalloc.start()
+        try:
+            embedding = realized_embedding(g, meas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        circuit = simulate_circuit(extract_circuit(g, find_flow(g).flow, meas))
+        assert max_deviation_up_to_phase(circuit, embedding) < 1e-12
 
     def test_flow_determinism_invariant(self):
         """Random flow geometries, 20 angle vectors each: synthesized patterns
@@ -484,47 +519,6 @@ class TestRealizedEmbedding:
             checked += 1
 
 
-class TestKrausMap:
-    def test_projector_channel(self):
-        channel = kraus_map(enumerate_branches(projector_pattern()))
-        rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-        np.testing.assert_allclose(channel(rho), KET0_BRA0, atol=1e-12)
-
-    def test_hadamard_channel_is_conjugation(self):
-        channel = kraus_map(enumerate_branches(hadamard_pattern()))
-        arng = np.random.default_rng(2)
-        m = arng.normal(size=(2, 2)) + 1j * arng.normal(size=(2, 2))
-        rho = m @ m.conj().T
-        rho /= np.trace(rho)
-        np.testing.assert_allclose(
-            channel(rho), HADAMARD @ rho @ HADAMARD, atol=1e-12
-        )
-
-    def test_identity_pattern_channel(self):
-        p = Pattern([1], [1], [1], [])
-        channel = kraus_map(enumerate_branches(p))
-        rho = np.array([[0.25, 0.1j], [-0.1j, 0.75]], dtype=complex)
-        np.testing.assert_allclose(channel(rho), rho, atol=1e-14)
-
-    def test_trace_preserving_and_positive(self):
-        arng = np.random.default_rng(3)
-        g = path_state(3, [1], [3])
-        p = synthesize(g, find_flow(g).flow, random_angles(arng, g.measured))
-        channel = kraus_map(enumerate_branches(p))
-        for _ in range(5):
-            m = arng.normal(size=(2, 2)) + 1j * arng.normal(size=(2, 2))
-            rho = m @ m.conj().T
-            rho /= np.trace(rho)
-            out = channel(rho)
-            assert np.trace(out).real == pytest.approx(1.0, abs=1e-9)
-            eigenvalues = np.linalg.eigvalsh(out)
-            assert eigenvalues.min() > -1e-9
-
-    def test_empty_reports_rejected(self):
-        with pytest.raises(ValueError):
-            kraus_map([])
-
-
 class TestRewriteIdentities:
     def test_default_suite_passes(self):
         report = check_rewrite_identities()
@@ -558,31 +552,6 @@ class TestRewriteIdentities:
     def test_custom_grid(self):
         report = check_rewrite_identities(grid_points=64, n_random=0)
         assert report.ok
-
-
-def test_matrix_json_round_trip():
-    arng = np.random.default_rng(4)
-    m = arng.normal(size=(2, 4)) + 1j * arng.normal(size=(2, 4))
-    np.testing.assert_allclose(matrix_from_json(matrix_to_json(m)), m)
-
-
-def test_simulation_report_document():
-    import json
-
-    from causalflow import simulation_report
-
-    p = hadamard_pattern()
-    reports = enumerate_branches(p)
-    verdict = classify_determinism(p, angle_samples=3, seed=12)
-    doc = simulation_report(reports, verdict)
-    parsed = json.loads(json.dumps(doc))
-    assert [b["outcomes"] for b in parsed["branches"]] == ["0", "1"]
-    assert parsed["verdict"]["classification"] == "strongly-deterministic"
-    assert parsed["seed"] == 12
-    np.testing.assert_allclose(
-        matrix_from_json(parsed["branches"][0]["map"]),
-        reports[0].branch_map,
-    )
 
 
 def test_max_deviation_up_to_phase():
