@@ -106,12 +106,16 @@ class TestDecomposeStars:
 
 
 class TestStarGates:
+    def test_three_qubit_star_has_one_cz(self):
+        g = OpenGraphState([1, 2, 3], [(1, 2), (1, 3)], [1], [2, 3])
+        circuit = extract_circuit(g, find_flow(g).flow, {1: 0.7})
+        assert circuit.gates == (CZGate(0, 1), PhaseGate(0, -0.7), HadamardGate(0))
+
     def test_three_qubit_star_matrix(self):
         alpha = 1.234
         g = OpenGraphState([1, 2, 3], [(1, 2), (1, 3)], [1], [2, 3])
         fl = find_flow(g).flow
         circuit = extract_circuit(g, fl, {1: alpha})
-        assert circuit.gates == (CZGate(0, 1), PhaseGate(0, -alpha), HadamardGate(0))
         np.testing.assert_allclose(
             simulate_circuit(circuit),
             realized_embedding(g, {1: alpha}),
