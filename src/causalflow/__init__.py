@@ -3,6 +3,11 @@
 Pipeline: represent an open graph state, find a flow, synthesize the
 deterministic correction pattern, verify determinism by exhaustive branch
 simulation, and extract an equivalent controlled-Z/phase/Hadamard circuit.
+
+Only :mod:`causalflow.simulator` imports numpy.  The graph, flow, pattern
+and circuit names are bound when the package is imported; the simulator's
+names are looked up on first use, so code that never simulates never
+loads numpy.
 """
 
 from .graph_model import (
@@ -37,6 +42,7 @@ from .pattern import (
     PatternError,
     PatternFormatError,
     Prepare,
+    SimulationError,
     adjoint,
     check_runnable,
     drop_x_corrections,
@@ -45,21 +51,6 @@ from .pattern import (
     relabel,
     synthesize,
     synthesize_stabilizer_form,
-)
-from .simulator import (
-    BranchReport,
-    Classification,
-    DeterminismVerdict,
-    IdentityReport,
-    SimulationError,
-    Witness,
-    check_rewrite_identities,
-    classify_determinism,
-    enumerate_branches,
-    max_deviation_up_to_phase,
-    realized_embedding,
-    rescale_branch_map,
-    run_branch,
 )
 from .circuit_extract import (
     Circuit,
@@ -72,7 +63,23 @@ from .circuit_extract import (
     decompose_stars,
     extract_circuit,
     gate_counts,
-    simulate_circuit,
+)
+
+# Resolved on first use, so that importing the package does not load numpy.
+_SIMULATOR_NAMES = (
+    "BranchReport",
+    "Classification",
+    "DeterminismVerdict",
+    "IdentityReport",
+    "Witness",
+    "check_rewrite_identities",
+    "classify_determinism",
+    "enumerate_branches",
+    "max_deviation_up_to_phase",
+    "realized_embedding",
+    "rescale_branch_map",
+    "run_branch",
+    "simulate_circuit",
 )
 
 __version__ = "0.1.0"
@@ -138,3 +145,17 @@ __all__ = [
     "validate_flow",
     "validate_graph",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _SIMULATOR_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import simulator
+
+    value = getattr(simulator, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | set(_SIMULATOR_NAMES))

@@ -9,19 +9,18 @@ qubits survive as bare controlled-Z gates.  The resulting circuit acts on
 one wire per output qubit (inputs keep their wires, everything else
 enters as an ancilla prepared in the plus state) and agrees with the
 geometry's realized embedding up to global phase.
+
+Extraction is combinatorial and imports no numpy; the circuit's matrix
+comes from :func:`causalflow.simulator.simulate_circuit`.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-import numpy as np
-
 from .graph_model import Flow, OpenGraphState, validate_flow
 from .pattern import PatternError, _check_angles
-from .simulator import SimulationError, _TensorEngine, plus_ket
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,8 @@ class Circuit:
     ``outputs`` lists, for each output qubit in ascending id order, the
     wire that carries it at the end.  Input wires appear first in ``wires``
     in ascending input-qubit order; the map simulated by
-    :func:`simulate_circuit` uses that order for its input basis.
+    :func:`causalflow.simulator.simulate_circuit` uses that order for its
+    input basis.
     """
 
     wires: tuple[Wire, ...]
@@ -207,31 +207,6 @@ def extract_circuit(
         gates.extend(CZGate(wire_of[u], wire_of[v]) for u, v in after_stars[k])
 
     return Circuit(tuple(wires), tuple(gates), tuple(wire_of[q] for q in g.outputs))
-
-
-def simulate_circuit(c: Circuit, max_wires: int = 16) -> np.ndarray:
-    """Matrix of a circuit from its input wires to its output wires.
-
-    Ancilla wires enter as plus states and are contracted into the map;
-    the returned matrix has one output-space axis ordered by the circuit's
-    declared output wires and one input axis per input wire in declaration
-    order.  Runs on the simulator's tensor engine, one wire per axis.
-    """
-    n_wires = len(c.wires)
-    if n_wires > max_wires:
-        raise SimulationError(f"{n_wires} wires exceed the bound {max_wires}")
-    eng = _TensorEngine([w.id for w in c.wires if w.source == "input"], batch=1)
-    for w in c.wires:
-        if w.source == "plus":
-            eng.add_qubit(w.id, plus_ket(0.0))
-    for gate in c.gates:
-        if isinstance(gate, CZGate):
-            eng.apply_cz(gate.a, gate.b)
-        elif isinstance(gate, PhaseGate):
-            eng.phase(gate.wire, cmath.exp(1j * gate.theta))
-        else:
-            eng.butterfly(gate.wire)
-    return eng.maps(0, c.outputs)[0]
 
 
 def gate_counts(c: Circuit) -> dict[str, int]:

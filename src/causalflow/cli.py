@@ -6,6 +6,10 @@ text format, and all reports are emitted as JSON on stdout.  Exit codes:
 0 for success (flow found / verdict strong / checks pass), 1 for a
 definite negative (no flow, weaker verdict, failed check), 2 for input or
 usage errors.
+
+Only ``verify``, ``extract --check`` and ``identities`` simulate; they import
+the simulator, and with it numpy, inside their handlers, so the other
+subcommands start without loading numpy.
 """
 
 from __future__ import annotations
@@ -17,28 +21,22 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .circuit_extract import extract_circuit, simulate_circuit
+from .circuit_extract import extract_circuit
 from .flow_finder import find_biflow, find_flow
 from .graph_model import GraphFormatError, OpenGraphState, graph_from_json_dict
 from .pattern import (
+    DEFAULT_MAX_MEASUREMENTS,
+    DEFAULT_TOLERANCE,
+    EXACT_TOLERANCE,
     PatternError,
     PatternFormatError,
+    SimulationError,
     adjoint,
     check_runnable,
     parse_pattern,
     print_pattern,
     synthesize,
     synthesize_stabilizer_form,
-)
-from .simulator import (
-    DEFAULT_MAX_MEASUREMENTS,
-    DEFAULT_TOLERANCE,
-    EXACT_TOLERANCE,
-    SimulationError,
-    check_rewrite_identities,
-    classify_determinism,
-    max_deviation_up_to_phase,
-    realized_embedding,
 )
 
 EXIT_OK = 0
@@ -171,6 +169,8 @@ def _cmd_verify(args) -> int:
     if not check.ok:
         _emit({"runnable": False, "violations": list(check.violations)})
         return EXIT_INPUT_ERROR
+    from .simulator import classify_determinism
+
     verdict = classify_determinism(
         pattern,
         angle_samples=args.samples,
@@ -192,6 +192,12 @@ def _cmd_extract(args) -> int:
     circuit = extract_circuit(graph, result.flow, meas)
     payload = circuit.to_json_dict()
     if args.check:
+        from .simulator import (
+            max_deviation_up_to_phase,
+            realized_embedding,
+            simulate_circuit,
+        )
+
         realized = simulate_circuit(circuit)
         target = realized_embedding(graph, meas)
         payload["max_deviation"] = max_deviation_up_to_phase(realized, target)
@@ -214,6 +220,8 @@ def _cmd_adjoint(args) -> int:
 
 
 def _cmd_identities(args) -> int:
+    from .simulator import check_rewrite_identities
+
     report = check_rewrite_identities(
         tolerance=EXACT_TOLERANCE if args.tolerance is None else args.tolerance,
         grid_points=args.angles_grid,
@@ -240,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-qubits",
-        type=int,
+        type=_non_negative,
         default=DEFAULT_MAX_MEASUREMENTS,
         help="bound on the number of enumerated measurements",
     )

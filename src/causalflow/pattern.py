@@ -155,6 +155,17 @@ class PatternFormatError(PatternError):
     """Raised when pattern text cannot be parsed."""
 
 
+class SimulationError(RuntimeError):
+    """Raised when a pattern cannot be simulated within configured bounds."""
+
+
+# The simulator's defaults, kept here so that callers which only name them
+# (the command line) need not load the simulator and numpy.
+DEFAULT_TOLERANCE = 1e-9
+EXACT_TOLERANCE = 1e-12
+DEFAULT_MAX_MEASUREMENTS = 12
+
+
 @dataclass(frozen=True)
 class Pattern:
     """Command sequence with declared qubits, inputs and outputs.

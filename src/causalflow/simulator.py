@@ -18,8 +18,14 @@ signal's branch bit is 1.  The pass, with its scratch and the classifier's
 temporaries, must fit a byte budget checked before it allocates; the
 classifier splits its angle samples into batches that fit.
 
+The same engine gives a geometry's :func:`realized_embedding` and the map
+of an extracted circuit (:func:`simulate_circuit`).
+
 Branch evaluations are pure and order-independent; verdicts do not depend
 on enumeration order.
+
+This is the package's only module that imports numpy; the package loads it
+on the first use of one of its names.
 """
 
 from __future__ import annotations
@@ -32,8 +38,12 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .circuit_extract import Circuit, CZGate, PhaseGate
 from .graph_model import OpenGraphState, validate_graph
 from .pattern import (
+    DEFAULT_MAX_MEASUREMENTS,
+    DEFAULT_TOLERANCE,
+    EXACT_TOLERANCE,
     CorrectX,
     CorrectXPhase,
     CorrectZ,
@@ -42,13 +52,10 @@ from .pattern import (
     Pattern,
     PatternError,
     Prepare,
+    SimulationError,
     _check_angles,
     check_runnable,
 )
-
-DEFAULT_TOLERANCE = 1e-9
-EXACT_TOLERANCE = 1e-12
-DEFAULT_MAX_MEASUREMENTS = 12
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 # Each butterfly grows the engine's entries by up to sqrt(2) and shrinks its
@@ -58,10 +65,6 @@ _MIN_SCALE = 2.0**-500
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 CZ_MATRIX = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-
-
-class SimulationError(RuntimeError):
-    """Raised when a pattern cannot be simulated within configured bounds."""
 
 
 def x_phase_gate(alpha: float) -> np.ndarray:
@@ -675,6 +678,19 @@ def rescale_branch_map(report_or_map, n_measurements: int) -> np.ndarray:
     return m * (2.0 ** (n_measurements / 2.0))
 
 
+def _bfs_rank(g: OpenGraphState) -> dict[int, int]:
+    """Rank of each vertex by its BFS distance from the inputs, ties broken
+    by label; each component without an input follows, searched from its
+    least label."""
+    rank: dict[int, int] = {}
+    for seeds in [g.inputs, *((q,) for q in g.vertices)]:
+        layer = [q for q in seeds if q not in rank]
+        while layer:
+            rank.update((q, len(rank) + k) for k, q in enumerate(layer))
+            layer = sorted({n for q in layer for n in g._adjacency[q]} - rank.keys())
+    return rank
+
+
 def realized_embedding(
     g: OpenGraphState,
     meas_angles: Mapping[int, float],
@@ -687,9 +703,11 @@ def realized_embedding(
     this equals every rescaled branch map of the synthesized pattern and
     is an isometry.  Preparation angles default to 0.  Raises PatternError
     on a missing or non-finite angle, SimulationError over the tensor bound.
-    Entanglers run in sorted order, each qubit is prepared just before its
-    first one and projected, if measured, right after its last one; the
-    byte budget is checked on the most qubits in flight, before allocating.
+    Entanglers run in the order of :func:`_bfs_rank`, by the later endpoint
+    first, so the qubits in flight do not depend on the vertex labels; each
+    qubit is prepared just before its first entangler and projected, if
+    measured, right after its last one.  The byte budget is checked on the
+    most qubits in flight, before allocating.
     """
     check = validate_graph(g)
     if not check.ok:
@@ -698,8 +716,11 @@ def realized_embedding(
     preps = {q: 0.0 for q in g.prepared} | dict(prep_angles or {})
     _check_angles("preparation", g.prepared, preps)
     measured = set(g.measured)
+    rank = _bfs_rank(g)
     # one step per qubit in no entangler, then one per entangler
-    steps = [(q,) for q in g.vertices if not g._adjacency[q]] + sorted(g.edges)
+    steps = [(q,) for q in g.vertices if not g._adjacency[q]] + sorted(
+        g.edges, key=lambda e: sorted((rank[e[0]], rank[e[1]]), reverse=True)
+    )
     last_step = {q: k for k, step in enumerate(steps) for q in step}
     live, peak, leaving = set(g.inputs), len(g.inputs), []
     for k, step in enumerate(steps):
@@ -719,6 +740,31 @@ def realized_embedding(
             eng.contract_bra(q, meas_angles[q])
     matrix = eng.maps(0, g.outputs)[0]
     return matrix * (2.0 ** (len(g.measured) / 2.0))
+
+
+def simulate_circuit(c: Circuit, max_wires: int = 16) -> np.ndarray:
+    """Matrix of a circuit from its input wires to its output wires.
+
+    Ancilla wires enter as plus states and are contracted into the map;
+    the returned matrix has one output-space axis ordered by the circuit's
+    declared output wires and one input axis per input wire in declaration
+    order.  Runs on :class:`_TensorEngine`, one wire per axis.
+    """
+    n_wires = len(c.wires)
+    if n_wires > max_wires:
+        raise SimulationError(f"{n_wires} wires exceed the bound {max_wires}")
+    eng = _TensorEngine([w.id for w in c.wires if w.source == "input"], batch=1)
+    for w in c.wires:
+        if w.source == "plus":
+            eng.add_qubit(w.id, plus_ket(0.0))
+    for gate in c.gates:
+        if isinstance(gate, CZGate):
+            eng.apply_cz(gate.a, gate.b)
+        elif isinstance(gate, PhaseGate):
+            eng.phase(gate.wire, cmath.exp(1j * gate.theta))
+        else:
+            eng.butterfly(gate.wire)
+    return eng.maps(0, c.outputs)[0]
 
 
 def max_deviation_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:

@@ -35,6 +35,22 @@ def loop_geometry() -> OpenGraphState:
     return path_state(3, [1, 3], [1, 3])
 
 
+def cluster_grid(rows: int, cols: int, labels=None) -> OpenGraphState:
+    """``rows x cols`` cluster grid with inputs in the first column and
+    outputs in the last; vertex ids run row-major from 1, or are taken in
+    that order from ``labels``."""
+    labels = list(labels or range(1, rows * cols + 1))
+    vid = {(r, c): labels[cols * r + c] for r in range(rows) for c in range(cols)}
+    edges = [(vid[r, c], vid[r, c + 1]) for r in range(rows) for c in range(cols - 1)]
+    edges += [(vid[r, c], vid[r + 1, c]) for r in range(rows - 1) for c in range(cols)]
+    return OpenGraphState(
+        vid.values(),
+        edges,
+        [vid[r, 0] for r in range(rows)],
+        [vid[r, cols - 1] for r in range(rows)],
+    )
+
+
 def random_open_graph(rng: random.Random, max_vertices: int = 6) -> OpenGraphState:
     n = rng.randint(1, max_vertices)
     vs = list(range(1, n + 1))

@@ -1,9 +1,14 @@
 """Tests for the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import causalflow
 from causalflow import (
     OpenGraphState,
     flow_from_json_dict,
@@ -302,6 +307,7 @@ def test_graph_round_trip_through_cli_format(write):
         ["--seed", "-1", "verify", "PATTERN"],
         ["identities", "--random", "-5"],
         ["identities", "--angles-grid", "-3"],
+        ["--max-qubits=-1", "verify", "PATTERN"],
     ],
 )
 def test_negative_counts_rejected(write, capsys, argv):
@@ -311,3 +317,50 @@ def test_negative_counts_rejected(write, capsys, argv):
     assert exit_info.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and "error:" in out.err
+
+
+# Runs the CLI in a fresh interpreter and reports on stderr whether numpy
+# got loaded; the package import, dir() and the CLI import must not load it.
+_NUMPY_PROBE = """
+import sys
+import causalflow
+assert "numpy" not in sys.modules, "import causalflow"
+missing = set(causalflow.__all__) - set(dir(causalflow))
+assert not missing, f"dir(causalflow) lacks {sorted(missing)}"
+assert "numpy" not in sys.modules, "dir(causalflow)"
+from causalflow.cli import main
+assert "numpy" not in sys.modules, "import causalflow.cli"
+code = main(sys.argv[1:])
+sys.stderr.write(f"numpy loaded: {'numpy' in sys.modules}\\n")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (["flow", "GRAPH"], False),
+        (["flow", "--bidirectional", "GRAPH"], False),
+        (["synth", "GRAPH", "--angles", "ANGLES"], False),
+        (["adjoint", "GRAPH", "--angles", "ANGLES"], False),
+        (["extract", "GRAPH", "--angles", "ANGLES"], False),
+        (["verify", "PATTERN"], True),
+    ],
+    ids=["flow", "flow-bidirectional", "synth", "adjoint", "extract", "verify"],
+)
+def test_only_simulating_commands_load_numpy(write, argv, loads_numpy):
+    files = {
+        "GRAPH": graph_file(write, path_state(3, [1], [3])),
+        "ANGLES": write("angles.json", {"1": 0.4, "2": 1.1}),
+        "PATTERN": write("h.pat", H_TEXT),
+    }
+    src = str(Path(causalflow.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *(files.get(a, a) for a in argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"numpy loaded: {loads_numpy}"

@@ -40,7 +40,15 @@ from causalflow.simulator import (
     _max_batch,
     _run_branches,
 )
-from conftest import CZ, HADAMARD, hadamard_geometry, path_state, random_angles, random_open_graph
+from conftest import (
+    CZ,
+    HADAMARD,
+    cluster_grid,
+    hadamard_geometry,
+    path_state,
+    random_angles,
+    random_open_graph,
+)
 
 KET0_BRA0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET0_BRA1 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -440,11 +448,26 @@ class TestRealizedEmbedding:
     def test_grid_peak_memory_follows_qubits_in_flight(self):
         """All 15 qubits and 3 inputs of the 3x5 grid at once take 4 MiB;
         in flight they stay under 1 MB."""
-        vid = {(r, c): 5 * r + c + 1 for r in range(3) for c in range(5)}
-        edges = [(vid[r, c], vid[r, c + 1]) for r in range(3) for c in range(4)]
-        edges += [(vid[r, c], vid[r + 1, c]) for r in range(2) for c in range(5)]
-        g = OpenGraphState(vid.values(), edges, [1, 6, 11], [5, 10, 15])
+        g = cluster_grid(3, 5)
         meas = random_angles(np.random.default_rng(15), g.measured)
+        tracemalloc.start()
+        try:
+            embedding = realized_embedding(g, meas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        circuit = simulate_circuit(extract_circuit(g, find_flow(g).flow, meas))
+        assert max_deviation_up_to_phase(circuit, embedding) < 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_contraction_order_ignores_vertex_labels(self, seed):
+        """Shuffled ids leave the qubits in flight as few as for row-major
+        ids: the 4x8 grid stays under 1 MiB whatever its labels."""
+        labels = list(range(1, 33))
+        random.Random(seed).shuffle(labels)
+        g = cluster_grid(4, 8, labels)
+        meas = random_angles(np.random.default_rng(seed), g.measured)
         tracemalloc.start()
         try:
             embedding = realized_embedding(g, meas)
