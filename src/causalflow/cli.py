@@ -106,14 +106,20 @@ def _find_flow_for(args, graph: OpenGraphState, y_from_file: frozenset[int]):
 
 
 def _tolerance(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"must be finite and positive: {text}")
     return value
 
 
 def _non_negative(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {text}")
     return value

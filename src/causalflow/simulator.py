@@ -16,7 +16,11 @@ the halves, or the butterfly (a + b, a - b)/sqrt(2).  A dependent
 correction is the same operation restricted to the slice where its
 signal's branch bit is 1.  The pass, with its scratch and the classifier's
 temporaries, must fit a byte budget checked before it allocates; the
-classifier splits its angle samples into batches that fit.
+classifier splits its angle samples into batches that fit.  After each
+pass it runs the strong-equality test (every branch map equal to the
+reference branch's) on all of the batch's entries in a few numpy
+reductions, and falls back to the entry-by-entry proportionality test and
+witness search only for the entries that fail it.
 
 The same engine gives a geometry's :func:`realized_embedding` and the map
 of an extracted circuit (:func:`simulate_circuit`).
@@ -34,7 +38,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -86,7 +90,7 @@ def measurement_bras(alpha: float) -> np.ndarray:
 
 
 class Classification(str, Enum):
-    """Determinism classes; strong implies plain determinism."""
+    """Determinism classes, weakest first; strong implies plain determinism."""
 
     NOT_DETERMINISTIC = "not-deterministic"
     DETERMINISTIC = "deterministic"
@@ -94,15 +98,14 @@ class Classification(str, Enum):
 
     @property
     def rank(self) -> int:
-        return {
-            Classification.NOT_DETERMINISTIC: 0,
-            Classification.DETERMINISTIC: 1,
-            Classification.STRONGLY_DETERMINISTIC: 2,
-        }[self]
+        return _RANK[self]
 
     @property
     def is_deterministic(self) -> bool:
         return self.rank >= 1
+
+
+_RANK = {c: k for k, c in enumerate(Classification)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,20 +393,26 @@ class _TensorEngine:
     def maps(self, b: int, outputs: Sequence[int]) -> np.ndarray:
         """Branch maps of batch entry ``b`` as (branches, output space, input
         space), a new array of one batch entry's size."""
+        return self.entry_maps(b, b + 1, outputs)[0]
+
+    def entry_maps(self, start: int, stop: int, outputs: Sequence[int]) -> np.ndarray:
+        """Branch maps of batch entries ``start`` to ``stop`` as (entries,
+        branches, output space, input space), a new array of their size."""
         live = self.axis_of.keys() - set(self.branch_order)
         if live != set(outputs):
             raise SimulationError(f"live qubits {sorted(live)} differ from outputs")
-        perm = [self.axis_of[q] - 1 for q in self.branch_order]
-        perm += [self.axis_of[q] - 1 for q in outputs]
-        perm += [a - 1 for a in self.domain_axes]
+        perm = [0] + [self.axis_of[q] for q in self.branch_order]
+        perm += [self.axis_of[q] for q in outputs]
+        perm += self.domain_axes
         shape = (
+            stop - start,
             1 << len(self.branch_order),
             1 << len(outputs),
             1 << len(self.domain_axes),
         )
-        entry = self.t[b].transpose(perm)
-        out = np.empty(entry.shape, dtype=complex)
-        np.multiply(entry, self.scale, out=out)
+        entries = self.t[start:stop].transpose(perm)
+        out = np.empty(entries.shape, dtype=complex)
+        np.multiply(entries, self.scale, out=out)
         return out.reshape(shape)
 
 
@@ -417,9 +426,9 @@ def _max_batch(n_qubits: int, n_inputs: int) -> int:
 
     A batch entry is a complex tensor over every qubit and input axis, of
     ``sample`` bytes.  A pass holds the ``batch`` entries plus the larger of
-    the kernel's scratch (half the tensor) and three entries' worth of
-    classifier temporaries (one entry's branch maps laid out as matrices,
-    and the differences or products its reductions form).
+    half of them and three entries: first the kernel's scratch (half the
+    tensor), then the classifier's temporaries (see
+    :func:`_classifier_group`).
     """
     sample = np.dtype(complex).itemsize << (n_qubits + n_inputs)
     return max(
@@ -436,21 +445,40 @@ def _check_dense_bytes(batch: int, n_qubits: int, n_inputs: int) -> None:
         )
 
 
-def _run_branches(
-    p: Pattern, angle_sets: Sequence[Mapping[int, float]]
-) -> _TensorEngine:
-    """One dense pass over every branch, for each measurement-angle set."""
-    _check_dense_bytes(len(angle_sets), len(p.vertices), len(p.inputs))
-    eng = _TensorEngine(p.inputs, len(angle_sets))
+def _classifier_group(batch: int, entry_size: int) -> int:
+    """Batch entries the classifier reads at once after a pass of ``batch``
+    entries of ``entry_size`` amplitudes each.
+
+    Each costs at most three entries of temporaries in :func:`_strong_test`:
+    its branch maps laid out as matrices, a work array of their size, half
+    that for moduli, and up to half for the branch norms (when the maps are
+    1x1).  They must fit the larger of half the batch and three entries,
+    which :func:`_max_batch` reserves.  A group also holds no more
+    amplitudes than one numpy iteration buffer, unless one entry alone has
+    more: past that, numpy's per-call cost is paid off and a larger group
+    only works farther out of cache.
+    """
+    return max(1, min(max(batch // 2, 3) // 3, np.getbufsize() // entry_size))
+
+
+def _base_angles(p: Pattern) -> np.ndarray:
+    """The pattern's own measurement angles as one row, in measurement order."""
+    return np.array([list(p.measure_angles().values())], dtype=float)
+
+
+def _run_branches(p: Pattern, angles: np.ndarray) -> _TensorEngine:
+    """One dense pass over every branch, for each row of ``angles``: one
+    batch entry per row, and column k holds the k-th measurement's angles."""
+    _check_dense_bytes(len(angles), len(p.vertices), len(p.inputs))
+    eng = _TensorEngine(p.inputs, len(angles))
+    columns = iter(angles.T)
     for cmd in p.commands:
         if isinstance(cmd, Prepare):
             eng.add_qubit(cmd.qubit, plus_ket(cmd.angle))
         elif isinstance(cmd, Entangle):
             eng.apply_cz(cmd.a, cmd.b)
         elif isinstance(cmd, Measure):
-            eng.measure_keep_branch(
-                cmd.qubit, [aset.get(cmd.qubit, cmd.angle) for aset in angle_sets]
-            )
+            eng.measure_keep_branch(cmd.qubit, next(columns))
         elif isinstance(cmd, CorrectX):
             for s in cmd.signals:
                 eng.flip(cmd.qubit, control=s)
@@ -500,7 +528,7 @@ def enumerate_branches(
     """
     _check_tolerance(tolerance)
     n = _runnable_or_raise(p, max_measurements)
-    maps = _run_branches(p, [p.measure_angles()]).maps(0, p.outputs)
+    maps = _run_branches(p, _base_angles(p)).maps(0, p.outputs)
     _check_trace_preserving(maps, tolerance)
     if input_state is not None:
         input_state = np.asarray(input_state, dtype=complex)
@@ -555,19 +583,19 @@ def _pair_witness(
     defects = np.array(
         [_vectors_parallel(a @ probe, b @ probe, tolerance, scale) for probe in probes]
     )
-    k = _first_near_max(defects)
+    k = int(_first_near_max(defects))
     if defects[k] <= tolerance:
         return None
     return float(defects[k]), probes[k] / np.linalg.norm(probes[k])
 
 
-def _first_near_max(values: np.ndarray) -> int:
+def _first_near_max(values: np.ndarray) -> np.ndarray:
     """Index of the first of ``values`` (non-negative) within a relative
-    1e-12 of the largest.  Values equal in exact arithmetic, as branch norms
-    and probe defects often are, then give the same index whichever
-    rounding the arithmetic that produced them took."""
-    top = values[values.argmax()]
-    return int((values >= top * (1.0 - 1e-12)).argmax())
+    1e-12 of the largest, along the last axis.  Values equal in exact
+    arithmetic, as branch norms and probe defects often are, then give the
+    same index whichever rounding the arithmetic that produced them took."""
+    top = values.max(axis=-1, keepdims=True)
+    return (values >= top * (1.0 - 1e-12)).argmax(axis=-1)
 
 
 def _outcome_label(branch: int, n_branches: int) -> str:
@@ -576,20 +604,49 @@ def _outcome_label(branch: int, n_branches: int) -> str:
     return format(branch, f"0{n}b") if n else ""
 
 
-def _classify_maps(
+def _strong_test(
     maps: np.ndarray, tolerance: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The strong-equality test on several entries' branch maps at once.
+
+    ``maps`` is (entries, branches, output space, input space).  Returns,
+    per entry, whether every branch is within ``tolerance`` of the
+    reference branch entrywise, the branch norms, and the reference: the
+    first branch of largest norm, by :func:`_first_near_max`.  Temporaries
+    are one array of the size of ``maps`` and one of half its size.
+    """
+    entries, n_branches = maps.shape[:2]
+    flat = maps.reshape(entries, n_branches, -1)
+    work = np.conjugate(flat)
+    np.multiply(work, flat, out=work)
+    # the sums np.linalg.norm forms, so each entry's norms are bit for bit its
+    norms = np.add.reduce(work.real, axis=-1)
+    np.sqrt(norms, out=norms)
+    refs = _first_near_max(norms)
+    np.subtract(flat, flat[np.arange(entries), refs][:, np.newaxis], out=work)
+    strong = np.abs(work).max(axis=(1, 2)) < tolerance
+    return strong, norms, refs
+
+
+def _classify_maps(
+    maps: np.ndarray,
+    tolerance: float,
+    norms: np.ndarray | None = None,
+    ref: int | None = None,
 ) -> tuple[Classification, Witness | None]:
+    """Verdict and witness for one batch entry's branch maps.
+
+    A caller that has run :func:`_strong_test` on ``maps`` and seen it fail
+    passes the branch norms and the reference branch it found, and the
+    strong test is not repeated.
+    """
     n_branches = maps.shape[0]
-    if n_branches <= 1:
-        return Classification.STRONGLY_DETERMINISTIC, None
+    if norms is None:
+        strong, all_norms, refs = _strong_test(maps[np.newaxis], tolerance)
+        if strong[0]:
+            return Classification.STRONGLY_DETERMINISTIC, None
+        norms, ref = all_norms[0], int(refs[0])
     flat = maps.reshape(n_branches, -1)
-    norms = np.linalg.norm(flat, axis=1)
-    ref = _first_near_max(norms)
-
-    strong_dev = float(np.abs(maps - maps[ref]).max())
-    if strong_dev < tolerance:
-        return Classification.STRONGLY_DETERMINISTIC, None
-
     scale = float(np.abs(maps).max()) or 1.0
     for s in range(n_branches):
         if s == ref or norms[s] <= tolerance * scale:
@@ -611,6 +668,25 @@ def _classify_maps(
     return Classification.DETERMINISTIC, None
 
 
+def _classify_batch(
+    eng: _TensorEngine, outputs: Sequence[int], tolerance: float
+) -> tuple[tuple[Classification, Witness | None], bool]:
+    """Verdict of the engine's first batch entry, and whether every entry is
+    deterministic; stops at the first entry that is not."""
+    group = _classifier_group(eng.batch, eng.t.size // eng.batch)
+    first = Classification.STRONGLY_DETERMINISTIC, None
+    for start in range(0, eng.batch, group):
+        maps = eng.entry_maps(start, min(start + group, eng.batch), outputs)
+        strong, norms, refs = _strong_test(maps, tolerance)
+        for k in np.flatnonzero(~strong):
+            verdict = _classify_maps(maps[k], tolerance, norms[k], int(refs[k]))
+            if start + k == 0:
+                first = verdict
+            if not verdict[0].is_deterministic:
+                return first, False
+    return first, True
+
+
 def classify_determinism(
     p: Pattern,
     angle_samples: int = 20,
@@ -625,8 +701,14 @@ def classify_determinism(
     maps count as proportional to everything).  ``uniform`` is decided by
     re-running the classification on ``angle_samples`` fresh uniformly
     random measurement-angle vectors over the same geometry and
-    corrections, evaluated in batched passes as large as the dense byte
-    budget allows; it stops at the first sample that is not deterministic.
+    corrections, drawn in one call and evaluated in batched passes as
+    large as the dense byte budget allows.  After each pass the strong
+    test (:func:`_strong_test`) runs on the pass's entries a group at a
+    time, each group as large as the classifier's share of the budget
+    allows (:func:`_classifier_group`); only an entry that fails it is
+    classified further, on its own, and the first entry that is not
+    deterministic ends the run.  The verdict is that of the pattern's own
+    angles.
 
     Raises
     ------
@@ -640,28 +722,27 @@ def classify_determinism(
     _check_tolerance(tolerance)
     if angle_samples < 0:
         raise ValueError(f"angle_samples must be >= 0, got {angle_samples}")
-    _runnable_or_raise(p, max_measurements)
+    n = _runnable_or_raise(p, max_measurements)
     _check_dense_bytes(1, len(p.vertices), len(p.inputs))
-    base_angles = p.measure_angles()
-    rng = np.random.default_rng(seed)
-    angle_sets: list[Mapping[int, float]] = [base_angles]
-    for _ in range(angle_samples):
-        angle_sets.append(
-            {q: float(rng.uniform(0.0, 2.0 * math.pi)) for q in base_angles}
+    if n == 0:
+        # one branch, and no measurement angle to vary
+        return DeterminismVerdict(
+            Classification.STRONGLY_DETERMINISTIC, True, None, angle_samples, seed, tolerance
         )
+    base = _base_angles(p)
+    rng = np.random.default_rng(seed)
+    samples = rng.uniform(0.0, 2.0 * math.pi, size=(angle_samples, base.shape[1]))
+    angles = np.concatenate([base, samples])
     chunk = _max_batch(len(p.vertices), len(p.inputs))
-
-    def sample_verdicts() -> Iterator[tuple[Classification, Witness | None]]:
-        for start in range(0, len(angle_sets), chunk):
-            eng = _run_branches(p, angle_sets[start : start + chunk])
-            for b in range(eng.batch):
-                yield _classify_maps(eng.maps(b, p.outputs), tolerance)
-
-    verdicts = sample_verdicts()
-    classification, witness = next(verdicts)
-    uniform = classification.is_deterministic and all(
-        c.is_deterministic for c, _ in verdicts
-    )
+    verdict = None
+    for start in range(0, len(angles), chunk):
+        first, uniform = _classify_batch(
+            _run_branches(p, angles[start : start + chunk]), p.outputs, tolerance
+        )
+        verdict = verdict or first
+        if not uniform:
+            break
+    classification, witness = verdict
     return DeterminismVerdict(
         classification, uniform, witness, angle_samples, seed, tolerance
     )

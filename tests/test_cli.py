@@ -319,6 +319,26 @@ def test_negative_counts_rejected(write, capsys, argv):
     assert out.out == "" and "error:" in out.err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["--seed", "x", "verify", "PATTERN"], "--seed"),
+        (["--max-qubits", "x", "verify", "PATTERN"], "--max-qubits"),
+        (["verify", "PATTERN", "--samples", "2.5"], "--samples"),
+        (["--tolerance", "x", "verify", "PATTERN"], "--tolerance"),
+    ],
+)
+def test_malformed_numbers_rejected_readably(write, capsys, argv, option):
+    path = write("h.pat", H_TEXT)
+    with pytest.raises(SystemExit) as exit_info:
+        main([path if a == "PATTERN" else a for a in argv])
+    assert exit_info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument {option}: not a" in out.err
+    assert "invalid _" not in out.err
+
+
 # Runs the CLI in a fresh interpreter and reports on stderr whether numpy
 # got loaded; the package import, dir() and the CLI import must not load it.
 _NUMPY_PROBE = """

@@ -1,8 +1,10 @@
 """Tests for the branch simulator, determinism classification, and identities."""
 
+import json
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from causalflow import (
     find_biflow,
     find_flow,
     max_deviation_up_to_phase,
+    parse_pattern,
     realized_embedding,
     rescale_branch_map,
     run_branch,
@@ -45,6 +48,7 @@ from conftest import (
     HADAMARD,
     cluster_grid,
     hadamard_geometry,
+    loop_geometry,
     path_state,
     random_angles,
     random_open_graph,
@@ -249,6 +253,12 @@ def _mutants(p: Pattern, rng: random.Random) -> list[Pattern]:
     ]
 
 
+def _angle_rows(p: Pattern, angle_sets) -> np.ndarray:
+    """Angle vectors as ``_run_branches`` takes them: a row per vector,
+    a column per measurement in measurement order."""
+    return np.array([[angles[q] for q in p.measurement_order] for angles in angle_sets])
+
+
 class TestBatchedEngine:
     def test_every_batch_entry_matches_run_branch(self):
         """Distinct angle vectors in one pass; every batch entry's branch maps
@@ -269,7 +279,7 @@ class TestBatchedEngine:
                 if isinstance(cmd, (CorrectX, CorrectXPhase, CorrectZ)):
                     kinds.add(type(cmd))
                     control_first.update(axis[s] < axis[cmd.qubit] for s in cmd.signals)
-            eng = _run_branches(p, [q.measure_angles() for q in batch])
+            eng = _run_branches(p, _angle_rows(p, [q.measure_angles() for q in batch]))
             for b, q in enumerate(batch):
                 maps = eng.maps(b, p.outputs)
                 n = p.n_measurements
@@ -278,6 +288,34 @@ class TestBatchedEngine:
                     np.testing.assert_allclose(maps[s], run_branch(q, label), atol=1e-12)
         assert kinds == {CorrectX, CorrectXPhase, CorrectZ}
         assert control_first == {True, False}
+
+
+def _per_entry_verdict(p: Pattern, angle_samples: int, seed: int):
+    """Classification, uniformity and witness from one pass over every angle
+    vector, drawn one scalar at a time, and one ``_classify_maps`` per entry."""
+    rng = np.random.default_rng(seed)
+    angle_sets = [p.measure_angles()] + [
+        {q: float(rng.uniform(0.0, 2.0 * math.pi)) for q in p.measurement_order}
+        for _ in range(angle_samples)
+    ]
+    eng = _run_branches(p, _angle_rows(p, angle_sets))
+    verdicts = [_classify_maps(eng.maps(b, p.outputs), 1e-9) for b in range(eng.batch)]
+    classification, witness = verdicts[0]
+    return classification, all(c.is_deterministic for c, _ in verdicts), witness
+
+
+def _assert_same_verdict(verdict, expected) -> None:
+    classification, uniform, witness = expected
+    assert verdict.classification is classification
+    assert verdict.uniform == uniform
+    assert (verdict.witness is None) == (witness is None)
+    if witness is not None:
+        assert (verdict.witness.branch_a, verdict.witness.branch_b) == (
+            witness.branch_a,
+            witness.branch_b,
+        )
+        np.testing.assert_array_equal(verdict.witness.input_state, witness.input_state)
+        assert verdict.witness.deviation == witness.deviation
 
 
 class TestBatchedClassifier:
@@ -300,7 +338,7 @@ class TestBatchedClassifier:
             angle_sets = [p.measure_angles()] + [
                 random_angles(arng, p.measurement_order) for _ in range(3)
             ]
-            eng = _run_branches(p, angle_sets)
+            eng = _run_branches(p, _angle_rows(p, angle_sets))
             n = p.n_measurements
             for b, angles in enumerate(angle_sets):
                 q = Pattern(
@@ -336,9 +374,9 @@ class TestBatchedClassifier:
 
         sizes = []
 
-        def counting(p, angle_sets):
-            sizes.append(len(angle_sets))
-            return _run_branches(p, angle_sets)
+        def counting(p, angles):
+            sizes.append(len(angles))
+            return _run_branches(p, angles)
 
         sample = np.dtype(complex).itemsize << (len(g.vertices) + len(g.inputs))
         monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", 5 * sample)
@@ -364,6 +402,113 @@ class TestBatchedClassifier:
         ]
         assert [v.uniform for v in chunked] == [True, False, False]
 
+    def _patterns(self) -> list[Pattern]:
+        rng = random.Random(71)
+        arng = np.random.default_rng(71)
+        # an unentangled ancilla scales every branch by its own factor
+        ancilla = Pattern([1, 2], [1], [1], [Prepare(2, 0.0), Measure(2, 0.3)])
+        patterns = [projector_pattern(), ancilla]
+        g = loop_geometry()
+        fl = find_flow(g, loop_candidates=g.measured).flow
+        patterns += [synthesize(g, fl, {2: math.pi / 2}), synthesize(g, fl, {2: 0.4})]
+        for g, fl in _flow_patterns(71, 16):
+            p = synthesize(g, fl, random_angles(arng, g.measured), random_angles(arng, g.prepared))
+            patterns += [p, p.without_corrections()]
+            patterns.append(drop_x_corrections(synthesize(g, fl, {q: 0.0 for q in g.measured})))
+            patterns += _mutants(p, rng)
+        return patterns
+
+    def test_batched_and_per_entry_verdicts_agree(self, monkeypatch):
+        """Synthesized, stripped, X-dropped, mutated and loop patterns: the
+        batched strong test with its per-entry fallback gives the verdict,
+        uniformity and witness of classifying every entry on its own, in one
+        pass and with a budget of two entries per pass."""
+        patterns = self._patterns()
+        expected = [_per_entry_verdict(p, 20, seed=k) for k, p in enumerate(patterns)]
+        groups = []
+        strong_test = simulator._strong_test
+
+        def recording(maps, tolerance):
+            groups.append(len(maps))
+            return strong_test(maps, tolerance)
+
+        monkeypatch.setattr(simulator, "_strong_test", recording)
+        for k, (p, want) in enumerate(zip(patterns, expected)):
+            _assert_same_verdict(classify_determinism(p, angle_samples=20, seed=k), want)
+        assert max(groups) == 3
+        for k, (p, want) in enumerate(zip(patterns, expected)):
+            sample = np.dtype(complex).itemsize << (len(p.vertices) + len(p.inputs))
+            monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", 5 * sample)
+            assert _max_batch(len(p.vertices), len(p.inputs)) == 2
+            _assert_same_verdict(classify_determinism(p, angle_samples=20, seed=k), want)
+        kinds = {(c, u, w is not None) for c, u, w in expected}
+        assert {
+            (Classification.STRONGLY_DETERMINISTIC, True, False),
+            (Classification.STRONGLY_DETERMINISTIC, False, False),
+            (Classification.DETERMINISTIC, True, False),
+            (Classification.DETERMINISTIC, False, False),
+            (Classification.NOT_DETERMINISTIC, False, True),
+        } <= kinds
+
+    def test_strong_test_is_the_per_entry_rule(self):
+        """Per entry, the norms are np.linalg.norm's bit for bit, the
+        reference is the first branch within 1e-12 of the largest norm, and
+        the verdict is the entrywise distance from it, on entries with tied
+        norms, with a largest branch that is not the first, and with one
+        branch off by more or less than the tolerance."""
+        rng = np.random.default_rng(73)
+        maps = np.repeat(rng.standard_normal((1, 1, 2, 4)) + 0j, 8, axis=1)
+        maps = np.repeat(maps, 6, axis=0)
+        maps[1, 5] *= 1.5
+        maps[2] *= np.linspace(0.5, 1.0, 8)[:, None, None]
+        maps[3, 2, 1, 3] += 1e-10
+        maps[4, 6, 0, 0] += 1e-8
+        maps[5] = rng.standard_normal((8, 2, 4)) + 1j * rng.standard_normal((8, 2, 4))
+        strong, norms, refs = simulator._strong_test(maps, 1e-9)
+        for k, entry in enumerate(maps):
+            want = np.linalg.norm(entry.reshape(8, -1), axis=1)
+            np.testing.assert_array_equal(norms[k], want)
+            ref = int(np.flatnonzero(want >= want.max() * (1.0 - 1e-12))[0])
+            assert refs[k] == ref
+            assert strong[k] == (np.abs(entry - entry[ref]).max() < 1e-9)
+        assert list(refs[:3]) == [0, 5, 7]
+        assert list(strong) == [True, False, False, True, False, False]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_angles_drawn_in_one_call_equal_scalar_draws(self, monkeypatch, seed):
+        """The samples reach the pass as the scalar-at-a-time draws would."""
+        g = path_state(8, [1], [8])
+        p = synthesize(g, find_flow(g).flow, {q: 0.1 * q for q in g.measured})
+        rows = []
+
+        def capture(p, angles):
+            rows.extend(angles.tolist())
+            return _run_branches(p, angles)
+
+        monkeypatch.setattr(simulator, "_run_branches", capture)
+        classify_determinism(p, angle_samples=20, seed=seed)
+        rng = np.random.default_rng(seed)
+        scalar = [
+            [float(rng.uniform(0.0, 2.0 * math.pi)) for _ in p.measurement_order]
+            for _ in range(20)
+        ]
+        assert rows == [list(p.measure_angles().values())] + scalar
+
+    def test_verdicts_match_golden_file(self):
+        """``verify`` verdicts on a fixed corpus, byte for byte as recorded
+        (tests/data/make_verify_golden.py writes the file)."""
+        cases = json.loads(
+            (Path(__file__).parent / "data" / "verify_golden.json").read_text(encoding="utf-8")
+        )
+        assert len(cases) >= 150
+        for case in cases:
+            verdict = classify_determinism(
+                parse_pattern(case["pattern"]), angle_samples=case["samples"], seed=case["seed"]
+            )
+            assert json.dumps(verdict.to_json_dict(), indent=2) == json.dumps(
+                case["verdict"], indent=2
+            ), case["pattern"]
+
 
 class TestDenseBudget:
     def test_every_tensor_of_23_axes_fits_at_batch_one(self):
@@ -381,6 +526,39 @@ class TestDenseBudget:
             classify_determinism(p, max_measurements=40)
         with pytest.raises(SimulationError, match="dense tensor bound"):
             enumerate_branches(p, max_measurements=40)
+
+    @pytest.mark.parametrize("rows, cols", [(3, 4), (2, 6), (1, 13)])
+    def test_peak_within_budget_accounting(self, monkeypatch, rows, cols):
+        """_max_batch reserves, beyond a pass's batch tensor, the larger of
+        half of it and three entries.  The classifier's temporaries must fit
+        in that reserve, with one entry to spare for numpy's iteration
+        buffers and small objects, and leave the call's peak at the pass's
+        (the tensor and the kernel's scratch)."""
+        g = cluster_grid(rows, cols)
+        p = synthesize(g, find_flow(g).flow, {q: 0.1 * q for q in g.measured})
+        entry = np.dtype(complex).itemsize << (len(p.vertices) + len(p.inputs))
+        batch = 21
+        pass_peak, classify_peak = [], []
+        classify_batch = simulator._classify_batch
+
+        def measured(eng, outputs, tolerance):
+            pass_peak.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            result = classify_batch(eng, outputs, tolerance)
+            classify_peak.append(tracemalloc.get_traced_memory()[1])
+            return result
+
+        classify_determinism(p, angle_samples=batch - 1)
+        monkeypatch.setattr(simulator, "_classify_batch", measured)
+        tracemalloc.start()
+        try:
+            verdict = classify_determinism(p, angle_samples=batch - 1)
+        finally:
+            tracemalloc.stop()
+        assert verdict.is_strong and verdict.uniform
+        assert len(pass_peak) == len(classify_peak) == 1
+        assert classify_peak[0] <= (batch + max(batch // 2, 3) + 1) * entry
+        assert classify_peak[0] < pass_peak[0]
 
 
 class TestClassifierArguments:
