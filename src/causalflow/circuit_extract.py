@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .graph_model import Flow, OpenGraphState, validate_flow
-from .pattern import PatternError, _check_angles
+from .pattern import PatternError, _check_angles, _measured_in_flow_order
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def decompose_stars(
     removed: set[int] = set()
     stars: list[StarPattern] = []
     adjacency = g._adjacency
-    for i in sorted(g.measured, key=lambda q: (fl.levels[q], q)):
+    for i in _measured_in_flow_order(g, fl):
         remaining = tuple(sorted(adjacency[i] - removed))
         stars.append(StarPattern(i, remaining, meas_angles[i], fl.f[i]))
         removed.add(i)

@@ -279,6 +279,7 @@ def check_runnable(p: Pattern) -> ValidationResult:
 
 
 def _measured_in_flow_order(g: OpenGraphState, fl: Flow) -> list[int]:
+    """Measured qubits by flow level, then id: synthesis's and extraction's order."""
     return sorted(g.measured, key=lambda i: (fl.levels[i], i))
 
 

@@ -14,11 +14,12 @@ measurement bras, and each of these is an in-place operation on the
 0-half and the 1-half of one axis: multiply the 1-half by a phase, swap
 the halves, or the butterfly (a + b, a - b)/sqrt(2).  A dependent
 correction is the same operation restricted to the slice where its
-signal's branch bit is 1.  The pass, with its scratch and the classifier's
-temporaries, must fit a byte budget checked before it allocates; the
-classifier splits its angle samples into batches that fit.  After each
-pass it runs the strong-equality test (every branch map equal to the
-reference branch's) on all of the batch's entries in a few numpy
+signal's branch bit is 1.  Every dense simulation fits one byte budget,
+checked before anything is allocated: at most 23 qubits plus inputs per
+angle vector (a circuit's wires plus input wires, :func:`run_branch`'s live
+qubits); the classifier splits its angle samples into batches that fit.
+After each pass it runs the strong-equality test (every branch map equal
+to the reference branch's) on all of the batch's entries in a few numpy
 reductions, and falls back to the entry-by-entry proportionality test and
 witness search only for the entries that fail it.
 
@@ -38,6 +39,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -199,10 +201,6 @@ def _runnable_or_raise(p: Pattern, max_measurements: int | None = None) -> int:
     return n
 
 
-def _input_index_bits(index: int, n: int) -> list[int]:
-    return [(index >> (n - 1 - k)) & 1 for k in range(n)]
-
-
 def run_branch(p: Pattern, outcomes: str) -> np.ndarray:
     """Branch map for one outcome string, computed column by column.
 
@@ -217,6 +215,9 @@ def run_branch(p: Pattern, outcomes: str) -> np.ndarray:
     PatternError
         If the pattern is not runnable or the outcome string length does
         not match the number of measurements.
+    SimulationError
+        If the most qubits live at once (inputs, plus preparations, minus
+        measurements so far) number more than the dense tensor bound, 23.
     """
     _runnable_or_raise(p)
     order = p.measurement_order
@@ -224,6 +225,8 @@ def run_branch(p: Pattern, outcomes: str) -> np.ndarray:
         raise PatternError(
             f"outcome string {outcomes!r} does not match {len(order)} measurements"
         )
+    steps = (isinstance(c, Prepare) - isinstance(c, Measure) for c in p.commands)
+    _check_dense_bytes(1, max(accumulate(steps, initial=len(p.inputs))), 0)
     outcome_of = {q: int(bit) for q, bit in zip(order, outcomes)}
     n_in = len(p.inputs)
     n_out = len(p.outputs)
@@ -233,9 +236,9 @@ def run_branch(p: Pattern, outcomes: str) -> np.ndarray:
     for col in range(1 << n_in):
         tensor = np.array(1.0, dtype=complex)
         axis_of: dict[int, int] = {}
-        for q, bit in zip(p.inputs, _input_index_bits(col, n_in)):
+        for q, bit in zip(p.inputs, format(col, f"0{n_in}b")):
             axis_of[q] = tensor.ndim
-            tensor = np.multiply.outer(tensor, basis[bit])
+            tensor = np.multiply.outer(tensor, basis[int(bit)])
 
         def apply_1q(gate: np.ndarray, q: int) -> None:
             nonlocal tensor
@@ -306,16 +309,20 @@ class _TensorEngine:
       equatorial measurement at angle alpha (f = e^{-i alpha}).
 
     No general 2x2 matrix is applied.  Scratch is one copy of a half-axis
-    slice, at most half the tensor.  The butterflies' 1/sqrt(2) factors
-    collect in :attr:`scale` and are applied when :meth:`maps` reads the
-    result, or earlier, once ``scale`` falls below :data:`_MIN_SCALE`, so
-    that a long gate sequence keeps entries and ``scale`` normal floats.
+    slice, at most half the tensor.  The constructor checks the dense byte
+    budget for ``batch`` entries over ``qubits``, the most qubit axes the
+    engine will hold, and the domain axes, before it allocates.  The
+    butterflies' 1/sqrt(2) factors collect in :attr:`scale` and are applied
+    when :meth:`maps` reads the result, or earlier, once ``scale`` falls
+    below :data:`_MIN_SCALE`, so that a long gate sequence keeps entries and
+    ``scale`` normal floats.
     """
 
-    def __init__(self, inputs: Sequence[int], batch: int) -> None:
+    def __init__(self, inputs: Sequence[int], batch: int, qubits: int) -> None:
         n_in = len(inputs)
         if batch < 1:
             raise ValueError("batch must be positive")
+        _check_dense_bytes(batch, qubits, n_in)
         eye = np.eye(1 << n_in, dtype=complex)[np.newaxis]
         self.t = eye.repeat(batch, axis=0).reshape((batch,) + (2,) * (2 * n_in))
         self.batch = batch
@@ -469,8 +476,7 @@ def _base_angles(p: Pattern) -> np.ndarray:
 def _run_branches(p: Pattern, angles: np.ndarray) -> _TensorEngine:
     """One dense pass over every branch, for each row of ``angles``: one
     batch entry per row, and column k holds the k-th measurement's angles."""
-    _check_dense_bytes(len(angles), len(p.vertices), len(p.inputs))
-    eng = _TensorEngine(p.inputs, len(angles))
+    eng = _TensorEngine(p.inputs, len(angles), len(p.vertices))
     columns = iter(angles.T)
     for cmd in p.commands:
         if isinstance(cmd, Prepare):
@@ -648,14 +654,12 @@ def _classify_maps(
         norms, ref = all_norms[0], int(refs[0])
     flat = maps.reshape(n_branches, -1)
     scale = float(np.abs(maps).max()) or 1.0
-    for s in range(n_branches):
-        if s == ref or norms[s] <= tolerance * scale:
-            continue
-        hs_defect = (norms[ref] * norms[s] - abs(np.vdot(flat[ref], flat[s]))) / (
-            norms[ref] * norms[s]
-        )
-        if hs_defect <= tolerance:
-            continue
+    products = norms[ref] * norms
+    overlaps = np.abs(np.einsum("bk,k->b", flat, flat[ref].conj()))
+    live = norms > tolerance * scale
+    live[ref] = False
+    hs_defects = (products - overlaps) / np.where(live, products, np.inf)
+    for s in np.flatnonzero(hs_defects > tolerance):
         failure = _pair_witness(maps[ref], maps[s], tolerance, scale)
         if failure is not None:
             defect, probe = failure
@@ -703,12 +707,10 @@ def classify_determinism(
     random measurement-angle vectors over the same geometry and
     corrections, drawn in one call and evaluated in batched passes as
     large as the dense byte budget allows.  After each pass the strong
-    test (:func:`_strong_test`) runs on the pass's entries a group at a
-    time, each group as large as the classifier's share of the budget
-    allows (:func:`_classifier_group`); only an entry that fails it is
-    classified further, on its own, and the first entry that is not
-    deterministic ends the run.  The verdict is that of the pattern's own
-    angles.
+    test (:func:`_strong_test`) runs on groups of entries
+    (:func:`_classifier_group`); only an entry that fails it is classified
+    further, and the first one that is not deterministic ends the run.  The
+    verdict is that of the pattern's own angles.
 
     Raises
     ------
@@ -783,12 +785,11 @@ def realized_embedding(
     each measured qubit onto its outcome-0 bra.  On geometries with flow
     this equals every rescaled branch map of the synthesized pattern and
     is an isometry.  Preparation angles default to 0.  Raises PatternError
-    on a missing or non-finite angle, SimulationError over the tensor bound.
-    Entanglers run in the order of :func:`_bfs_rank`, by the later endpoint
-    first, so the qubits in flight do not depend on the vertex labels; each
-    qubit is prepared just before its first entangler and projected, if
-    measured, right after its last one.  The byte budget is checked on the
-    most qubits in flight, before allocating.
+    on a missing or non-finite angle, SimulationError when the most qubits
+    in flight exceed the dense tensor bound.  Entanglers run in the order of
+    :func:`_bfs_rank`, by the later endpoint first, so the qubits in flight
+    do not depend on the vertex labels; each qubit is prepared just before
+    its first entangler and projected, if measured, right after its last one.
     """
     check = validate_graph(g)
     if not check.ok:
@@ -809,8 +810,7 @@ def realized_embedding(
         peak = max(peak, len(live))
         leaving.append([q for q in step if q in measured and last_step[q] == k])
         live.difference_update(leaving[-1])
-    _check_dense_bytes(1, peak, len(g.inputs))
-    eng = _TensorEngine(g.inputs, batch=1)
+    eng = _TensorEngine(g.inputs, 1, peak)
     for step, done in zip(steps, leaving):
         for q in step:
             if q not in eng.axis_of:
@@ -823,18 +823,17 @@ def realized_embedding(
     return matrix * (2.0 ** (len(g.measured) / 2.0))
 
 
-def simulate_circuit(c: Circuit, max_wires: int = 16) -> np.ndarray:
+def simulate_circuit(c: Circuit) -> np.ndarray:
     """Matrix of a circuit from its input wires to its output wires.
 
     Ancilla wires enter as plus states and are contracted into the map;
     the returned matrix has one output-space axis ordered by the circuit's
     declared output wires and one input axis per input wire in declaration
-    order.  Runs on :class:`_TensorEngine`, one wire per axis.
+    order.  Runs on :class:`_TensorEngine`, one wire per axis, so it
+    raises SimulationError, before allocating, unless the wires plus the
+    input wires number at most 23 (the dense byte budget).
     """
-    n_wires = len(c.wires)
-    if n_wires > max_wires:
-        raise SimulationError(f"{n_wires} wires exceed the bound {max_wires}")
-    eng = _TensorEngine([w.id for w in c.wires if w.source == "input"], batch=1)
+    eng = _TensorEngine([w.id for w in c.wires if w.source == "input"], 1, len(c.wires))
     for w in c.wires:
         if w.source == "plus":
             eng.add_qubit(w.id, plus_ket(0.0))

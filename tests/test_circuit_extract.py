@@ -286,10 +286,19 @@ class TestSimulateCircuit:
             np.testing.assert_allclose(simulate_circuit(c), expected, atol=1e-12)
 
     def test_wire_bound(self):
-        wires = tuple(Wire(k, "plus") for k in range(5))
-        c = Circuit(wires, (), tuple(range(5)))
+        """Each input wire also carries a domain axis: 12 input wires make 24
+        axes, one more than the dense byte budget holds."""
+        wires = tuple(Wire(k, "input") for k in range(12))
+        c = Circuit(wires, (), tuple(range(12)))
         with pytest.raises(SimulationError, match="exceed"):
-            simulate_circuit(c, max_wires=3)
+            simulate_circuit(c)
+
+    def test_seventeen_plus_wires_fit(self):
+        """17 plus-state wires are a 2 MiB state, well inside the budget."""
+        wires = tuple(Wire(k, "plus") for k in range(17))
+        state = simulate_circuit(Circuit(wires, (), tuple(range(17))))
+        assert state.shape == (1 << 17, 1)
+        np.testing.assert_allclose(state, 2.0**-8.5, atol=1e-15)
 
 
 def test_circuit_json_round_trip():

@@ -252,6 +252,20 @@ class TestExtractCommand:
     def test_no_flow(self, write):
         assert main(["extract", graph_file(write, no_flow_geometry())]) == 1
 
+    def test_check_over_budget_is_a_named_error(self, write, capsys):
+        """16 disjoint input-output edges extract to 16 input wires, 32 axes
+        in all: the check stops before it allocates, with a named error."""
+        g = OpenGraphState(
+            range(1, 33),
+            [(k, k + 1) for k in range(1, 33, 2)],
+            range(1, 33, 2),
+            range(2, 33, 2),
+        )
+        assert main(["extract", graph_file(write, g), "--check"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:")
+        assert "dense tensor bound" in out.err and "Traceback" not in out.err
+
 
 class TestAdjointCommand:
     def test_adjoint_realizes_dagger(self, write, capsys):

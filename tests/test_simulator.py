@@ -1,15 +1,18 @@
 """Tests for the branch simulator, determinism classification, and identities."""
 
+import itertools
 import json
 import math
 import random
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from causalflow import (
+    Circuit,
     Classification,
     CorrectX,
     CorrectXPhase,
@@ -21,6 +24,7 @@ from causalflow import (
     PatternError,
     Prepare,
     SimulationError,
+    Wire,
     adjoint,
     check_rewrite_identities,
     classify_determinism,
@@ -510,7 +514,65 @@ class TestBatchedClassifier:
             ), case["pattern"]
 
 
+def _path_pattern(n: int) -> Pattern:
+    g = path_state(n, [1], [n])
+    return synthesize(g, find_flow(g).flow, {q: 0.0 for q in g.measured})
+
+
+def _complete_graph(n: int) -> OpenGraphState:
+    vertices = range(1, n + 1)
+    return OpenGraphState(vertices, itertools.combinations(vertices, 2), [1], [n])
+
+
+# Each builder makes an input over the dense byte budget and returns the call
+# of one dense entry point on it.
+OVER_BUDGET = {
+    "classify_determinism": lambda: partial(
+        classify_determinism, _path_pattern(30), max_measurements=40
+    ),
+    "enumerate_branches": lambda: partial(
+        enumerate_branches, _path_pattern(30), max_measurements=40
+    ),
+    # every qubit is in flight at the first vertex's last entangler: 26
+    # qubits and 1 input axis
+    "realized_embedding": lambda: partial(
+        realized_embedding, _complete_graph(26), {q: 0.0 for q in range(1, 26)}
+    ),
+    # 12 wires plus 12 input wires
+    "simulate_circuit": lambda: partial(
+        simulate_circuit,
+        Circuit(tuple(Wire(k, "input") for k in range(12)), (), tuple(range(12))),
+    ),
+    # synthesis prepares all 24 qubits before the first measurement
+    "run_branch": lambda: partial(run_branch, _path_pattern(24), "0" * 23),
+}
+
+
 class TestDenseBudget:
+    @pytest.mark.parametrize("entry_point", OVER_BUDGET)
+    def test_every_entry_point_raises_before_allocating(self, entry_point):
+        call = OVER_BUDGET[entry_point]()
+        tracemalloc.start()
+        try:
+            with pytest.raises(SimulationError, match="dense tensor bound"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_run_branch_counts_live_qubits(self):
+        """A 30-qubit chain written as N/E/M/X blocks has at most two qubits
+        live at once, so run_branch runs it although all its qubits together
+        are over the budget."""
+        cmds = []
+        for q in range(1, 30):
+            cmds += [Prepare(q + 1, 0.0), Entangle(q, q + 1), Measure(q, 0.0)]
+            cmds.append(CorrectX(q + 1, {q}))
+        branch = run_branch(Pattern(range(1, 31), [1], [30], cmds), "0" * 29)
+        assert branch.shape == (2, 2)
+        np.testing.assert_allclose(rescale_branch_map(branch, 29), HADAMARD, atol=1e-12)
+
     def test_every_tensor_of_23_axes_fits_at_batch_one(self):
         for n_inputs in range(0, 6):
             assert _max_batch(23 - n_inputs, n_inputs) == 1
@@ -518,14 +580,6 @@ class TestDenseBudget:
 
     def test_twenty_samples_fit_in_one_pass_on_small_grids(self):
         assert _max_batch(15, 3) >= 21
-
-    def test_classify_over_bound_raises_before_allocating(self):
-        g = path_state(30, [1], [30])
-        p = synthesize(g, find_flow(g).flow, {q: 0.0 for q in g.measured})
-        with pytest.raises(SimulationError, match="dense tensor bound"):
-            classify_determinism(p, max_measurements=40)
-        with pytest.raises(SimulationError, match="dense tensor bound"):
-            enumerate_branches(p, max_measurements=40)
 
     @pytest.mark.parametrize("rows, cols", [(3, 4), (2, 6), (1, 13)])
     def test_peak_within_budget_accounting(self, monkeypatch, rows, cols):
@@ -600,16 +654,6 @@ class TestRealizedEmbedding:
             realized_embedding(g, {1: 0.0}, {2: math.inf})
         with pytest.raises(PatternError, match="measurement angles missing"):
             realized_embedding(g, {})
-
-    def test_over_tensor_bound_raises_before_allocating(self):
-        # every qubit of a complete graph is in flight at its first vertex's
-        # last entangler: 26 qubits and 1 input axis exceed the budget
-        vertices = range(1, 27)
-        g = OpenGraphState(
-            vertices, [(u, v) for u in vertices for v in vertices if u < v], [1], [26]
-        )
-        with pytest.raises(SimulationError, match="dense tensor bound"):
-            realized_embedding(g, {q: 0.0 for q in g.measured})
 
     @pytest.mark.parametrize("n", [24, 30])
     def test_long_path_contracts_as_it_goes(self, n):
