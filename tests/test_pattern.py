@@ -1,7 +1,9 @@
 """Tests for pattern runnability, synthesis, adjoints, and the text format."""
 
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +106,25 @@ class TestRunnability:
             v.startswith("R2") and "input" in v
             for v in check_runnable(p).violations
         )
+
+    def test_walk_matches_golden_file(self):
+        """Violations, measurement order and measurement angles on the verify
+        corpus and its seeded non-runnable mutants, byte for byte as recorded
+        (tests/data/make_runnable_golden.py writes the file)."""
+        cases = json.loads(
+            (Path(__file__).parent / "data" / "runnable_golden.json").read_text(encoding="utf-8")
+        )
+        assert len(cases) >= 300
+        assert sum(bool(case["violations"]) for case in cases) >= 200
+        for case in cases:
+            p = parse_pattern(case["pattern"])
+            got = {
+                "violations": list(check_runnable(p).violations),
+                "measurement_order": list(p.measurement_order),
+                "measure_angles": [[q, a] for q, a in p.measure_angles().items()],
+            }
+            want = {key: case[key] for key in got}
+            assert json.dumps(got) == json.dumps(want), case["pattern"]
 
 
 class TestSynthesize:
