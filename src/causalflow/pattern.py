@@ -6,14 +6,19 @@ output subsets.  Commands are stored left-to-right in execution order.
 Each command kind has one row in a table of its text token and field
 names, from which printing, parsing and relabelling are derived.
 
-Patterns are immutable values and synthesis is a pure function.
+Patterns are immutable values and synthesis is a pure function.  What the
+runnability check, the measurement accessors and the simulator need to know
+about a pattern's commands comes from one walk over them, made on first use
+and kept with the pattern.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Union
 
 from .graph_model import Flow, OpenGraphState, ValidationResult, validate_flow
@@ -41,24 +46,17 @@ def _is_zero_angle(angle: float) -> bool:
     return a < _ANGLE_EPS or TWO_PI - a < _ANGLE_EPS
 
 
-def drop_x_corrections(
-    p: Pattern, meas_angles: Mapping[int, float] | None = None
-) -> Pattern:
+def drop_x_corrections(p: Pattern) -> Pattern:
     """Remove X corrections aimed at qubits measured at angle exactly zero.
 
     The Pauli-X special case: such a correction commutes into the
     measurement without changing any outcome statistics, each branch map
     moving at most by a sign, so the realized channel is untouched.  Zero
-    means within 1e-12 (:func:`_is_zero_angle`).  Corrections into outputs
-    and phase-conjugated corrections are kept.  ``meas_angles`` overrides
-    the angles recorded in the pattern, for callers that carry them
-    separately.
+    means within 1e-12 (:func:`_is_zero_angle`), and the angle is the one
+    the pattern's own measurement command records.  Corrections into
+    outputs and phase-conjugated corrections are kept.
     """
-    angles = dict(p.measure_angles())
-    if meas_angles is not None:
-        angles.update(meas_angles)
-    measured = set(p.measurement_order)
-    droppable = {q for q, a in angles.items() if q in measured and _is_zero_angle(a)}
+    droppable = {q for q, a in p.measure_angles().items() if _is_zero_angle(a)}
     kept = tuple(
         c
         for c in p.commands
@@ -166,13 +164,23 @@ EXACT_TOLERANCE = 1e-12
 DEFAULT_MAX_MEASUREMENTS = 12
 
 
+# What one pass over a pattern's commands finds: the runnability violations
+# (see check_runnable), the measurements as (qubit, angle) in command order,
+# and the most qubits live at once (inputs, plus preparations, minus
+# measurements so far).
+_Walk = namedtuple("_Walk", "violations measures live_peak")
+
+
 @dataclass(frozen=True)
 class Pattern:
     """Command sequence with declared qubits, inputs and outputs.
 
     ``commands`` run left to right.  Input qubits hold arbitrary states
     from the start; every non-input must be prepared and every non-output
-    measured for the pattern to be runnable.
+    measured for the pattern to be runnable.  The runnability violations,
+    the measurements and the live-qubit peak come from one walk over the
+    commands (:attr:`_walk`), made on first use and cached: a pattern never
+    changes, so neither does the result.
     """
 
     vertices: tuple[int, ...]
@@ -192,17 +200,67 @@ class Pattern:
         object.__setattr__(self, "outputs", tuple(sorted(set(outputs))))
         object.__setattr__(self, "commands", tuple(commands))
 
+    @cached_property
+    def _walk(self) -> _Walk:
+        """The one pass over the commands, made on first use."""
+        violations: list[str] = []
+        declared = set(self.vertices)
+        iset = set(self.inputs)
+        oset = set(self.outputs)
+        available = set(iset)
+        measured: set[int] = set()
+        measures: list[tuple[int, float]] = []
+        live = peak = len(iset)
+        for idx, cmd in enumerate(self.commands):
+            targets = (cmd.a, cmd.b) if isinstance(cmd, Entangle) else (cmd.qubit,)
+            for q in targets:
+                if q not in declared:
+                    violations.append(f"R1: command {idx} acts on undeclared qubit {q}")
+            late = sorted(cmd.signals - measured) if isinstance(cmd, _CORRECTIONS) else []
+            if late:
+                violations.append(f"R0: command {idx} depends on unmeasured outcomes {late}")
+            if isinstance(cmd, Prepare):
+                live += 1
+                peak = max(peak, live)
+                if cmd.qubit in iset:
+                    violations.append(f"R2: input qubit {cmd.qubit} prepared")
+                if cmd.qubit in measured:
+                    violations.append(f"R1: measured qubit {cmd.qubit} prepared")
+                elif cmd.qubit in available:
+                    violations.append(f"R1: qubit {cmd.qubit} prepared twice")
+                else:
+                    available.add(cmd.qubit)
+                continue
+            for q in targets:
+                if q not in declared:
+                    continue
+                if q in measured:
+                    violations.append(f"R1: command {idx} acts on measured qubit {q}")
+                elif q not in available:
+                    violations.append(f"R1: command {idx} acts on unprepared qubit {q}")
+            if isinstance(cmd, Measure):
+                live -= 1
+                measures.append((cmd.qubit, cmd.angle))
+                if cmd.qubit in oset:
+                    violations.append(f"R2: output qubit {cmd.qubit} measured")
+                measured.add(cmd.qubit)
+        for q in sorted(declared - oset - measured):
+            violations.append(f"R2: non-output qubit {q} never measured")
+        for q in sorted(declared - available):
+            violations.append(f"R2: non-input qubit {q} never prepared")
+        return _Walk(tuple(violations), tuple(measures), peak)
+
     @property
     def measurement_order(self) -> tuple[int, ...]:
         """Measured qubits in the order their measurements appear."""
-        return tuple(c.qubit for c in self.commands if isinstance(c, Measure))
+        return tuple(q for q, _ in self._walk.measures)
 
     @property
     def n_measurements(self) -> int:
-        return len(self.measurement_order)
+        return len(self._walk.measures)
 
     def measure_angles(self) -> dict[int, float]:
-        return {c.qubit: c.angle for c in self.commands if isinstance(c, Measure)}
+        return dict(self._walk.measures)
 
     def prep_angles(self) -> dict[int, float]:
         return {c.qubit: c.angle for c in self.commands if isinstance(c, Prepare)}
@@ -219,63 +277,16 @@ class Pattern:
 
 
 def check_runnable(p: Pattern) -> ValidationResult:
-    """Scan the command sequence for runnability violations.
+    """The runnability violations that the pattern's walk found.
 
     Violation codes: R0 (a command depends on an outcome not yet
     measured), R1 (a command acts on a measured qubit or an unprepared
     non-input), R2 (measured/prepared sets do not match the declared
-    outputs/inputs).
+    outputs/inputs).  They are listed in command order, then the
+    never-measured and the never-prepared qubits.  The walk runs once per
+    pattern, so repeated checks cost nothing.
     """
-    violations: list[str] = []
-    declared = set(p.vertices)
-    iset = set(p.inputs)
-    oset = set(p.outputs)
-    available = set(iset)
-    measured: set[int] = set()
-
-    def targets(cmd: Command) -> tuple[int, ...]:
-        if isinstance(cmd, Entangle):
-            return (cmd.a, cmd.b)
-        return (cmd.qubit,)
-
-    for idx, cmd in enumerate(p.commands):
-        for q in targets(cmd):
-            if q not in declared:
-                violations.append(f"R1: command {idx} acts on undeclared qubit {q}")
-        if isinstance(cmd, _CORRECTIONS):
-            late = sorted(set(cmd.signals) - measured)
-            if late:
-                violations.append(
-                    f"R0: command {idx} depends on unmeasured outcomes {late}"
-                )
-        if isinstance(cmd, Prepare):
-            if cmd.qubit in iset:
-                violations.append(f"R2: input qubit {cmd.qubit} prepared")
-            if cmd.qubit in measured:
-                violations.append(f"R1: measured qubit {cmd.qubit} prepared")
-            elif cmd.qubit in available:
-                violations.append(f"R1: qubit {cmd.qubit} prepared twice")
-            else:
-                available.add(cmd.qubit)
-            continue
-        for q in targets(cmd):
-            if q not in declared:
-                continue
-            if q in measured:
-                violations.append(f"R1: command {idx} acts on measured qubit {q}")
-            elif q not in available:
-                violations.append(f"R1: command {idx} acts on unprepared qubit {q}")
-        if isinstance(cmd, Measure):
-            if cmd.qubit in oset:
-                violations.append(f"R2: output qubit {cmd.qubit} measured")
-            if cmd.qubit not in measured:
-                measured.add(cmd.qubit)
-
-    for q in sorted(declared - oset - measured):
-        violations.append(f"R2: non-output qubit {q} never measured")
-    for q in sorted(declared - iset - (available - iset)):
-        violations.append(f"R2: non-input qubit {q} never prepared")
-    return ValidationResult(tuple(violations))
+    return ValidationResult(p._walk.violations)
 
 
 def _measured_in_flow_order(g: OpenGraphState, fl: Flow) -> list[int]:

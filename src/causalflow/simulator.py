@@ -39,7 +39,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -60,7 +59,6 @@ from .pattern import (
     Prepare,
     SimulationError,
     _check_angles,
-    check_runnable,
 )
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -186,13 +184,10 @@ def _check_tolerance(tolerance: float) -> None:
 
 
 def _runnable_or_raise(p: Pattern, max_measurements: int | None = None) -> int:
-    """Measurement count of ``p``, once it is known to be runnable and,
+    """Measurement count of ``p``, once its walk has found it runnable and,
     when ``max_measurements`` is given, within that branch bound."""
-    check = check_runnable(p)
-    if not check.ok:
-        raise PatternError(
-            "pattern is not runnable: " + "; ".join(check.violations)
-        )
+    if p._walk.violations:
+        raise PatternError("pattern is not runnable: " + "; ".join(p._walk.violations))
     n = p.n_measurements
     if max_measurements is not None and n > max_measurements:
         raise SimulationError(
@@ -225,8 +220,7 @@ def run_branch(p: Pattern, outcomes: str) -> np.ndarray:
         raise PatternError(
             f"outcome string {outcomes!r} does not match {len(order)} measurements"
         )
-    steps = (isinstance(c, Prepare) - isinstance(c, Measure) for c in p.commands)
-    _check_dense_bytes(1, max(accumulate(steps, initial=len(p.inputs))), 0)
+    _check_dense_bytes(1, p._walk.live_peak, 0)
     outcome_of = {q: int(bit) for q, bit in zip(order, outcomes)}
     n_in = len(p.inputs)
     n_out = len(p.outputs)
@@ -426,6 +420,10 @@ class _TensorEngine:
 # Bytes one dense pass may hold at once, checked before it allocates: every
 # tensor of up to 23 qubit and input axes fits at batch 1 (see _max_batch).
 _MAX_DENSE_BYTES = 512 * 2**20
+# numpy's ufunc iteration allocates two hidden buffers of np.getbufsize()
+# entries when an operand is a strided view, as the kernel's halves are; a
+# third buffer's worth covers the small objects a pass also holds.
+_BUFFER_RESERVE = 3 * np.getbufsize() * np.dtype(complex).itemsize
 
 
 def _max_batch(n_qubits: int, n_inputs: int) -> int:
@@ -434,13 +432,13 @@ def _max_batch(n_qubits: int, n_inputs: int) -> int:
     A batch entry is a complex tensor over every qubit and input axis, of
     ``sample`` bytes.  A pass holds the ``batch`` entries plus the larger of
     half of them and three entries: first the kernel's scratch (half the
-    tensor), then the classifier's temporaries (see
-    :func:`_classifier_group`).
+    tensor) with numpy's iteration buffers (:data:`_BUFFER_RESERVE`), then
+    the classifier's temporaries (see :func:`_classifier_group`), which
+    reuse that room.
     """
     sample = np.dtype(complex).itemsize << (n_qubits + n_inputs)
-    return max(
-        0, min(2 * _MAX_DENSE_BYTES // (3 * sample), _MAX_DENSE_BYTES // sample - 3)
-    )
+    half = 2 * (_MAX_DENSE_BYTES - _BUFFER_RESERVE) // (3 * sample)
+    return max(0, min(half, _MAX_DENSE_BYTES // sample - 3))
 
 
 def _check_dense_bytes(batch: int, n_qubits: int, n_inputs: int) -> None:
@@ -526,7 +524,9 @@ def enumerate_branches(
     Raises
     ------
     ValueError
-        If ``tolerance`` is not finite and positive.
+        If ``tolerance`` is not finite and positive, or ``input_state`` is
+        not a vector of 2^|I| finite amplitudes; both are checked before
+        any simulation.
     SimulationError
         If the measurement count exceeds ``max_measurements``, the pattern
         exceeds the dense tensor bound, or the branch family fails the
@@ -534,14 +534,13 @@ def enumerate_branches(
     """
     _check_tolerance(tolerance)
     n = _runnable_or_raise(p, max_measurements)
-    maps = _run_branches(p, _base_angles(p)).maps(0, p.outputs)
-    _check_trace_preserving(maps, tolerance)
     if input_state is not None:
         input_state = np.asarray(input_state, dtype=complex)
-        if input_state.shape != (maps.shape[2],):
-            raise ValueError(
-                f"input state must be a vector of length {maps.shape[2]}"
-            )
+        dim = 1 << len(p.inputs)
+        if input_state.shape != (dim,) or not np.isfinite(input_state).all():
+            raise ValueError(f"input state must be a finite vector of length {dim}")
+    maps = _run_branches(p, _base_angles(p)).maps(0, p.outputs)
+    _check_trace_preserving(maps, tolerance)
     reports = []
     for s in range(1 << n):
         outcomes = _outcome_label(s, 1 << n)
@@ -635,23 +634,12 @@ def _strong_test(
 
 
 def _classify_maps(
-    maps: np.ndarray,
-    tolerance: float,
-    norms: np.ndarray | None = None,
-    ref: int | None = None,
+    maps: np.ndarray, tolerance: float, norms: np.ndarray, ref: int
 ) -> tuple[Classification, Witness | None]:
-    """Verdict and witness for one batch entry's branch maps.
-
-    A caller that has run :func:`_strong_test` on ``maps`` and seen it fail
-    passes the branch norms and the reference branch it found, and the
-    strong test is not repeated.
-    """
+    """Verdict and witness for one batch entry's branch maps that failed
+    :func:`_strong_test`, given the branch norms and the reference branch it
+    found: deterministic, or not, with a witness."""
     n_branches = maps.shape[0]
-    if norms is None:
-        strong, all_norms, refs = _strong_test(maps[np.newaxis], tolerance)
-        if strong[0]:
-            return Classification.STRONGLY_DETERMINISTIC, None
-        norms, ref = all_norms[0], int(refs[0])
     flat = maps.reshape(n_branches, -1)
     scale = float(np.abs(maps).max()) or 1.0
     products = norms[ref] * norms

@@ -203,12 +203,6 @@ class TestDropXCorrections:
         off = synthesize(g, fl, {1: 0.7, 2: 1e-6})
         assert CorrectX(2, {1}) in drop_x_corrections(off).commands
 
-    def test_explicit_angle_override(self):
-        g = path_state(3, [1], [3])
-        p = synthesize(g, find_flow(g).flow, {1: 0.7, 2: 0.3})
-        dropped = drop_x_corrections(p, meas_angles={2: 0.0})
-        assert CorrectX(2, {1}) not in dropped.commands
-
     def test_determinism_class_preserved(self):
         g = path_state(3, [1], [3])
         p = synthesize(g, find_flow(g).flow, {1: 0.7, 2: 0.0})

@@ -27,6 +27,7 @@ from causalflow import (
     Wire,
     adjoint,
     check_rewrite_identities,
+    check_runnable,
     classify_determinism,
     drop_x_corrections,
     enumerate_branches,
@@ -46,6 +47,7 @@ from causalflow.simulator import (
     _classify_maps,
     _max_batch,
     _run_branches,
+    _strong_test,
 )
 from conftest import (
     CZ,
@@ -180,6 +182,49 @@ class TestEnumerateBranches:
         with pytest.raises(SimulationError, match="bound"):
             enumerate_branches(p, max_measurements=2)
 
+    @pytest.mark.parametrize(
+        "state", [np.ones(4) / 2, np.array([1.0, math.nan]), np.array([math.inf, 0.0])]
+    )
+    def test_bad_input_state_rejected_before_any_pass(self, monkeypatch, state):
+        """A state of the wrong length or with a non-finite amplitude raises
+        ValueError before the dense pass, also on a pattern over the budget."""
+        passes = []
+
+        def counting(p, angles):
+            passes.append(len(angles))
+            return _run_branches(p, angles)
+
+        monkeypatch.setattr(simulator, "_run_branches", counting)
+        with pytest.raises(ValueError, match="input state"):
+            enumerate_branches(hadamard_pattern(), input_state=state)
+        with pytest.raises(ValueError, match="input state"):
+            enumerate_branches(_path_pattern(30), input_state=state, max_measurements=40)
+        assert passes == []
+
+
+class TestOneWalk:
+    def test_each_reader_shares_one_walk(self, monkeypatch):
+        """synthesize's own check, check_runnable, classify_determinism,
+        enumerate_branches and run_branch all read the one walk of the
+        pattern's commands that the first of them made."""
+        walked = []
+        walk = Pattern.__dict__["_walk"]
+        func = walk.func
+
+        def counting(p):
+            walked.append(p)
+            return func(p)
+
+        monkeypatch.setattr(walk, "func", counting)
+        g = path_state(3, [1], [3])
+        p = synthesize(g, find_flow(g).flow, {1: 2.11, 2: 0.37})
+        assert len(walked) == 1 and walked[0] is p
+        assert check_runnable(p).ok
+        assert classify_determinism(p, angle_samples=5).is_strong
+        enumerate_branches(p, input_state=np.array([0.6, 0.8]))
+        run_branch(p, "01")
+        assert len(walked) == 1
+
 
 class TestClassification:
     def test_projector_pattern_deterministic_not_strong_not_uniform(self):
@@ -294,16 +339,25 @@ class TestBatchedEngine:
         assert control_first == {True, False}
 
 
+def _classify_entry(maps: np.ndarray, tolerance: float):
+    """Verdict and witness of one entry's branch maps: the strong test,
+    then, if it fails, ``_classify_maps`` with the norms and reference it found."""
+    strong, norms, refs = _strong_test(maps[np.newaxis], tolerance)
+    if strong[0]:
+        return Classification.STRONGLY_DETERMINISTIC, None
+    return _classify_maps(maps, tolerance, norms[0], int(refs[0]))
+
+
 def _per_entry_verdict(p: Pattern, angle_samples: int, seed: int):
     """Classification, uniformity and witness from one pass over every angle
-    vector, drawn one scalar at a time, and one ``_classify_maps`` per entry."""
+    vector, drawn one scalar at a time, and one ``_classify_entry`` per entry."""
     rng = np.random.default_rng(seed)
     angle_sets = [p.measure_angles()] + [
         {q: float(rng.uniform(0.0, 2.0 * math.pi)) for q in p.measurement_order}
         for _ in range(angle_samples)
     ]
     eng = _run_branches(p, _angle_rows(p, angle_sets))
-    verdicts = [_classify_maps(eng.maps(b, p.outputs), 1e-9) for b in range(eng.batch)]
+    verdicts = [_classify_entry(eng.maps(b, p.outputs), 1e-9) for b in range(eng.batch)]
     classification, witness = verdicts[0]
     return classification, all(c.is_deterministic for c, _ in verdicts), witness
 
@@ -352,8 +406,8 @@ class TestBatchedClassifier:
                     [Measure(c.qubit, angles[c.qubit]) if isinstance(c, Measure) else c for c in p.commands],
                 )
                 reference = np.array([run_branch(q, format(s, f"0{n}b")) for s in range(1 << n)])
-                expected = _classify_maps(reference, 1e-9)
-                got = _classify_maps(eng.maps(b, p.outputs), 1e-9)
+                expected = _classify_entry(reference, 1e-9)
+                got = _classify_entry(eng.maps(b, p.outputs), 1e-9)
                 assert got[0] is expected[0]
                 if expected[1] is None:
                     assert got[1] is None
@@ -368,8 +422,9 @@ class TestBatchedClassifier:
         assert witnesses > 10
 
     def test_chunked_run_matches_unchunked(self, monkeypatch):
-        """A budget of two batch entries splits 8 angle vectors into four
-        passes and leaves every verdict as it was."""
+        """A budget of two batch entries (with their scratch and the
+        iteration-buffer reserve) splits 8 angle vectors into four passes
+        and leaves every verdict as it was."""
         g = path_state(4, [1], [4])
         fl = find_flow(g).flow
         strong = synthesize(g, fl, {1: 0.4, 2: 1.3, 3: 2.9})
@@ -383,7 +438,7 @@ class TestBatchedClassifier:
             return _run_branches(p, angles)
 
         sample = np.dtype(complex).itemsize << (len(g.vertices) + len(g.inputs))
-        monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", 5 * sample)
+        monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", simulator._BUFFER_RESERVE + 3 * sample)
         monkeypatch.setattr(simulator, "_run_branches", counting)
         assert _max_batch(len(g.vertices), len(g.inputs)) == 2
         chunked = [classify_determinism(p, angle_samples=7, seed=4) for p in patterns]
@@ -442,7 +497,8 @@ class TestBatchedClassifier:
         assert max(groups) == 3
         for k, (p, want) in enumerate(zip(patterns, expected)):
             sample = np.dtype(complex).itemsize << (len(p.vertices) + len(p.inputs))
-            monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", 5 * sample)
+            budget = simulator._BUFFER_RESERVE + 3 * sample
+            monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", budget)
             assert _max_batch(len(p.vertices), len(p.inputs)) == 2
             _assert_same_verdict(classify_determinism(p, angle_samples=20, seed=k), want)
         kinds = {(c, u, w is not None) for c, u, w in expected}
@@ -584,10 +640,11 @@ class TestDenseBudget:
     @pytest.mark.parametrize("rows, cols", [(3, 4), (2, 6), (1, 13)])
     def test_peak_within_budget_accounting(self, monkeypatch, rows, cols):
         """_max_batch reserves, beyond a pass's batch tensor, the larger of
-        half of it and three entries.  The classifier's temporaries must fit
-        in that reserve, with one entry to spare for numpy's iteration
-        buffers and small objects, and leave the call's peak at the pass's
-        (the tensor and the kernel's scratch)."""
+        half of it and three entries, and for the pass also numpy's
+        iteration buffers.  The pass's peak (the tensor, the kernel's
+        scratch and those buffers) must fit what _max_batch charges.  The
+        classifier's temporaries must fit in the reserve, with one entry to
+        spare for small objects, and leave the call's peak at the pass's."""
         g = cluster_grid(rows, cols)
         p = synthesize(g, find_flow(g).flow, {q: 0.1 * q for q in g.measured})
         entry = np.dtype(complex).itemsize << (len(p.vertices) + len(p.inputs))
@@ -613,6 +670,7 @@ class TestDenseBudget:
         assert len(pass_peak) == len(classify_peak) == 1
         assert classify_peak[0] <= (batch + max(batch // 2, 3) + 1) * entry
         assert classify_peak[0] < pass_peak[0]
+        assert pass_peak[0] <= 3 * batch * entry // 2 + simulator._BUFFER_RESERVE
 
 
 class TestClassifierArguments:
