@@ -65,7 +65,8 @@ def _swap(p: Pattern, rng: random.Random) -> Pattern:
 
 def _retarget(p: Pattern, rng: random.Random, where: str) -> Pattern:
     """One command's qubit (one endpoint of an entangler) moved to an
-    undeclared, an input or an output qubit."""
+    undeclared, an input or an output qubit; to an undeclared one when the
+    pattern has no qubit of the asked kind."""
     pool = {
         "undeclared": [max(p.vertices) + 1, 0],
         "input": list(p.inputs),
