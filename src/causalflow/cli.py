@@ -149,7 +149,7 @@ def _cmd_flow(args) -> int:
 def _cmd_synth(args) -> int:
     graph, y_from_file = _load_graph(args.graph)
     result = _find_flow_for(args, graph, y_from_file)
-    if not result.found or result.flow is None:
+    if not result.found:
         print("no flow exists for this open graph state", file=sys.stderr)
         return EXIT_NEGATIVE
     meas = _load_angles(args.angles, graph.measured)
@@ -191,7 +191,7 @@ def _cmd_verify(args) -> int:
 def _cmd_extract(args) -> int:
     graph, _ = _load_graph(args.graph)
     result = find_flow(graph)
-    if not result.found or result.flow is None:
+    if not result.found:
         print("no flow exists for this open graph state", file=sys.stderr)
         return EXIT_NEGATIVE
     meas = _load_angles(args.angles, graph.measured)
@@ -217,7 +217,6 @@ def _cmd_adjoint(args) -> int:
     if not (forward.found and reverse.found):
         print("no bi-flow: adjoint undefined", file=sys.stderr)
         return EXIT_NEGATIVE
-    assert forward.flow is not None and reverse.flow is not None
     meas = _load_angles(args.angles, graph.measured)
     preps = _load_angles(args.prep_angles, graph.prepared)
     pattern = synthesize(graph, forward.flow, meas, preps)

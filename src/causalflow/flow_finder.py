@@ -64,18 +64,22 @@ class LayeringOutcome:
 
 @dataclass(frozen=True)
 class FlowSearchResult:
-    """Result of a flow search: a validated flow and its depth, if found."""
+    """Result of a flow search: the validated flow, or ``None`` if none exists."""
 
-    found: bool
     flow: Flow | None = None
-    depth: int | None = None
+
+    @property
+    def found(self) -> bool:
+        return self.flow is not None
+
+    @property
+    def depth(self) -> int | None:
+        return None if self.flow is None else self.flow.depth
 
     def to_json_dict(self) -> dict:
-        data: dict = {"found": self.found}
-        if self.found and self.flow is not None:
-            data["flow"] = self.flow.to_json_dict()
-            data["depth"] = self.depth
-        return data
+        if self.flow is None:
+            return {"found": False}
+        return {"found": True, "flow": self.flow.to_json_dict(), "depth": self.depth}
 
 
 def _constraint_successors(
@@ -207,15 +211,14 @@ def _search(
             if w in loop_candidates and w not in processed and unprocessed[w] == 0
         }
     if len(processed) != len(g.vertices):
-        return FlowSearchResult(found=False)
+        return FlowSearchResult()
     layering = dependency_order(g, f)
     assert layering.levels is not None
-    loops = frozenset(i for i, j in f.items() if i == j)
-    flow = Flow(f, layering.levels, loops)
-    check = validate_flow(g, flow, allow_loops=bool(loops))
+    flow = Flow(f, layering.levels)
+    check = validate_flow(g, flow, allow_loops=bool(flow.loops))
     if not check.ok:
         raise AssertionError(f"search produced an invalid flow: {check.violations}")
-    return FlowSearchResult(found=True, flow=flow, depth=flow.depth)
+    return FlowSearchResult(flow)
 
 
 def find_flow(
@@ -234,8 +237,8 @@ def find_flow(
     Returns
     -------
     FlowSearchResult
-        ``found`` plus, when found, a flow that passes
-        :func:`causalflow.graph_model.validate_flow` and its depth.
+        A flow that passes :func:`causalflow.graph_model.validate_flow`, or
+        none.
 
     Raises
     ------
@@ -291,11 +294,6 @@ def brute_force_flow_oracle(
         )
     measured = list(g.measured)
     prepared = sorted(g.prepared)
-    if len(measured) > len(prepared):
-        return FlowSearchResult(found=False)
-    if not measured:
-        levels = {v: 0 for v in g.vertices}
-        return FlowSearchResult(True, Flow({}, levels), 1)
     adjacency = g._adjacency
     for targets in permutations(prepared, len(measured)):
         if all(
@@ -306,7 +304,5 @@ def brute_force_flow_oracle(
             layering = dependency_order(g, f)
             if layering.ok:
                 assert layering.levels is not None
-                loops = frozenset(i for i, j in f.items() if i == j)
-                flow = Flow(f, layering.levels, loops)
-                return FlowSearchResult(True, flow, flow.depth)
-    return FlowSearchResult(found=False)
+                return FlowSearchResult(Flow(f, layering.levels))
+    return FlowSearchResult()

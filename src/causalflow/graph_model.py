@@ -13,7 +13,7 @@ across concurrent tasks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -205,38 +205,31 @@ class Flow:
     levels : mapping int -> int
         Layer index of every vertex; ``u`` is strictly later than ``v``
         exactly when ``levels[u] > levels[v]``.  Stored as a read-only copy.
-    loops : frozenset of int
-        Vertices with ``f(i) == i``.  Only legal for the Pauli-Y relaxation
-        (see :func:`causalflow.pattern.synthesize`); an ordinary flow has none.
+
+    The loops (:attr:`loops`) are derived: they are the fixed points of ``f``.
     """
 
     f: Mapping[int, int]
     levels: Mapping[int, int]
-    loops: frozenset[int] = field(default_factory=frozenset)
 
-    def __init__(
-        self,
-        f: Mapping[int, int],
-        levels: Mapping[int, int],
-        loops: Iterable[int] = (),
-    ) -> None:
+    def __init__(self, f: Mapping[int, int], levels: Mapping[int, int]) -> None:
         object.__setattr__(self, "f", MappingProxyType(dict(f)))
         object.__setattr__(self, "levels", MappingProxyType(dict(levels)))
-        object.__setattr__(self, "loops", frozenset(loops))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Flow):
             return NotImplemented
-        return (
-            self.f == other.f
-            and self.levels == other.levels
-            and self.loops == other.loops
-        )
+        return self.f == other.f and self.levels == other.levels
 
     def __hash__(self) -> int:
-        return hash(
-            (frozenset(self.f.items()), frozenset(self.levels.items()), self.loops)
-        )
+        return hash((frozenset(self.f.items()), frozenset(self.levels.items())))
+
+    @cached_property
+    def loops(self) -> frozenset[int]:
+        """Vertices with ``f(i) == i``.  Only legal for the Pauli-Y
+        relaxation (see :func:`causalflow.pattern.synthesize`); an ordinary
+        flow has none."""
+        return frozenset(i for i, j in self.f.items() if i == j)
 
     @property
     def depth(self) -> int:
@@ -254,11 +247,19 @@ class Flow:
 
 
 def flow_from_json_dict(data: Mapping) -> Flow:
-    return Flow(
+    """Build a :class:`Flow` from its JSON dictionary form; ``loops``, if
+    given, must be exactly the fixed points of ``f`` (else GraphFormatError)."""
+    fl = Flow(
         {int(i): int(j) for i, j in data["f"].items()},
         {int(v): int(l) for v, l in data["levels"].items()},
-        [int(i) for i in data.get("loops", [])],
     )
+    loops = {int(i) for i in data.get("loops", fl.loops)}
+    if loops != fl.loops:
+        raise GraphFormatError(
+            f"declared loops {sorted(loops)} do not match f fixed points "
+            f"{sorted(fl.loops)}"
+        )
+    return fl
 
 
 def validate_flow(
@@ -276,7 +277,8 @@ def validate_flow(
       than ``i``; for a loop vertex this means every neighbor of ``i``;
     * ``f`` is injective (a consequence of F2, checked directly).
 
-    Loop vertices are rejected outright unless ``allow_loops`` is set.
+    Loop vertices, the fixed points of ``f`` (:attr:`Flow.loops`), are
+    rejected outright unless ``allow_loops`` is set.
     """
     violations: list[str] = []
     measured = set(g.measured)
@@ -302,14 +304,8 @@ def validate_flow(
         if j not in prepared:
             violations.append(f"f({i})={j} is not a prepared vertex")
 
-    loops = {i for i, j in fmap.items() if i == j}
-    if loops != set(fl.loops):
-        violations.append(
-            f"declared loops {sorted(fl.loops)} do not match f fixed points "
-            f"{sorted(loops)}"
-        )
-    if loops and not allow_loops:
-        violations.append(f"loops not allowed: {sorted(loops)}")
+    if fl.loops and not allow_loops:
+        violations.append(f"loops not allowed: {sorted(fl.loops)}")
 
     seen_targets: dict[int, int] = {}
     for i, j in sorted(fmap.items()):
@@ -323,7 +319,7 @@ def validate_flow(
         if i not in adjacency:
             violations.append(f"f defined on unknown vertex {i}")
             continue
-        if i in loops:
+        if i in fl.loops:
             for k in sorted(adjacency[i]):
                 if levels[k] <= levels[i]:
                     violations.append(

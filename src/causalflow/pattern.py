@@ -203,10 +203,11 @@ class Pattern:
     @cached_property
     def _walk(self) -> _Walk:
         """The one pass over the commands, made on first use."""
-        violations: list[str] = []
         declared = set(self.vertices)
         iset = set(self.inputs)
         oset = set(self.outputs)
+        violations = [f"R2: input qubit {q} not declared" for q in self.inputs if q not in declared]
+        violations += [f"R2: output qubit {q} not declared" for q in self.outputs if q not in declared]
         available = set(iset)
         measured: set[int] = set()
         measures: list[tuple[int, float]] = []
@@ -216,6 +217,8 @@ class Pattern:
             for q in targets:
                 if q not in declared:
                     violations.append(f"R1: command {idx} acts on undeclared qubit {q}")
+            if isinstance(cmd, Entangle) and cmd.a == cmd.b:
+                violations.append(f"R1: command {idx} entangles qubit {cmd.a} with itself")
             late = sorted(cmd.signals - measured) if isinstance(cmd, _CORRECTIONS) else []
             if late:
                 violations.append(f"R0: command {idx} depends on unmeasured outcomes {late}")
@@ -280,11 +283,13 @@ def check_runnable(p: Pattern) -> ValidationResult:
     """The runnability violations that the pattern's walk found.
 
     Violation codes: R0 (a command depends on an outcome not yet
-    measured), R1 (a command acts on a measured qubit or an unprepared
-    non-input), R2 (measured/prepared sets do not match the declared
-    outputs/inputs).  They are listed in command order, then the
-    never-measured and the never-prepared qubits.  The walk runs once per
-    pattern, so repeated checks cost nothing.
+    measured), R1 (a command acts on an undeclared, measured or unprepared
+    non-input qubit, or entangles a qubit with itself), R2 (undeclared
+    inputs or outputs, or measured/prepared sets that do not match the
+    declared outputs/inputs).  Undeclared inputs, then outputs, come first,
+    ascending; then command order; then the never-measured and the
+    never-prepared qubits.  The walk runs once per pattern, so repeated
+    checks cost nothing.
     """
     return ValidationResult(p._walk.violations)
 

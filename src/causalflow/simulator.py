@@ -420,9 +420,10 @@ class _TensorEngine:
 # Bytes one dense pass may hold at once, checked before it allocates: every
 # tensor of up to 23 qubit and input axes fits at batch 1 (see _max_batch).
 _MAX_DENSE_BYTES = 512 * 2**20
-# numpy's ufunc iteration allocates two hidden buffers of np.getbufsize()
-# entries when an operand is a strided view, as the kernel's halves are; a
-# third buffer's worth covers the small objects a pass also holds.
+# Three np.getbufsize() buffers of complex entries: during a pass, the two
+# that numpy's ufunc iteration allocates for a strided operand, as the
+# kernel's halves are, and small objects; after it, a classifier group's
+# temporaries (see _classifier_group).
 _BUFFER_RESERVE = 3 * np.getbufsize() * np.dtype(complex).itemsize
 
 
@@ -431,10 +432,9 @@ def _max_batch(n_qubits: int, n_inputs: int) -> int:
 
     A batch entry is a complex tensor over every qubit and input axis, of
     ``sample`` bytes.  A pass holds the ``batch`` entries plus the larger of
-    half of them and three entries: first the kernel's scratch (half the
-    tensor) with numpy's iteration buffers (:data:`_BUFFER_RESERVE`), then
-    the classifier's temporaries (see :func:`_classifier_group`), which
-    reuse that room.
+    half of them with :data:`_BUFFER_RESERVE` and three entries: the
+    kernel's scratch with numpy's iteration buffers during the pass, then a
+    classifier group's temporaries after it (see :func:`_classifier_group`).
     """
     sample = np.dtype(complex).itemsize << (n_qubits + n_inputs)
     half = 2 * (_MAX_DENSE_BYTES - _BUFFER_RESERVE) // (3 * sample)
@@ -450,20 +450,17 @@ def _check_dense_bytes(batch: int, n_qubits: int, n_inputs: int) -> None:
         )
 
 
-def _classifier_group(batch: int, entry_size: int) -> int:
-    """Batch entries the classifier reads at once after a pass of ``batch``
-    entries of ``entry_size`` amplitudes each.
+def _classifier_group(entry_size: int) -> int:
+    """Batch entries of ``entry_size`` amplitudes the classifier reads at once.
 
-    Each costs at most three entries of temporaries in :func:`_strong_test`:
-    its branch maps laid out as matrices, a work array of their size, half
-    that for moduli, and up to half for the branch norms (when the maps are
-    1x1).  They must fit the larger of half the batch and three entries,
-    which :func:`_max_batch` reserves.  A group also holds no more
-    amplitudes than one numpy iteration buffer, unless one entry alone has
-    more: past that, numpy's per-call cost is paid off and a larger group
-    only works farther out of cache.
+    A group holds as many amplitudes as one numpy iteration buffer, or one
+    entry when that alone has more: past that, numpy's per-call cost is
+    paid off and a larger group only works farther out of cache.  Its
+    temporaries in :func:`_strong_test` come to at most three times its
+    size, so they fit :data:`_BUFFER_RESERVE`, or three entries for a group
+    of one; :func:`_max_batch` charges both.
     """
-    return max(1, min(max(batch // 2, 3) // 3, np.getbufsize() // entry_size))
+    return max(1, np.getbufsize() // entry_size)
 
 
 def _base_angles(p: Pattern) -> np.ndarray:
@@ -618,7 +615,8 @@ def _strong_test(
     per entry, whether every branch is within ``tolerance`` of the
     reference branch entrywise, the branch norms, and the reference: the
     first branch of largest norm, by :func:`_first_near_max`.  Temporaries
-    are one array of the size of ``maps`` and one of half its size.
+    are a work array of the size of ``maps``, its moduli and the norms: with
+    ``maps``, at most three times its size (see :func:`_classifier_group`).
     """
     entries, n_branches = maps.shape[:2]
     flat = maps.reshape(entries, n_branches, -1)
@@ -665,7 +663,7 @@ def _classify_batch(
 ) -> tuple[tuple[Classification, Witness | None], bool]:
     """Verdict of the engine's first batch entry, and whether every entry is
     deterministic; stops at the first entry that is not."""
-    group = _classifier_group(eng.batch, eng.t.size // eng.batch)
+    group = _classifier_group(eng.t.size // eng.batch)
     first = Classification.STRONGLY_DETERMINISTIC, None
     for start in range(0, eng.batch, group):
         maps = eng.entry_maps(start, min(start + group, eng.batch), outputs)

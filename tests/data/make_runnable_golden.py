@@ -6,9 +6,12 @@ The corpus is every pattern of at most five qubits in the verify corpus
 for every way a pattern file can break runnability: a command dropped,
 duplicated, or swapped with its neighbour; a command retargeted to an
 undeclared, an input or an output qubit; a correction moved before the
-measurement of its signal; and a qubit measured again.  Each entry records
-the pattern's ``check_runnable`` violations, its ``measurement_order`` and
-its ``measure_angles`` items, one entry per line, in under 150 KB.
+measurement of its signal; and a qubit measured again.  After those, once
+per pattern, come a mutant with a qubit entangled with itself and one with
+an input or output outside the declared qubits; they are drawn last, so the
+earlier mutants stay as they were.  Each entry records the pattern's
+``check_runnable`` violations, its ``measurement_order`` and its
+``measure_angles`` items, one entry per line, in under 160 KB.
 
 ``tests/test_pattern.py`` checks the library against the file byte for
 byte, so the file is regenerated only when a change to the runnability
@@ -101,6 +104,21 @@ def _measure_again(p: Pattern, rng: random.Random) -> Pattern:
     return _with(p, p.commands[:at] + (again,) + p.commands[at:])
 
 
+def _self_entangle(p: Pattern, rng: random.Random) -> Pattern:
+    """An entangler of a declared qubit with itself, inserted anywhere."""
+    at = rng.randint(0, len(p.commands))
+    cmd = Entangle(*[rng.choice(p.vertices)] * 2)
+    return _with(p, p.commands[:at] + (cmd,) + p.commands[at:])
+
+
+def _undeclared_io(p: Pattern, rng: random.Random) -> Pattern:
+    """An input or an output added outside the declared qubits."""
+    q = max(p.vertices) + rng.randint(1, 3)
+    if rng.random() < 0.5:
+        return Pattern(p.vertices, p.inputs + (q,), p.outputs, p.commands)
+    return Pattern(p.vertices, p.inputs, p.outputs + (q,), p.commands)
+
+
 MUTATIONS = {
     "drop": _drop,
     "duplicate": _duplicate,
@@ -111,20 +129,23 @@ MUTATIONS = {
     "early-correction": _early_correction,
     "measure-again": _measure_again,
 }
+LATER_MUTATIONS = {"self-entangle": _self_entangle, "undeclared-io": _undeclared_io}
 
 
 def cases() -> list[tuple[str, Pattern]]:
     rng = random.Random(2025)
+    small = [(kind, p) for kind, p in corpus() if len(p.vertices) <= MAX_QUBITS]
     out = []
-    for kind, p in corpus():
-        if len(p.vertices) > MAX_QUBITS:
-            continue
+    for kind, p in small:
         out.append((kind, p))
         has_signal = any(isinstance(c, CORRECTIONS) and c.signals for c in p.commands)
         for _ in range(DRAWS):
             for name, mutate in MUTATIONS.items():
                 if name != "early-correction" or has_signal:
                     out.append((name, mutate(p, rng)))
+    for _, p in small:
+        for name, mutate in LATER_MUTATIONS.items():
+            out.append((name, mutate(p, rng)))
     return out
 
 

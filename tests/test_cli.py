@@ -193,6 +193,15 @@ class TestVerifyCommand:
         assert doc["runnable"] is False
         assert any(v.startswith("R0") for v in doc["violations"])
 
+    def test_self_entangler_is_not_runnable(self, write, capsys):
+        path = write("self.pat", H_TEXT.replace("E 1 2\n", "E 1 2\nE 2 2\n"))
+        assert main(["verify", path]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {
+            "runnable": False,
+            "violations": ["R1: command 2 entangles qubit 2 with itself"],
+        }
+
     def test_nan_angle_rejected(self, write, capsys):
         path = write("nan.pat", H_TEXT.replace("M 1 0.0", "M 1 nan"))
         assert main(["verify", path]) == 2

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from causalflow import (
+    FlowSearchResult,
     GraphFormatError,
     OpenGraphState,
     OracleSizeError,
@@ -315,3 +316,23 @@ def test_search_result_json():
     assert doc["depth"] == 3
     assert doc["flow"]["f"] == {"1": 2, "2": 3}
     assert not find_flow(no_flow_geometry()).to_json_dict()["found"]
+
+
+def test_empty_search_result_is_not_found():
+    """``found`` and ``depth`` are read from the result's one field, the flow."""
+    result = FlowSearchResult()
+    assert result.found is False
+    assert result.depth is None
+    assert result.to_json_dict() == {"found": False}
+
+
+def test_oracle_without_measured_or_with_too_few_prepared():
+    """The oracle's enumeration decides both edge cases: no measured qubit
+    gives the empty flow of depth 1, and more measured than prepared qubits
+    give no injective corrector map."""
+    g = OpenGraphState([1, 2], [(1, 2)], [1, 2], [1, 2])
+    result = brute_force_flow_oracle(g)
+    assert result.flow.f == {} and result.flow.levels == {1: 0, 2: 0}
+    assert result.depth == 1
+    star = OpenGraphState([1, 2, 3], [(1, 3), (2, 3)], [1, 2, 3], [3])
+    assert not brute_force_flow_oracle(star, allow_loops=True).found

@@ -89,7 +89,7 @@ class TestValidateFlow:
 
     def test_fixed_point_rejected_without_loops(self):
         g = OpenGraphState([1, 2], [(1, 2)], [1], [2])
-        fl = Flow({1: 1}, {1: 0, 2: 1}, loops=[1])
+        fl = Flow({1: 1}, {1: 0, 2: 1})
         result = validate_flow(g, fl, allow_loops=False)
         assert any("loops not allowed" in v for v in result.violations)
 
@@ -125,12 +125,10 @@ class TestValidateFlow:
             if not result.found:
                 continue
             fl = result.flow
-            stretched = Flow(fl.f, {v: 3 * l for v, l in fl.levels.items()}, fl.loops)
+            stretched = Flow(fl.f, {v: 3 * l for v, l in fl.levels.items()})
             assert validate_flow(g, stretched).ok
             jittered = Flow(
-                fl.f,
-                {v: 3 * l + rng.randint(0, 2) for v, l in fl.levels.items()},
-                fl.loops,
+                fl.f, {v: 3 * l + rng.randint(0, 2) for v, l in fl.levels.items()}
             )
             assert validate_flow(g, jittered).ok
             refined += 1
@@ -170,6 +168,10 @@ class TestFlowImmutable:
         with pytest.raises(TypeError):
             fl.levels[1] = 9
 
+    def test_loops_are_the_fixed_points_of_f(self):
+        assert Flow({1: 1, 2: 3}, {1: 0, 2: 0, 3: 1}).loops == {1}
+        assert Flow({1: 2}, {1: 0, 2: 1}).loops == frozenset()
+
     def test_constructor_copies_its_arguments(self):
         f, levels = {1: 2}, {1: 0, 2: 1}
         fl = Flow(f, levels)
@@ -196,6 +198,16 @@ class TestJson:
             graph_from_json("not json")
 
     def test_flow_round_trip(self):
-        fl = Flow({1: 2, 3: 3}, {1: 0, 2: 1, 3: 0}, loops=[3])
+        fl = Flow({1: 2, 3: 3}, {1: 0, 2: 1, 3: 0})
+        assert fl.to_json_dict()["loops"] == [3]
         assert flow_from_json_dict(fl.to_json_dict()) == fl
         assert fl.depth == 2
+
+    @pytest.mark.parametrize("loops", [[], [1], [3, 1]])
+    def test_flow_loops_must_be_the_fixed_points(self, loops):
+        """A flow document's ``loops`` must list exactly the fixed points of
+        its ``f``; it may be left out."""
+        doc = {"f": {"1": 2, "3": 3}, "levels": {"1": 0, "2": 1, "3": 0}}
+        assert flow_from_json_dict(doc).loops == {3}
+        with pytest.raises(GraphFormatError, match="do not match f fixed points"):
+            flow_from_json_dict({**doc, "loops": loops})

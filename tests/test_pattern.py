@@ -107,6 +107,21 @@ class TestRunnability:
             for v in check_runnable(p).violations
         )
 
+    def test_undeclared_io_and_self_entangler(self):
+        """Undeclared inputs, then undeclared outputs, each ascending, come
+        before the command violations; a self-entangler is one of those."""
+        cmds = [Prepare(2), Entangle(1, 9), Entangle(2, 2), Measure(1)]
+        assert check_runnable(Pattern([1, 2], [4, 3], [5, 2], cmds)).violations == (
+            "R2: input qubit 3 not declared",
+            "R2: input qubit 4 not declared",
+            "R2: output qubit 5 not declared",
+            "R1: command 1 acts on undeclared qubit 9",
+            "R1: command 1 acts on unprepared qubit 1",
+            "R1: command 2 entangles qubit 2 with itself",
+            "R1: command 3 acts on unprepared qubit 1",
+            "R2: non-input qubit 1 never prepared",
+        )
+
     def test_walk_matches_golden_file(self):
         """Violations, measurement order and measurement angles on the verify
         corpus and its seeded non-runnable mutants, byte for byte as recorded
