@@ -362,6 +362,28 @@ def test_malformed_numbers_rejected_readably(write, capsys, argv, option):
     assert "invalid _" not in out.err
 
 
+def test_output_matches_golden_file(tmp_path, capsys):
+    """Exit code, stdout and stderr of every recorded command line, byte for
+    byte, with ``<DIR>`` standing for the directory of the input files
+    (tests/data/make_cli_golden.py writes the file)."""
+    golden = json.loads(
+        (Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8")
+    )
+    for name, text in golden["files"].items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert len(golden["calls"]) >= 200
+    for call in golden["calls"]:
+        code = main([a.replace("<DIR>", str(tmp_path)) for a in call["argv"]])
+        out = capsys.readouterr()
+        got = {
+            "argv": call["argv"],
+            "exit": code,
+            "stdout": out.out.replace(str(tmp_path), "<DIR>"),
+            "stderr": out.err.replace(str(tmp_path), "<DIR>"),
+        }
+        assert got == call
+
+
 # Runs the CLI in a fresh interpreter and reports on stderr whether numpy
 # got loaded; the package import, dir() and the CLI import must not load it.
 _NUMPY_PROBE = """
