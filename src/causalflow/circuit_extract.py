@@ -151,9 +151,7 @@ def decompose_stars(
         stars.append(StarPattern(i, remaining, meas_angles[i], fl.f[i]))
         removed.add(i)
     oset = set(g.outputs)
-    residual = [
-        (u, v) for u, v in sorted(set(g.edges)) if u in oset and v in oset
-    ]
+    residual = [(u, v) for u, v in sorted(g.edges) if u in oset and v in oset]
     return stars, residual
 
 

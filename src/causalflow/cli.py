@@ -317,7 +317,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (_CliError, PatternError, GraphFormatError, SimulationError) as exc:
+    except (_CliError, PatternError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

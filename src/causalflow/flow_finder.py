@@ -34,13 +34,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import AbstractSet, Mapping
 
-from .graph_model import (
-    Flow,
-    GraphFormatError,
-    OpenGraphState,
-    validate_flow,
-    validate_graph,
-)
+from .graph_model import Flow, OpenGraphState, validate_flow
 from .pattern import PatternError
 
 DEFAULT_ORACLE_BOUND = 7
@@ -242,14 +236,9 @@ def find_flow(
 
     Raises
     ------
-    GraphFormatError
-        If ``g`` fails :func:`causalflow.graph_model.validate_graph`.
     PatternError
         If ``loop_candidates`` contains a vertex that is not measured.
     """
-    check = validate_graph(g)
-    if not check.ok:
-        raise GraphFormatError("invalid open graph: " + "; ".join(check.violations))
     stray = sorted(set(loop_candidates) - set(g.measured))
     if stray:
         raise PatternError(f"y-measured qubits {stray} are not measured vertices")
@@ -264,11 +253,9 @@ def find_biflow(g: OpenGraphState) -> tuple[FlowSearchResult, FlowSearchResult]:
     """Search both ``(G, I, O)`` and the role-swapped ``(G, O, I)``.
 
     A bi-flow exists when both directions are found; the two results are
-    independently valid, and a bi-flow forces ``|I| == |O|``.  The graph
-    is validated once: the role swap leaves its edges and vertices as
-    they are.
+    independently valid, and a bi-flow forces ``|I| == |O|``.
     """
-    return find_flow(g), _search(g.reversed(), frozenset())
+    return find_flow(g), find_flow(g.reversed())
 
 
 class OracleSizeError(ValueError):

@@ -33,25 +33,30 @@ class ValidationResult:
         return self.ok
 
 
-def _normalize_edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u <= v else (v, u)
+class GraphFormatError(ValueError):
+    """Raised for a malformed graph or flow document, or an invalid open graph."""
 
 
 @dataclass(frozen=True)
 class OpenGraphState:
     """Undirected graph with designated input and output vertex sets.
 
+    An open graph state is valid once it exists: the constructor raises
+    :class:`GraphFormatError`, listing every violation that
+    :func:`validate_graph` finds, so every consumer may assume the rule.
+
     Parameters
     ----------
     vertices : iterable of int
         Vertex ids.  Stored sorted and deduplicated.
     edges : iterable of (int, int)
-        Unordered vertex pairs.  Orientation is normalized; duplicates are
-        kept so that :func:`validate_graph` can report them.
+        Unordered pairs of distinct vertices, each pair at most once in
+        either orientation.  Stored with the smaller id first.
     inputs, outputs : iterable of int
-        The input set I and output set O.  They may overlap; a vertex in
-        both is neither prepared nor measured.  Stored sorted, which fixes
-        the tensor-index convention used by the simulator.
+        The input set I and output set O, both subsets of the vertices.
+        They may overlap; a vertex in both is neither prepared nor
+        measured.  Stored sorted, which fixes the tensor-index convention
+        used by the simulator.
     """
 
     vertices: tuple[int, ...]
@@ -68,18 +73,20 @@ class OpenGraphState:
     ) -> None:
         object.__setattr__(self, "vertices", tuple(sorted(set(vertices))))
         object.__setattr__(
-            self, "edges", tuple(_normalize_edge(u, v) for u, v in edges)
+            self, "edges", tuple((u, v) if u <= v else (v, u) for u, v in edges)
         )
         object.__setattr__(self, "inputs", tuple(sorted(set(inputs))))
         object.__setattr__(self, "outputs", tuple(sorted(set(outputs))))
+        check = validate_graph(self)
+        if not check.ok:
+            raise GraphFormatError("invalid open graph: " + "; ".join(check.violations))
 
     @cached_property
     def _adjacency(self) -> dict[int, frozenset[int]]:
         adj: dict[int, set[int]] = {v: set() for v in self.vertices}
         for u, v in self.edges:
-            if u in adj and v in adj and u != v:
-                adj[u].add(v)
-                adj[v].add(u)
+            adj[u].add(v)
+            adj[v].add(u)
         return {v: frozenset(n) for v, n in adj.items()}
 
     @property
@@ -114,16 +121,13 @@ class OpenGraphState:
         return json.dumps(self.to_json_dict())
 
 
-class GraphFormatError(ValueError):
-    """Raised when a JSON graph document is malformed."""
-
-
 def graph_from_json_dict(data: Mapping) -> OpenGraphState:
     """Build an :class:`OpenGraphState` from its JSON dictionary form.
 
     The expected shape is ``{"vertices": [...], "edges": [[u, v], ...],
-    "inputs": [...], "outputs": [...]}``.  Duplicate edges (in either
-    orientation) are rejected here since the JSON format forbids them.
+    "inputs": [...], "outputs": [...]}``.  Raises GraphFormatError on a
+    document of another shape and, from the constructor, on an invalid
+    open graph.
     """
     try:
         vertices = [int(v) for v in data["vertices"]]
@@ -132,12 +136,6 @@ def graph_from_json_dict(data: Mapping) -> OpenGraphState:
         outputs = [int(v) for v in data.get("outputs", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"malformed graph document: {exc}") from exc
-    seen: set[tuple[int, int]] = set()
-    for u, v in raw_edges:
-        e = _normalize_edge(u, v)
-        if e in seen:
-            raise GraphFormatError(f"duplicate edge {list(e)}")
-        seen.add(e)
     return OpenGraphState(vertices, raw_edges, inputs, outputs)
 
 
@@ -164,23 +162,26 @@ def neighbors(g: OpenGraphState, i: int) -> frozenset[int]:
 
 
 def validate_graph(g: OpenGraphState) -> ValidationResult:
-    """Check the open-graph-state invariants.
+    """Check the open-graph-state invariants: the one statement of the rule
+    that :class:`OpenGraphState` enforces on construction.
 
-    Violations are returned as data, naming the offending vertex or edge:
-    self-edges, duplicate edges, edge endpoints outside the vertex set, and
-    inputs/outputs that are not declared vertices.
+    Violations are returned as data, naming the offending vertex or edge,
+    edge by edge in the stored order and then inputs and outputs: a
+    self-edge, an edge endpoint outside the vertex set, an edge given twice
+    (in either orientation), and an input or output that is not a vertex.
+    A constructed graph always passes.
     """
     violations: list[str] = []
     vset = g.vertex_set
     seen: set[tuple[int, int]] = set()
-    for u, v in g.edges:
+    for e in g.edges:
+        u, v = e
         if u == v:
             violations.append(f"self-edge at vertex {u}")
         if u not in vset:
             violations.append(f"edge endpoint {u} not a vertex")
-        if v not in vset:
+        if v not in vset and v != u:
             violations.append(f"edge endpoint {v} not a vertex")
-        e = _normalize_edge(u, v)
         if e in seen:
             violations.append(f"duplicate edge {list(e)}")
         seen.add(e)
@@ -247,13 +248,17 @@ class Flow:
 
 
 def flow_from_json_dict(data: Mapping) -> Flow:
-    """Build a :class:`Flow` from its JSON dictionary form; ``loops``, if
-    given, must be exactly the fixed points of ``f`` (else GraphFormatError)."""
-    fl = Flow(
-        {int(i): int(j) for i, j in data["f"].items()},
-        {int(v): int(l) for v, l in data["levels"].items()},
-    )
-    loops = {int(i) for i in data.get("loops", fl.loops)}
+    """Build a :class:`Flow` from its JSON dictionary form; GraphFormatError
+    on a malformed document, or when ``loops``, if given, is not exactly
+    the fixed points of ``f``."""
+    try:
+        fl = Flow(
+            {int(i): int(j) for i, j in data["f"].items()},
+            {int(v): int(l) for v, l in data["levels"].items()},
+        )
+        loops = {int(i) for i in data.get("loops", fl.loops)}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise GraphFormatError(f"malformed flow document: {exc}") from exc
     if loops != fl.loops:
         raise GraphFormatError(
             f"declared loops {sorted(loops)} do not match f fixed points "

@@ -213,7 +213,7 @@ class Pattern:
         measures: list[tuple[int, float]] = []
         live = peak = len(iset)
         for idx, cmd in enumerate(self.commands):
-            targets = (cmd.a, cmd.b) if isinstance(cmd, Entangle) else (cmd.qubit,)
+            targets = sorted({cmd.a, cmd.b}) if isinstance(cmd, Entangle) else (cmd.qubit,)
             for q in targets:
                 if q not in declared:
                     violations.append(f"R1: command {idx} acts on undeclared qubit {q}")
@@ -269,7 +269,9 @@ class Pattern:
         return {c.qubit: c.angle for c in self.commands if isinstance(c, Prepare)}
 
     def geometry(self) -> OpenGraphState:
-        """The underlying open graph state (entanglement edges plus I/O)."""
+        """The underlying open graph state (entanglement edges plus I/O);
+        GraphFormatError when they do not form a valid open graph, as when
+        an entangler repeats or joins a qubit to itself."""
         edges = [(c.a, c.b) for c in self.commands if isinstance(c, Entangle)]
         return OpenGraphState(self.vertices, edges, self.inputs, self.outputs)
 
@@ -360,7 +362,7 @@ def _prologue(
     g: OpenGraphState, preps: Mapping[int, float]
 ) -> list[Command]:
     cmds: list[Command] = [Prepare(q, preps[q]) for q in g.prepared]
-    cmds.extend(Entangle(u, v) for u, v in sorted(set(g.edges)))
+    cmds.extend(Entangle(u, v) for u, v in sorted(g.edges))
     return cmds
 
 
@@ -454,6 +456,9 @@ def adjoint(p: Pattern, reverse: Flow) -> Pattern:
 
     Raises
     ------
+    GraphFormatError
+        If the pattern's geometry is not a valid open graph, for instance
+        when it repeats an entangler (:meth:`Pattern.geometry`).
     PatternError
         If ``reverse`` is not a valid flow on the role-swapped geometry.
     """

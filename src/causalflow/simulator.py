@@ -44,7 +44,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .circuit_extract import Circuit, CZGate, PhaseGate
-from .graph_model import OpenGraphState, validate_graph
+from .graph_model import OpenGraphState
 from .pattern import (
     DEFAULT_MAX_MEASUREMENTS,
     DEFAULT_TOLERANCE,
@@ -777,9 +777,6 @@ def realized_embedding(
     do not depend on the vertex labels; each qubit is prepared just before
     its first entangler and projected, if measured, right after its last one.
     """
-    check = validate_graph(g)
-    if not check.ok:
-        raise PatternError("invalid graph: " + "; ".join(check.violations))
     _check_angles("measurement", g.measured, meas_angles)
     preps = {q: 0.0 for q in g.prepared} | dict(prep_angles or {})
     _check_angles("preparation", g.prepared, preps)

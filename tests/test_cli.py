@@ -81,6 +81,16 @@ class TestFlowCommand:
         assert main(["flow", path]) == 2
         assert "self-edge" in capsys.readouterr().err
 
+    def test_invalid_graph_error_names_the_file(self, write, capsys):
+        path = write(
+            "self.json",
+            {"vertices": [1, 2], "edges": [[1, 2], [2, 2]], "inputs": [1], "outputs": [2]},
+        )
+        assert main(["flow", path]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {path}: invalid open graph: self-edge at vertex 2\n"
+
     def test_loops_via_flag(self, write, capsys):
         path = graph_file(write, loop_geometry())
         assert main(["flow", path]) == 1
@@ -154,6 +164,14 @@ class TestSynthCommand:
         assert main(["synth", path, "--angles", angles]) == 2
         assert "bad angle entry" in capsys.readouterr().err
 
+    def test_angle_file_must_be_an_object(self, write, capsys):
+        path = graph_file(write, hadamard_geometry())
+        angles = write("angles.json", [0.1, 0.2])
+        assert main(["synth", path, "--angles", angles]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {angles}: expected a JSON object of vertex -> radians\n"
+
     def test_overflowing_angle(self, write, capsys):
         path = graph_file(write, hadamard_geometry())
         angles = write("angles.json", '{"1": 1e400}')
@@ -207,6 +225,11 @@ class TestVerifyCommand:
         assert main(["verify", path]) == 2
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error:")
+
+    def test_missing_pattern_file(self, tmp_path, capsys):
+        assert main(["verify", str(tmp_path / "missing.pat")]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"error: cannot read {tmp_path}")
 
     def test_non_integer_header(self, write, capsys):
         path = write("hdr.pat", H_TEXT.replace("V: 1 2", "V: 1 x"))

@@ -6,14 +6,19 @@ import random
 import pytest
 
 from causalflow import (
+    Entangle,
     FlowSearchResult,
     GraphFormatError,
+    Measure,
     OpenGraphState,
     OracleSizeError,
+    Pattern,
+    Prepare,
     brute_force_flow_oracle,
     dependency_order,
     find_biflow,
     find_flow,
+    graph_from_json_dict,
     validate_flow,
 )
 from causalflow.flow_finder import _constraint_successors
@@ -147,18 +152,21 @@ class TestLoops:
 
 class TestGraphValidation:
     def test_undeclared_edge_endpoint_rejected(self):
-        g = OpenGraphState([1, 2], [(1, 2), (2, 3)], [1], [2])
         with pytest.raises(GraphFormatError, match="edge endpoint 3 not a vertex"):
-            find_flow(g)
+            OpenGraphState([1, 2], [(1, 2), (2, 3)], [1], [2])
 
     def test_every_entry_point_validates(self):
-        g = OpenGraphState([1, 2], [(1, 2), (2, 3)], [1], [2])
-        for search in (
-            lambda: find_flow(g, loop_candidates=g.measured),
-            lambda: find_biflow(g),
+        """No search can meet an invalid graph: direct construction, the JSON
+        form and a pattern's geometry all reject it."""
+        doc = {"vertices": [1, 2], "edges": [[1, 2], [2, 3]], "inputs": [1], "outputs": [2]}
+        cmds = [Prepare(2), Entangle(1, 2), Entangle(2, 3), Measure(1)]
+        for build in (
+            lambda: OpenGraphState([1, 2], [(1, 2), (2, 3)], [1], [2]),
+            lambda: graph_from_json_dict(doc),
+            lambda: Pattern([1, 2], [1], [2], cmds).geometry(),
         ):
-            with pytest.raises(GraphFormatError):
-                search()
+            with pytest.raises(GraphFormatError, match="edge endpoint 3 not a vertex"):
+                build()
 
 
 class TestDependencyOrder:

@@ -25,27 +25,59 @@ class TestValidateGraph:
         assert validate_graph(g).ok
 
     def test_self_edge(self):
-        g = OpenGraphState([1, 2], [(1, 1)], [1], [2])
-        result = validate_graph(g)
-        assert not result.ok
-        assert any("self-edge" in v for v in result.violations)
+        with pytest.raises(GraphFormatError, match="self-edge at vertex 1"):
+            OpenGraphState([1, 2], [(1, 1)], [1], [2])
 
     def test_input_not_a_vertex(self):
-        g = OpenGraphState([1, 2], [(1, 2)], [9], [2])
-        result = validate_graph(g)
-        assert any("input 9" in v for v in result.violations)
+        with pytest.raises(GraphFormatError, match="input 9 not a vertex"):
+            OpenGraphState([1, 2], [(1, 2)], [9], [2])
 
     def test_output_not_a_vertex(self):
-        g = OpenGraphState([1, 2], [(1, 2)], [1], [7])
-        assert any("output 7" in v for v in validate_graph(g).violations)
+        with pytest.raises(GraphFormatError, match="output 7 not a vertex"):
+            OpenGraphState([1, 2], [(1, 2)], [1], [7])
 
     def test_duplicate_edge_either_orientation(self):
-        g = OpenGraphState([1, 2], [(1, 2), (2, 1)], [1], [2])
-        assert any("duplicate" in v for v in validate_graph(g).violations)
+        for edges in ([(1, 2), (2, 1)], [(2, 1), (2, 1)]):
+            with pytest.raises(GraphFormatError, match=r"duplicate edge \[1, 2\]"):
+                OpenGraphState([1, 2], edges, [1], [2])
 
     def test_edge_endpoint_undeclared(self):
-        g = OpenGraphState([1, 2], [(1, 3)], [1], [2])
-        assert any("endpoint 3" in v for v in validate_graph(g).violations)
+        with pytest.raises(GraphFormatError, match="edge endpoint 3 not a vertex"):
+            OpenGraphState([1, 2], [(1, 3)], [1], [2])
+
+    def test_one_message_lists_every_violation_in_order(self):
+        """Edge by edge in stored order, then inputs, then outputs."""
+        with pytest.raises(GraphFormatError) as info:
+            OpenGraphState([1, 2], [(1, 1), (3, 1), (1, 2), (2, 1)], [9], [7])
+        assert str(info.value) == (
+            "invalid open graph: self-edge at vertex 1; edge endpoint 3 not a "
+            "vertex; duplicate edge [1, 2]; input 9 not a vertex; output 7 not a vertex"
+        )
+
+    def test_undeclared_self_edge_names_its_vertex_once(self):
+        with pytest.raises(GraphFormatError) as info:
+            OpenGraphState([1, 2], [(1, 2), (3, 3)], [1], [2])
+        assert str(info.value) == (
+            "invalid open graph: self-edge at vertex 3; edge endpoint 3 not a vertex"
+        )
+
+    @pytest.mark.parametrize(
+        "edges, inputs, outputs, violation",
+        [
+            ([(1, 2), (2, 2)], [1], [2], "self-edge at vertex 2"),
+            ([(1, 2), (2, 3)], [1], [2], "edge endpoint 3 not a vertex"),
+            ([(1, 2), (1, 1)], [1, 2], [1, 2], "self-edge at vertex 1"),
+        ],
+        ids=["self-edge", "dangling-edge", "self-edge-between-outputs"],
+    )
+    def test_graphs_that_broke_synthesis_and_extraction_cannot_be_built(
+        self, edges, inputs, outputs, violation
+    ):
+        """Such graphs once reached synthesize (which failed an internal
+        assertion) and extract_circuit (which emitted a CZ of a wire with
+        itself); they now stop at construction."""
+        with pytest.raises(GraphFormatError, match=violation):
+            OpenGraphState([1, 2], edges, inputs, outputs)
 
     def test_overlapping_inputs_outputs_legal(self):
         g = OpenGraphState([1, 2], [(1, 2)], [1, 2], [1, 2])
@@ -115,6 +147,26 @@ class TestValidateFlow:
         g = path_state(3, [1], [3])
         fl = Flow({1: 2}, {1: 0, 2: 1, 3: 2})
         assert any("undefined" in v for v in validate_flow(g, fl).violations)
+
+    def test_every_vertex_needs_a_level(self):
+        g = path_state(3, [1], [3])
+        fl = Flow({1: 2, 2: 3}, {2: 1})
+        assert validate_flow(g, fl).violations == ("vertex 1 has no level", "vertex 3 has no level")
+
+    def test_f_on_an_unknown_vertex(self):
+        fl = Flow({1: 2, 5: 2}, {1: 0, 2: 1})
+        assert validate_flow(hadamard_geometry(), fl).violations == (
+            "f defined outside measured set: [5]",
+            "f not injective: f(1)=f(5)=2",
+            "f defined on unknown vertex 5",
+        )
+
+    def test_loop_needs_every_neighbor_later(self):
+        g = path_state(3, [1, 3], [1, 3])
+        fl = Flow({2: 2}, {1: 0, 2: 1, 3: 2})
+        assert validate_flow(g, fl, allow_loops=True).violations == (
+            "F2 (loop): neighbor 1 of loop vertex 2 is not later",
+        )
 
     def test_monotone_under_level_refinement(self):
         rng = random.Random(11)
@@ -196,6 +248,15 @@ class TestJson:
             graph_from_json('{"vertices": [1]}')
         with pytest.raises(GraphFormatError):
             graph_from_json("not json")
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{}, {"f": {}, "levels": {}, "loops": 3}, {"f": {"x": 2}, "levels": {}}, {"f": 3, "levels": {}}],
+        ids=["empty", "loops-not-a-list", "key-not-a-number", "f-not-an-object"],
+    )
+    def test_malformed_flow_document(self, doc):
+        with pytest.raises(GraphFormatError, match="malformed flow document"):
+            flow_from_json_dict(doc)
 
     def test_flow_round_trip(self):
         fl = Flow({1: 2, 3: 3}, {1: 0, 2: 1, 3: 0})

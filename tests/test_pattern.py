@@ -14,6 +14,7 @@ from causalflow import (
     CorrectZ,
     Entangle,
     Flow,
+    GraphFormatError,
     Measure,
     OpenGraphState,
     Pattern,
@@ -120,6 +121,15 @@ class TestRunnability:
             "R1: command 2 entangles qubit 2 with itself",
             "R1: command 3 acts on unprepared qubit 1",
             "R2: non-input qubit 1 never prepared",
+        )
+
+    def test_self_entangler_lists_each_violation_once(self):
+        """``E 4 4`` has one target: before ``N 4`` it acts on an unprepared
+        qubit once, after its self-entangler line."""
+        p = Pattern([4], [], [4], [Entangle(4, 4), Prepare(4)])
+        assert check_runnable(p).violations == (
+            "R1: command 0 entangles qubit 4 with itself",
+            "R1: command 0 acts on unprepared qubit 4",
         )
 
     def test_walk_matches_golden_file(self):
@@ -298,6 +308,15 @@ class TestAdjoint:
         forward, reverse = find_biflow(g)
         p = synthesize(g, forward.flow, {})
         assert adjoint(p, reverse.flow) == p
+
+    def test_repeated_entangler_has_no_geometry(self):
+        """The two CZs of a runnable pattern cancel, so it has no open graph
+        and no adjoint; the adjoint of one entangler would be wrong."""
+        p = parse_pattern("V: 1 2\nI: 1\nO: 2\nN 2 0.0\nE 1 2\nE 1 2\nM 1 0.0\nX 2 [1]\n")
+        assert check_runnable(p).ok
+        reverse = find_biflow(hadamard_geometry())[1].flow
+        with pytest.raises(GraphFormatError, match=r"invalid open graph: duplicate edge \[1, 2\]$"):
+            adjoint(p, reverse)
 
     def test_invalid_reverse_flow_rejected(self):
         g = path_state(3, [1], [3])
