@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import itertools
 import json
 import math
 import random
@@ -34,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 from causalflow import OpenGraphState, cli, find_flow, print_pattern, synthesize
+from make_verify_golden import _grid, _random_graph
 
 OUT = Path(__file__).with_name("cli_golden.json")
 DIR = "<DIR>"
@@ -41,23 +41,6 @@ DIR = "<DIR>"
 
 def _path(n: int, inputs, outputs) -> OpenGraphState:
     return OpenGraphState(range(1, n + 1), [(k, k + 1) for k in range(1, n)], inputs, outputs)
-
-
-def _grid(rows: int, cols: int) -> OpenGraphState:
-    vid = {(r, c): cols * r + c + 1 for r in range(rows) for c in range(cols)}
-    edges = [(vid[r, c], vid[r, c + 1]) for r in range(rows) for c in range(cols - 1)]
-    edges += [(vid[r, c], vid[r + 1, c]) for r in range(rows - 1) for c in range(cols)]
-    return OpenGraphState(
-        vid.values(), edges, [vid[r, 0] for r in range(rows)], [vid[r, cols - 1] for r in range(rows)]
-    )
-
-
-def _random_graph(rng: random.Random) -> OpenGraphState:
-    vs = list(range(1, rng.randint(2, 5) + 1))
-    edges = [e for e in itertools.combinations(vs, 2) if rng.random() < 0.5]
-    inputs = [v for v in vs if rng.random() < 0.4]
-    outputs = [v for v in vs if rng.random() < 0.5]
-    return OpenGraphState(vs, edges, inputs, outputs)
 
 
 def valid_graphs() -> dict[str, dict]:
@@ -78,7 +61,7 @@ def valid_graphs() -> dict[str, dict]:
         ),
     }
     rng = random.Random(2026)
-    graphs.update((f"random-{k}", _random_graph(rng)) for k in range(10))
+    graphs.update((f"random-{k}", _random_graph(rng, 5)) for k in range(10))
     docs = {f"{name}.json": g.to_json_dict() for name, g in graphs.items()}
     docs["loop-y.json"] = {**loop.to_json_dict(), "y_measured": [2]}
     docs["loop-y-input.json"] = {**loop.to_json_dict(), "y_measured": [1]}

@@ -251,7 +251,12 @@ class TestJson:
 
     @pytest.mark.parametrize(
         "doc",
-        [{}, {"f": {}, "levels": {}, "loops": 3}, {"f": {"x": 2}, "levels": {}}, {"f": 3, "levels": {}}],
+        [
+            {},
+            {"f": {}, "levels": {}, "loops": 3},
+            {"f": {"x": 2}, "levels": {}},
+            {"f": 3, "levels": {}},
+        ],
         ids=["empty", "loops-not-a-list", "key-not-a-number", "f-not-an-object"],
     )
     def test_malformed_flow_document(self, doc):
