@@ -139,8 +139,10 @@ def dependency_order(g: OpenGraphState, f: Mapping[int, int]) -> LayeringOutcome
         The geometry; ``f`` must map measured vertices to prepared
         neighbors (loops allowed here, legality is checked elsewhere).
     f : mapping int -> int
-        Candidate corrector map.
+        Candidate corrector map; a vertex outside ``g`` raises PatternError.
     """
+    if stray := sorted({*f, *f.values()} - g._adjacency.keys()):
+        raise PatternError(f"corrector map names vertices {stray} not in the graph")
     succ = _constraint_successors(g, f)
     indegree = {v: 0 for v in g.vertices}
     for v, ws in succ.items():

@@ -130,11 +130,15 @@ def graph_from_json_dict(data: Mapping) -> OpenGraphState:
     open graph.
     """
     try:
+        if not isinstance(data, Mapping):
+            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
         vertices = [int(v) for v in data["vertices"]]
         raw_edges = [(int(u), int(v)) for u, v in data["edges"]]
         inputs = [int(v) for v in data.get("inputs", [])]
         outputs = [int(v) for v in data.get("outputs", [])]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise GraphFormatError(f"malformed graph document: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise GraphFormatError(f"malformed graph document: {exc}") from exc
     return OpenGraphState(vertices, raw_edges, inputs, outputs)
 

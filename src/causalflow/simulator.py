@@ -8,7 +8,11 @@ measured qubits are rotated into their measurement basis and kept as
 branch indices, so every branch map falls out of a single contraction.
 The two agree to rounding and are cross-checked in the test suite.
 
-The tensor pass applies no matrices.  A pattern only ever needs X, Z, the
+A pass builds a pattern's leading preparations and entanglers (all of the
+open graph state in standard form) in one step, with the measured qubits
+on the outer axes in measurement order, so that gates act on long
+contiguous runs and the branch maps are read out without a transpose.  The
+tensor pass applies no matrices.  A pattern only ever needs X, Z, the
 phase-conjugated X, diagonal phases, the Hadamard and equatorial
 measurement bras, and each of these is an in-place operation on the
 0-half and the 1-half of one axis: multiply the 1-half by a phase, swap
@@ -39,6 +43,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import takewhile
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -284,11 +289,15 @@ class _TensorEngine:
     :func:`enumerate_branches`, :func:`classify_determinism`,
     :func:`realized_embedding` and the circuit simulator.
 
-    Axis 0 is the batch (one entry per measurement-angle vector); every
-    pattern qubit owns one further axis.  A measurement rotates its qubit
-    into the measurement basis and keeps the axis as a branch index, so
-    dependent corrections become controlled gates on that index.  One
-    domain axis per input qubit carries the matrix structure.
+    Axis 0 is the batch (one entry per measurement-angle vector), then one
+    axis per qubit in the order of ``layout`` (a pattern's measured qubits
+    in measurement order, then its outputs), then one domain axis per
+    input.  The constructor builds the graph state of ``prefix`` (commands
+    that prepare and entangle) on one entry: the plus states multiplied in
+    preparation order, times the identity from each input's axis to its
+    domain axis, bit for bit a command-by-command build.  A qubit prepared
+    later (:meth:`add_qubit`) gets a new last axis.  A measurement keeps
+    its qubit's axis as a branch index.
 
     Every gate is an in-place operation on the 0-half and the 1-half of one
     qubit's axis, restricted, when a control qubit is given, to the slice
@@ -312,16 +321,39 @@ class _TensorEngine:
     ``scale`` normal floats.
     """
 
-    def __init__(self, inputs: Sequence[int], batch: int, qubits: int) -> None:
+    def __init__(
+        self,
+        inputs: Sequence[int],
+        batch: int,
+        qubits: int,
+        prefix: Sequence[Prepare | Entangle] = (),
+        layout: Sequence[int] = (),
+    ) -> None:
         n_in = len(inputs)
         if batch < 1:
             raise ValueError("batch must be positive")
         _check_dense_bytes(batch, qubits, n_in)
-        eye = np.eye(1 << n_in, dtype=complex)[np.newaxis]
-        self.t = eye.repeat(batch, axis=0).reshape((batch,) + (2,) * (2 * n_in))
+        held = list(inputs)
+        graph = np.ones((2,) * n_in, dtype=complex)
+        for cmd in prefix:
+            if isinstance(cmd, Prepare):
+                held.append(cmd.qubit)
+                graph = np.multiply.outer(graph, plus_ket(cmd.angle))
+            else:
+                idx: list = [slice(None)] * graph.ndim
+                idx[held.index(cmd.a)] = idx[held.index(cmd.b)] = 1
+                graph[tuple(idx)] *= -1.0
+        layout = [q for q in layout if q in held] + [q for q in held if q not in layout]
+        self.axis_of = {q: 1 + k for k, q in enumerate(layout)}
+        self.domain_axes = [*range(1 + len(layout), 1 + len(layout) + n_in)]
+        graph = graph.transpose([held.index(q) for q in layout])[(...,) + (None,) * n_in]
+        eye = np.eye(1 << n_in, dtype=complex).reshape((2,) * (2 * n_in))
+        perm = [inputs.index(q) for q in layout if q in inputs] + [*range(n_in, 2 * n_in)]
+        eye = eye.transpose(perm).reshape([2 if q in inputs else 1 for q in layout] + [2] * n_in)
+        self.t = np.empty((batch,) + (2,) * (len(layout) + n_in), dtype=complex)
+        np.multiply(graph, eye, out=self.t[:1])
+        self.t[1:] = self.t[:1]
         self.batch = batch
-        self.axis_of = {q: 1 + k for k, q in enumerate(inputs)}
-        self.domain_axes = list(range(1 + n_in, 1 + 2 * n_in))
         self.branch_order: list[int] = []
         self.scale = 1.0
 
@@ -471,9 +503,11 @@ def _base_angles(p: Pattern) -> np.ndarray:
 def _run_branches(p: Pattern, angles: np.ndarray) -> _TensorEngine:
     """One dense pass over every branch, for each row of ``angles``: one
     batch entry per row, and column k holds the k-th measurement's angles."""
-    eng = _TensorEngine(p.inputs, len(angles), len(p.vertices))
+    prefix = [*takewhile(lambda cmd: isinstance(cmd, (Prepare, Entangle)), p.commands)]
+    layout = (*p.measurement_order, *p.outputs)
+    eng = _TensorEngine(p.inputs, len(angles), len(p.vertices), prefix, layout)
     columns = iter(angles.T)
-    for cmd in p.commands:
+    for cmd in p.commands[len(prefix) :]:
         if isinstance(cmd, Prepare):
             eng.add_qubit(cmd.qubit, plus_ket(cmd.angle))
         elif isinstance(cmd, Entangle):

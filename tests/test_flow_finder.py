@@ -13,6 +13,7 @@ from causalflow import (
     OpenGraphState,
     OracleSizeError,
     Pattern,
+    PatternError,
     Prepare,
     brute_force_flow_oracle,
     dependency_order,
@@ -22,7 +23,7 @@ from causalflow import (
     validate_flow,
 )
 from causalflow.flow_finder import _constraint_successors
-from conftest import no_flow_geometry, path_state, random_open_graph
+from conftest import hadamard_geometry, no_flow_geometry, path_state, random_open_graph
 
 
 def enumerate_valid_layerings(g, f, max_level=None):
@@ -186,6 +187,15 @@ class TestDependencyOrder:
     def test_single_edge(self):
         g = path_state(2, [1], [2])
         assert dependency_order(g, {1: 2}).levels == {1: 0, 2: 1}
+
+    @pytest.mark.parametrize(
+        "f, stray", [({1: 9}, [9]), ({5: 1}, [5]), ({7: 8}, [7, 8])]
+    )
+    def test_vertices_outside_the_graph_are_named(self, f, stray):
+        g = hadamard_geometry()
+        with pytest.raises(PatternError) as info:
+            dependency_order(g, f)
+        assert str(info.value) == f"corrector map names vertices {stray} not in the graph"
 
     def test_long_cycle_is_reported(self):
         n = 5000

@@ -250,6 +250,19 @@ class TestJson:
             graph_from_json("not json")
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "expected a JSON object, got list"),
+            ('{"vertices": [1]}', "missing key 'edges'"),
+        ],
+        ids=["not-an-object", "missing-key"],
+    )
+    def test_malformed_document_message(self, text, message):
+        with pytest.raises(GraphFormatError) as info:
+            graph_from_json(text)
+        assert str(info.value) == f"malformed graph document: {message}"
+
+    @pytest.mark.parametrize(
         "doc",
         [
             {},

@@ -42,6 +42,7 @@ from causalflow import (
     run_branch,
     simulate_circuit,
     synthesize,
+    synthesize_stabilizer_form,
 )
 from causalflow import simulator
 from causalflow.simulator import (
@@ -354,6 +355,103 @@ class TestBatchedEngine:
                     np.testing.assert_allclose(maps[s], run_branch(q, label), atol=1e-12)
         assert kinds == {CorrectX, CorrectXPhase, CorrectZ}
         assert control_first == {True, False}
+
+
+def _per_command(p: Pattern) -> Pattern:
+    """``p`` with a no-op ``Z q []`` that ends its leading run of
+    preparations and entanglers at once: on an input, or right after the
+    first preparation when there is none.  ``_run_branches`` then builds
+    the graph state one command at a time over the whole batch."""
+    cmds = list(p.commands)
+    if p.inputs:
+        cmds.insert(0, CorrectZ(p.inputs[0], ()))
+    else:
+        cmds.insert(1, CorrectZ(cmds[0].qubit, ()))
+    return Pattern(p.vertices, p.inputs, p.outputs, cmds)
+
+
+def _late_graph_pattern(angles) -> Pattern:
+    """Inputs 1 and 2, outputs 1 and 5: qubits 4 and 5 are prepared and
+    entangled after measurements, 4 and 5 with the input 1, and the
+    correction of 1 is controlled by the late qubit 4.  The measured input
+    2 comes first among the qubit axes but second in the input space."""
+    return Pattern(
+        range(1, 6),
+        [1, 2],
+        [1, 5],
+        [
+            Prepare(3, 0.3),
+            Entangle(2, 3),
+            Entangle(1, 3),
+            Measure(2, angles[2]),
+            CorrectX(3, {2}),
+            Prepare(4, 0.5),
+            Entangle(1, 4),
+            Entangle(3, 4),
+            Measure(3, angles[3]),
+            CorrectXPhase(4, 0.5, {3}),
+            CorrectZ(1, {2, 3}),
+            Measure(4, angles[4]),
+            CorrectX(1, {4}),
+            Prepare(5, 1.2),
+            Entangle(1, 5),
+            CorrectZ(5, {3, 4}),
+        ],
+    )
+
+
+class TestGraphStateBuild:
+    """The leading preparations and entanglers are built at once, with the
+    measured qubits on the outer axes; the branch maps are bit for bit those
+    of the build one command at a time over the batch."""
+
+    def _assert_bitwise(self, p: Pattern, angles: np.ndarray, standard: bool = True) -> None:
+        q = _per_command(p)
+        eng = _run_branches(p, angles)
+        if standard:
+            # the measured qubits, then the outputs, on the outer axes in order
+            order = sorted(eng.axis_of, key=eng.axis_of.get)
+            assert order == [*p.measurement_order, *p.outputs]
+            assert eng.domain_axes == [*range(len(order) + 1, eng.t.ndim)]
+        maps = eng.entry_maps(0, len(angles), p.outputs)
+        expected = _run_branches(q, angles).entry_maps(0, len(angles), q.outputs)
+        assert np.array_equal(maps, expected), print_pattern(p)
+
+    def test_sampled_geometries_bitwise(self):
+        arng = np.random.default_rng(14)
+        forms = set()
+        for g, fl in _flow_patterns(14, 120, max_vertices=5):
+            meas = random_angles(arng, g.measured)
+            for p in (
+                synthesize(g, fl, meas, random_angles(arng, g.prepared)),
+                synthesize_stabilizer_form(g, fl, meas),
+            ):
+                forms.add(bool(p.inputs))
+                angles = arng.uniform(0.0, 2.0 * math.pi, size=(3, p.n_measurements))
+                for variant in (p, p.without_corrections(), drop_x_corrections(p)):
+                    self._assert_bitwise(variant, angles)
+        assert forms == {True, False}
+
+    def test_cluster_grid_bitwise(self):
+        g = cluster_grid(3, 4)
+        p = synthesize(g, find_flow(g).flow, {q: 0.1 * q for q in g.measured})
+        rows = np.random.default_rng(4).uniform(0.0, 2.0 * math.pi, size=(20, 9))
+        self._assert_bitwise(p, np.concatenate([_angle_rows(p, [p.measure_angles()]), rows]))
+
+    def test_graph_after_measurements_matches_run_branch(self):
+        arng = np.random.default_rng(15)
+        batch = [_late_graph_pattern(random_angles(arng, [2, 3, 4])) for _ in range(4)]
+        p = batch[0]
+        assert check_runnable(p).ok
+        eng = _run_branches(p, _angle_rows(p, [q.measure_angles() for q in batch]))
+        # qubit 4, prepared after the graph state's build, follows the domain axes
+        assert eng.axis_of[4] > max(eng.domain_axes) > eng.axis_of[1] > eng.axis_of[2]
+        for b, q in enumerate(batch):
+            maps = eng.maps(b, p.outputs)
+            for s in range(8):
+                label = format(s, "03b")
+                np.testing.assert_allclose(maps[s], run_branch(q, label), atol=1e-12)
+        self._assert_bitwise(p, _angle_rows(p, [q.measure_angles() for q in batch]), False)
 
 
 def _classify_entry(maps: np.ndarray, tolerance: float):
