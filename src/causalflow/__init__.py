@@ -15,16 +15,12 @@ from .graph_model import (
     GraphFormatError,
     OpenGraphState,
     ValidationResult,
-    flow_from_json_dict,
-    graph_from_json,
     graph_from_json_dict,
-    neighbors,
     validate_flow,
     validate_graph,
 )
 from .flow_finder import (
     FlowSearchResult,
-    LayeringOutcome,
     OracleSizeError,
     brute_force_flow_oracle,
     dependency_order,
@@ -59,10 +55,8 @@ from .circuit_extract import (
     PhaseGate,
     StarPattern,
     Wire,
-    circuit_from_json_dict,
     decompose_stars,
     extract_circuit,
-    gate_counts,
 )
 
 # Resolved on first use, so that importing the package does not load numpy.
@@ -77,7 +71,6 @@ _SIMULATOR_NAMES = (
     "enumerate_branches",
     "max_deviation_up_to_phase",
     "realized_embedding",
-    "rescale_branch_map",
     "run_branch",
     "simulate_circuit",
 )
@@ -100,7 +93,6 @@ __all__ = [
     "GraphFormatError",
     "HadamardGate",
     "IdentityReport",
-    "LayeringOutcome",
     "Measure",
     "OpenGraphState",
     "OracleSizeError",
@@ -118,7 +110,6 @@ __all__ = [
     "brute_force_flow_oracle",
     "check_rewrite_identities",
     "check_runnable",
-    "circuit_from_json_dict",
     "classify_determinism",
     "decompose_stars",
     "dependency_order",
@@ -127,17 +118,12 @@ __all__ = [
     "extract_circuit",
     "find_biflow",
     "find_flow",
-    "flow_from_json_dict",
-    "gate_counts",
-    "graph_from_json",
     "graph_from_json_dict",
     "max_deviation_up_to_phase",
-    "neighbors",
     "parse_pattern",
     "print_pattern",
     "realized_embedding",
     "relabel",
-    "rescale_branch_map",
     "run_branch",
     "simulate_circuit",
     "synthesize",

@@ -71,11 +71,11 @@ class HadamardGate:
 Gate = Union[CZGate, PhaseGate, HadamardGate]
 
 # The one per-kind table: each gate class with its JSON kind and, in
-# document order, the (JSON key, field name, type) of each of its fields.
-_GATES: dict[type, tuple[str, tuple[tuple[str, str, type], ...]]] = {
-    CZGate: ("CZ", (("a", "a", int), ("b", "b", int))),
-    PhaseGate: ("P", (("w", "wire", int), ("theta", "theta", float))),
-    HadamardGate: ("H", (("w", "wire", int),)),
+# document order, the (JSON key, field name) of each of its fields.
+_GATES: dict[type, tuple[str, tuple[tuple[str, str], ...]]] = {
+    CZGate: ("CZ", (("a", "a"), ("b", "b"))),
+    PhaseGate: ("P", (("w", "wire"), ("theta", "theta"))),
+    HadamardGate: ("H", (("w", "wire"),)),
 }
 
 
@@ -94,16 +94,12 @@ class Circuit:
     gates: tuple[Gate, ...]
     outputs: tuple[int, ...]
 
-    @property
-    def n_input_wires(self) -> int:
-        return sum(1 for w in self.wires if w.source == "input")
-
     def to_json_dict(self) -> dict:
         gates = []
         for gate in self.gates:
             kind, keys = _GATES[type(gate)]
             entry = {"g": kind}
-            for key, name, _ in keys:
+            for key, name in keys:
                 entry[key] = getattr(gate, name)
             gates.append(entry)
         return {
@@ -111,20 +107,6 @@ class Circuit:
             "gates": gates,
             "outputs": list(self.outputs),
         }
-
-
-def circuit_from_json_dict(data: Mapping) -> Circuit:
-    wires = tuple(Wire(int(w["id"]), str(w["source"])) for w in data["wires"])
-    gates: list[Gate] = []
-    for g in data["gates"]:
-        kind = g["g"]
-        for cls, (name, keys) in _GATES.items():
-            if kind == name:
-                gates.append(cls(*(read(g[k]) for k, _, read in keys)))
-                break
-        else:
-            raise ValueError(f"unknown gate kind {kind!r}")
-    return Circuit(wires, tuple(gates), tuple(int(o) for o in data["outputs"]))
 
 
 def decompose_stars(
@@ -205,11 +187,3 @@ def extract_circuit(
         gates.extend(CZGate(wire_of[u], wire_of[v]) for u, v in after_stars[k])
 
     return Circuit(tuple(wires), tuple(gates), tuple(wire_of[q] for q in g.outputs))
-
-
-def gate_counts(c: Circuit) -> dict[str, int]:
-    """Histogram of gate kinds in a circuit."""
-    counts = {kind: 0 for kind, _ in _GATES.values()}
-    for gate in c.gates:
-        counts[_GATES[type(gate)][0]] += 1
-    return counts

@@ -147,6 +147,8 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.stabilizer_form and args.prep_angles is not None:
+        raise _CliError("--prep-angles cannot be combined with --stabilizer-form")
     graph, y_from_file = _load_graph(args.graph)
     result = _find_flow_for(args, graph, y_from_file)
     if not result.found:
@@ -225,6 +227,8 @@ def _cmd_adjoint(args) -> int:
 
 
 def _cmd_identities(args) -> int:
+    if args.angles_grid + args.random == 0:
+        raise _CliError("--angles-grid and --random are both 0: no angles to check")
     from .simulator import check_rewrite_identities
 
     report = check_rewrite_identities(

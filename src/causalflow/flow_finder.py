@@ -41,22 +41,6 @@ DEFAULT_ORACLE_BOUND = 7
 
 
 @dataclass(frozen=True)
-class LayeringOutcome:
-    """Coarsest layering for a corrector map, or a witnessing cycle.
-
-    Exactly one of ``levels`` and ``cycle`` is set.  ``cycle`` lists a
-    vertex sequence ``v0 < v1 < ... < v0`` that the constraints force.
-    """
-
-    levels: dict[int, int] | None = None
-    cycle: tuple[int, ...] | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.levels is not None
-
-
-@dataclass(frozen=True)
 class FlowSearchResult:
     """Result of a flow search: the validated flow, or ``None`` if none exists."""
 
@@ -96,42 +80,13 @@ def _constraint_successors(
     return succ
 
 
-def _find_cycle(succ: Mapping[int, set[int]]) -> tuple[int, ...]:
-    """Locate one directed cycle in the constraint relation.
-
-    Depth-first search with an explicit stack of successor iterators, so
-    long constraint chains do not hit the recursion limit.
-    """
-    color: dict[int, int] = {}
-    for root in sorted(succ):
-        if root in color:
-            continue
-        color[root] = 1
-        path = [root]
-        pending = [iter(sorted(succ[root]))]
-        while pending:
-            for w in pending[-1]:
-                state = color.get(w, 0)
-                if state == 1:
-                    return tuple(path[path.index(w):]) + (w,)
-                if state == 0:
-                    color[w] = 1
-                    path.append(w)
-                    pending.append(iter(sorted(succ.get(w, ()))))
-                    break
-            else:
-                color[path.pop()] = 2
-                pending.pop()
-    raise AssertionError("no cycle present")
-
-
-def dependency_order(g: OpenGraphState, f: Mapping[int, int]) -> LayeringOutcome:
+def dependency_order(
+    g: OpenGraphState, f: Mapping[int, int]
+) -> dict[int, int] | None:
     """Coarsest layering satisfying the flow conditions for a given ``f``.
 
     Builds the constraint relation induced by ``f`` and assigns each vertex
-    the length of the longest constraint chain ending at it.  If the
-    relation has a cycle, no valid order exists for this ``f`` and the
-    cycle is reported instead.
+    the length of the longest constraint chain ending at it.
 
     Parameters
     ----------
@@ -140,6 +95,12 @@ def dependency_order(g: OpenGraphState, f: Mapping[int, int]) -> LayeringOutcome
         neighbors (loops allowed here, legality is checked elsewhere).
     f : mapping int -> int
         Candidate corrector map; a vertex outside ``g`` raises PatternError.
+
+    Returns
+    -------
+    dict int -> int or None
+        The level of every vertex of ``g``, or ``None`` when the relation
+        has a cycle, so that no valid order exists for this ``f``.
     """
     if stray := sorted({*f, *f.values()} - g._adjacency.keys()):
         raise PatternError(f"corrector map names vertices {stray} not in the graph")
@@ -160,9 +121,7 @@ def dependency_order(g: OpenGraphState, f: Mapping[int, int]) -> LayeringOutcome
             indegree[w] -= 1
             if indegree[w] == 0:
                 queue.append(w)
-    if done != len(g.vertices):
-        return LayeringOutcome(cycle=_find_cycle(succ))
-    return LayeringOutcome(levels=levels)
+    return levels if done == len(g.vertices) else None
 
 
 def _search(
@@ -208,9 +167,9 @@ def _search(
         }
     if len(processed) != len(g.vertices):
         return FlowSearchResult()
-    layering = dependency_order(g, f)
-    assert layering.levels is not None
-    flow = Flow(f, layering.levels)
+    levels = dependency_order(g, f)
+    assert levels is not None
+    flow = Flow(f, levels)
     check = validate_flow(g, flow, allow_loops=bool(flow.loops))
     if not check.ok:
         raise AssertionError(f"search produced an invalid flow: {check.violations}")
@@ -290,8 +249,7 @@ def brute_force_flow_oracle(
             for i, j in zip(measured, targets)
         ):
             f = dict(zip(measured, targets))
-            layering = dependency_order(g, f)
-            if layering.ok:
-                assert layering.levels is not None
-                return FlowSearchResult(Flow(f, layering.levels))
+            levels = dependency_order(g, f)
+            if levels is not None:
+                return FlowSearchResult(Flow(f, levels))
     return FlowSearchResult()

@@ -34,7 +34,7 @@ class ValidationResult:
 
 
 class GraphFormatError(ValueError):
-    """Raised for a malformed graph or flow document, or an invalid open graph."""
+    """Raised for a malformed graph document or an invalid open graph."""
 
 
 @dataclass(frozen=True)
@@ -143,28 +143,6 @@ def graph_from_json_dict(data: Mapping) -> OpenGraphState:
     return OpenGraphState(vertices, raw_edges, inputs, outputs)
 
 
-def graph_from_json(text: str) -> OpenGraphState:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid JSON: {exc}") from exc
-    return graph_from_json_dict(data)
-
-
-def neighbors(g: OpenGraphState, i: int) -> frozenset[int]:
-    """Neighbor set of vertex ``i``; symmetric in its arguments.
-
-    Raises
-    ------
-    KeyError
-        If ``i`` is not a vertex of ``g``.
-    """
-    try:
-        return g._adjacency[i]
-    except KeyError:
-        raise KeyError(f"unknown vertex {i}") from None
-
-
 def validate_graph(g: OpenGraphState) -> ValidationResult:
     """Check the open-graph-state invariants: the one statement of the rule
     that :class:`OpenGraphState` enforces on construction.
@@ -249,26 +227,6 @@ class Flow:
             "levels": {str(v): l for v, l in sorted(self.levels.items())},
             "loops": sorted(self.loops),
         }
-
-
-def flow_from_json_dict(data: Mapping) -> Flow:
-    """Build a :class:`Flow` from its JSON dictionary form; GraphFormatError
-    on a malformed document, or when ``loops``, if given, is not exactly
-    the fixed points of ``f``."""
-    try:
-        fl = Flow(
-            {int(i): int(j) for i, j in data["f"].items()},
-            {int(v): int(l) for v, l in data["levels"].items()},
-        )
-        loops = {int(i) for i in data.get("loops", fl.loops)}
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise GraphFormatError(f"malformed flow document: {exc}") from exc
-    if loops != fl.loops:
-        raise GraphFormatError(
-            f"declared loops {sorted(loops)} do not match f fixed points "
-            f"{sorted(fl.loops)}"
-        )
-    return fl
 
 
 def validate_flow(

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import takewhile
 from typing import Mapping, Sequence
@@ -102,15 +102,8 @@ class Classification(str, Enum):
     STRONGLY_DETERMINISTIC = "strongly-deterministic"
 
     @property
-    def rank(self) -> int:
-        return _RANK[self]
-
-    @property
     def is_deterministic(self) -> bool:
-        return self.rank >= 1
-
-
-_RANK = {c: k for k, c in enumerate(Classification)}
+        return self is not Classification.NOT_DETERMINISTIC
 
 
 @dataclass(frozen=True, eq=False)
@@ -770,17 +763,6 @@ def classify_determinism(
     )
 
 
-def rescale_branch_map(report_or_map, n_measurements: int) -> np.ndarray:
-    """Scale a branch map by 2^{n/2}.
-
-    For a strongly deterministic pattern this turns any branch map into
-    the realized isometry; raw branch maps are reported unscaled because
-    the factor is meaningless without strong determinism.
-    """
-    m = report_or_map.branch_map if isinstance(report_or_map, BranchReport) else report_or_map
-    return m * (2.0 ** (n_measurements / 2.0))
-
-
 def _bfs_rank(g: OpenGraphState) -> dict[int, int]:
     """Rank of each vertex by its BFS distance from the inputs, ties broken
     by label; each component without an input follows, searched from its
@@ -898,15 +880,7 @@ class IdentityReport:
         return {
             "tolerance": self.tolerance,
             "ok": self.ok,
-            "checks": [
-                {
-                    "name": c.name,
-                    "max_deviation": c.max_deviation,
-                    "worst_angle": c.worst_angle,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 
@@ -1001,8 +975,12 @@ def check_rewrite_identities(
     Sweeps a uniform angle grid plus random angles for the
     angle-parameterized identities, both signal values each, and checks
     the Pauli special cases at their exact (projector) level.  Failures
-    are reported per identity with the offending angle.
+    are reported per identity with the offending angle.  Raises ValueError
+    when ``grid_points + n_random`` is 0, which would leave the
+    angle-parameterized identities unchecked.
     """
+    if grid_points + n_random == 0:
+        raise ValueError("no angles to check: grid_points + n_random is 0")
     rng = np.random.default_rng(seed)
     angles = [2.0 * math.pi * k / grid_points for k in range(grid_points)]
     angles += [float(a) for a in rng.uniform(0.0, 2.0 * math.pi, size=n_random)]

@@ -1,7 +1,9 @@
 """Tests for star decomposition, circuit extraction, and circuit simulation."""
 
+import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,11 +18,9 @@ from causalflow import (
     StarPattern,
     Wire,
     Circuit,
-    circuit_from_json_dict,
     decompose_stars,
     extract_circuit,
     find_flow,
-    gate_counts,
     max_deviation_up_to_phase,
     realized_embedding,
     simulate_circuit,
@@ -185,7 +185,7 @@ class TestExtractCircuit:
             [1, 2, 3], [(1, 2), (1, 3), (2, 3)], [1, 2, 3], [1, 2, 3]
         )
         circuit = extract_circuit(g, find_flow(g).flow, {})
-        assert gate_counts(circuit) == {"CZ": 3, "P": 0, "H": 0}
+        assert Counter(type(x) for x in circuit.gates) == {CZGate: 3}
         np.testing.assert_allclose(
             simulate_circuit(circuit), realized_embedding(g, {}), atol=1e-12
         )
@@ -200,15 +200,15 @@ class TestExtractCircuit:
             if not result.found:
                 continue
             circuit = extract_circuit(g, result.flow, random_angles(arng, g.measured))
-            counts = gate_counts(circuit)
+            counts = Counter(type(x) for x in circuit.gates)
             n_measured = len(g.measured)
             # each star consumes its flow edge into the phase/Hadamard block,
             # so controlled-Z gates cover exactly the non-flow edges
-            assert counts["CZ"] == len(set(g.edges)) - n_measured
-            assert counts["H"] == n_measured
-            assert counts["P"] == n_measured
+            assert counts[CZGate] == len(set(g.edges)) - n_measured
+            assert counts[HadamardGate] == n_measured
+            assert counts[PhaseGate] == n_measured
             assert len(circuit.wires) == len(g.outputs)
-            assert circuit.n_input_wires == len(g.inputs)
+            assert sum(w.source == "input" for w in circuit.wires) == len(g.inputs)
             checked += 1
 
     def test_end_to_end_equivalence_random(self):
@@ -305,11 +305,16 @@ def test_circuit_json_round_trip():
     g = path_state(3, [1], [3])
     circuit = extract_circuit(g, find_flow(g).flow, {1: 0.9, 2: 2.2})
     doc = circuit.to_json_dict()
-    assert doc["wires"] == [{"id": 0, "source": "input"}]
-    assert circuit_from_json_dict(doc) == circuit
+    assert json.loads(json.dumps(doc)) == doc
+    assert doc == {
+        "wires": [{"id": 0, "source": "input"}],
+        "gates": [
+            {"g": "P", "w": 0, "theta": -0.9},
+            {"g": "H", "w": 0},
+            {"g": "P", "w": 0, "theta": -2.2},
+            {"g": "H", "w": 0},
+        ],
+        "outputs": [0],
+    }
     with_cz = Circuit((Wire(0, "input"), Wire(1, "plus")), (CZGate(0, 1),), (0, 1))
     assert with_cz.to_json_dict()["gates"] == [{"g": "CZ", "a": 0, "b": 1}]
-    assert circuit_from_json_dict(with_cz.to_json_dict()) == with_cz
-    doc["gates"].append({"g": "T", "w": 0})
-    with pytest.raises(ValueError, match="unknown gate kind"):
-        circuit_from_json_dict(doc)

@@ -10,13 +10,12 @@ import pytest
 
 import causalflow
 from causalflow import (
+    Flow,
     OpenGraphState,
-    flow_from_json_dict,
     graph_from_json_dict,
     max_deviation_up_to_phase,
     parse_pattern,
     realized_embedding,
-    rescale_branch_map,
     enumerate_branches,
     find_flow,
     print_pattern,
@@ -56,7 +55,10 @@ class TestFlowCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["found"] is True
         g = path_state(3, [1], [3])
-        fl = flow_from_json_dict(doc["flow"])
+        fl = Flow(
+            {int(i): j for i, j in doc["flow"]["f"].items()},
+            {int(v): l for v, l in doc["flow"]["levels"].items()},
+        )
         assert validate_flow(g, fl).ok
         assert doc["depth"] == 3
 
@@ -156,6 +158,14 @@ class TestSynthCommand:
         pattern = parse_pattern(capsys.readouterr().out)
         kinds = [type(c).__name__ for c in pattern.commands]
         assert kinds.index("CorrectZ") < kinds.index("CorrectX")
+
+    def test_stabilizer_form_takes_no_prep_angles(self, write, capsys):
+        """Rejected before any file is read: neither file here exists."""
+        argv = ["synth", "/nonexistent/g.json", "--stabilizer-form"]
+        assert main([*argv, "--prep-angles", "/nonexistent/p.json"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: --prep-angles cannot be combined with --stabilizer-form\n"
 
     @pytest.mark.parametrize("doc", [{"1": "north"}, {"one": 0.5}, {"1": None}])
     def test_malformed_angle_entry(self, write, capsys, doc):
@@ -306,8 +316,8 @@ class TestAdjointCommand:
         angles = write("angles.json", {"1": 0.4, "2": 1.2})
         assert main(["adjoint", path, "--angles", angles]) == 0
         pattern = parse_pattern(capsys.readouterr().out)
-        realized = rescale_branch_map(
-            enumerate_branches(pattern)[0], pattern.n_measurements
+        realized = enumerate_branches(pattern)[0].branch_map * 2.0 ** (
+            pattern.n_measurements / 2
         )
         target = realized_embedding(g, {1: 0.4, 2: 1.2}).conj().T
         assert max_deviation_up_to_phase(realized, target) < 1e-9
@@ -325,6 +335,15 @@ class TestIdentitiesCommand:
 
     def test_custom_grid(self, capsys):
         assert main(["identities", "--angles-grid", "64", "--random", "5"]) == 0
+
+    def test_no_angles_is_an_input_error(self, capsys):
+        assert main(["identities", "--angles-grid", "0", "--random", "0"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: --angles-grid and --random are both 0: no angles to check\n"
+        for flags in (["--angles-grid", "0"], ["--random", "0"]):
+            assert main(["identities", *flags]) == 0
+            assert len(json.loads(capsys.readouterr().out)["checks"]) == 19
 
     def test_default_and_abbreviated_tolerance(self, capsys):
         main(["identities"])

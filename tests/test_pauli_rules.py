@@ -50,9 +50,7 @@ class TestFindFlowWithLoops:
         # neighbor must be corrected by it first: the loop assignment is
         # cyclic and a loop-free flow is returned instead.
         g = path_state(3, [1], [3])
-        outcome = dependency_order(g, {1: 2, 2: 2})
-        assert not outcome.ok
-        assert {1, 2} <= set(outcome.cycle)
+        assert dependency_order(g, {1: 2, 2: 2}) is None
         result = find_flow(g, loop_candidates={2})
         assert result.found
         assert result.flow.loops == frozenset()

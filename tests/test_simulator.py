@@ -38,7 +38,6 @@ from causalflow import (
     parse_pattern,
     print_pattern,
     realized_embedding,
-    rescale_branch_map,
     run_branch,
     simulate_circuit,
     synthesize,
@@ -330,23 +329,28 @@ class TestBatchedEngine:
     def test_every_batch_entry_matches_run_branch(self):
         """Distinct angle vectors in one pass; every batch entry's branch maps
         equal run_branch on the pattern with that entry's angles.  Random
-        preparation angles turn X corrections into phase-conjugated ones."""
+        preparation angles turn X corrections into phase-conjugated ones.
+        The late-graph pattern puts a correction's control on a later axis
+        of the engine's tensor than its target."""
         arng = np.random.default_rng(61)
-        control_first = set()
-        kinds = set()
+        batches = []
         for k, (g, fl) in enumerate(_flow_patterns(61, 14)):
             prep = random_angles(arng, g.prepared) if k % 2 else {q: 0.0 for q in g.prepared}
-            batch = [
-                synthesize(g, fl, random_angles(arng, g.measured), prep) for _ in range(3)
-            ]
+            batches.append(
+                [synthesize(g, fl, random_angles(arng, g.measured), prep) for _ in range(3)]
+            )
+        batches.append([_late_graph_pattern(random_angles(arng, [2, 3, 4])) for _ in range(3)])
+        control_first = set()
+        kinds = set()
+        for batch in batches:
             p = batch[0]
-            axis_order = list(p.inputs) + [c.qubit for c in p.commands if isinstance(c, Prepare)]
-            axis = {q: k for k, q in enumerate(axis_order)}
+            eng = _run_branches(p, _angle_rows(p, [q.measure_angles() for q in batch]))
             for cmd in p.commands:
                 if isinstance(cmd, (CorrectX, CorrectXPhase, CorrectZ)):
                     kinds.add(type(cmd))
-                    control_first.update(axis[s] < axis[cmd.qubit] for s in cmd.signals)
-            eng = _run_branches(p, _angle_rows(p, [q.measure_angles() for q in batch]))
+                    control_first.update(
+                        eng.axis_of[s] < eng.axis_of[cmd.qubit] for s in cmd.signals
+                    )
             for b, q in enumerate(batch):
                 maps = eng.maps(b, p.outputs)
                 n = p.n_measurements
@@ -750,7 +754,7 @@ class TestDenseBudget:
             cmds.append(CorrectX(q + 1, {q}))
         branch = run_branch(Pattern(range(1, 31), [1], [30], cmds), "0" * 29)
         assert branch.shape == (2, 2)
-        np.testing.assert_allclose(rescale_branch_map(branch, 29), HADAMARD, atol=1e-12)
+        np.testing.assert_allclose(branch * 2.0 ** (29 / 2), HADAMARD, atol=1e-12)
 
     def test_every_tensor_of_23_axes_fits_at_batch_one(self):
         for n_inputs in range(0, 6):
@@ -920,7 +924,7 @@ class TestRealizedEmbedding:
                 angles = random_angles(arng, g.measured)
                 p = synthesize(g, result.flow, angles)
                 reports = enumerate_branches(p)
-                rescaled = rescale_branch_map(reports[0], p.n_measurements)
+                rescaled = reports[0].branch_map * 2.0 ** (p.n_measurements / 2)
                 embedding = realized_embedding(g, angles)
                 for r in reports[1:]:
                     np.testing.assert_allclose(
@@ -955,13 +959,13 @@ class TestRealizedEmbedding:
             meas = random_angles(arng, g.measured)
             preps = random_angles(arng, g.prepared)
             p = synthesize(g, forward.flow, meas, preps)
-            a = rescale_branch_map(enumerate_branches(p)[0], p.n_measurements)
+            a = enumerate_branches(p)[0].branch_map * 2.0 ** (p.n_measurements / 2)
             dim = a.shape[0]
             np.testing.assert_allclose(a @ a.conj().T, np.eye(dim), atol=1e-9)
             np.testing.assert_allclose(a.conj().T @ a, np.eye(dim), atol=1e-9)
             dagger = adjoint(p, reverse.flow)
-            b = rescale_branch_map(
-                enumerate_branches(dagger)[0], dagger.n_measurements
+            b = enumerate_branches(dagger)[0].branch_map * 2.0 ** (
+                dagger.n_measurements / 2
             )
             assert abs(np.trace(a.conj().T @ b.conj().T)) / dim == pytest.approx(
                 1.0, abs=1e-9
@@ -1002,6 +1006,12 @@ class TestRewriteIdentities:
     def test_custom_grid(self):
         report = check_rewrite_identities(grid_points=64, n_random=0)
         assert report.ok
+
+    def test_no_angles_rejected(self):
+        """Without angles the 15 angle-parameterized identities would
+        vanish from the report, leaving 4 checks that pass."""
+        with pytest.raises(ValueError, match="no angles to check"):
+            check_rewrite_identities(grid_points=0, n_random=0)
 
 
 def test_max_deviation_up_to_phase():
