@@ -25,7 +25,6 @@ from .circuit_extract import extract_circuit
 from .flow_finder import find_biflow, find_flow
 from .graph_model import GraphFormatError, OpenGraphState, graph_from_json_dict
 from .pattern import (
-    DEFAULT_MAX_MEASUREMENTS,
     DEFAULT_TOLERANCE,
     EXACT_TOLERANCE,
     PatternError,
@@ -65,7 +64,7 @@ def _load_graph(path: str) -> tuple[OpenGraphState, frozenset[int]]:
         raise _CliError(f"{path}: {exc}") from exc
     try:
         y_measured = frozenset(int(q) for q in data.get("y_measured", []))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise _CliError(f"{path}: bad y_measured entry: {exc}") from exc
     return graph, y_measured
 
@@ -184,7 +183,6 @@ def _cmd_verify(args) -> int:
         angle_samples=args.samples,
         seed=args.seed,
         tolerance=DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance,
-        max_measurements=args.max_qubits,
     )
     _emit(verdict.to_json_dict())
     return EXIT_OK if verdict.is_strong else EXIT_NEGATIVE
@@ -254,12 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tolerance",
         type=_tolerance,
         help="numerical tolerance (default 1e-9 for verify, 1e-12 for identities)",
-    )
-    parser.add_argument(
-        "--max-qubits",
-        type=_non_negative,
-        default=DEFAULT_MAX_MEASUREMENTS,
-        help="bound on the number of enumerated measurements",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -138,7 +138,7 @@ def graph_from_json_dict(data: Mapping) -> OpenGraphState:
         outputs = [int(v) for v in data.get("outputs", [])]
     except KeyError as exc:
         raise GraphFormatError(f"malformed graph document: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise GraphFormatError(f"malformed graph document: {exc}") from exc
     return OpenGraphState(vertices, raw_edges, inputs, outputs)
 

@@ -154,14 +154,14 @@ class PatternFormatError(PatternError):
 
 
 class SimulationError(RuntimeError):
-    """Raised when a pattern cannot be simulated within configured bounds."""
+    """Raised when a simulation would exceed the byte budget or fails a check."""
 
 
-# The simulator's defaults, kept here so that callers which only name them
-# (the command line) need not load the simulator and numpy.
+# The simulator's default tolerances, kept here so that callers which only
+# name them (the command line) need not load the simulator and numpy.  Its
+# one resource bound is a byte budget, not a count of measurements.
 DEFAULT_TOLERANCE = 1e-9
 EXACT_TOLERANCE = 1e-12
-DEFAULT_MAX_MEASUREMENTS = 12
 
 
 # What one pass over a pattern's commands finds: the runnability violations

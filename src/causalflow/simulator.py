@@ -21,7 +21,8 @@ correction is the same operation restricted to the slice where its
 signal's branch bit is 1.  Every dense simulation fits one byte budget,
 checked before anything is allocated: at most 23 qubits plus inputs per
 angle vector (a circuit's wires plus input wires, :func:`run_branch`'s live
-qubits); the classifier splits its angle samples into batches that fit.
+qubits); the classifier splits its angle samples into batches that fit, and
+:func:`enumerate_branches` charges its 2^n records to the budget too.
 After each pass it runs the strong-equality test (every branch map equal
 to the reference branch's) on all of the batch's entries in a few numpy
 reductions, and falls back to the entry-by-entry proportionality test and
@@ -51,7 +52,6 @@ import numpy as np
 from .circuit_extract import Circuit, CZGate, PhaseGate
 from .graph_model import OpenGraphState
 from .pattern import (
-    DEFAULT_MAX_MEASUREMENTS,
     DEFAULT_TOLERANCE,
     EXACT_TOLERANCE,
     CorrectX,
@@ -181,17 +181,11 @@ def _check_tolerance(tolerance: float) -> None:
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
 
 
-def _runnable_or_raise(p: Pattern, max_measurements: int | None = None) -> int:
-    """Measurement count of ``p``, once its walk has found it runnable and,
-    when ``max_measurements`` is given, within that branch bound."""
+def _runnable_or_raise(p: Pattern) -> int:
+    """Measurement count of ``p``, once its walk has found it runnable."""
     if p._walk.violations:
         raise PatternError("pattern is not runnable: " + "; ".join(p._walk.violations))
-    n = p.n_measurements
-    if max_measurements is not None and n > max_measurements:
-        raise SimulationError(
-            f"{n} measurements exceed the branch bound {max_measurements}"
-        )
-    return n
+    return p.n_measurements
 
 
 def run_branch(p: Pattern, outcomes: str) -> np.ndarray:
@@ -323,8 +317,6 @@ class _TensorEngine:
         layout: Sequence[int] = (),
     ) -> None:
         n_in = len(inputs)
-        if batch < 1:
-            raise ValueError("batch must be positive")
         _check_dense_bytes(batch, qubits, n_in)
         held = list(inputs)
         graph = np.ones((2,) * n_in, dtype=complex)
@@ -443,24 +435,34 @@ class _TensorEngine:
 
 
 # Bytes one dense pass may hold at once, checked before it allocates: every
-# tensor of up to 23 qubit and input axes fits at batch 1 (see _max_batch).
+# tensor of up to 23 qubit and input axes fits at batch 1 (see _pass_bytes).
 _MAX_DENSE_BYTES = 512 * 2**20
 # Three np.getbufsize() buffers of complex entries: during a pass, the two
 # that numpy's ufunc iteration allocates for a strided operand, as the
 # kernel's halves are, and small objects; after it, a classifier group's
 # temporaries (see _classifier_group).
 _BUFFER_RESERVE = 3 * np.getbufsize() * np.dtype(complex).itemsize
+# Bytes of one of enumerate_branches' BranchReport records beside its map:
+# the record, its outcome string and the map's view (about 296 on CPython 3.11).
+_RECORD_BYTES = 320
+
+
+def _pass_bytes(batch: int, n_qubits: int, n_inputs: int) -> int:
+    """Bytes a dense pass of ``batch`` entries is charged.
+
+    A batch entry is a complex tensor over every qubit and input axis.  A
+    pass holds the ``batch`` entries plus the larger of half of them with
+    :data:`_BUFFER_RESERVE` and three entries: the kernel's scratch with
+    numpy's iteration buffers during the pass, then a classifier group's
+    temporaries after it (see :func:`_classifier_group`).
+    """
+    entry = np.dtype(complex).itemsize << (n_qubits + n_inputs)
+    return batch * entry + max(batch * entry // 2 + _BUFFER_RESERVE, 3 * entry)
 
 
 def _max_batch(n_qubits: int, n_inputs: int) -> int:
-    """Largest batch whose dense pass fits :data:`_MAX_DENSE_BYTES`; 0 if none.
-
-    A batch entry is a complex tensor over every qubit and input axis, of
-    ``sample`` bytes.  A pass holds the ``batch`` entries plus the larger of
-    half of them with :data:`_BUFFER_RESERVE` and three entries: the
-    kernel's scratch with numpy's iteration buffers during the pass, then a
-    classifier group's temporaries after it (see :func:`_classifier_group`).
-    """
+    """Largest batch whose :func:`_pass_bytes` fit :data:`_MAX_DENSE_BYTES`;
+    0 if none."""
     sample = np.dtype(complex).itemsize << (n_qubits + n_inputs)
     half = 2 * (_MAX_DENSE_BYTES - _BUFFER_RESERVE) // (3 * sample)
     return max(0, min(half, _MAX_DENSE_BYTES // sample - 3))
@@ -468,7 +470,7 @@ def _max_batch(n_qubits: int, n_inputs: int) -> int:
 
 def _check_dense_bytes(batch: int, n_qubits: int, n_inputs: int) -> None:
     """Raise, before allocating, for a dense pass over the byte budget."""
-    if batch > _max_batch(n_qubits, n_inputs):
+    if _pass_bytes(batch, n_qubits, n_inputs) > _MAX_DENSE_BYTES:
         raise SimulationError(
             f"{n_qubits} qubits with {n_inputs} inputs at batch {batch} exceed "
             f"the dense tensor bound of {_MAX_DENSE_BYTES} bytes"
@@ -536,14 +538,15 @@ def _check_trace_preserving(maps: np.ndarray, tolerance: float) -> float:
 def enumerate_branches(
     p: Pattern,
     input_state: np.ndarray | None = None,
-    max_measurements: int = DEFAULT_MAX_MEASUREMENTS,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> list[BranchReport]:
     """All 2^n branch maps of a runnable pattern.
 
     Verifies trace preservation of the family before returning.  When
     ``input_state`` (a normalized vector over the input space) is given,
-    each report also carries that branch's probability.
+    each report also carries that branch's probability.  The 2^n records,
+    :data:`_RECORD_BYTES` each beside the maps, are charged to the dense
+    byte budget on top of the pass at batch 1, before the pass.
 
     Raises
     ------
@@ -552,17 +555,22 @@ def enumerate_branches(
         not a vector of 2^|I| finite amplitudes; both are checked before
         any simulation.
     SimulationError
-        If the measurement count exceeds ``max_measurements``, the pattern
-        exceeds the dense tensor bound, or the branch family fails the
-        trace-preservation check.
+        If the pass and its records exceed the dense tensor bound, or the
+        branch family fails the trace-preservation check.
     """
     _check_tolerance(tolerance)
-    n = _runnable_or_raise(p, max_measurements)
+    n = _runnable_or_raise(p)
     if input_state is not None:
         input_state = np.asarray(input_state, dtype=complex)
         dim = 1 << len(p.inputs)
         if input_state.shape != (dim,) or not np.isfinite(input_state).all():
             raise ValueError(f"input state must be a finite vector of length {dim}")
+    records = _RECORD_BYTES << n
+    if _pass_bytes(1, len(p.vertices), len(p.inputs)) + records > _MAX_DENSE_BYTES:
+        raise SimulationError(
+            f"{1 << n} branch records and their pass exceed the dense tensor "
+            f"bound of {_MAX_DENSE_BYTES} bytes"
+        )
     maps = _run_branches(p, _base_angles(p)).maps(0, p.outputs)
     _check_trace_preserving(maps, tolerance)
     reports = []
@@ -709,7 +717,6 @@ def classify_determinism(
     angle_samples: int = 20,
     seed: int = 0,
     tolerance: float = DEFAULT_TOLERANCE,
-    max_measurements: int = DEFAULT_MAX_MEASUREMENTS,
 ) -> DeterminismVerdict:
     """Classify the branch maps of a pattern.
 
@@ -731,13 +738,13 @@ def classify_determinism(
         If ``tolerance`` is not finite and positive, or ``angle_samples``
         is negative.
     SimulationError
-        If the measurement count exceeds ``max_measurements`` or one batch
-        entry alone exceeds the dense tensor bound.
+        If one batch entry alone exceeds the dense tensor bound, whatever
+        the number of measurements.
     """
     _check_tolerance(tolerance)
     if angle_samples < 0:
         raise ValueError(f"angle_samples must be >= 0, got {angle_samples}")
-    n = _runnable_or_raise(p, max_measurements)
+    n = _runnable_or_raise(p)
     _check_dense_bytes(1, len(p.vertices), len(p.inputs))
     if n == 0:
         # one branch, and no measurement angle to vary

@@ -10,10 +10,10 @@ The calls cover every subcommand and every flag on valid graphs (paths,
 grids, loop geometries, graphs without flow and seeded random graphs), and
 the input errors: malformed JSON, graph documents of the wrong shape, each
 open-graph violation, angle files that are not objects or hold something
-other than a finite number, missing files, pattern text that does not parse
-and patterns that are not runnable.  Usage errors that argparse reports
-itself are left to ``tests/test_cli.py``: their text belongs to the Python
-version.
+other than a finite number, missing files, pattern text that does not parse,
+patterns that are not runnable and a pattern over the dense byte budget.
+Usage errors that argparse reports itself are left to ``tests/test_cli.py``:
+their text belongs to the Python version.
 
 ``tests/test_cli.py`` checks the command line against the file byte for
 byte, so the file is regenerated only when a change to the output is
@@ -121,6 +121,7 @@ def patterns() -> dict[str, str]:
     path3 = _path(3, [1], [3])
     loop = _path(3, [1, 3], [1, 3])
     long = _path(14, [1], [14])
+    huge = _path(24, [1], [24])
     return {
         "h.pat": H_TEXT,
         "path3.pat": print_pattern(synthesize(path3, find_flow(path3).flow, {1: 0.4, 2: 1.2}, {2: 0.3, 3: 0.0})),
@@ -133,6 +134,8 @@ def patterns() -> dict[str, str]:
             synthesize(loop, find_flow(loop, loop_candidates=loop.measured).flow, {2: 0.3})
         ),
         "long.pat": print_pattern(synthesize(long, find_flow(long).flow, {q: 0.0 for q in long.measured})),
+        # 24 qubits and an input: over the dense byte budget
+        "huge.pat": print_pattern(synthesize(huge, find_flow(huge).flow, {q: 0.0 for q in huge.measured})),
         "early.pat": "V: 1 2\nI: 1\nO: 2\nN 2 0.0\nE 1 2\nZ 2 [1]\nM 1 0.0\nX 2 [1]\n",
         "self-entangler.pat": H_TEXT.replace("E 1 2\n", "E 1 2\nE 2 2\n"),
         "undeclared-io.pat": H_TEXT.replace("I: 1", "I: 1 5").replace("O: 2", "O: 2 6"),
@@ -187,7 +190,6 @@ VERIFY_CALLS = [
     ["verify", "P", "--samples", "0"],
     ["--seed", "3", "verify", "P", "--samples", "4"],
     ["--tolerance", "1e-3", "verify", "P", "--samples", "2"],
-    ["--max-qubits", "1", "verify", "P", "--samples", "0"],
 ]
 
 

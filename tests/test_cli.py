@@ -23,7 +23,6 @@ from causalflow import (
     validate_flow,
 )
 from causalflow.cli import main
-from causalflow.simulator import DEFAULT_MAX_MEASUREMENTS
 from conftest import hadamard_geometry, loop_geometry, no_flow_geometry, path_state
 
 H_TEXT = "V: 1 2\nI: 1\nO: 2\nN 2 0.0\nE 1 2\nM 1 0.0\nX 2 [1]\n"
@@ -259,12 +258,17 @@ class TestVerifyCommand:
         out = capsys.readouterr()
         assert out.out == "" and "error:" in out.err
 
-    def test_max_qubits_defaults_to_library_bound(self, write, capsys):
-        n = DEFAULT_MAX_MEASUREMENTS + 2
-        g = path_state(n, [1], [n])
-        pattern = synthesize(g, find_flow(g).flow, {q: 0.0 for q in g.measured})
-        assert main(["verify", write("long.pat", print_pattern(pattern))]) == 2
-        assert f"branch bound {DEFAULT_MAX_MEASUREMENTS}" in capsys.readouterr().err
+    def test_byte_budget_is_the_only_bound(self, write, capsys):
+        """The dense byte budget alone bounds a pattern, not its number of
+        measurements: 13 measurements classify, while 24 qubits and an input
+        are a named error."""
+        for n, code in ((14, 0), (24, 2)):
+            g = path_state(n, [1], [n])
+            pattern = synthesize(g, find_flow(g).flow, {q: 0.0 for q in g.measured})
+            assert main(["verify", write(f"path{n}.pat", print_pattern(pattern))]) == code
+        out = capsys.readouterr()
+        assert json.loads(out.out)["classification"] == "strongly-deterministic"
+        assert out.err.startswith("error:") and "dense tensor bound" in out.err
 
     def test_seeded_determinism(self, write, capsys):
         path = write("h.pat", H_TEXT)
@@ -366,13 +370,39 @@ def test_graph_round_trip_through_cli_format(write):
 
 
 @pytest.mark.parametrize(
+    "doc, error",
+    [
+        ('{"vertices": [1, 2, 1e400], "edges": [[1, 2]]}', "malformed graph document"),
+        ('{"vertices": [1, 2], "edges": [[1, 1e400]]}', "malformed graph document"),
+        (
+            '{"vertices": [1, 2], "edges": [[1, 2]], "inputs": [1], "outputs": [2],'
+            ' "y_measured": [1e400]}',
+            "bad y_measured entry",
+        ),
+    ],
+    ids=["vertex", "edge", "y-measured"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["flow"], ["synth"], ["extract", "--check"], ["adjoint"]],
+    ids=["flow", "synth", "extract-check", "adjoint"],
+)
+def test_infinite_id_is_a_named_error(write, capsys, doc, error, command):
+    """JSON reads 1e400 as an infinite float, which no integer id equals."""
+    path = write("inf.json", doc)
+    assert main([command[0], path, *command[1:]]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {path}: {error}: cannot convert float infinity to integer\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "PATTERN", "--samples", "-3"],
         ["--seed", "-1", "verify", "PATTERN"],
         ["identities", "--random", "-5"],
         ["identities", "--angles-grid", "-3"],
-        ["--max-qubits=-1", "verify", "PATTERN"],
     ],
 )
 def test_negative_counts_rejected(write, capsys, argv):
@@ -388,7 +418,7 @@ def test_negative_counts_rejected(write, capsys, argv):
     "argv, option",
     [
         (["--seed", "x", "verify", "PATTERN"], "--seed"),
-        (["--max-qubits", "x", "verify", "PATTERN"], "--max-qubits"),
+        (["identities", "--random", "x"], "--random"),
         (["verify", "PATTERN", "--samples", "2.5"], "--samples"),
         (["--tolerance", "x", "verify", "PATTERN"], "--tolerance"),
     ],

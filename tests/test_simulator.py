@@ -177,12 +177,6 @@ class TestEnumerateBranches:
             )
             checked += 1
 
-    def test_measurement_bound(self):
-        g = path_state(4, [1], [4])
-        p = synthesize(g, find_flow(g).flow, {1: 0.0, 2: 0.0, 3: 0.0})
-        with pytest.raises(SimulationError, match="bound"):
-            enumerate_branches(p, max_measurements=2)
-
     @pytest.mark.parametrize(
         "state", [np.ones(4) / 2, np.array([1.0, math.nan]), np.array([math.inf, 0.0])]
     )
@@ -199,7 +193,7 @@ class TestEnumerateBranches:
         with pytest.raises(ValueError, match="input state"):
             enumerate_branches(hadamard_pattern(), input_state=state)
         with pytest.raises(ValueError, match="input state"):
-            enumerate_branches(_path_pattern(30), input_state=state, max_measurements=40)
+            enumerate_branches(_path_pattern(30), input_state=state)
         assert passes == []
 
 
@@ -710,12 +704,10 @@ def _complete_graph(n: int) -> OpenGraphState:
 # Each builder makes an input over the dense byte budget and returns the call
 # of one dense entry point on it.
 OVER_BUDGET = {
-    "classify_determinism": lambda: partial(
-        classify_determinism, _path_pattern(30), max_measurements=40
-    ),
-    "enumerate_branches": lambda: partial(
-        enumerate_branches, _path_pattern(30), max_measurements=40
-    ),
+    "classify_determinism": lambda: partial(classify_determinism, _path_pattern(30)),
+    "enumerate_branches": lambda: partial(enumerate_branches, _path_pattern(30)),
+    # 23 axes fit the pass at batch 1, but not beside 2^21 branch records
+    "enumerate_branches-records": lambda: partial(enumerate_branches, _path_pattern(22)),
     # every qubit is in flight at the first vertex's last entangler: 26
     # qubits and 1 input axis
     "realized_embedding": lambda: partial(
@@ -743,6 +735,36 @@ class TestDenseBudget:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_records_are_charged_before_the_pass(self, monkeypatch):
+        """The 1x22 path's pass fits at batch 1, but not beside its 2^21
+        branch records: enumerate_branches raises before the pass."""
+        passes = []
+
+        def counting(p, angles):
+            passes.append(len(angles))
+            return _run_branches(p, angles)
+
+        monkeypatch.setattr(simulator, "_run_branches", counting)
+        with pytest.raises(SimulationError, match="branch records .* dense tensor bound"):
+            enumerate_branches(_path_pattern(22))
+        assert passes == []
+
+    def test_enumeration_peak_within_its_charge(self):
+        """The 1x14 path's 8192 branch records and its pass peak at or below
+        what enumerate_branches charges them before the pass."""
+        p = _path_pattern(14)
+        charge = simulator._pass_bytes(1, len(p.vertices), len(p.inputs))
+        charge += simulator._RECORD_BYTES << p.n_measurements
+        enumerate_branches(p)
+        tracemalloc.start()
+        try:
+            reports = enumerate_branches(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 8192
+        assert peak <= charge
 
     def test_run_branch_counts_live_qubits(self):
         """A 30-qubit chain written as N/E/M/X blocks has at most two qubits
@@ -822,6 +844,26 @@ class TestDenseBudget:
             finally:
                 tracemalloc.stop()
             assert peak <= charge, print_pattern(p)
+
+
+def test_fifteen_measurements_classify_within_the_budget():
+    """The 1x16 path's 15 measurements fit the byte budget: its pattern is
+    strong and uniform, its stripped pattern is not deterministic, and the
+    witness's branches, computed by run_branch, are not parallel on the
+    witness input."""
+    g = path_state(16, [1], [16])
+    arng = np.random.default_rng(16)
+    p = synthesize(g, find_flow(g).flow, random_angles(arng, g.measured))
+    verdict = classify_determinism(p)
+    assert verdict.is_strong and verdict.uniform and verdict.angle_samples == 20
+    stripped = p.without_corrections()
+    verdict = classify_determinism(stripped)
+    assert verdict.classification is Classification.NOT_DETERMINISTIC
+    w = verdict.witness
+    a = run_branch(stripped, w.branch_a) @ w.input_state
+    b = run_branch(stripped, w.branch_b) @ w.input_state
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    assert (na * nb - abs(np.vdot(a, b))) / (na * nb) > verdict.tolerance
 
 
 class TestClassifierArguments:
