@@ -242,6 +242,7 @@ def _cmd_identities(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="causalflow",
+        exit_on_error=False,
         description=(
             "Compile and verify one-way measurement patterns: flow search, "
             "deterministic synthesis, branch simulation, circuit extraction."
@@ -310,7 +311,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        if exc.argument_name == "command":
+            # argparse sets an unknown flag before the subcommand aside and
+            # reads the value after it as the subcommand: name the flag
+            known = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+            known.add_argument("--seed", "--tolerance", nargs="?")
+            rest = known.parse_known_args(argv)[1]
+            if rest[0].startswith("-"):
+                parser.error(f"unrecognized arguments: {rest[0]}")
+        parser.error(str(exc))
     try:
         return args.handler(args)
     except (_CliError, PatternError, SimulationError) as exc:

@@ -93,13 +93,13 @@ class OpenGraphState:
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
 
-    @property
+    @cached_property
     def measured(self) -> tuple[int, ...]:
         """Vertices outside O, i.e. the qubits that get measured."""
         oset = set(self.outputs)
         return tuple(v for v in self.vertices if v not in oset)
 
-    @property
+    @cached_property
     def prepared(self) -> tuple[int, ...]:
         """Vertices outside I, i.e. the qubits that get prepared."""
         iset = set(self.inputs)

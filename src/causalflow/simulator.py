@@ -124,7 +124,7 @@ class Witness:
         }
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class BranchReport:
     """One branch: its outcome string, linear map, and optional probability.
 
@@ -280,11 +280,13 @@ class _TensorEngine:
     axis per qubit in the order of ``layout`` (a pattern's measured qubits
     in measurement order, then its outputs), then one domain axis per
     input.  The constructor builds the graph state of ``prefix`` (commands
-    that prepare and entangle) on one entry: the plus states multiplied in
-    preparation order, times the identity from each input's axis to its
-    domain axis, bit for bit a command-by-command build.  A qubit prepared
-    later (:meth:`add_qubit`) gets a new last axis.  A measurement keeps
-    its qubit's axis as a branch index.
+    that prepare and entangle) once, over the inputs and prepared qubits:
+    the plus states (one per distinct angle) multiplied in preparation
+    order, equal entry for entry to a command-by-command build.  It writes
+    that array into every entry's input diagonal, where each input's qubit
+    axis equals its domain axis, and leaves the rest of the tensor zero.
+    A qubit prepared later (:meth:`add_qubit`) gets a new last axis.  A
+    measurement keeps its qubit's axis as a branch index.
 
     Every gate is an in-place operation on the 0-half and the 1-half of one
     qubit's axis, restricted, when a control qubit is given, to the slice
@@ -318,26 +320,26 @@ class _TensorEngine:
     ) -> None:
         n_in = len(inputs)
         _check_dense_bytes(batch, qubits, n_in)
-        held = list(inputs)
+        held = {q: k for k, q in enumerate(inputs)}
         graph = np.ones((2,) * n_in, dtype=complex)
+        plus = {a: plus_ket(a) for a in {c.angle for c in prefix if isinstance(c, Prepare)}}
         for cmd in prefix:
             if isinstance(cmd, Prepare):
-                held.append(cmd.qubit)
-                graph = np.multiply.outer(graph, plus_ket(cmd.angle))
+                held[cmd.qubit] = graph.ndim
+                graph = np.multiply.outer(graph, plus[cmd.angle])
             else:
                 idx: list = [slice(None)] * graph.ndim
-                idx[held.index(cmd.a)] = idx[held.index(cmd.b)] = 1
+                idx[held[cmd.a]] = idx[held[cmd.b]] = 1
                 graph[tuple(idx)] *= -1.0
-        layout = [q for q in layout if q in held] + [q for q in held if q not in layout]
-        self.axis_of = {q: 1 + k for k, q in enumerate(layout)}
-        self.domain_axes = [*range(1 + len(layout), 1 + len(layout) + n_in)]
-        graph = graph.transpose([held.index(q) for q in layout])[(...,) + (None,) * n_in]
-        eye = np.eye(1 << n_in, dtype=complex).reshape((2,) * (2 * n_in))
-        perm = [inputs.index(q) for q in layout if q in inputs] + [*range(n_in, 2 * n_in)]
-        eye = eye.transpose(perm).reshape([2 if q in inputs else 1 for q in layout] + [2] * n_in)
-        self.t = np.empty((batch,) + (2,) * (len(layout) + n_in), dtype=complex)
-        np.multiply(graph, eye, out=self.t[:1])
-        self.t[1:] = self.t[:1]
+        order = [q for q in layout if q in held]
+        order += [q for q in held if q not in order]
+        self.axis_of = {q: k for k, q in enumerate(order, 1)}
+        axes = [*range(len(order) + 1)]
+        self.domain_axes = [*range(len(axes), len(axes) + n_in)]
+        self.t = np.zeros((batch,) + (2,) * (len(order) + n_in), dtype=complex)
+        # einsum's diagonal over repeated labels is a writable view of self.t
+        diagonal = np.einsum(self.t, axes + [self.axis_of[q] for q in inputs], axes)
+        diagonal[...] = graph.transpose([held[q] for q in order])
         self.batch = batch
         self.branch_order: list[int] = []
         self.scale = 1.0
@@ -388,24 +390,13 @@ class _TensorEngine:
             self.t *= self.scale
             self.scale = 1.0
 
-    def apply_cz(self, a: int, b: int) -> None:
-        self.phase(b, -1.0, control=a)
-
-    def measure_keep_branch(self, q: int, alphas: Sequence[float]) -> None:
-        """Rotate ``q`` into the basis of the equatorial measurement at
-        ``alphas`` (one angle per batch entry); its axis becomes a branch index."""
-        self.butterfly(q, np.exp(-1j * np.asarray(alphas)))
-        self.branch_order.append(q)
-
     def contract_bra(self, q: int, alpha: float) -> None:
         """Project ``q`` onto the outcome-0 bra of the measurement at ``alpha``."""
         self.phase(q, cmath.exp(-1j * alpha))
         self.t = np.add(self._half(q, 0), self._half(q, 1))
         self._shrink_scale()
         ax = self.axis_of.pop(q)
-        for key in self.axis_of:
-            if self.axis_of[key] > ax:
-                self.axis_of[key] -= 1
+        self.axis_of = {key: a - (a > ax) for key, a in self.axis_of.items()}
         self.domain_axes = [a - 1 if a > ax else a for a in self.domain_axes]
 
     def maps(self, b: int, outputs: Sequence[int]) -> np.ndarray:
@@ -422,16 +413,10 @@ class _TensorEngine:
         perm = [0] + [self.axis_of[q] for q in self.branch_order]
         perm += [self.axis_of[q] for q in outputs]
         perm += self.domain_axes
-        shape = (
-            stop - start,
-            1 << len(self.branch_order),
-            1 << len(outputs),
-            1 << len(self.domain_axes),
-        )
         entries = self.t[start:stop].transpose(perm)
         out = np.empty(entries.shape, dtype=complex)
         np.multiply(entries, self.scale, out=out)
-        return out.reshape(shape)
+        return out.reshape(stop - start, 1 << len(self.branch_order), 1 << len(outputs), -1)
 
 
 # Bytes one dense pass may hold at once, checked before it allocates: every
@@ -443,7 +428,7 @@ _MAX_DENSE_BYTES = 512 * 2**20
 # temporaries (see _classifier_group).
 _BUFFER_RESERVE = 3 * np.getbufsize() * np.dtype(complex).itemsize
 # Bytes of one of enumerate_branches' BranchReport records beside its map:
-# the record, its outcome string and the map's view (about 296 on CPython 3.11).
+# the record, its outcome string and the map's view (254 on CPython 3.11).
 _RECORD_BYTES = 320
 
 
@@ -501,38 +486,40 @@ def _run_branches(p: Pattern, angles: np.ndarray) -> _TensorEngine:
     prefix = [*takewhile(lambda cmd: isinstance(cmd, (Prepare, Entangle)), p.commands)]
     layout = (*p.measurement_order, *p.outputs)
     eng = _TensorEngine(p.inputs, len(angles), len(p.vertices), prefix, layout)
-    columns = iter(angles.T)
+    factors = iter(np.exp(-1j * angles.T))
     for cmd in p.commands[len(prefix) :]:
         if isinstance(cmd, Prepare):
             eng.add_qubit(cmd.qubit, plus_ket(cmd.angle))
         elif isinstance(cmd, Entangle):
-            eng.apply_cz(cmd.a, cmd.b)
+            eng.phase(cmd.b, -1.0, cmd.a)
         elif isinstance(cmd, Measure):
-            eng.measure_keep_branch(cmd.qubit, next(columns))
+            eng.butterfly(cmd.qubit, next(factors))
+            eng.branch_order.append(cmd.qubit)
         elif isinstance(cmd, CorrectX):
             for s in cmd.signals:
-                eng.flip(cmd.qubit, control=s)
+                eng.flip(cmd.qubit, s)
         elif isinstance(cmd, CorrectZ):
             for s in cmd.signals:
-                eng.phase(cmd.qubit, -1.0, control=s)
+                eng.phase(cmd.qubit, -1.0, s)
         elif isinstance(cmd, CorrectXPhase):
             e = cmath.exp(1j * cmd.angle)
             for s in cmd.signals:
-                eng.phase(cmd.qubit, e.conjugate(), control=s)
-                eng.flip(cmd.qubit, control=s)
-                eng.phase(cmd.qubit, e, control=s)
+                eng.phase(cmd.qubit, e.conjugate(), s)
+                eng.flip(cmd.qubit, s)
+                eng.phase(cmd.qubit, e, s)
     return eng
 
 
-def _check_trace_preserving(maps: np.ndarray, tolerance: float) -> float:
-    """Max deviation of sum_s A_s^dag A_s from the identity."""
-    total = np.einsum("sij,sik->jk", maps.conj(), maps)
+def _check_trace_preserving(maps: np.ndarray, tolerance: float) -> None:
+    """Raise unless sum_s A_s^dag A_s, one product of the stacked maps, is
+    within ``tolerance`` of the identity."""
+    flat = maps.reshape(-1, maps.shape[-1])
+    total = flat.conj().T @ flat
     dev = float(np.max(np.abs(total - np.eye(total.shape[0]))))
     if dev > tolerance:
         raise SimulationError(
             f"branch maps violate trace preservation (deviation {dev:.3e})"
         )
-    return dev
 
 
 def enumerate_branches(
@@ -573,14 +560,14 @@ def enumerate_branches(
         )
     maps = _run_branches(p, _base_angles(p)).maps(0, p.outputs)
     _check_trace_preserving(maps, tolerance)
-    reports = []
-    for s in range(1 << n):
-        outcomes = _outcome_label(s, 1 << n)
-        probability = None
-        if input_state is not None:
-            probability = float(np.linalg.norm(maps[s] @ input_state) ** 2)
-        reports.append(BranchReport(outcomes, maps[s], probability))
-    return reports
+    probabilities = [None] * len(maps)
+    if input_state is not None:
+        amplitudes = maps @ input_state
+        probabilities = np.einsum("so,so->s", amplitudes.conj(), amplitudes).real.tolist()
+    return [
+        BranchReport(_outcome_label(s, len(maps)), m, probability)
+        for s, (m, probability) in enumerate(zip(maps, probabilities))
+    ]
 
 
 def _vectors_parallel(
@@ -822,7 +809,7 @@ def realized_embedding(
             if q not in eng.axis_of:
                 eng.add_qubit(q, plus_ket(preps[q]))
         if len(step) == 2:
-            eng.apply_cz(*step)
+            eng.phase(step[1], -1.0, step[0])
         for q in done:
             eng.contract_bra(q, meas_angles[q])
     matrix = eng.maps(0, g.outputs)[0]
@@ -845,7 +832,7 @@ def simulate_circuit(c: Circuit) -> np.ndarray:
             eng.add_qubit(w.id, plus_ket(0.0))
     for gate in c.gates:
         if isinstance(gate, CZGate):
-            eng.apply_cz(gate.a, gate.b)
+            eng.phase(gate.b, -1.0, gate.a)
         elif isinstance(gate, PhaseGate):
             eng.phase(gate.wire, cmath.exp(1j * gate.theta))
         else:

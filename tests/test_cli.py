@@ -434,6 +434,27 @@ def test_malformed_numbers_rejected_readably(write, capsys, argv, option):
     assert "invalid _" not in out.err
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--max-qubits", "1", "verify", "PATTERN"], "unrecognized arguments: --max-qubits\n"),
+        (["--seed", "3", "--max-qubits", "1", "verify"], "unrecognized arguments: --max-qubits\n"),
+        (["--bogus", "x", "verify", "PATTERN", "--seed"], "unrecognized arguments: --bogus\n"),
+        (["bogus", "PATTERN"], "argument command: invalid choice: 'bogus'"),
+    ],
+)
+def test_unknown_flag_before_the_subcommand_is_named(write, capsys, argv, error):
+    """argparse reads the value of an unknown flag as the subcommand; the
+    error names the flag instead, and a bad subcommand is still named."""
+    path = write("h.pat", H_TEXT)
+    with pytest.raises(SystemExit) as exit_info:
+        main([path if a == "PATTERN" else a for a in argv])
+    assert exit_info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"causalflow: error: {error}" in out.err
+
+
 def test_output_matches_golden_file(tmp_path, capsys):
     """Exit code, stdout and stderr of every recorded command line, byte for
     byte, with ``<DIR>`` standing for the directory of the input files

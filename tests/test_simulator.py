@@ -49,6 +49,8 @@ from causalflow.simulator import (
     _max_batch,
     _run_branches,
     _strong_test,
+    _TensorEngine,
+    plus_ket,
 )
 from conftest import (
     CZ,
@@ -450,6 +452,81 @@ class TestGraphStateBuild:
                 label = format(s, "03b")
                 np.testing.assert_allclose(maps[s], run_branch(q, label), atol=1e-12)
         self._assert_bitwise(p, _angle_rows(p, [q.measure_angles() for q in batch]), False)
+
+
+def _eye_product_build(inputs, batch: int, prefix, layout):
+    """The reference graph-state build: the plus states multiplied over one
+    entry's inputs and prepared qubits in preparation order, transposed to
+    the layout, times the identity from each input's axis to its domain
+    axis, then copied across the batch.  Returns the tensor and the qubit
+    order of its axes."""
+    n_in = len(inputs)
+    held = list(inputs)
+    graph = np.ones((2,) * n_in, dtype=complex)
+    for cmd in prefix:
+        if isinstance(cmd, Prepare):
+            held.append(cmd.qubit)
+            graph = np.multiply.outer(graph, plus_ket(cmd.angle))
+        else:
+            idx: list = [slice(None)] * graph.ndim
+            idx[held.index(cmd.a)] = idx[held.index(cmd.b)] = 1
+            graph[tuple(idx)] *= -1.0
+    layout = [q for q in layout if q in held] + [q for q in held if q not in layout]
+    graph = graph.transpose([held.index(q) for q in layout])[(...,) + (None,) * n_in]
+    eye = np.eye(1 << n_in, dtype=complex).reshape((2,) * (2 * n_in))
+    perm = [inputs.index(q) for q in layout if q in inputs] + [*range(n_in, 2 * n_in)]
+    eye = eye.transpose(perm).reshape([2 if q in inputs else 1 for q in layout] + [2] * n_in)
+    t = np.empty((batch,) + (2,) * (len(layout) + n_in), dtype=complex)
+    np.multiply(graph, eye, out=t[:1])
+    t[1:] = t[:1]
+    return t, layout
+
+
+class TestInputDiagonalWrite:
+    """The engine writes the graph state into every entry's input diagonal
+    and zeros elsewhere; its tensor equals the eye-product build's (zeros of
+    either sign compare equal: the product gives some zeros a minus sign)."""
+
+    def _assert_equal(self, inputs, batch, prefix, layout) -> None:
+        qubits = len(inputs) + sum(isinstance(c, Prepare) for c in prefix)
+        eng = _TensorEngine(inputs, batch, qubits, prefix, layout)
+        expected, order = _eye_product_build(list(inputs), batch, prefix, layout)
+        assert sorted(eng.axis_of, key=eng.axis_of.get) == order
+        assert eng.domain_axes == [*range(len(order) + 1, eng.t.ndim)]
+        assert eng.t.shape == expected.shape
+        assert np.array_equal(eng.t, expected), (inputs, batch, layout)
+
+    def test_empty_prefix_at_every_layout(self):
+        for n_in in range(5):
+            inputs = [7, 2, 9, 4][:n_in]
+            for layout in [(), *itertools.permutations(inputs)]:
+                for batch in (1, 21):
+                    self._assert_equal(inputs, batch, (), layout)
+
+    def test_synthesized_prefixes_at_every_layout(self):
+        """Five-vertex flow geometries with 0 to 4 inputs, and the two-qubit
+        Hadamard geometry, whose entangler indexes every axis; random
+        preparation angles, each qubit order of the pattern as the layout."""
+        rng = random.Random(17)
+        arng = np.random.default_rng(17)
+        by_inputs: dict[int, Pattern] = {}
+        while len(by_inputs) < 5:
+            g = random_open_graph(rng, max_vertices=5)
+            if len(g.vertices) < 5 or len(g.inputs) > 4 or len(g.inputs) in by_inputs:
+                continue
+            result = find_flow(g)
+            if result.found:
+                meas, preps = random_angles(arng, g.measured), random_angles(arng, g.prepared)
+                by_inputs[len(g.inputs)] = synthesize(g, result.flow, meas, preps)
+        h = hadamard_geometry()
+        for p in [*by_inputs.values(), synthesize(h, find_flow(h).flow, {1: 0.3}, {2: 0.7})]:
+            prefix = [
+                *itertools.takewhile(lambda c: isinstance(c, (Prepare, Entangle)), p.commands)
+            ]
+            assert any(isinstance(c, Entangle) for c in prefix)
+            for layout in [(), *itertools.permutations(p.vertices)]:
+                for batch in (1, 21):
+                    self._assert_equal(p.inputs, batch, prefix, layout)
 
 
 def _classify_entry(maps: np.ndarray, tolerance: float):
