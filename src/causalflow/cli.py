@@ -23,7 +23,12 @@ from typing import Sequence
 
 from .circuit_extract import extract_circuit
 from .flow_finder import find_biflow, find_flow
-from .graph_model import GraphFormatError, OpenGraphState, graph_from_json_dict
+from .graph_model import (
+    GraphFormatError,
+    OpenGraphState,
+    _json_id,
+    graph_from_json_dict,
+)
 from .pattern import (
     DEFAULT_TOLERANCE,
     EXACT_TOLERANCE,
@@ -63,10 +68,20 @@ def _load_graph(path: str) -> tuple[OpenGraphState, frozenset[int]]:
     except GraphFormatError as exc:
         raise _CliError(f"{path}: {exc}") from exc
     try:
-        y_measured = frozenset(int(q) for q in data.get("y_measured", []))
+        y_measured = frozenset(_json_id(q) for q in data.get("y_measured", []))
     except (TypeError, ValueError, OverflowError) as exc:
         raise _CliError(f"{path}: bad y_measured entry: {exc}") from exc
     return graph, y_measured
+
+
+def _json_angle(value: object) -> float:
+    """An angle read from a JSON document: a JSON number.  What ``float``
+    cannot read raises its own error, as it always has; a bool or a numeric
+    string, which ``float`` would coerce, raises TypeError."""
+    angle = float(value)
+    if type(value) not in (int, float):
+        raise TypeError(f"{json.dumps(value)} is not a number")
+    return angle
 
 
 def _load_angles(path: str | None, qubits: Sequence[int]) -> dict[int, float]:
@@ -79,7 +94,7 @@ def _load_angles(path: str | None, qubits: Sequence[int]) -> dict[int, float]:
         raise _CliError(f"{path}: expected a JSON object of vertex -> radians")
     for key, value in data.items():
         try:
-            q, angle = int(key), float(value)
+            q, angle = int(key), _json_angle(value)
         except (TypeError, ValueError) as exc:
             raise _CliError(f"{path}: bad angle entry {key!r}: {exc}") from exc
         if not math.isfinite(angle):

@@ -121,21 +121,31 @@ class OpenGraphState:
         return json.dumps(self.to_json_dict())
 
 
+def _json_id(value: object) -> int:
+    """A vertex id read from a JSON document: a JSON integer.  What ``int``
+    cannot read raises its own error, as it always has; a bool, a float or a
+    numeric string, which ``int`` would coerce, raises TypeError."""
+    q = int(value)
+    if type(value) is not int:
+        raise TypeError(f"id {json.dumps(value)} is not an integer")
+    return q
+
+
 def graph_from_json_dict(data: Mapping) -> OpenGraphState:
     """Build an :class:`OpenGraphState` from its JSON dictionary form.
 
     The expected shape is ``{"vertices": [...], "edges": [[u, v], ...],
-    "inputs": [...], "outputs": [...]}``.  Raises GraphFormatError on a
-    document of another shape and, from the constructor, on an invalid
-    open graph.
+    "inputs": [...], "outputs": [...]}``, with every id a JSON integer
+    (:func:`_json_id`).  Raises GraphFormatError on a document of another
+    shape and, from the constructor, on an invalid open graph.
     """
     try:
         if not isinstance(data, Mapping):
             raise TypeError(f"expected a JSON object, got {type(data).__name__}")
-        vertices = [int(v) for v in data["vertices"]]
-        raw_edges = [(int(u), int(v)) for u, v in data["edges"]]
-        inputs = [int(v) for v in data.get("inputs", [])]
-        outputs = [int(v) for v in data.get("outputs", [])]
+        vertices = [_json_id(v) for v in data["vertices"]]
+        raw_edges = [(_json_id(u), _json_id(v)) for u, v in data["edges"]]
+        inputs = [_json_id(v) for v in data.get("inputs", [])]
+        outputs = [_json_id(v) for v in data.get("outputs", [])]
     except KeyError as exc:
         raise GraphFormatError(f"malformed graph document: missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

@@ -305,6 +305,11 @@ def _check_angles(
     kind: str, qubits: Iterable[int], angles: Mapping[int, float]
 ) -> None:
     """Raise PatternError unless every qubit has a finite ``kind`` angle."""
+    try:
+        if all(math.isfinite(angles[q]) for q in qubits):
+            return
+    except KeyError:
+        pass
     missing = sorted(set(qubits) - set(angles))
     if missing:
         raise PatternError(f"{kind} angles missing for {missing}")

@@ -284,9 +284,17 @@ class _TensorEngine:
     the plus states (one per distinct angle) multiplied in preparation
     order, equal entry for entry to a command-by-command build.  It writes
     that array into every entry's input diagonal, where each input's qubit
-    axis equals its domain axis, and leaves the rest of the tensor zero.
-    A qubit prepared later (:meth:`add_qubit`) gets a new last axis.  A
+    axis equals its domain axis, and leaves the rest of the tensor zero.  A
     measurement keeps its qubit's axis as a branch index.
+
+    A qubit prepared later gets a new last axis.  :meth:`add_qubit` makes a
+    new tensor for it.  A ``growing`` engine (the pattern pass) instead
+    reserves, in its one allocation, a row per batch entry with room for
+    ``qubits`` axes, and :meth:`grow` adds a run of later preparations and
+    entanglers in place: the run's qubits take axes outermost in memory
+    within each row, so the tensor as it stands is their 0-half and one
+    outer product writes the rest.  A growing engine writes each plus state
+    as (1, e^{i theta}) and defers its 1/sqrt(2) to :attr:`scale`.
 
     Every gate is an in-place operation on the 0-half and the 1-half of one
     qubit's axis, restricted, when a control qubit is given, to the slice
@@ -317,32 +325,80 @@ class _TensorEngine:
         qubits: int,
         prefix: Sequence[Prepare | Entangle] = (),
         layout: Sequence[int] = (),
+        growing: bool = False,
     ) -> None:
         n_in = len(inputs)
         _check_dense_bytes(batch, qubits, n_in)
+        self.batch = batch
+        self.branch_order: list[int] = []
+        self.scale = 1.0
+        self._growing = growing
         held = {q: k for k, q in enumerate(inputs)}
-        graph = np.ones((2,) * n_in, dtype=complex)
-        plus = {a: plus_ket(a) for a in {c.angle for c in prefix if isinstance(c, Prepare)}}
-        for cmd in prefix:
-            if isinstance(cmd, Prepare):
-                held[cmd.qubit] = graph.ndim
-                graph = np.multiply.outer(graph, plus[cmd.angle])
-            else:
-                idx: list = [slice(None)] * graph.ndim
-                idx[held[cmd.a]] = idx[held[cmd.b]] = 1
-                graph[tuple(idx)] *= -1.0
+        graph = self._graph(held, prefix, n_in)
         order = [q for q in layout if q in held]
         order += [q for q in held if q not in order]
         self.axis_of = {q: k for k, q in enumerate(order, 1)}
         axes = [*range(len(order) + 1)]
         self.domain_axes = [*range(len(axes), len(axes) + n_in)]
-        self.t = np.zeros((batch,) + (2,) * (len(order) + n_in), dtype=complex)
+        room = (qubits if growing else len(order)) + n_in
+        self._rows = np.zeros((batch, 1 << room), dtype=complex)
+        self._mem = self._rows[:, : 1 << (len(order) + n_in)].reshape(
+            (batch,) + (2,) * (len(order) + n_in)
+        )
+        # the memory axis of each axis of self.t
+        self._perm = axes + self.domain_axes
+        self.t = self._mem
         # einsum's diagonal over repeated labels is a writable view of self.t
         diagonal = np.einsum(self.t, axes + [self.axis_of[q] for q in inputs], axes)
         diagonal[...] = graph.transpose([held[q] for q in order])
-        self.batch = batch
-        self.branch_order: list[int] = []
-        self.scale = 1.0
+
+    def _graph(
+        self, held: dict[int, int], run: Sequence[Prepare | Entangle], n_axes: int
+    ) -> np.ndarray:
+        """The plus states of ``run``'s preparations, multiplied in order
+        after ``n_axes`` axes of ones, with the -1 of each of ``run``'s
+        entanglers whose two qubits ``held`` gives axes; adds each prepared
+        qubit's axis to ``held``."""
+        graph = np.ones((2,) * n_axes, dtype=complex)
+        plus = {}
+        for cmd in run:
+            if isinstance(cmd, Prepare):
+                if cmd.angle not in plus:
+                    plus[cmd.angle] = (
+                        np.array([1.0, cmath.exp(1j * cmd.angle)])
+                        if self._growing
+                        else plus_ket(cmd.angle)
+                    )
+                held[cmd.qubit] = graph.ndim
+                graph = np.multiply.outer(graph, plus[cmd.angle])
+                if self._growing:
+                    self._shrink_scale()
+            elif cmd.a in held and cmd.b in held:
+                idx: list = [slice(None)] * graph.ndim
+                idx[held[cmd.a]] = idx[held[cmd.b]] = 1
+                graph[tuple(idx)] *= -1.0
+        return graph
+
+    def grow(self, run: Sequence[Prepare | Entangle]) -> None:
+        """Add a run of preparations and entanglers, in place.  Each
+        prepared qubit gets a new last axis of :attr:`t`; in memory, the run's
+        axes go outermost in each entry's row, so the tensor as it stands is
+        the 0-half and one outer product with the run's graph state writes
+        the rest.  Then each entangler with an older qubit is applied."""
+        new: dict[int, int] = {}
+        graph = self._graph(new, run, 0).reshape(-1)
+        size = self._mem[0].size
+        rows = self._rows[:, : size * len(graph)]
+        out = rows[:, size:].reshape(self.batch, -1, size)
+        np.multiply(rows[:, np.newaxis, :size], graph[1:, np.newaxis], out=out)
+        self._mem = rows.reshape((self.batch,) + (2,) * len(new) + self._mem.shape[1:])
+        self._perm = [a + len(new) * (a > 0) for a in self._perm]
+        self._perm += [1 + k for k in new.values()]
+        self.axis_of.update((q, len(self._perm) - len(new) + k) for q, k in new.items())
+        self.t = self._mem.transpose(self._perm)
+        for cmd in run:
+            if isinstance(cmd, Entangle) and not (cmd.a in new and cmd.b in new):
+                self.phase(cmd.b, -1.0, cmd.a)
 
     def add_qubit(self, q: int, state: np.ndarray) -> None:
         self.axis_of[q] = self.t.ndim
@@ -480,19 +536,77 @@ def _base_angles(p: Pattern) -> np.ndarray:
     return np.array([list(p.measure_angles().values())], dtype=float)
 
 
+# A pass of at most this many amplitudes runs in the pattern's own command
+# order: the lazy order's growth steps cost more calls than its smaller gates
+# save (measured crossover: 10^4 to 4 * 10^4 amplitudes).
+_LAZY_MIN_ELEMENTS = 1 << 14
+
+
+def _compile(p: Pattern) -> list:
+    """The commands of ``p`` in the lazy order that the dense pass runs.
+
+    One pass over the commands defers every preparation and entangler as
+    late as it may go: each ``N`` goes just before the first command on its
+    qubit, and each ``E`` just before the first measurement or X/XA
+    correction on either endpoint (it commutes with ``Z`` and with other
+    ``E``s).  Those still deferred at the end follow in their own order.  No
+    command moves earlier, so every branch map is unchanged.
+    """
+    cmds = p.commands
+    plan: list = []
+    placed = bytearray(len(cmds))
+    prep: dict[int, int] = {}
+    ents: dict[int, list[int]] = {}
+
+    def place(k: int) -> None:
+        placed[k] = 1
+        plan.append(cmds[k])
+
+    for k, cmd in enumerate(cmds):
+        kind = type(cmd)
+        if kind is Prepare:
+            prep[cmd.qubit] = k
+        elif kind is Entangle:
+            ents.setdefault(cmd.a, []).append(k)
+            ents.setdefault(cmd.b, []).append(k)
+        else:
+            q = cmd.qubit
+            if kind is not CorrectZ and q in ents:
+                for e in ents.pop(q):
+                    if not placed[e]:
+                        for r in (cmds[e].a, cmds[e].b):
+                            if r in prep:
+                                place(prep.pop(r))
+                        place(e)
+            if q in prep:
+                place(prep.pop(q))
+            place(k)
+    plan += [cmd for k, cmd in enumerate(cmds) if not placed[k]]
+    return plan
+
+
 def _run_branches(p: Pattern, angles: np.ndarray) -> _TensorEngine:
     """One dense pass over every branch, for each row of ``angles``: one
-    batch entry per row, and column k holds the k-th measurement's angles."""
-    prefix = [*takewhile(lambda cmd: isinstance(cmd, (Prepare, Entangle)), p.commands)]
+    batch entry per row, and column k holds the k-th measurement's angles.
+    The pass runs the lazy order of :func:`_compile`, or, up to
+    :data:`_LAZY_MIN_ELEMENTS` amplitudes, the pattern's own order: the
+    leading preparations and entanglers in the constructor, each later run
+    of them by :meth:`_TensorEngine.grow`."""
+    size = len(angles) << (len(p.vertices) + len(p.inputs))
+    plan = _compile(p) if size > _LAZY_MIN_ELEMENTS else p.commands
+    prefix = [*takewhile(lambda cmd: isinstance(cmd, (Prepare, Entangle)), plan)]
     layout = (*p.measurement_order, *p.outputs)
-    eng = _TensorEngine(p.inputs, len(angles), len(p.vertices), prefix, layout)
+    eng = _TensorEngine(p.inputs, len(angles), len(p.vertices), prefix, layout, True)
     factors = iter(np.exp(-1j * angles.T))
-    for cmd in p.commands[len(prefix) :]:
-        if isinstance(cmd, Prepare):
-            eng.add_qubit(cmd.qubit, plus_ket(cmd.angle))
-        elif isinstance(cmd, Entangle):
-            eng.phase(cmd.b, -1.0, cmd.a)
-        elif isinstance(cmd, Measure):
+    run: list = []
+    for cmd in plan[len(prefix) :]:
+        if isinstance(cmd, (Prepare, Entangle)):
+            run.append(cmd)
+            continue
+        if run:
+            eng.grow(run)
+            run = []
+        if isinstance(cmd, Measure):
             eng.butterfly(cmd.qubit, next(factors))
             eng.branch_order.append(cmd.qubit)
         elif isinstance(cmd, CorrectX):
@@ -507,6 +621,8 @@ def _run_branches(p: Pattern, angles: np.ndarray) -> _TensorEngine:
                 eng.phase(cmd.qubit, e.conjugate(), s)
                 eng.flip(cmd.qubit, s)
                 eng.phase(cmd.qubit, e, s)
+    if run:
+        eng.grow(run)
     return eng
 
 
@@ -760,13 +876,25 @@ def classify_determinism(
 def _bfs_rank(g: OpenGraphState) -> dict[int, int]:
     """Rank of each vertex by its BFS distance from the inputs, ties broken
     by label; each component without an input follows, searched from its
-    least label."""
+    least label.  The k-th vertex of a layer ranks len(rank) + 2k, as it
+    always has: the oracle's contraction order, and so its matrices' bytes,
+    follow these ranks."""
     rank: dict[int, int] = {}
-    for seeds in [g.inputs, *((q,) for q in g.vertices)]:
-        layer = [q for q in seeds if q not in rank]
+
+    def search(layer: list[int]) -> None:
         while layer:
-            rank.update((q, len(rank) + k) for k, q in enumerate(layer))
-            layer = sorted({n for q in layer for n in g._adjacency[q]} - rank.keys())
+            base = len(rank)
+            for k, q in enumerate(layer):
+                rank[q] = base + 2 * k
+            near: set[int] = set()
+            for q in layer:
+                near.update(g._adjacency[q])
+            layer = sorted(near.difference(rank))
+
+    search(list(g.inputs))
+    for q in g.vertices:
+        if q not in rank:
+            search([q])
     return rank
 
 
@@ -788,21 +916,34 @@ def realized_embedding(
     its first entangler and projected, if measured, right after its last one.
     """
     _check_angles("measurement", g.measured, meas_angles)
-    preps = {q: 0.0 for q in g.prepared} | dict(prep_angles or {})
-    _check_angles("preparation", g.prepared, preps)
-    measured = set(g.measured)
+    preps = dict.fromkeys(g.prepared, 0.0)
+    if prep_angles:
+        preps.update(prep_angles)
+        _check_angles("preparation", g.prepared, preps)
     rank = _bfs_rank(g)
+
+    def later_first(edge: tuple[int, int]) -> tuple[int, int]:
+        a, b = rank[edge[0]], rank[edge[1]]
+        return (a, b) if a > b else (b, a)
+
     # one step per qubit in no entangler, then one per entangler
-    steps = [(q,) for q in g.vertices if not g._adjacency[q]] + sorted(
-        g.edges, key=lambda e: sorted((rank[e[0]], rank[e[1]]), reverse=True)
-    )
+    steps = [(q,) for q in g.vertices if not g._adjacency[q]]
+    steps += sorted(g.edges, key=later_first)
     last_step = {q: k for k, step in enumerate(steps) for q in step}
-    live, peak, leaving = set(g.inputs), len(g.inputs), []
-    for k, step in enumerate(steps):
-        live.update(step)
-        peak = max(peak, len(live))
-        leaving.append([q for q in step if q in measured and last_step[q] == k])
-        live.difference_update(leaving[-1])
+    # the measured qubits that leave after each step, in step order (both
+    # g.measured and each edge are ascending), and the most in flight
+    leaving: list[list[int]] = [[] for _ in steps]
+    for q in g.measured:
+        leaving[last_step[q]].append(q)
+    seen, peak = set(g.inputs), len(g.inputs)
+    live = peak
+    for step, done in zip(steps, leaving):
+        for q in step:
+            if q not in seen:
+                seen.add(q)
+                live += 1
+        peak = max(peak, live)
+        live -= len(done)
     eng = _TensorEngine(g.inputs, 1, peak)
     for step, done in zip(steps, leaving):
         for q in step:

@@ -8,9 +8,9 @@ they were written to reads ``<DIR>`` in the recorded output as well.
 
 The calls cover every subcommand and every flag on valid graphs (paths,
 grids, loop geometries, graphs without flow and seeded random graphs), and
-the input errors: malformed JSON, graph documents of the wrong shape, each
-open-graph violation, angle files that are not objects or hold something
-other than a finite number, missing files, pattern text that does not parse,
+the input errors: malformed JSON, graph documents of the wrong shape, ids
+that are not JSON integers, each open-graph violation, angle files that are
+not objects or hold something other than a finite JSON number, missing files, pattern text that does not parse,
 patterns that are not runnable and a pattern over the dense byte budget.
 Usage errors that argparse reports itself are left to ``tests/test_cli.py``:
 their text belongs to the Python version.
@@ -66,6 +66,8 @@ def valid_graphs() -> dict[str, dict]:
     docs["loop-y.json"] = {**loop.to_json_dict(), "y_measured": [2]}
     docs["loop-y-input.json"] = {**loop.to_json_dict(), "y_measured": [1]}
     docs["loop-y-word.json"] = {**loop.to_json_dict(), "y_measured": ["two"]}
+    docs["loop-y-float.json"] = {**loop.to_json_dict(), "y_measured": [2.0]}
+    docs["loop-y-bool.json"] = {**loop.to_json_dict(), "y_measured": [True]}
     docs["reversed-edges.json"] = {"vertices": [1, 2, 3], "edges": [[2, 1], [3, 2]], "inputs": [1], "outputs": [3]}
     return docs
 
@@ -94,6 +96,13 @@ BAD_GRAPHS = {
     "no-edges.json": '{"vertices": [1]}',
     "word-vertex.json": '{"vertices": ["a"], "edges": []}',
     "triple-edge.json": '{"vertices": [1, 2], "edges": [[1, 2, 3]]}',
+    # ids that int() would coerce: each is named, none is read as a vertex
+    "float-vertex.json": '{"vertices": [1, 2.7, true], "edges": [[1, 2]], "inputs": [1], "outputs": [2]}',
+    "bool-vertex.json": '{"vertices": [1, true], "edges": [], "inputs": [1], "outputs": [1]}',
+    "string-vertex.json": '{"vertices": [1, "2"], "edges": [[1, 2]], "inputs": [1], "outputs": [2]}',
+    "float-edge.json": '{"vertices": [1, 2], "edges": [[1, 2.0]], "inputs": [1], "outputs": [2]}',
+    "bool-input.json": '{"vertices": [1, 2], "edges": [[1, 2]], "inputs": [true], "outputs": [2]}',
+    "float-output.json": '{"vertices": [1, 2], "edges": [[1, 2]], "inputs": [1], "outputs": [2.5]}',
 }
 
 ANGLES = {
@@ -110,6 +119,8 @@ BAD_ANGLES = {
     "angles-nan.json": '{"1": NaN}',
     "angles-huge.json": '{"1": 1e400}',
     "angles-not-json.json": "{",
+    "angles-bool.json": '{"1": true}',
+    "angles-string-number.json": '{"1": "1.5"}',
 }
 
 H_TEXT = "V: 1 2\nI: 1\nO: 2\nN 2 0.0\nE 1 2\nM 1 0.0\nX 2 [1]\n"

@@ -12,14 +12,23 @@ byte for byte, so the file is regenerated only when a change to the
 verdicts is intended:
 
     PYTHONPATH=src python tests/data/make_verify_golden.py
+
+With ``--diff`` it writes nothing.  It prints each entry whose verdict
+would change, with the fields that change and the relative change of
+``witness.deviation``, and exits 1 if any classification, ``uniform`` flag,
+branch pair or probe would change (or the corpus itself), else 0:
+
+    PYTHONPATH=src python tests/data/make_verify_golden.py --diff
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -126,13 +135,13 @@ def corpus() -> list[tuple[str, Pattern]]:
     return cases
 
 
-def main() -> None:
-    entries = []
+def entries() -> list[dict]:
+    out = []
     for kind, p in corpus():
         text = print_pattern(p)
         for samples, seed in itertools.product(SAMPLES, SEEDS):
             verdict = classify_determinism(p, angle_samples=samples, seed=seed)
-            entries.append(
+            out.append(
                 {
                     "kind": kind,
                     "pattern": text,
@@ -141,7 +150,68 @@ def main() -> None:
                     "verdict": verdict.to_json_dict(),
                 }
             )
-    OUT.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
+    return out
+
+
+def _changes(old: dict, new: dict) -> tuple[list[str], bool]:
+    """Lines describing how one entry's verdict changes, and whether any of
+    the changes is more than a witness's deviation."""
+    lines, verdict_changed = [], False
+    if {k: old[k] for k in ("kind", "pattern", "samples", "seed")} != {
+        k: new[k] for k in ("kind", "pattern", "samples", "seed")
+    }:
+        return ["corpus entry differs"], True
+    a, b = old["verdict"], new["verdict"]
+    for field in a.keys() | b.keys():
+        if field != "witness" and a.get(field) != b.get(field):
+            lines.append(f"{field}: {a.get(field)!r} -> {b.get(field)!r}")
+            verdict_changed = True
+    wa, wb = a.get("witness"), b.get("witness")
+    if (wa is None) != (wb is None):
+        lines.append(f"witness: {wa!r} -> {wb!r}")
+        return lines, True
+    if wa is not None:
+        for field in wa.keys() | wb.keys():
+            if field == "deviation" or wa.get(field) == wb.get(field):
+                continue
+            lines.append(f"witness.{field}: {wa.get(field)!r} -> {wb.get(field)!r}")
+            verdict_changed = True
+        if wa["deviation"] != wb["deviation"]:
+            rel = (wb["deviation"] - wa["deviation"]) / wa["deviation"]
+            lines.append(
+                f"witness.deviation: {wa['deviation']!r} -> {wb['deviation']!r} "
+                f"(relative {rel:+.2e})"
+            )
+    return lines, verdict_changed
+
+
+def diff() -> int:
+    """Print how a regeneration would change the file; 1 on a verdict change."""
+    old = json.loads(OUT.read_text(encoding="utf-8"))
+    new = entries()
+    status = 0
+    if len(old) != len(new):
+        print(f"entry count: {len(old)} -> {len(new)}")
+        status = 1
+    changed = 0
+    for k, (a, b) in enumerate(zip(old, new)):
+        lines, verdict_changed = _changes(a, b)
+        if lines:
+            changed += 1
+            print(f"entry {k} ({b['kind']}, samples {b['samples']}, seed {b['seed']}):")
+            for line in lines:
+                print("  " + line)
+        status |= verdict_changed
+    print(f"{changed} of {len(new)} entries change")
+    return status
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--diff", action="store_true", help="print the changes, write nothing")
+    if parser.parse_args().diff:
+        sys.exit(diff())
+    OUT.write_text(json.dumps(entries(), indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

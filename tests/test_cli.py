@@ -396,6 +396,62 @@ def test_infinite_id_is_a_named_error(write, capsys, doc, error, command):
     assert out.err == f"error: {path}: {error}: cannot convert float infinity to integer\n"
 
 
+_PATH3 = '"edges": [[1, 2], [2, 3]], "inputs": [1], "outputs": [3]'
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        (
+            '{"vertices": [1, 2.7, true], "edges": [[1, 2]], "inputs": [1], "outputs": [2]}',
+            "malformed graph document: id 2.7 is not an integer",
+        ),
+        ('{"vertices": [1, 2, true], ' + _PATH3 + "}", "malformed graph document: id true is not an integer"),
+        ('{"vertices": [1, 2, "3"], ' + _PATH3 + "}", 'malformed graph document: id "3" is not an integer'),
+        (
+            '{"vertices": [1, 2, 3], "edges": [[1, 2], [2, 3.0]], "inputs": [1], "outputs": [3]}',
+            "malformed graph document: id 3.0 is not an integer",
+        ),
+        (
+            '{"vertices": [1, 2, 3], "edges": [[1, 2], [2, 3]], "inputs": [true], "outputs": [3]}',
+            "malformed graph document: id true is not an integer",
+        ),
+        (
+            '{"vertices": [1, 2, 3], "edges": [[1, 2], [2, 3]], "inputs": [1], "outputs": [3.0]}',
+            "malformed graph document: id 3.0 is not an integer",
+        ),
+        ('{"vertices": [1, 2, 3], ' + _PATH3 + ', "y_measured": [2.0]}', "bad y_measured entry: id 2.0 is not an integer"),
+    ],
+    ids=["float-vertex", "bool-vertex", "string-vertex", "edge", "input", "output", "y-measured"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["flow"], ["synth"], ["extract", "--check"], ["adjoint"]],
+    ids=["flow", "synth", "extract-check", "adjoint"],
+)
+def test_coerced_id_is_a_named_error(write, capsys, doc, error, command):
+    """An id that int() would coerce (a float, a bool, a numeric string) is
+    not read as a vertex: the call exits 2 and names it."""
+    path = write("coerced.json", doc)
+    assert main([command[0], path, *command[1:]]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {path}: {error}\n"
+
+
+@pytest.mark.parametrize("value, shown", [("true", "true"), ("false", "false"), ('"1.5"', '"1.5"')])
+@pytest.mark.parametrize("flag", ["--angles", "--prep-angles"])
+def test_coerced_angle_is_a_named_error(write, capsys, value, shown, flag):
+    """An angle that float() would coerce (a bool, a numeric string) is not
+    read as radians: ``synth`` exits 2 and names it."""
+    graph = write("p3.json", '{"vertices": [1, 2, 3], ' + _PATH3 + "}")
+    angles = write("a.json", '{"2": ' + value + "}")
+    assert main(["synth", graph, flag, angles]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {angles}: bad angle entry '2': {shown} is not a number\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,6 @@
 """Tests for the branch simulator, determinism classification, and identities."""
 
+import cmath
 import itertools
 import json
 import math
@@ -357,75 +358,111 @@ class TestBatchedEngine:
         assert control_first == {True, False}
 
 
-def _per_command(p: Pattern) -> Pattern:
-    """``p`` with a no-op ``Z q []`` that ends its leading run of
-    preparations and entanglers at once: on an input, or right after the
-    first preparation when there is none.  ``_run_branches`` then builds
-    the graph state one command at a time over the whole batch."""
-    cmds = list(p.commands)
-    if p.inputs:
-        cmds.insert(0, CorrectZ(p.inputs[0], ()))
-    else:
-        cmds.insert(1, CorrectZ(cmds[0].qubit, ()))
-    return Pattern(p.vertices, p.inputs, p.outputs, cmds)
-
-
-def _late_graph_pattern(angles) -> Pattern:
+def _late_graph_pattern(angles, preps=(0.3, 0.5, 1.2)) -> Pattern:
     """Inputs 1 and 2, outputs 1 and 5: qubits 4 and 5 are prepared and
     entangled after measurements, 4 and 5 with the input 1, and the
     correction of 1 is controlled by the late qubit 4.  The measured input
-    2 comes first among the qubit axes but second in the input space."""
+    2 comes first among the qubit axes but second in the input space.
+    ``preps`` are the preparation angles of 3, 4 and 5."""
     return Pattern(
         range(1, 6),
         [1, 2],
         [1, 5],
         [
-            Prepare(3, 0.3),
+            Prepare(3, preps[0]),
             Entangle(2, 3),
             Entangle(1, 3),
             Measure(2, angles[2]),
             CorrectX(3, {2}),
-            Prepare(4, 0.5),
+            Prepare(4, preps[1]),
             Entangle(1, 4),
             Entangle(3, 4),
             Measure(3, angles[3]),
-            CorrectXPhase(4, 0.5, {3}),
+            CorrectXPhase(4, preps[1], {3}),
             CorrectZ(1, {2, 3}),
             Measure(4, angles[4]),
             CorrectX(1, {4}),
-            Prepare(5, 1.2),
+            Prepare(5, preps[2]),
             Entangle(1, 5),
             CorrectZ(5, {3, 4}),
         ],
     )
 
 
-class TestGraphStateBuild:
-    """The leading preparations and entanglers are built at once, with the
-    measured qubits on the outer axes; the branch maps are bit for bit those
-    of the build one command at a time over the batch."""
+def _eager_pass(p: Pattern, angles: np.ndarray) -> _TensorEngine:
+    """The reference pass, eager and in the pattern's own order, with the
+    dense pass's arithmetic: the constructor builds the leading preparations
+    and entanglers, each later preparation is a new last axis holding
+    (1, e^{i theta}) with its 1/sqrt(2) deferred to the scale, and every
+    gate is one of the engine's kernels."""
+    prefix = [*itertools.takewhile(lambda c: isinstance(c, (Prepare, Entangle)), p.commands)]
+    layout = (*p.measurement_order, *p.outputs)
+    eng = _TensorEngine(p.inputs, len(angles), len(p.vertices), prefix, layout, growing=True)
+    factors = iter(np.exp(-1j * angles.T))
+    for cmd in p.commands[len(prefix) :]:
+        if isinstance(cmd, Prepare):
+            eng.add_qubit(cmd.qubit, np.array([1.0, cmath.exp(1j * cmd.angle)]))
+            eng._shrink_scale()
+        elif isinstance(cmd, Entangle):
+            eng.phase(cmd.b, -1.0, cmd.a)
+        elif isinstance(cmd, Measure):
+            eng.butterfly(cmd.qubit, next(factors))
+            eng.branch_order.append(cmd.qubit)
+        else:
+            e = cmath.exp(1j * cmd.angle) if isinstance(cmd, CorrectXPhase) else None
+            for s in cmd.signals:
+                if isinstance(cmd, CorrectZ):
+                    eng.phase(cmd.qubit, -1.0, s)
+                    continue
+                if e is not None:
+                    eng.phase(cmd.qubit, e.conjugate(), s)
+                eng.flip(cmd.qubit, s)
+                if e is not None:
+                    eng.phase(cmd.qubit, e, s)
+    return eng
 
-    def _assert_bitwise(self, p: Pattern, angles: np.ndarray, standard: bool = True) -> None:
-        q = _per_command(p)
-        eng = _run_branches(p, angles)
-        if standard:
-            # the measured qubits, then the outputs, on the outer axes in order
-            order = sorted(eng.axis_of, key=eng.axis_of.get)
-            assert order == [*p.measurement_order, *p.outputs]
-            assert eng.domain_axes == [*range(len(order) + 1, eng.t.ndim)]
-        maps = eng.entry_maps(0, len(angles), p.outputs)
-        expected = _run_branches(q, angles).entry_maps(0, len(angles), q.outputs)
+
+def _edited(p: Pattern, rng: random.Random) -> list[Pattern]:
+    """``p`` with one correction dropped, one swapped X<->Z (``_mutants``),
+    and one duplicated."""
+    spots = [k for k, c in enumerate(p.commands) if isinstance(c, (CorrectX, CorrectXPhase, CorrectZ))]
+    if not spots:
+        return []
+    k = rng.choice(spots)
+    doubled = [*p.commands[: k + 1], p.commands[k], *p.commands[k + 1 :]]
+    return [*_mutants(p, rng), Pattern(p.vertices, p.inputs, p.outputs, doubled)]
+
+
+@pytest.fixture
+def always_lazy(monkeypatch):
+    """Run every dense pass in the lazy order, however small."""
+    monkeypatch.setattr(simulator, "_LAZY_MIN_ELEMENTS", 0)
+
+
+class TestGraphStateBuild:
+    """The dense pass runs the lazy order of ``_compile`` and grows its
+    tensor in place.  At zero preparation angles its branch maps are bit for
+    bit those of the eager reference pass; at any angles they equal
+    run_branch's."""
+
+    def _assert_bitwise(self, p: Pattern, angles: np.ndarray) -> None:
+        maps = _run_branches(p, angles).entry_maps(0, len(angles), p.outputs)
+        expected = _eager_pass(p, angles).entry_maps(0, len(angles), p.outputs)
         assert np.array_equal(maps, expected), print_pattern(p)
 
-    def test_sampled_geometries_bitwise(self):
+    def _assert_run_branch(self, p: Pattern) -> None:
+        angles = _angle_rows(p, [p.measure_angles()])
+        maps = _run_branches(p, angles).maps(0, p.outputs)
+        for s in range(1 << p.n_measurements):
+            label = format(s, f"0{p.n_measurements}b")
+            np.testing.assert_allclose(maps[s], run_branch(p, label), atol=1e-12)
+
+    def test_sampled_geometries_bitwise(self, always_lazy):
         arng = np.random.default_rng(14)
         forms = set()
         for g, fl in _flow_patterns(14, 120, max_vertices=5):
             meas = random_angles(arng, g.measured)
-            for p in (
-                synthesize(g, fl, meas, random_angles(arng, g.prepared)),
-                synthesize_stabilizer_form(g, fl, meas),
-            ):
+            for p in (synthesize(g, fl, meas), synthesize_stabilizer_form(g, fl, meas)):
                 forms.add(bool(p.inputs))
                 angles = arng.uniform(0.0, 2.0 * math.pi, size=(3, p.n_measurements))
                 for variant in (p, p.without_corrections(), drop_x_corrections(p)):
@@ -433,25 +470,130 @@ class TestGraphStateBuild:
         assert forms == {True, False}
 
     def test_cluster_grid_bitwise(self):
+        """The 3x4 grid at 21 angle rows, above the lazy order's threshold."""
         g = cluster_grid(3, 4)
         p = synthesize(g, find_flow(g).flow, {q: 0.1 * q for q in g.measured})
         rows = np.random.default_rng(4).uniform(0.0, 2.0 * math.pi, size=(20, 9))
-        self._assert_bitwise(p, np.concatenate([_angle_rows(p, [p.measure_angles()]), rows]))
+        angles = np.concatenate([_angle_rows(p, [p.measure_angles()]), rows])
+        assert len(angles) << (len(p.vertices) + len(p.inputs)) > simulator._LAZY_MIN_ELEMENTS
+        self._assert_bitwise(p, angles)
 
-    def test_graph_after_measurements_matches_run_branch(self):
+    def test_graph_after_measurements_matches_run_branch(self, always_lazy):
         arng = np.random.default_rng(15)
         batch = [_late_graph_pattern(random_angles(arng, [2, 3, 4])) for _ in range(4)]
         p = batch[0]
         assert check_runnable(p).ok
         eng = _run_branches(p, _angle_rows(p, [q.measure_angles() for q in batch]))
-        # qubit 4, prepared after the graph state's build, follows the domain axes
+        # qubit 4, prepared after the first measurement, follows the domain axes
         assert eng.axis_of[4] > max(eng.domain_axes) > eng.axis_of[1] > eng.axis_of[2]
         for b, q in enumerate(batch):
             maps = eng.maps(b, p.outputs)
             for s in range(8):
                 label = format(s, "03b")
                 np.testing.assert_allclose(maps[s], run_branch(q, label), atol=1e-12)
-        self._assert_bitwise(p, _angle_rows(p, [q.measure_angles() for q in batch]), False)
+        zero = _late_graph_pattern(p.measure_angles(), (0.0, 0.0, 0.0))
+        self._assert_bitwise(zero, _angle_rows(zero, [q.measure_angles() for q in batch]))
+
+    def test_edited_patterns_match_run_branch(self, always_lazy):
+        """Random preparation phases, corrections swapped X<->Z, dropped and
+        duplicated, entanglers after measurements and corrections with
+        several signals: the lazy pass equals run_branch within 1e-12."""
+        rng = random.Random(16)
+        arng = np.random.default_rng(16)
+        for g, fl in _flow_patterns(16, 60, max_vertices=5):
+            meas = random_angles(arng, g.measured)
+            for p in (
+                synthesize(g, fl, meas, random_angles(arng, g.prepared)),
+                synthesize_stabilizer_form(g, fl, meas),
+            ):
+                for variant in (p, *_edited(p, rng)):
+                    self._assert_run_branch(variant)
+        late = _late_graph_pattern(random_angles(arng, [2, 3, 4]))
+        for variant in (late, *_edited(late, rng)):
+            self._assert_run_branch(variant)
+
+
+def _placed_at(p: Pattern, plan: list) -> list[int]:
+    """Each plan entry's index in ``p.commands``; equal commands in order."""
+    unused: dict = {}
+    for k, cmd in enumerate(p.commands):
+        unused.setdefault(cmd, []).append(k)
+    return [unused[cmd].pop(0) for cmd in plan]
+
+
+def _on(cmd, q: int) -> bool:
+    return q in (cmd.a, cmd.b) if isinstance(cmd, Entangle) else cmd.qubit == q
+
+
+class TestCompile:
+    """``_compile``'s rule: each N just before the first command on its
+    qubit, each E just before the first measurement or X/XA correction on
+    either endpoint, leftovers at the end in their own order, and no
+    command earlier than in the pattern."""
+
+    def test_late_graph_pattern_order(self):
+        p = _late_graph_pattern({2: 0.1, 3: 0.2, 4: 0.3})
+        c = p.commands
+        # N3 E23 M2; E13 X3; N4 E34 M3; E14 XA4; Z1 M4 X1; N5 Z5; then the
+        # leftover E15, which commutes with Z5
+        order = [0, 1, 3, 2, 4, 5, 7, 8, 6, 9, 10, 11, 12, 13, 15, 14]
+        assert simulator._compile(p) == [c[k] for k in order]
+
+    def test_rule_on_sampled_patterns(self):
+        rng = random.Random(18)
+        arng = np.random.default_rng(18)
+        patterns = [_late_graph_pattern(random_angles(arng, [2, 3, 4]))]
+        for g, fl in _flow_patterns(18, 80, max_vertices=6):
+            meas = random_angles(arng, g.measured)
+            for p in (synthesize(g, fl, meas), synthesize_stabilizer_form(g, fl, meas)):
+                patterns += [p, p.without_corrections(), *_edited(p, rng)]
+        for p in patterns:
+            self._assert_rule(p)
+
+    def _assert_rule(self, p: Pattern) -> None:
+        plan = simulator._compile(p)
+        origin = _placed_at(p, plan)
+        assert sorted(origin) == [*range(len(p.commands))]
+        # a command passes one that came before it in p only if that one
+        # is a preparation or an entangler, deferred
+        for at, k in enumerate(origin):
+            for j in origin[at + 1 :]:
+                assert j > k or isinstance(p.commands[j], (Prepare, Entangle)), print_pattern(p)
+        gates = [k for k in origin if not isinstance(p.commands[k], (Prepare, Entangle))]
+        assert gates == sorted(gates)
+        n = len(plan)
+        tail = n
+        while tail and isinstance(plan[tail - 1], (Prepare, Entangle)):
+            tail -= 1
+        for at, cmd in enumerate(plan[:tail]):
+            if isinstance(cmd, Entangle):
+                # the next gate needs it: a measurement or X/XA on an endpoint,
+                # and none of those comes between the E's place in p and it
+                nxt = next(j for j in range(at, n) if not isinstance(plan[j], (Prepare, Entangle)))
+                trigger = plan[nxt]
+                assert not isinstance(trigger, CorrectZ) and _on(trigger, cmd.a) | _on(trigger, cmd.b)
+                between = p.commands[origin[at] + 1 : origin[nxt]]
+                assert not any(
+                    not isinstance(c, (Prepare, Entangle, CorrectZ))
+                    and (_on(c, cmd.a) or _on(c, cmd.b))
+                    for c in between
+                ), print_pattern(p)
+            elif isinstance(cmd, Prepare):
+                # only preparations and entanglers before its qubit's first use
+                use = next(j for j in range(at + 1, n) if _on(plan[j], cmd.qubit))
+                assert all(isinstance(c, (Prepare, Entangle)) for c in plan[at + 1 : use])
+        for at in range(tail, n):
+            # a leftover is needed by no gate after it in p
+            cmd = plan[at]
+            later = p.commands[origin[at] + 1 :]
+            if isinstance(cmd, Entangle):
+                assert not any(
+                    isinstance(c, (Measure, CorrectX, CorrectXPhase)) and (_on(c, cmd.a) or _on(c, cmd.b))
+                    for c in later
+                )
+            else:
+                assert not any(_on(c, cmd.qubit) for c in later if not isinstance(c, Entangle))
+        assert origin[tail:] == sorted(origin[tail:])
 
 
 def _eye_product_build(inputs, batch: int, prefix, layout):
