@@ -8,23 +8,24 @@ measured qubits are rotated into their measurement basis and kept as
 branch indices, so every branch map falls out of a single contraction.
 The two agree to rounding and are cross-checked in the test suite.
 
-A pass builds a pattern's leading preparations and entanglers (all of the
-open graph state in standard form) in one step, with the measured qubits
-on the outer axes in measurement order, so that gates act on long
-contiguous runs and the branch maps are read out without a transpose.  The
-tensor pass applies no matrices.  A pattern only ever needs X, Z, the
-phase-conjugated X, diagonal phases, the Hadamard and equatorial
-measurement bras, and each of these is an in-place operation on the
-0-half and the 1-half of one axis: multiply the 1-half by a phase, swap
+A pass runs the pattern in a lazy order (:func:`_compile`): each
+preparation and entangler waits until a command needs it, so early gates
+act on the few qubits prepared so far, not on the whole graph state.  It
+builds the leading preparations and entanglers at once and grows its tensor
+in place by each later run of them, inside the one allocation it checked
+against the budget.  The tensor pass applies no matrices.  A pattern only
+ever needs X, Z, the phase-conjugated X, diagonal phases, the Hadamard and
+equatorial measurement bras, and each of these is an in-place operation on
+the 0-half and the 1-half of one axis: multiply the 1-half by a phase, swap
 the halves, or the butterfly (a + b, a - b)/sqrt(2).  A dependent
-correction is the same operation restricted to the slice where its
-signal's branch bit is 1.  Every dense simulation fits one byte budget,
-checked before anything is allocated: at most 23 qubits plus inputs per
-angle vector (a circuit's wires plus input wires, :func:`run_branch`'s live
+correction is the same operation restricted to the slice where its signal's
+branch bit is 1.  Every dense simulation fits one byte budget, checked
+before anything is allocated: at most 23 qubits plus inputs per angle
+vector (a circuit's wires plus input wires, :func:`run_branch`'s live
 qubits); the classifier splits its angle samples into batches that fit, and
 :func:`enumerate_branches` charges its 2^n records to the budget too.
-After each pass it runs the strong-equality test (every branch map equal
-to the reference branch's) on all of the batch's entries in a few numpy
+After each pass it runs the strong-equality test (every branch map equal to
+the reference branch's) on all of the batch's entries in a few numpy
 reductions, and falls back to the entry-by-entry proportionality test and
 witness search only for the entries that fail it.
 
@@ -537,8 +538,9 @@ def _base_angles(p: Pattern) -> np.ndarray:
 
 
 # A pass of at most this many amplitudes runs in the pattern's own command
-# order: the lazy order's growth steps cost more calls than its smaller gates
-# save (measured crossover: 10^4 to 4 * 10^4 amplitudes).
+# order: there the lazy order's growth steps cost more numpy calls than its
+# smaller gates save (on paths and grids at batch 1 and 21 the crossover
+# lay between 5 * 10^3 and 2 * 10^4 amplitudes).
 _LAZY_MIN_ELEMENTS = 1 << 14
 
 
@@ -596,7 +598,9 @@ def _run_branches(p: Pattern, angles: np.ndarray) -> _TensorEngine:
     plan = _compile(p) if size > _LAZY_MIN_ELEMENTS else p.commands
     prefix = [*takewhile(lambda cmd: isinstance(cmd, (Prepare, Entangle)), plan)]
     layout = (*p.measurement_order, *p.outputs)
-    eng = _TensorEngine(p.inputs, len(angles), len(p.vertices), prefix, layout, True)
+    eng = _TensorEngine(
+        p.inputs, len(angles), len(p.vertices), prefix, layout, growing=True
+    )
     factors = iter(np.exp(-1j * angles.T))
     run: list = []
     for cmd in plan[len(prefix) :]:
