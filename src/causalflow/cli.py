@@ -76,8 +76,8 @@ def _load_graph(path: str) -> tuple[OpenGraphState, frozenset[int]]:
 
 def _json_angle(value: object) -> float:
     """An angle read from a JSON document: a JSON number.  What ``float``
-    cannot read raises its own error, as it always has; a bool or a numeric
-    string, which ``float`` would coerce, raises TypeError."""
+    cannot read raises ``float``'s own error; a bool or a numeric string,
+    which ``float`` would coerce, raises TypeError."""
     angle = float(value)
     if type(value) not in (int, float):
         raise TypeError(f"{json.dumps(value)} is not a number")

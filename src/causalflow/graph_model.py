@@ -123,8 +123,8 @@ class OpenGraphState:
 
 def _json_id(value: object) -> int:
     """A vertex id read from a JSON document: a JSON integer.  What ``int``
-    cannot read raises its own error, as it always has; a bool, a float or a
-    numeric string, which ``int`` would coerce, raises TypeError."""
+    cannot read raises ``int``'s own error; a bool, a float or a numeric
+    string, which ``int`` would coerce, raises TypeError."""
     q = int(value)
     if type(value) is not int:
         raise TypeError(f"id {json.dumps(value)} is not an integer")

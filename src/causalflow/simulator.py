@@ -880,9 +880,9 @@ def classify_determinism(
 def _bfs_rank(g: OpenGraphState) -> dict[int, int]:
     """Rank of each vertex by its BFS distance from the inputs, ties broken
     by label; each component without an input follows, searched from its
-    least label.  The k-th vertex of a layer ranks len(rank) + 2k, as it
-    always has: the oracle's contraction order, and so its matrices' bytes,
-    follow these ranks."""
+    least label.  The k-th vertex of a layer ranks len(rank) + 2k, not
+    len(rank) + k: the oracle's contraction order, and so its matrices'
+    bytes, follow these ranks."""
     rank: dict[int, int] = {}
 
     def search(layer: list[int]) -> None:
