@@ -373,7 +373,9 @@ class _TensorEngine:
                 held[cmd.qubit] = graph.ndim
                 graph = np.multiply.outer(graph, plus[cmd.angle])
                 if self._growing:
-                    self._shrink_scale()
+                    # the next _shrink_scale folds scale if it gets small;
+                    # the constructor has no tensor to fold into yet
+                    self.scale *= _SQRT2_INV
             elif cmd.a in held and cmd.b in held:
                 idx: list = [slice(None)] * graph.ndim
                 idx[held[cmd.a]] = idx[held[cmd.b]] = 1
