@@ -27,6 +27,7 @@ from .graph_model import (
     GraphFormatError,
     OpenGraphState,
     _json_id,
+    _text_id,
     graph_from_json_dict,
 )
 from .pattern import (
@@ -94,7 +95,7 @@ def _load_angles(path: str | None, qubits: Sequence[int]) -> dict[int, float]:
         raise _CliError(f"{path}: expected a JSON object of vertex -> radians")
     for key, value in data.items():
         try:
-            q, angle = int(key), _json_angle(value)
+            q, angle = _text_id(key), _json_angle(value)
         except (TypeError, ValueError) as exc:
             raise _CliError(f"{path}: bad angle entry {key!r}: {exc}") from exc
         if not math.isfinite(angle):
@@ -110,7 +111,7 @@ def _find_flow_for(args, graph: OpenGraphState, y_from_file: frozenset[int]):
     if args.y_measured:
         try:
             y_qubits = frozenset(
-                int(t) for t in args.y_measured.replace(",", " ").split()
+                _text_id(t) for t in args.y_measured.replace(",", " ").split()
             )
         except ValueError as exc:
             raise _CliError(f"--y-measured: {exc}") from exc

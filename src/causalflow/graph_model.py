@@ -131,6 +131,17 @@ def _json_id(value: object) -> int:
     return q
 
 
+def _text_id(token: str) -> int:
+    """An integer read from text, in the one spelling ``str`` gives it.
+    What ``int`` cannot read raises ``int``'s own error; a spelling that
+    ``int`` would coerce (a sign, a space, a leading zero, an underscore, a
+    non-ASCII digit) raises ValueError."""
+    q = int(token)
+    if str(q) != token:
+        raise ValueError(f"{token!r} is not written as a plain integer")
+    return q
+
+
 def graph_from_json_dict(data: Mapping) -> OpenGraphState:
     """Build an :class:`OpenGraphState` from its JSON dictionary form.
 

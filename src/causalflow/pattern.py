@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Union
 
-from .graph_model import Flow, OpenGraphState, ValidationResult, validate_flow
+from .graph_model import Flow, OpenGraphState, ValidationResult, _text_id, validate_flow
 
 TWO_PI = 2.0 * math.pi
 _ANGLE_EPS = 1e-12
@@ -489,16 +489,27 @@ def _parse_signals(token: str) -> frozenset[int]:
     body = match.group(1).strip()
     if not body:
         return frozenset()
-    return frozenset(int(s) for s in body.replace(",", " ").split())
+    return frozenset(_text_id(s) for s in body.replace(",", " ").split())
+
+
+def _parse_angle(token: str) -> float:
+    """An angle read from text: what ``float`` reads, less the underscores
+    and non-ASCII digits it would also accept."""
+    if "_" in token or not token.isascii():
+        raise ValueError(f"bad angle {token!r}")
+    return float(token)
 
 
 # The one per-kind table: each command class with its text token and, in
 # constructor order, each field's name with how the text format writes and
 # reads it.  Fields named ``angle`` are floats, ``signals`` outcome sets,
 # and every other field is a qubit id.
-_FIELD_CODECS = {"angle": (repr, float), "signals": (_format_signals, _parse_signals)}
+_FIELD_CODECS = {"angle": (repr, _parse_angle), "signals": (_format_signals, _parse_signals)}
 _COMMANDS: dict[type, tuple[str, tuple[tuple[str, Callable, Callable], ...]]] = {
-    cls: (token, tuple((f.name, *_FIELD_CODECS.get(f.name, (str, int))) for f in fields(cls)))
+    cls: (
+        token,
+        tuple((f.name, *_FIELD_CODECS.get(f.name, (str, _text_id))) for f in fields(cls)),
+    )
     for cls, token in [(Prepare, "N"), (Entangle, "E"), (Measure, "M"),
                        (CorrectX, "X"), (CorrectZ, "Z"), (CorrectXPhase, "XA")]
 }
@@ -565,7 +576,7 @@ def parse_pattern(text: str) -> Pattern:
             key = line[0]
             seen_headers.add(key)
             try:
-                ids = [int(t) for t in line[2:].split()]
+                ids = [_text_id(t) for t in line[2:].split()]
             except ValueError as exc:
                 raise PatternFormatError(f"bad header line {line!r}") from exc
             {"V": vertices, "I": inputs, "O": outputs}[key].extend(ids)

@@ -277,25 +277,25 @@ class _TensorEngine:
     :func:`enumerate_branches`, :func:`classify_determinism`,
     :func:`realized_embedding` and the circuit simulator.
 
-    Axis 0 is the batch (one entry per measurement-angle vector), then one
-    axis per qubit in the order of ``layout`` (a pattern's measured qubits
-    in measurement order, then its outputs), then one domain axis per
-    input.  The constructor builds the graph state of ``prefix`` (commands
-    that prepare and entangle) once, over the inputs and prepared qubits:
-    the plus states (one per distinct angle) multiplied in preparation
-    order, equal entry for entry to a command-by-command build.  It writes
-    that array into every entry's input diagonal, where each input's qubit
-    axis equals its domain axis, and leaves the rest of the tensor zero.  A
-    measurement keeps its qubit's axis as a branch index.
+    :attr:`t` is the tensor in memory order.  Axis 0 is the batch (one entry
+    per measurement-angle vector), then one axis per qubit, named by
+    :attr:`axis_of`, then one domain axis per input, always the last axes.
+    The constructor builds the graph state of ``prefix`` (commands that
+    prepare and entangle) once, over the inputs and prepared qubits, with
+    its qubits in the order of ``layout`` (a pattern's measured qubits in
+    measurement order, then its outputs): the plus states (one per distinct
+    angle) multiplied in preparation order, equal entry for entry to a
+    command-by-command build.  Each plus state is written as (1, e^{i theta})
+    and its 1/sqrt(2) deferred to :attr:`scale`.  It writes that array into
+    every entry's input diagonal, where each input's qubit axis equals its
+    domain axis, and leaves the rest of the tensor zero.  A measurement
+    keeps its qubit's axis as a branch index.
 
-    A qubit prepared later gets a new last axis.  :meth:`add_qubit` makes a
-    new tensor for it.  A ``growing`` engine (the pattern pass) instead
-    reserves, in its one allocation, a row per batch entry with room for
-    ``qubits`` axes, and :meth:`grow` adds a run of later preparations and
-    entanglers in place: the run's qubits take axes outermost in memory
-    within each row, so the tensor as it stands is their 0-half and one
-    outer product writes the rest.  A growing engine writes each plus state
-    as (1, e^{i theta}) and defers its 1/sqrt(2) to :attr:`scale`.
+    A qubit prepared later takes axis 1, and the older axes move out by one.
+    :meth:`add_qubit` makes a new tensor for it; :meth:`grow` adds a run of
+    later preparations and entanglers in place, inside the constructor's one
+    allocation, which holds a row per batch entry with room for ``qubits``
+    axes.
 
     Every gate is an in-place operation on the 0-half and the 1-half of one
     qubit's axis, restricted, when a control qubit is given, to the slice
@@ -311,12 +311,11 @@ class _TensorEngine:
 
     No general 2x2 matrix is applied.  Scratch is one copy of a half-axis
     slice, at most half the tensor.  The constructor checks the dense byte
-    budget for ``batch`` entries over ``qubits``, the most qubit axes the
-    engine will hold, and the domain axes, before it allocates.  The
-    butterflies' 1/sqrt(2) factors collect in :attr:`scale` and are applied
-    when :meth:`maps` reads the result, or earlier, once ``scale`` falls
-    below :data:`_MIN_SCALE`, so that a long gate sequence keeps entries and
-    ``scale`` normal floats.
+    budget for ``batch`` entries over ``qubits`` and the domain axes before
+    it allocates.  The butterflies' 1/sqrt(2) factors collect in
+    :attr:`scale` too, and are applied when :meth:`maps` reads the result,
+    or earlier, once ``scale`` falls below :data:`_MIN_SCALE`, so that a
+    long gate sequence keeps entries and ``scale`` normal floats.
     """
 
     def __init__(
@@ -326,29 +325,22 @@ class _TensorEngine:
         qubits: int,
         prefix: Sequence[Prepare | Entangle] = (),
         layout: Sequence[int] = (),
-        growing: bool = False,
     ) -> None:
         n_in = len(inputs)
         _check_dense_bytes(batch, qubits, n_in)
         self.batch = batch
         self.branch_order: list[int] = []
         self.scale = 1.0
-        self._growing = growing
         held = {q: k for k, q in enumerate(inputs)}
         graph = self._graph(held, prefix, n_in)
         order = [q for q in layout if q in held]
         order += [q for q in held if q not in order]
         self.axis_of = {q: k for k, q in enumerate(order, 1)}
-        axes = [*range(len(order) + 1)]
-        self.domain_axes = [*range(len(axes), len(axes) + n_in)]
-        room = (qubits if growing else len(order)) + n_in
-        self._rows = np.zeros((batch, 1 << room), dtype=complex)
-        self._mem = self._rows[:, : 1 << (len(order) + n_in)].reshape(
+        self._rows = np.zeros((batch, 1 << (qubits + n_in)), dtype=complex)
+        self.t = self._rows[:, : 1 << (len(order) + n_in)].reshape(
             (batch,) + (2,) * (len(order) + n_in)
         )
-        # the memory axis of each axis of self.t
-        self._perm = axes + self.domain_axes
-        self.t = self._mem
+        axes = [*range(len(order) + 1)]
         # einsum's diagonal over repeated labels is a writable view of self.t
         diagonal = np.einsum(self.t, axes + [self.axis_of[q] for q in inputs], axes)
         diagonal[...] = graph.transpose([held[q] for q in order])
@@ -365,17 +357,12 @@ class _TensorEngine:
         for cmd in run:
             if isinstance(cmd, Prepare):
                 if cmd.angle not in plus:
-                    plus[cmd.angle] = (
-                        np.array([1.0, cmath.exp(1j * cmd.angle)])
-                        if self._growing
-                        else plus_ket(cmd.angle)
-                    )
+                    plus[cmd.angle] = np.array([1.0, cmath.exp(1j * cmd.angle)])
                 held[cmd.qubit] = graph.ndim
                 graph = np.multiply.outer(graph, plus[cmd.angle])
-                if self._growing:
-                    # the next _shrink_scale folds scale if it gets small;
-                    # the constructor has no tensor to fold into yet
-                    self.scale *= _SQRT2_INV
+                # the next _shrink_scale folds scale if it gets small;
+                # the constructor has no tensor to fold into yet
+                self.scale *= _SQRT2_INV
             elif cmd.a in held and cmd.b in held:
                 idx: list = [slice(None)] * graph.ndim
                 idx[held[cmd.a]] = idx[held[cmd.b]] = 1
@@ -383,29 +370,30 @@ class _TensorEngine:
         return graph
 
     def grow(self, run: Sequence[Prepare | Entangle]) -> None:
-        """Add a run of preparations and entanglers, in place.  Each
-        prepared qubit gets a new last axis of :attr:`t`; in memory, the run's
-        axes go outermost in each entry's row, so the tensor as it stands is
-        the 0-half and one outer product with the run's graph state writes
-        the rest.  Then each entangler with an older qubit is applied."""
+        """Add a run of preparations and entanglers, in place.  The run's
+        qubits take axes 1 onwards, in preparation order, outermost in each
+        entry's row, so the tensor as it stands is their 0-half and one outer
+        product with the run's graph state writes the rest.  Then each
+        entangler with an older qubit is applied.  The tensor must still be
+        the constructor's allocation."""
         new: dict[int, int] = {}
-        graph = self._graph(new, run, 0).reshape(-1)
-        size = self._mem[0].size
-        rows = self._rows[:, : size * len(graph)]
+        graph = self._graph(new, run, 0)
+        size = self.t[0].size
+        rows = self._rows[:, : size * graph.size]
         out = rows[:, size:].reshape(self.batch, -1, size)
-        np.multiply(rows[:, np.newaxis, :size], graph[1:, np.newaxis], out=out)
-        self._mem = rows.reshape((self.batch,) + (2,) * len(new) + self._mem.shape[1:])
-        self._perm = [a + len(new) * (a > 0) for a in self._perm]
-        self._perm += [1 + k for k in new.values()]
-        self.axis_of.update((q, len(self._perm) - len(new) + k) for q, k in new.items())
-        self.t = self._mem.transpose(self._perm)
+        np.multiply(rows[:, np.newaxis, :size], graph.reshape(-1, 1)[1:], out=out)
+        self.t = rows.reshape((self.batch,) + graph.shape + self.t.shape[1:])
+        self.axis_of = {q: a + len(new) for q, a in self.axis_of.items()}
+        self.axis_of.update((q, 1 + k) for q, k in new.items())
         for cmd in run:
             if isinstance(cmd, Entangle) and not (cmd.a in new and cmd.b in new):
                 self.phase(cmd.b, -1.0, cmd.a)
 
     def add_qubit(self, q: int, state: np.ndarray) -> None:
-        self.axis_of[q] = self.t.ndim
-        self.t = np.multiply.outer(self.t, state)
+        """Prepare ``q`` in ``state`` on axis 1, in a new tensor."""
+        self.axis_of = {key: a + 1 for key, a in self.axis_of.items()}
+        self.axis_of[q] = 1
+        self.t = self.t[:, np.newaxis] * state.reshape((2,) + (1,) * (self.t.ndim - 1))
 
     def _half(self, q: int, bit: int, control: int | None = None) -> np.ndarray:
         idx: list = [slice(None)] * self.t.ndim
@@ -456,7 +444,6 @@ class _TensorEngine:
         self._shrink_scale()
         ax = self.axis_of.pop(q)
         self.axis_of = {key: a - (a > ax) for key, a in self.axis_of.items()}
-        self.domain_axes = [a - 1 if a > ax else a for a in self.domain_axes]
 
     def maps(self, b: int, outputs: Sequence[int]) -> np.ndarray:
         """Branch maps of batch entry ``b`` as (branches, output space, input
@@ -471,7 +458,8 @@ class _TensorEngine:
             raise SimulationError(f"live qubits {sorted(live)} differ from outputs")
         perm = [0] + [self.axis_of[q] for q in self.branch_order]
         perm += [self.axis_of[q] for q in outputs]
-        perm += self.domain_axes
+        # the domain axes, after every qubit's
+        perm += range(len(self.axis_of) + 1, self.t.ndim)
         entries = self.t[start:stop].transpose(perm)
         out = np.empty(entries.shape, dtype=complex)
         np.multiply(entries, self.scale, out=out)
@@ -600,9 +588,7 @@ def _run_branches(p: Pattern, angles: np.ndarray) -> _TensorEngine:
     plan = _compile(p) if size > _LAZY_MIN_ELEMENTS else p.commands
     prefix = [*takewhile(lambda cmd: isinstance(cmd, (Prepare, Entangle)), plan)]
     layout = (*p.measurement_order, *p.outputs)
-    eng = _TensorEngine(
-        p.inputs, len(angles), len(p.vertices), prefix, layout, growing=True
-    )
+    eng = _TensorEngine(p.inputs, len(angles), len(p.vertices), prefix, layout)
     factors = iter(np.exp(-1j * angles.T))
     run: list = []
     for cmd in plan[len(prefix) :]:
@@ -880,11 +866,12 @@ def classify_determinism(
 
 
 def _bfs_rank(g: OpenGraphState) -> dict[int, int]:
-    """Rank of each vertex by its BFS distance from the inputs, ties broken
-    by label; each component without an input follows, searched from its
-    least label.  The k-th vertex of a layer ranks len(rank) + 2k, not
-    len(rank) + k: the oracle's contraction order, and so its matrices'
-    bytes, follow these ranks."""
+    """Rank of each vertex from a breadth-first walk from the inputs, each
+    layer sorted by label; each component without an input follows, walked
+    from its least label.  The k-th vertex of a layer ranks len(rank) + 2k,
+    not len(rank) + k, so layers can interleave and two vertices can share
+    a rank: the oracle's contraction order, and so its matrices' bytes,
+    follow these ranks."""
     rank: dict[int, int] = {}
 
     def search(layer: list[int]) -> None:
@@ -950,7 +937,8 @@ def realized_embedding(
                 live += 1
         peak = max(peak, live)
         live -= len(done)
-    eng = _TensorEngine(g.inputs, 1, peak)
+    _check_dense_bytes(1, peak, len(g.inputs))
+    eng = _TensorEngine(g.inputs, 1, len(g.inputs))
     for step, done in zip(steps, leaving):
         for q in step:
             if q not in eng.axis_of:
@@ -973,7 +961,9 @@ def simulate_circuit(c: Circuit) -> np.ndarray:
     raises SimulationError, before allocating, unless the wires plus the
     input wires number at most 23 (the dense byte budget).
     """
-    eng = _TensorEngine([w.id for w in c.wires if w.source == "input"], 1, len(c.wires))
+    inputs = [w.id for w in c.wires if w.source == "input"]
+    _check_dense_bytes(1, len(c.wires), len(inputs))
+    eng = _TensorEngine(inputs, 1, len(inputs))
     for w in c.wires:
         if w.source == "plus":
             eng.add_qubit(w.id, plus_ket(0.0))

@@ -10,7 +10,10 @@ The calls cover every subcommand and every flag on valid graphs (paths,
 grids, loop geometries, graphs without flow and seeded random graphs), and
 the input errors: malformed JSON, graph documents of the wrong shape, ids
 that are not JSON integers, each open-graph violation, angle files that are
-not objects or hold something other than a finite JSON number, missing files, pattern text that does not parse,
+not objects, hold something other than a finite JSON number or key a qubit
+in another spelling than the plain integer, missing files, pattern text
+that does not parse (ids and angles spelled in ways ``int`` or ``float``
+would still read among it), a ``--y-measured`` item in such a spelling,
 patterns that are not runnable and a pattern over the dense byte budget.
 Usage errors that argparse reports itself are left to ``tests/test_cli.py``:
 their text belongs to the Python version.
@@ -20,15 +23,23 @@ byte, so the file is regenerated only when a change to the output is
 intended:
 
     PYTHONPATH=src python tests/data/make_cli_golden.py
+
+With ``--diff`` it writes nothing.  It lists the input files and the calls
+that a regeneration would add, remove or change, and exits 1 if an input
+file or the output of a call already in the file would change, else 0:
+
+    PYTHONPATH=src python tests/data/make_cli_golden.py --diff
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import math
 import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -121,6 +132,10 @@ BAD_ANGLES = {
     "angles-not-json.json": "{",
     "angles-bool.json": '{"1": true}',
     "angles-string-number.json": '{"1": "1.5"}',
+    # keys that int() would coerce: each is named, none is read as a qubit
+    "angles-key-space.json": '{" 2": 0.5, "+1": 0.25}',
+    "angles-key-underscore.json": '{"1_0": 0.5}',
+    "angles-key-zero.json": '{"02": 0.5}',
 }
 
 H_TEXT = "V: 1 2\nI: 1\nO: 2\nN 2 0.0\nE 1 2\nM 1 0.0\nX 2 [1]\n"
@@ -157,6 +172,12 @@ def patterns() -> dict[str, str]:
         "no-header.pat": H_TEXT.replace("V: 1 2\n", ""),
         "nan.pat": H_TEXT.replace("M 1 0.0", "M 1 nan"),
         "empty.pat": "",
+        # ids and angles that int() or float() would coerce
+        "coerced-ids.pat": H_TEXT.replace("M 1 0.0", "M 1_0 0_5"),
+        "coerced-angle.pat": H_TEXT.replace("M 1 0.0", "M 1 0_5"),
+        "coerced-header.pat": H_TEXT.replace("V: 1 2", "V: 1 02"),
+        "coerced-signal.pat": H_TEXT.replace("X 2 [1]", "X 2 [01]"),
+        "non-ascii.pat": H_TEXT.replace("N 2 0.0", "N \uff12 0.0"),
     }
 
 
@@ -221,6 +242,8 @@ def calls() -> list[list[str]]:
         ["synth", f"{DIR}/path3.json", "--angles", f"{DIR}/missing.json"],
         ["verify", f"{DIR}/missing.pat"],
         ["flow", f"{DIR}/path3.json", "--y-measured", "2,x"],
+        ["synth", f"{DIR}/path3.json", "--y-measured", "0_2"],
+        ["flow", f"{DIR}/path3.json", "--y-measured", "+2"],
         ["identities", "--random", "3", "--angles-grid", "4"],
         ["--seed", "5", "--tolerance", "1e-6", "identities", "--random", "2", "--angles-grid", "2"],
         ["--tolerance", "1e-30", "identities", "--random", "1", "--angles-grid", "2"],
@@ -242,12 +265,59 @@ def run(argv: list[str], directory: str) -> dict:
     }
 
 
-def main() -> None:
+def record() -> tuple[dict[str, str], list[dict]]:
+    """Every input file, and every call's record."""
     inputs = files()
     with tempfile.TemporaryDirectory() as directory:
         for name, text in inputs.items():
             Path(directory, name).write_text(text, encoding="utf-8")
         entries = [run(argv, directory) for argv in calls()]
+    return inputs, entries
+
+
+def _listed(kind: str, old: dict, new: dict, note=lambda a, b: "") -> int:
+    """Print the added, removed and changed items of one kind, each with
+    ``note(old item or None, new item)``; return the number changed."""
+    print(f"{kind}: {len(old)} -> {len(new)}")
+    changed = 0
+    for key in new:
+        if key not in old:
+            print(f"  added {key}{note(None, new[key])}")
+    for key in old:
+        if key not in new:
+            print(f"  removed {key}")
+        elif old[key] != new[key]:
+            print(f"  changed {key}{note(old[key], new[key])}")
+            changed += 1
+    return changed
+
+
+def _call_note(old: dict | None, new: dict) -> str:
+    if old is None:
+        return f": exit {new['exit']}"
+    return ": " + ", ".join(f for f in ("exit", "stdout", "stderr") if old[f] != new[f])
+
+
+def diff() -> int:
+    """Print how a regeneration would change the file; 1 if an input file or
+    an existing call's output changes."""
+    old = json.loads(OUT.read_text(encoding="utf-8"))
+    inputs, entries = record()
+
+    def by_argv(entries: list[dict]) -> dict[str, dict]:
+        return {json.dumps(e["argv"]): e for e in entries}
+
+    changed = _listed("files", old["files"], inputs)
+    changed += _listed("calls", by_argv(old["calls"]), by_argv(entries), _call_note)
+    return 1 if changed else 0
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--diff", action="store_true", help="list the changes, write nothing")
+    if parser.parse_args().diff:
+        sys.exit(diff())
+    inputs, entries = record()
     lines = ",\n".join(json.dumps(e, separators=(",", ":")) for e in entries)
     OUT.write_text(
         '{"files":' + json.dumps(inputs, indent=0) + ',\n"calls":[\n' + lines + "\n]}\n",

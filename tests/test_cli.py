@@ -452,6 +452,32 @@ def test_coerced_angle_is_a_named_error(write, capsys, value, shown, flag):
     assert out.err == f"error: {angles}: bad angle entry '2': {shown} is not a number\n"
 
 
+@pytest.mark.parametrize("key", [" 2", "+2", "02", "0_2", "-0", "\uff12", "\u0662"])
+@pytest.mark.parametrize("flag", ["--angles", "--prep-angles"])
+def test_coerced_angle_key_is_a_named_error(write, capsys, key, flag):
+    """An angle-file key that int() would coerce (a space, a sign, a leading
+    zero, an underscore, a non-ASCII digit) names no qubit: ``synth`` exits
+    2 and names it."""
+    graph = write("p3.json", '{"vertices": [1, 2, 3], ' + _PATH3 + "}")
+    angles = write("a.json", json.dumps({"3": 0.25, key: 0.5}))
+    assert main(["synth", graph, flag, angles]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        f"error: {angles}: bad angle entry {key!r}: {key!r} is not written as a plain integer\n"
+    )
+
+
+@pytest.mark.parametrize("items, bad", [("0_2", "0_2"), ("+2", "+2"), ("1, 02", "02")])
+def test_coerced_y_measured_is_a_named_error(write, capsys, items, bad):
+    """A ``--y-measured`` item that int() would coerce is not read as a qubit."""
+    graph = write("p3.json", '{"vertices": [1, 2, 3], ' + _PATH3 + "}")
+    assert main(["synth", graph, "--y-measured", items]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: --y-measured: {bad!r} is not written as a plain integer\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

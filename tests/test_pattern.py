@@ -440,6 +440,24 @@ class TestTextFormat:
         with pytest.raises(PatternFormatError, match="bad header line"):
             parse_pattern("V: 1 x\nI: 1\nO: 1\n")
 
+    @pytest.mark.parametrize(
+        "line",
+        ["M 1_0 0.5", "M +1 0.5", "M 01 0.5", "E 1 \uff12", "X 2 [01]", "XA 2 0.5 [1,02]"]
+        + ["M 1 0_5", "N 2 1_0.0", "M 1 \u0661.5", "XA 2 \uff10.5 [1]"],
+    )
+    def test_parser_rejects_coerced_tokens(self, line):
+        """A qubit or signal that int() would coerce, or an angle with an
+        underscore or a non-ASCII digit that float() would read, is not read."""
+        with pytest.raises(PatternFormatError, match="bad command line"):
+            parse_pattern(f"V: 1 2\nI: 1\nO: 2\n{line}\n")
+
+    @pytest.mark.parametrize(
+        "headers", ["V: 1 02\nI: 1\nO: 2", "V: 1 +2", "V: 1 2\nI: 0_1", "V: 1 2\nO: \u0662"]
+    )
+    def test_parser_rejects_coerced_header_ids(self, headers):
+        with pytest.raises(PatternFormatError, match="bad header line"):
+            parse_pattern(headers + "\n")
+
     def test_parser_rejects_non_finite_angles(self):
         for line in ("M 1 nan", "N 2 inf", "XA 2 -inf [1]"):
             with pytest.raises(PatternFormatError):

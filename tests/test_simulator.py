@@ -51,7 +51,6 @@ from causalflow.simulator import (
     _run_branches,
     _strong_test,
     _TensorEngine,
-    plus_ket,
 )
 from conftest import (
     CZ,
@@ -392,12 +391,12 @@ def _late_graph_pattern(angles, preps=(0.3, 0.5, 1.2)) -> Pattern:
 def _eager_pass(p: Pattern, angles: np.ndarray) -> _TensorEngine:
     """The reference pass, eager and in the pattern's own order, with the
     dense pass's arithmetic: the constructor builds the leading preparations
-    and entanglers, each later preparation is a new last axis holding
+    and entanglers, each later preparation is a new axis 1 holding
     (1, e^{i theta}) with its 1/sqrt(2) deferred to the scale, and every
     gate is one of the engine's kernels."""
     prefix = [*itertools.takewhile(lambda c: isinstance(c, (Prepare, Entangle)), p.commands)]
     layout = (*p.measurement_order, *p.outputs)
-    eng = _TensorEngine(p.inputs, len(angles), len(p.vertices), prefix, layout, growing=True)
+    eng = _TensorEngine(p.inputs, len(angles), len(p.vertices), prefix, layout)
     factors = iter(np.exp(-1j * angles.T))
     for cmd in p.commands[len(prefix) :]:
         if isinstance(cmd, Prepare):
@@ -484,8 +483,11 @@ class TestGraphStateBuild:
         p = batch[0]
         assert check_runnable(p).ok
         eng = _run_branches(p, _angle_rows(p, [q.measure_angles() for q in batch]))
-        # qubit 4, prepared after the first measurement, follows the domain axes
-        assert eng.axis_of[4] > max(eng.domain_axes) > eng.axis_of[1] > eng.axis_of[2]
+        # the constructor lays out 2, 3, 1; qubits 4 and 5, prepared after
+        # measurements, each took axis 1; the two domain axes stay last
+        assert sorted(eng.axis_of, key=eng.axis_of.get) == [5, 4, 2, 3, 1]
+        assert sorted(eng.axis_of.values()) == [1, 2, 3, 4, 5]
+        assert eng.t.shape == (4,) + (2,) * 7
         for b, q in enumerate(batch):
             maps = eng.maps(b, p.outputs)
             for s in range(8):
@@ -597,18 +599,21 @@ class TestCompile:
 
 
 def _eye_product_build(inputs, batch: int, prefix, layout):
-    """The reference graph-state build: the plus states multiplied over one
-    entry's inputs and prepared qubits in preparation order, transposed to
-    the layout, times the identity from each input's axis to its domain
-    axis, then copied across the batch.  Returns the tensor and the qubit
-    order of its axes."""
+    """The reference graph-state build: the plus states, each (1, e^{i theta})
+    with its 1/sqrt(2) collected in a scale, multiplied over one entry's
+    inputs and prepared qubits in preparation order, transposed to the
+    layout, times the identity from each input's axis to its domain axis,
+    then copied across the batch.  Returns the tensor, the qubit order of
+    its axes and the scale."""
     n_in = len(inputs)
     held = list(inputs)
     graph = np.ones((2,) * n_in, dtype=complex)
+    scale = 1.0
     for cmd in prefix:
         if isinstance(cmd, Prepare):
             held.append(cmd.qubit)
-            graph = np.multiply.outer(graph, plus_ket(cmd.angle))
+            graph = np.multiply.outer(graph, np.array([1.0, cmath.exp(1j * cmd.angle)]))
+            scale *= 1.0 / math.sqrt(2.0)
         else:
             idx: list = [slice(None)] * graph.ndim
             idx[held.index(cmd.a)] = idx[held.index(cmd.b)] = 1
@@ -621,7 +626,7 @@ def _eye_product_build(inputs, batch: int, prefix, layout):
     t = np.empty((batch,) + (2,) * (len(layout) + n_in), dtype=complex)
     np.multiply(graph, eye, out=t[:1])
     t[1:] = t[:1]
-    return t, layout
+    return t, layout, scale
 
 
 class TestInputDiagonalWrite:
@@ -632,11 +637,12 @@ class TestInputDiagonalWrite:
     def _assert_equal(self, inputs, batch, prefix, layout) -> None:
         qubits = len(inputs) + sum(isinstance(c, Prepare) for c in prefix)
         eng = _TensorEngine(inputs, batch, qubits, prefix, layout)
-        expected, order = _eye_product_build(list(inputs), batch, prefix, layout)
-        assert sorted(eng.axis_of, key=eng.axis_of.get) == order
-        assert eng.domain_axes == [*range(len(order) + 1, eng.t.ndim)]
+        expected, order, scale = _eye_product_build(list(inputs), batch, prefix, layout)
+        # the qubit axes in layout order, then the domain axes
+        assert eng.axis_of == {q: k for k, q in enumerate(order, 1)}
         assert eng.t.shape == expected.shape
         assert np.array_equal(eng.t, expected), (inputs, batch, layout)
+        assert eng.scale == scale
 
     def test_empty_prefix_at_every_layout(self):
         for n_in in range(5):
