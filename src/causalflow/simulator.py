@@ -24,10 +24,27 @@ before anything is allocated: at most 23 qubits plus inputs per angle
 vector (a circuit's wires plus input wires, :func:`run_branch`'s live
 qubits); the classifier splits its angle samples into batches that fit, and
 :func:`enumerate_branches` charges its 2^n records to the budget too.
-After each pass it runs the strong-equality test (every branch map equal to
-the reference branch's) on all of the batch's entries in a few numpy
-reductions, and falls back to the entry-by-entry proportionality test and
-witness search only for the entries that fail it.
+
+:func:`classify_determinism` first runs each batch in a merging pass.
+After the last command that reads a measurement's outcome (its ``M``, or
+the last correction whose signals contain it), the pass adds to each batch
+entry's bound delta, the Frobenius norm of the outcome's 1-half minus its
+0-half, then keeps the 0-half and drops the axis.  Its tensor holds only
+the most live qubits plus unmerged branch axes.  Every later command acts
+alike on both halves and is an isometry of the whole tensor (butterflies
+keep both outcomes, corrections and entanglers are unitary, plus states are
+normalized through the scale), so each final branch map lies within the
+sum of the deltas of the one that survives, and any two within twice that,
+entrywise too.  A batch whose entries all end with 2 * sum(delta) below the
+tolerance is therefore strongly deterministic; in exact arithmetic the
+deltas of a strongly deterministic pattern are all 0.  At the first merge
+that takes an entry to half the tolerance the pass falls back to the full
+pass, which keeps every branch axis.  After a full pass the classifier runs
+the strong-equality test (every branch map equal to the reference
+branch's) on all of the batch's entries in a few numpy reductions, and the
+entry-by-entry proportionality test and witness search only for the
+entries that fail it.  :func:`enumerate_branches`, :func:`run_branch` and
+:func:`realized_embedding` never merge.
 
 The same engine gives a geometry's :func:`realized_embedding` and the map
 of an extracted circuit (:func:`simulate_circuit`).
@@ -295,7 +312,8 @@ class _TensorEngine:
     :meth:`add_qubit` makes a new tensor for it; :meth:`grow` adds a run of
     later preparations and entanglers in place, inside the constructor's one
     allocation, which holds a row per batch entry with room for ``qubits``
-    axes.
+    axes.  :meth:`merge` drops a branch axis, keeping its 0-half at the front
+    of each row, and :meth:`widen` moves the tensor to a larger allocation.
 
     Every gate is an in-place operation on the 0-half and the 1-half of one
     qubit's axis, restricted, when a control qubit is given, to the slice
@@ -445,6 +463,35 @@ class _TensorEngine:
         ax = self.axis_of.pop(q)
         self.axis_of = {key: a - (a > ax) for key, a in self.axis_of.items()}
 
+    def merge(self, q: int, bound: np.ndarray, limit: float) -> bool:
+        """Add to ``bound``, per batch entry, the Frobenius norm of the
+        1-half of branch qubit ``q`` minus its 0-half, times :attr:`scale`.
+        If every entry's bound stays below ``limit``, keep the 0-half, moved
+        to the front of each row of the allocation so that :meth:`grow` still
+        applies, drop ``q``'s axis and return True; else change nothing more
+        and return False."""
+        zero = self._half(q, 0)
+        diff = (self._half(q, 1) - zero).view(float).reshape(self.batch, -1)
+        bound += np.sqrt(np.einsum("ij,ij->i", diff, diff)) * self.scale
+        if not bound.max() < limit:
+            return False
+        ax = self.axis_of.pop(q)
+        self.axis_of = {key: a - (a > ax) for key, a in self.axis_of.items()}
+        self.branch_order.remove(q)
+        self.t = self._rows[:, : zero[0].size].reshape(zero.shape)
+        # numpy copies an operand that overlaps its output first
+        self.t[...] = zero
+        return True
+
+    def widen(self, qubits: int) -> None:
+        """Move the tensor to the front of a new allocation with room for
+        ``qubits`` axes, checked against the budget first."""
+        n_in = self.t.ndim - 1 - len(self.axis_of)
+        _check_dense_bytes(self.batch, qubits, n_in)
+        self._rows = np.empty((self.batch, 1 << (qubits + n_in)), dtype=complex)
+        self._rows[:, : self.t[0].size] = self.t.reshape(self.batch, -1)
+        self.t = self._rows[:, : self.t[0].size].reshape(self.t.shape)
+
     def maps(self, b: int, outputs: Sequence[int]) -> np.ndarray:
         """Branch maps of batch entry ``b`` as (branches, output space, input
         space), a new array of one batch entry's size."""
@@ -577,21 +624,64 @@ def _compile(p: Pattern) -> list:
     return plan
 
 
-def _run_branches(p: Pattern, angles: np.ndarray) -> _TensorEngine:
+def _merges(plan: Sequence, n_inputs: int) -> tuple[dict[int, list[int]], int]:
+    """The measured qubits whose outcome no command of ``plan`` reads after
+    command k, keyed by k, and the most qubit axes a merging pass of
+    ``plan`` holds at once: each measurement's last use is its ``M`` or the
+    last correction whose signals contain it, and its branch axis lives
+    until then."""
+    last: dict[int, int] = {}
+    for k, cmd in enumerate(plan):
+        kind = type(cmd)
+        if kind is Measure:
+            last[cmd.qubit] = k
+        elif kind is not Prepare and kind is not Entangle:
+            last.update(dict.fromkeys(cmd.signals, k))
+    merges: dict[int, list[int]] = {}
+    for q, k in last.items():
+        merges.setdefault(k, []).append(q)
+    width = peak = n_inputs
+    for k, cmd in enumerate(plan):
+        if type(cmd) is Prepare:
+            width += 1
+            peak = max(peak, width)
+        width -= len(merges.get(k, ()))
+    return merges, peak
+
+
+def _run_branches(
+    p: Pattern, angles: np.ndarray, tolerance: float | None = None
+) -> _TensorEngine:
     """One dense pass over every branch, for each row of ``angles``: one
     batch entry per row, and column k holds the k-th measurement's angles.
     The pass runs the lazy order of :func:`_compile`, or, up to
     :data:`_LAZY_MIN_ELEMENTS` amplitudes, the pattern's own order: the
     leading preparations and entanglers in the constructor, each later run
-    of them by :meth:`_TensorEngine.grow`."""
+    of them by :meth:`_TensorEngine.grow`.
+
+    Given a ``tolerance``, the pass merges: after the last command that
+    reads a measurement's outcome (:func:`_merges`), it adds the distance
+    between that outcome's two halves to each row's bound and keeps the
+    0-half (:meth:`_TensorEngine.merge`).  Its tensor then holds only the
+    most live qubits plus unmerged branch axes.  If every bound stays below
+    ``tolerance / 2``, the engine ends with no branch axis.  At the first
+    merge that takes a row's bound to ``tolerance / 2`` the pass stops
+    merging: it goes on as the full pass from where it stands, in a tensor
+    widened to every qubit, if no axis has merged yet, and else starts the
+    full pass afresh.  Both give the full pass's engine bit for bit."""
     size = len(angles) << (len(p.vertices) + len(p.inputs))
     plan = _compile(p) if size > _LAZY_MIN_ELEMENTS else p.commands
+    merges, width = ({}, len(p.vertices))
+    if tolerance is not None:
+        merges, width = _merges(plan, len(p.inputs))
     prefix = [*takewhile(lambda cmd: isinstance(cmd, (Prepare, Entangle)), plan)]
     layout = (*p.measurement_order, *p.outputs)
-    eng = _TensorEngine(p.inputs, len(angles), len(p.vertices), prefix, layout)
+    eng = _TensorEngine(p.inputs, len(angles), width, prefix, layout)
     factors = iter(np.exp(-1j * angles.T))
+    bound = np.zeros(len(angles))
+    merged = False
     run: list = []
-    for cmd in plan[len(prefix) :]:
+    for k, cmd in enumerate(plan[len(prefix) :], len(prefix)):
         if isinstance(cmd, (Prepare, Entangle)):
             run.append(cmd)
             continue
@@ -613,6 +703,17 @@ def _run_branches(p: Pattern, angles: np.ndarray) -> _TensorEngine:
                 eng.phase(cmd.qubit, e.conjugate(), s)
                 eng.flip(cmd.qubit, s)
                 eng.phase(cmd.qubit, e, s)
+        for q in merges.get(k, ()):
+            if eng.merge(q, bound, tolerance / 2):
+                merged = True
+            elif merged:
+                del eng  # the merged tensor, before the full pass allocates
+                return _run_branches(p, angles)
+            else:
+                merges = {}
+                if width < len(p.vertices):
+                    eng.widen(len(p.vertices))
+                break
     if run:
         eng.grow(run)
     return eng
@@ -820,12 +921,25 @@ def classify_determinism(
     maps count as proportional to everything).  ``uniform`` is decided by
     re-running the classification on ``angle_samples`` fresh uniformly
     random measurement-angle vectors over the same geometry and
-    corrections, drawn in one call and evaluated in batched passes as
-    large as the dense byte budget allows.  After each pass the strong
-    test (:func:`_strong_test`) runs on groups of entries
+    corrections, evaluated in batched passes as large as the dense byte
+    budget allows; each pass's vectors are drawn as it starts, the same
+    values as one draw of them all.
+
+    Each batch runs first as a merging pass (:func:`_run_branches` with a
+    tolerance): after a measurement's last use it adds the distance delta
+    between the outcome's two halves to each entry's bound and keeps the
+    0-half.  Every later command is an isometry that acts alike on both
+    halves, so every final branch map lies within sum(delta) of the one
+    that survives; if every entry ends with 2 * sum(delta) below
+    ``tolerance``, every pair of branch maps is closer than ``tolerance``
+    entrywise, and the batch is strongly deterministic with no classifier.
+    At the first merge that takes an entry to ``tolerance / 2``, the batch
+    falls back to the full pass.  After it, the strong test
+    (:func:`_strong_test`) runs on groups of entries
     (:func:`_classifier_group`); only an entry that fails it is classified
     further, and the first one that is not deterministic ends the run.  The
-    verdict is that of the pattern's own angles.
+    verdict is that of the pattern's own angles, and the same as the full
+    pass would give every batch.
 
     Raises
     ------
@@ -846,16 +960,20 @@ def classify_determinism(
         return DeterminismVerdict(
             Classification.STRONGLY_DETERMINISTIC, True, None, angle_samples, seed, tolerance
         )
-    base = _base_angles(p)
     rng = np.random.default_rng(seed)
-    samples = rng.uniform(0.0, 2.0 * math.pi, size=(angle_samples, base.shape[1]))
-    angles = np.concatenate([base, samples])
     chunk = _max_batch(len(p.vertices), len(p.inputs))
     verdict = None
-    for start in range(0, len(angles), chunk):
-        first, uniform = _classify_batch(
-            _run_branches(p, angles[start : start + chunk]), p.outputs, tolerance
-        )
+    for start in range(0, angle_samples + 1, chunk):
+        # the base angles, then the samples, each pass's drawn as it starts
+        rows = min(chunk, angle_samples + 1 - start)
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=(rows - (start == 0), n))
+        if start == 0:
+            angles = np.concatenate([_base_angles(p), angles])
+        eng = _run_branches(p, angles, tolerance)
+        if eng.branch_order:
+            first, uniform = _classify_batch(eng, p.outputs, tolerance)
+        else:
+            first, uniform = (Classification.STRONGLY_DETERMINISTIC, None), True
         verdict = verdict or first
         if not uniform:
             break

@@ -46,6 +46,8 @@ from causalflow import (
 )
 from causalflow import simulator
 from causalflow.simulator import (
+    DeterminismVerdict,
+    _classify_batch,
     _classify_maps,
     _max_batch,
     _run_branches,
@@ -771,9 +773,9 @@ class TestBatchedClassifier:
 
         sizes = []
 
-        def counting(p, angles):
+        def counting(p, angles, tolerance=None):
             sizes.append(len(angles))
-            return _run_branches(p, angles)
+            return _run_branches(p, angles, tolerance)
 
         sample = np.dtype(complex).itemsize << (len(g.vertices) + len(g.inputs))
         monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", simulator._BUFFER_RESERVE + 3 * sample)
@@ -830,17 +832,22 @@ class TestBatchedClassifier:
             return strong_test(maps, tolerance)
 
         monkeypatch.setattr(simulator, "_strong_test", recording)
-        one_group = 0
+        one_group = reached = 0
         for k, (p, want) in enumerate(zip(patterns, expected)):
             groups.clear()
             _assert_same_verdict(classify_determinism(p, angle_samples=20, seed=k), want)
+            # the merging pass alone decides a strong and uniform verdict;
+            # every other reaches the strong test
+            strong_uniform = want[:2] == (Classification.STRONGLY_DETERMINISTIC, True)
+            assert bool(groups) != strong_uniform
             # a group holds one numpy buffer's worth of entries, or the rest
             # of the 21-entry pass; a verdict that is not deterministic stops early
             group = max(1, np.getbufsize() >> (len(p.vertices) + len(p.inputs)))
             split = [min(group, 21 - start) for start in range(0, 21, group)]
-            assert groups and groups == split[: len(groups)]
+            assert groups == split[: len(groups)]
+            reached += bool(groups)
             one_group += groups == [21]
-        assert one_group >= len(patterns) // 2
+        assert one_group >= reached // 2
         for k, (p, want) in enumerate(zip(patterns, expected)):
             sample = np.dtype(complex).itemsize << (len(p.vertices) + len(p.inputs))
             budget = simulator._BUFFER_RESERVE + 3 * sample
@@ -887,9 +894,9 @@ class TestBatchedClassifier:
         p = synthesize(g, find_flow(g).flow, {q: 0.1 * q for q in g.measured})
         rows = []
 
-        def capture(p, angles):
+        def capture(p, angles, tolerance=None):
             rows.extend(angles.tolist())
-            return _run_branches(p, angles)
+            return _run_branches(p, angles, tolerance)
 
         monkeypatch.setattr(simulator, "_run_branches", capture)
         classify_determinism(p, angle_samples=20, seed=seed)
@@ -914,6 +921,116 @@ class TestBatchedClassifier:
             assert json.dumps(verdict.to_json_dict(), indent=2) == json.dumps(
                 case["verdict"], indent=2
             ), case["pattern"]
+
+
+# Moving the first or second XA angle of a synthesized path or grid by
+# OFF_ANGLE puts its merging bound 2 sum delta at 1.4e-10 to 4e-10, while its
+# branch maps stay within 1e-11 of each other entrywise; OFF_TOLERANCE lies
+# between the two.
+OFF_ANGLE = 1e-10
+OFF_TOLERANCE = 1e-10
+
+
+def _off_strong(p: Pattern, k: int) -> Pattern:
+    """``p`` with the angle of its k-th XA correction moved by OFF_ANGLE."""
+    k = [k for k, c in enumerate(p.commands) if isinstance(c, CorrectXPhase)][k]
+    cmd = p.commands[k]
+    cmds = list(p.commands)
+    cmds[k] = CorrectXPhase(cmd.qubit, cmd.angle + OFF_ANGLE, cmd.signals)
+    return Pattern(p.vertices, p.inputs, p.outputs, cmds)
+
+
+def _full_path_verdict(p: Pattern, angle_samples: int, seed: int, tolerance: float):
+    """The verdict of the full pass and classifier on every angle row at
+    once, drawn in one call, with no merging pass."""
+    rng = np.random.default_rng(seed)
+    samples = rng.uniform(0.0, 2.0 * math.pi, size=(angle_samples, p.n_measurements))
+    angles = np.concatenate([_angle_rows(p, [p.measure_angles()]), samples])
+    eng = _run_branches(p, angles)
+    (classification, witness), uniform = _classify_batch(eng, p.outputs, tolerance)
+    return DeterminismVerdict(classification, uniform, witness, angle_samples, seed, tolerance)
+
+
+class TestMergingPass:
+    """classify_determinism first runs a merging pass, which drops each
+    measurement's branch axis after its last use and bounds how far the
+    branches it dropped can lie from the one it keeps."""
+
+    def test_merging_and_full_path_verdicts_agree(self):
+        """Geometries of at most five vertices, synthesized, with random
+        preparation angles (so with XA corrections), in stabilizer form,
+        stripped, X-dropped and mutated, at 0 and 20 samples and tolerances
+        1e-9 and 1e-13: the verdict is the full path's, JSON for JSON."""
+        rng = random.Random(97)
+        arng = np.random.default_rng(97)
+        seen = set()
+        merged = 0
+        for g, fl in _flow_patterns(97, 60, max_vertices=5):
+            meas = random_angles(arng, g.measured)
+            p = synthesize(g, fl, meas)
+            xa = synthesize(g, fl, meas, random_angles(arng, g.prepared))
+            variants = [
+                p,
+                xa,
+                synthesize_stabilizer_form(g, fl, meas),
+                xa.without_corrections(),
+                drop_x_corrections(synthesize(g, fl, {q: 0.0 for q in g.measured})),
+                *_mutants(xa, rng),
+            ]
+            for q in variants:
+                for samples, tolerance in itertools.product((0, 20), (1e-9, 1e-13)):
+                    seed = rng.randrange(100)
+                    got = classify_determinism(q, samples, seed, tolerance)
+                    want = _full_path_verdict(q, samples, seed, tolerance)
+                    assert got.to_json_dict() == want.to_json_dict(), print_pattern(q)
+                    seen.add(got.classification)
+                    merged += got.is_strong and got.uniform
+        assert seen == set(Classification)
+        assert merged > 500
+
+    @pytest.mark.parametrize("rows, cols", [(3, 4), (2, 6), (1, 13), (1, 11)])
+    def test_surviving_branch_is_the_all_zero_branch(self, rows, cols):
+        """The one branch a merging pass keeps is run_branch's all-zero one."""
+        g = cluster_grid(rows, cols)
+        arng = np.random.default_rng(rows * cols)
+        p = synthesize(g, find_flow(g).flow, random_angles(arng, g.measured))
+        eng = _run_branches(p, _angle_rows(p, [p.measure_angles()]), 1e-9)
+        assert eng.branch_order == []
+        np.testing.assert_allclose(
+            eng.maps(0, p.outputs)[0], run_branch(p, "0" * p.n_measurements), atol=1e-12
+        )
+
+    @pytest.mark.parametrize("xa", [0, 1])
+    def test_near_strong_pattern_falls_back_to_the_full_pass(self, monkeypatch, xa):
+        """A path one XA angle off strong: its branch maps stay within
+        OFF_TOLERANCE of each other, but its merging bound 2 sum delta (2e-10
+        off the first XA, 1.4e-10 off the second) does not.  At
+        OFF_TOLERANCE the merging pass gives up, at its first merge (the
+        first XA reads the first outcome) or after one (the second), and the
+        full pass and classifier find the pattern strong; at 3e-10 the
+        merging pass decides alone; at 1e-12 the full pass finds the maps
+        unequal.  Every verdict is the full path's."""
+        g = path_state(8, [1], [8])
+        arng = np.random.default_rng(8)
+        flow = find_flow(g).flow
+        p = synthesize(g, flow, random_angles(arng, g.measured), random_angles(arng, g.prepared))
+        p = _off_strong(p, xa)
+        cases = [(samples, tolerance) for samples in (0, 20) for tolerance in (OFF_TOLERANCE, 3e-10, 1e-12)]
+        want = [_full_path_verdict(p, s, 0, t).to_json_dict() for s, t in cases]
+        batches = []
+        classify_batch = simulator._classify_batch
+
+        def counting(eng, outputs, tolerance):
+            batches.append(eng.batch)
+            return classify_batch(eng, outputs, tolerance)
+
+        monkeypatch.setattr(simulator, "_classify_batch", counting)
+        for (samples, tolerance), expected in zip(cases, want):
+            batches.clear()
+            verdict = classify_determinism(p, samples, 0, tolerance)
+            assert verdict.to_json_dict() == expected
+            assert verdict.is_strong == (tolerance > 1e-12)
+            assert batches == ([] if tolerance == 3e-10 else [samples + 1])
 
 
 def _path_pattern(n: int) -> Pattern:
@@ -1003,6 +1120,41 @@ class TestDenseBudget:
         assert branch.shape == (2, 2)
         np.testing.assert_allclose(branch * 2.0 ** (29 / 2), HADAMARD, atol=1e-12)
 
+    def test_angle_draw_is_bounded_by_the_pass(self, monkeypatch):
+        """With a budget of two entries per pass, a million angle samples on a
+        pattern that is not deterministic stop in the first pass, having
+        drawn only that pass's rows.  On a strong pattern the rows drawn pass
+        by pass are those drawn one scalar at a time."""
+        strong = _path_pattern(4)
+        stripped = strong.without_corrections()
+        expected = classify_determinism(stripped, angle_samples=1)
+        sample = np.dtype(complex).itemsize << (len(strong.vertices) + len(strong.inputs))
+        monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", simulator._BUFFER_RESERVE + 3 * sample)
+        tracemalloc.start()
+        try:
+            verdict = classify_determinism(stripped, angle_samples=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert verdict.classification is Classification.NOT_DETERMINISTIC
+        assert not verdict.uniform
+        assert verdict.witness.to_json_dict() == expected.witness.to_json_dict()
+        rows = []
+
+        def capture(p, angles, tolerance=None):
+            rows.extend(angles.tolist())
+            return _run_branches(p, angles, tolerance)
+
+        monkeypatch.setattr(simulator, "_run_branches", capture)
+        assert classify_determinism(strong, angle_samples=7, seed=3).is_strong
+        rng = np.random.default_rng(3)
+        scalar = [
+            [float(rng.uniform(0.0, 2.0 * math.pi)) for _ in strong.measurement_order]
+            for _ in range(7)
+        ]
+        assert rows == [list(strong.measure_angles().values())] + scalar
+
     def test_every_tensor_of_23_axes_fits_at_batch_one(self):
         for n_inputs in range(0, 6):
             assert _max_batch(23 - n_inputs, n_inputs) == 1
@@ -1013,16 +1165,41 @@ class TestDenseBudget:
 
     @pytest.mark.parametrize("rows, cols", [(3, 4), (2, 6), (1, 13)])
     def test_peak_within_budget_accounting(self, monkeypatch, rows, cols):
-        """_max_batch reserves, beyond a pass's batch tensor, the larger of
+        """The merging pass of a strong pattern holds at most the live
+        qubits plus unmerged branch axes that ``_merges`` counts, and its
+        call's peak fits what _pass_bytes charges at that width.
+
+        A pattern one XA angle off strong, at a tolerance below its merging
+        bound, falls back to the full pass and is strong all the same.
+        _max_batch reserves, beyond a pass's batch tensor, the larger of
         half of it and three entries, and for the pass also numpy's
-        iteration buffers.  The pass's peak (the tensor, the kernel's
+        iteration buffers.  The full pass's peak (the tensor, the kernel's
         scratch and those buffers) must fit what _max_batch charges.  The
         classifier's temporaries must fit in the reserve, with one entry to
         spare for small objects, and leave the call's peak at the pass's."""
         g = cluster_grid(rows, cols)
+        arng = np.random.default_rng(rows * cols)
         p = synthesize(g, find_flow(g).flow, {q: 0.1 * q for q in g.measured})
-        entry = np.dtype(complex).itemsize << (len(p.vertices) + len(p.inputs))
         batch = 21
+        # 21 rows are above the lazy order's threshold on every grid here
+        width = simulator._merges(simulator._compile(p), len(p.inputs))[1]
+        assert width < len(p.vertices)
+        classify_determinism(p, angle_samples=batch - 1)
+        tracemalloc.start()
+        try:
+            verdict = classify_determinism(p, angle_samples=batch - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.is_strong and verdict.uniform
+        assert peak <= simulator._pass_bytes(batch, width, len(p.inputs))
+
+        p = _off_strong(
+            synthesize(g, find_flow(g).flow, {q: 0.1 * q for q in g.measured},
+                       random_angles(arng, g.prepared)),
+            0,
+        )
+        entry = np.dtype(complex).itemsize << (len(p.vertices) + len(p.inputs))
         pass_peak, classify_peak = [], []
         classify_batch = simulator._classify_batch
 
@@ -1033,11 +1210,11 @@ class TestDenseBudget:
             classify_peak.append(tracemalloc.get_traced_memory()[1])
             return result
 
-        classify_determinism(p, angle_samples=batch - 1)
+        classify_determinism(p, angle_samples=batch - 1, tolerance=OFF_TOLERANCE)
         monkeypatch.setattr(simulator, "_classify_batch", measured)
         tracemalloc.start()
         try:
-            verdict = classify_determinism(p, angle_samples=batch - 1)
+            verdict = classify_determinism(p, angle_samples=batch - 1, tolerance=OFF_TOLERANCE)
         finally:
             tracemalloc.stop()
         assert verdict.is_strong and verdict.uniform
