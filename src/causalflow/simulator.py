@@ -970,6 +970,7 @@ def classify_determinism(
         if start == 0:
             angles = np.concatenate([_base_angles(p), angles])
         eng = _run_branches(p, angles, tolerance)
+        # a merging pass that stayed within its bound kept no branch axis
         if eng.branch_order:
             first, uniform = _classify_batch(eng, p.outputs, tolerance)
         else:

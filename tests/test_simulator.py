@@ -1015,7 +1015,7 @@ class TestMergingPass:
         flow = find_flow(g).flow
         p = synthesize(g, flow, random_angles(arng, g.measured), random_angles(arng, g.prepared))
         p = _off_strong(p, xa)
-        cases = [(samples, tolerance) for samples in (0, 20) for tolerance in (OFF_TOLERANCE, 3e-10, 1e-12)]
+        cases = [*itertools.product((0, 20), (OFF_TOLERANCE, 3e-10, 1e-12))]
         want = [_full_path_verdict(p, s, 0, t).to_json_dict() for s, t in cases]
         batches = []
         classify_batch = simulator._classify_batch
@@ -1178,8 +1178,9 @@ class TestDenseBudget:
         classifier's temporaries must fit in the reserve, with one entry to
         spare for small objects, and leave the call's peak at the pass's."""
         g = cluster_grid(rows, cols)
-        arng = np.random.default_rng(rows * cols)
-        p = synthesize(g, find_flow(g).flow, {q: 0.1 * q for q in g.measured})
+        flow = find_flow(g).flow
+        meas = {q: 0.1 * q for q in g.measured}
+        p = synthesize(g, flow, meas)
         batch = 21
         # 21 rows are above the lazy order's threshold on every grid here
         width = simulator._merges(simulator._compile(p), len(p.inputs))[1]
@@ -1194,11 +1195,8 @@ class TestDenseBudget:
         assert verdict.is_strong and verdict.uniform
         assert peak <= simulator._pass_bytes(batch, width, len(p.inputs))
 
-        p = _off_strong(
-            synthesize(g, find_flow(g).flow, {q: 0.1 * q for q in g.measured},
-                       random_angles(arng, g.prepared)),
-            0,
-        )
+        arng = np.random.default_rng(rows * cols)
+        p = _off_strong(synthesize(g, flow, meas, random_angles(arng, g.prepared)), 0)
         entry = np.dtype(complex).itemsize << (len(p.vertices) + len(p.inputs))
         pass_peak, classify_peak = [], []
         classify_batch = simulator._classify_batch
