@@ -393,7 +393,10 @@ def synthesize(
     the corrected qubit's preparation when that is nonzero.  A loop vertex
     (the Pauli-Y relaxation, ``find_flow(g, loop_candidates=...)``) gets
     the stabilizer block of :func:`_loop_correction_block`; its pattern is
-    deterministic only at exactly pi/2, so it is never uniform.
+    strongly deterministic only at exactly pi/2, so never strongly
+    deterministic at every angle.  It can still be deterministic at every
+    angle: when no loop vertex has a neighbour, each branch map is a
+    scalar multiple of the others.
 
     The result passes :func:`check_runnable`; without loops, all of its
     branch maps are equal for every choice of angles.

@@ -1,56 +1,28 @@
 """Exact branch simulation of measurement patterns.
 
-The engine is a dense complex state tensor over the currently live qubits.
-Two routes are provided on purpose: :func:`run_branch` evaluates a single
+The engine (:class:`_TensorEngine`) is a dense complex tensor over the live
+qubits.  Two routes are kept on purpose: :func:`run_branch` evaluates one
 outcome string column by column with 2x2 gate matrices (the simple
-reference), while :func:`enumerate_branches` runs one tensor pass in which
-measured qubits are rotated into their measurement basis and kept as
-branch indices, so every branch map falls out of a single contraction.
-The two agree to rounding and are cross-checked in the test suite.
+reference), while :func:`enumerate_branches` and
+:func:`classify_determinism` run one tensor pass in which each measured
+qubit is rotated into its measurement basis and kept as a branch index, so
+every branch map falls out of one pass.  The two agree to rounding and are
+cross-checked in the test suite.
 
-A pass runs the pattern in a lazy order (:func:`_compile`): each
-preparation and entangler waits until a command needs it, so early gates
-act on the few qubits prepared so far, not on the whole graph state.  It
-builds the leading preparations and entanglers at once and grows its tensor
-in place by each later run of them, inside the one allocation it checked
-against the budget.  The tensor pass applies no matrices.  A pattern only
-ever needs X, Z, the phase-conjugated X, diagonal phases, the Hadamard and
-equatorial measurement bras, and each of these is an in-place operation on
-the 0-half and the 1-half of one axis: multiply the 1-half by a phase, swap
-the halves, or the butterfly (a + b, a - b)/sqrt(2).  A dependent
-correction is the same operation restricted to the slice where its signal's
-branch bit is 1.  Every dense simulation fits one byte budget, checked
-before anything is allocated: at most 23 qubits plus inputs per angle
-vector (a circuit's wires plus input wires, :func:`run_branch`'s live
-qubits); the classifier splits its angle samples into batches that fit, and
-:func:`enumerate_branches` charges its 2^n records to the budget too.
-
-:func:`classify_determinism` first runs each batch in a merging pass.
-After the last command that reads a measurement's outcome (its ``M``, or
-the last correction whose signals contain it), the pass adds to each batch
-entry's bound delta, the Frobenius norm of the outcome's 1-half minus its
-0-half, then keeps the 0-half and drops the axis.  Its tensor holds only
-the most live qubits plus unmerged branch axes.  Every later command acts
-alike on both halves and is an isometry of the whole tensor (butterflies
-keep both outcomes, corrections and entanglers are unitary, plus states are
-normalized through the scale), so each final branch map lies within the
-sum of the deltas of the one that survives, and any two within twice that,
-entrywise too.  A batch whose entries all end with 2 * sum(delta) below the
-tolerance is therefore strongly deterministic; in exact arithmetic the
-deltas of a strongly deterministic pattern are all 0.  At the first merge
-that takes an entry to half the tolerance the pass falls back to the full
-pass, which keeps every branch axis.  After a full pass the classifier runs
-the strong-equality test (every branch map equal to the reference
-branch's) on all of the batch's entries in a few numpy reductions, and the
-entry-by-entry proportionality test and witness search only for the
-entries that fail it.  :func:`enumerate_branches`, :func:`run_branch` and
-:func:`realized_embedding` never merge.
-
-The same engine gives a geometry's :func:`realized_embedding` and the map
-of an extracted circuit (:func:`simulate_circuit`).
-
-Branch evaluations are pure and order-independent; verdicts do not depend
-on enumeration order.
+A pass runs the pattern's plan (:class:`_Plan`), built once per pattern:
+its commands as integer opcodes, in the pattern's own order or in a lazy
+one, picked by the rule that the plan's docstring states.  It applies no
+matrices: every gate is an in-place phase, swap or butterfly on the halves
+of one axis, restricted for a dependent correction to the slice where its
+signal's branch bit is 1.  Every dense simulation fits one byte budget,
+checked before anything is allocated: at most 23 qubits plus inputs per
+angle vector.  :func:`classify_determinism` first runs each batch as a
+merging pass, which drops each outcome's branch axis after its last use
+and bounds how far the dropped branches lie from the one it keeps;
+:func:`enumerate_branches`, :func:`run_branch` and
+:func:`realized_embedding` never merge.  The same engine gives a geometry's
+:func:`realized_embedding` and the map of an extracted circuit
+(:func:`simulate_circuit`).  Verdicts do not depend on enumeration order.
 
 This is the package's only module that imports numpy; the package loads it
 on the first use of one of its names.
@@ -59,10 +31,11 @@ on the first use of one of its names.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 from enum import Enum
-from itertools import takewhile
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -88,6 +61,8 @@ _SQRT2_INV = 1.0 / math.sqrt(2.0)
 # Each butterfly grows the engine's entries by up to sqrt(2) and shrinks its
 # deferred scale by as much; at this scale the two are multiplied together.
 _MIN_SCALE = 2.0**-500
+# The index of a whole axis.
+_ALL = slice(None)
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -294,46 +269,32 @@ class _TensorEngine:
     :func:`enumerate_branches`, :func:`classify_determinism`,
     :func:`realized_embedding` and the circuit simulator.
 
-    :attr:`t` is the tensor in memory order.  Axis 0 is the batch (one entry
+    :attr:`t` is the tensor in memory order: axis 0 is the batch (one entry
     per measurement-angle vector), then one axis per qubit, named by
     :attr:`axis_of`, then one domain axis per input, always the last axes.
-    The constructor builds the graph state of ``prefix`` (commands that
-    prepare and entangle) once, over the inputs and prepared qubits, with
-    its qubits in the order of ``layout`` (a pattern's measured qubits in
-    measurement order, then its outputs): the plus states (one per distinct
-    angle) multiplied in preparation order, equal entry for entry to a
-    command-by-command build.  Each plus state is written as (1, e^{i theta})
-    and its 1/sqrt(2) deferred to :attr:`scale`.  It writes that array into
-    every entry's input diagonal, where each input's qubit axis equals its
-    domain axis, and leaves the rest of the tensor zero.  A measurement
-    keeps its qubit's axis as a branch index.
+    The constructor checks the byte budget for ``batch`` entries over
+    ``qubits`` and the domain axes, allocates a zero row per entry with
+    room for them, and writes the graph state of ``prefix`` (preparations
+    and entanglers) into every entry's input diagonal, where each input's
+    qubit axis equals its domain axis, with its qubits in the order of
+    ``layout``.  Each plus state is (1, e^{i theta}), multiplied in
+    preparation order, its 1/sqrt(2) deferred to :attr:`scale`.  A
+    measurement keeps its qubit's axis as a branch index.  A qubit prepared
+    later takes axis 1: :meth:`add_qubit` makes a new tensor for it, and
+    :meth:`grow` adds a run in place.  :meth:`merge` drops a branch axis,
+    and :meth:`widen` moves the tensor to a larger allocation.
 
-    A qubit prepared later takes axis 1, and the older axes move out by one.
-    :meth:`add_qubit` makes a new tensor for it; :meth:`grow` adds a run of
-    later preparations and entanglers in place, inside the constructor's one
-    allocation, which holds a row per batch entry with room for ``qubits``
-    axes.  :meth:`merge` drops a branch axis, keeping its 0-half at the front
-    of each row, and :meth:`widen` moves the tensor to a larger allocation.
-
-    Every gate is an in-place operation on the 0-half and the 1-half of one
-    qubit's axis, restricted, when a control qubit is given, to the slice
-    where the control's axis (a branch bit, or a live qubit for
-    controlled-Z) reads 1:
-
-    * :meth:`phase` multiplies the 1-half by a factor: Z, CZ and P(theta);
-    * :meth:`flip` swaps the halves: X, and between two phases the
-      phase-conjugated X;
-    * :meth:`butterfly` maps the halves (a, b) to (a + f b, a - f b)/sqrt(2)
-      with one factor f per batch entry: the Hadamard (f = 1) and the
-      equatorial measurement at angle alpha (f = e^{-i alpha}).
-
-    No general 2x2 matrix is applied.  Scratch is one copy of a half-axis
-    slice, at most half the tensor.  The constructor checks the dense byte
-    budget for ``batch`` entries over ``qubits`` and the domain axes before
-    it allocates.  The butterflies' 1/sqrt(2) factors collect in
-    :attr:`scale` too, and are applied when :meth:`maps` reads the result,
-    or earlier, once ``scale`` falls below :data:`_MIN_SCALE`, so that a
-    long gate sequence keeps entries and ``scale`` normal floats.
+    Every gate acts in place on the 0-half and the 1-half of one qubit's
+    axis, restricted, when a control is given, to the slice where the
+    control's axis (a branch bit, or a live qubit for controlled-Z) reads
+    1: :meth:`phase` multiplies the 1-half by a factor (Z, CZ, P(theta));
+    :meth:`flip` swaps the halves (X, and between two phases the
+    phase-conjugated X); :meth:`butterfly` maps them to (a + f b, a - f b)
+    /sqrt(2) with one factor f per entry (the Hadamard, and the measurement
+    at alpha with f = e^{-i alpha}).  Scratch is at most half the tensor.
+    The butterflies' 1/sqrt(2) collect in :attr:`scale` too, applied when
+    :meth:`maps` reads the result, or once ``scale`` falls below
+    :data:`_MIN_SCALE`, so entries and ``scale`` stay normal floats.
     """
 
     def __init__(
@@ -390,8 +351,8 @@ class _TensorEngine:
     def grow(self, run: Sequence[Prepare | Entangle]) -> None:
         """Add a run of preparations and entanglers, in place.  The run's
         qubits take axes 1 onwards, in preparation order, outermost in each
-        entry's row, so the tensor as it stands is their 0-half and one outer
-        product with the run's graph state writes the rest.  Then each
+        entry's row, so the tensor as it stands is their 0-half and one
+        outer product with the run's graph state writes the rest.  Then each
         entangler with an older qubit is applied.  The tensor must still be
         the constructor's allocation."""
         new: dict[int, int] = {}
@@ -404,7 +365,7 @@ class _TensorEngine:
         self.axis_of = {q: a + len(new) for q, a in self.axis_of.items()}
         self.axis_of.update((q, 1 + k) for q, k in new.items())
         for cmd in run:
-            if isinstance(cmd, Entangle) and not (cmd.a in new and cmd.b in new):
+            if type(cmd) is Entangle and not (cmd.a in new and cmd.b in new):
                 self.phase(cmd.b, -1.0, cmd.a)
 
     def add_qubit(self, q: int, state: np.ndarray) -> None:
@@ -414,10 +375,13 @@ class _TensorEngine:
         self.t = self.t[:, np.newaxis] * state.reshape((2,) + (1,) * (self.t.ndim - 1))
 
     def _half(self, q: int, bit: int, control: int | None = None) -> np.ndarray:
-        idx: list = [slice(None)] * self.t.ndim
-        idx[self.axis_of[q]] = bit
-        if control is not None:
-            idx[self.axis_of[control]] = 1
+        ax = self.axis_of[q]
+        if control is None:
+            return self.t[(_ALL,) * ax + (bit,)]
+        c = self.axis_of[control]
+        idx = [_ALL] * (max(ax, c) + 1)
+        idx[ax] = bit
+        idx[c] = 1
         return self.t[tuple(idx)]
 
     def phase(self, q: int, factor: complex, control: int | None = None) -> None:
@@ -574,41 +538,85 @@ def _base_angles(p: Pattern) -> np.ndarray:
     return np.array([list(p.measure_angles().values())], dtype=float)
 
 
-# A pass of at most this many amplitudes runs in the pattern's own command
-# order: there the lazy order's growth steps cost more numpy calls than its
-# smaller gates save (on paths and grids at batch 1 and 21 the crossover
-# lay between 5 * 10^3 and 2 * 10^4 amplitudes).
-_LAZY_MIN_ELEMENTS = 1 << 14
+# Opcodes of a pass plan's steps (see _Plan), and for each correction its
+# opcode with the quarters of the tensor that it touches per signal: a flip
+# half, a controlled phase a quarter, and an XA is two phases and a flip.
+_GROW, _MEASURE, _X, _Z, _XA = range(5)
+_CORRECTION_STEPS = {CorrectX: (_X, 2), CorrectZ: (_Z, 1), CorrectXPhase: (_XA, 4)}
+
+# The amplitudes per row that one engine call's fixed cost is worth, and so
+# what the lazy placement must save for each step it adds (see _Plan).
+_AMPLITUDES_PER_STEP = 1 << 11
 
 
-def _compile(p: Pattern) -> list:
-    """The commands of ``p`` in the lazy order that the dense pass runs.
+# One placement of a pattern's commands, lowered (see _Plan).
+_Placement = namedtuple("_Placement", "order prefix steps width amplitudes extra")
 
-    One pass over the commands defers every preparation and entangler as
-    late as it may go: each ``N`` goes just before the first command on its
-    qubit, and each ``E`` just before the first measurement or X/XA
-    correction on either endpoint (it commutes with ``Z`` and with other
-    ``E``s).  Those still deferred at the end follow in their own order.  No
-    command moves earlier, so every branch map is unchanged.
-    """
+
+def _merge_points(cmds: Sequence) -> dict[int, tuple]:
+    """The measured qubits whose outcome no command after command k reads,
+    keyed by k: each measurement's last use is its ``M`` or the last
+    correction whose signals contain it."""
+    last: dict[int, int] = {}
+    for k, cmd in enumerate(cmds):
+        kind = type(cmd)
+        if kind is Measure:
+            last[cmd.qubit] = k
+        elif kind is not Prepare and kind is not Entangle:
+            last.update(dict.fromkeys(cmd.signals, k))
+    done_at: dict[int, tuple] = {}
+    for q, k in last.items():
+        done_at[k] = done_at.get(k, ()) + (q,)
+    return done_at
+
+
+def _lower(p: Pattern, done_at: dict[int, tuple], lazy: bool) -> _Placement:
+    """The eager or the lazy placement of ``p``'s commands (see
+    :class:`_Plan`): its order, prefix and steps; its merged width; and what
+    its full pass costs, the amplitudes per row that its engine calls touch
+    and its steps beyond its gates' own."""
     cmds = p.commands
-    plan: list = []
+    n_in = len(p.inputs)
+    order: list = []
+    steps: list = []
+    run: list = []
+    new: set = set()
+    prefix = None
+    axes = width = peak = n_in
+    amplitudes = extra = column = 0
+    # the lazy placement's deferred preparations and entanglers, by qubit
     placed = bytearray(len(cmds))
     prep: dict[int, int] = {}
     ents: dict[int, list[int]] = {}
 
-    def place(k: int) -> None:
-        placed[k] = 1
-        plan.append(cmds[k])
+    def place(j: int) -> None:
+        placed[j] = 1
+        run.append(cmds[j])
+        if type(cmds[j]) is Prepare:
+            new.add(cmds[j].qubit)
 
-    for k, cmd in enumerate(cmds):
+    for k, cmd in enumerate((*cmds, None)):
         kind = type(cmd)
         if kind is Prepare:
-            prep[cmd.qubit] = k
-        elif kind is Entangle:
-            ents.setdefault(cmd.a, []).append(k)
-            ents.setdefault(cmd.b, []).append(k)
-        else:
+            if lazy:
+                prep[cmd.qubit] = k
+            else:
+                run.append(cmd)
+                new.add(cmd.qubit)
+            continue
+        if kind is Entangle:
+            if lazy:
+                ents.setdefault(cmd.a, []).append(k)
+                ents.setdefault(cmd.b, []).append(k)
+            else:
+                run.append(cmd)
+            continue
+        if lazy and cmd is None:
+            for j in range(len(cmds)):
+                if not placed[j]:
+                    place(j)
+        elif lazy:
+            placed[k] = 1
             q = cmd.qubit
             if kind is not CorrectZ and q in ents:
                 for e in ents.pop(q):
@@ -619,34 +627,98 @@ def _compile(p: Pattern) -> list:
                         place(e)
             if q in prep:
                 place(prep.pop(q))
-            place(k)
-    plan += [cmd for k, cmd in enumerate(cmds) if not placed[k]]
-    return plan
-
-
-def _merges(plan: Sequence, n_inputs: int) -> tuple[dict[int, list[int]], int]:
-    """The measured qubits whose outcome no command of ``plan`` reads after
-    command k, keyed by k, and the most qubit axes a merging pass of
-    ``plan`` holds at once: each measurement's last use is its ``M`` or the
-    last correction whose signals contain it, and its branch axis lives
-    until then."""
-    last: dict[int, int] = {}
-    for k, cmd in enumerate(plan):
-        kind = type(cmd)
-        if kind is Measure:
-            last[cmd.qubit] = k
-        elif kind is not Prepare and kind is not Entangle:
-            last.update(dict.fromkeys(cmd.signals, k))
-    merges: dict[int, list[int]] = {}
-    for q, k in last.items():
-        merges.setdefault(k, []).append(q)
-    width = peak = n_inputs
-    for k, cmd in enumerate(plan):
-        if type(cmd) is Prepare:
-            width += 1
+        if prefix is None or run:
+            order += run
+            axes += len(new)
+            width += len(new)
             peak = max(peak, width)
-        width -= len(merges.get(k, ()))
-    return merges, peak
+            size = 1 << (axes + n_in)
+            if prefix is None:
+                prefix = run
+                amplitudes = size
+            else:
+                steps.append((_GROW, None, run, (), ()))
+                cross = sum(type(c) is Entangle and not (c.a in new and c.b in new) for c in run)
+                amplitudes += (size if new else 0) + (cross * size >> 2)
+                extra += 1 + cross
+            run, new = [], set()
+        if cmd is None:
+            break
+        order.append(cmd)
+        done = done_at.get(k, ())
+        if kind is Measure:
+            steps.append((_MEASURE, cmd.qubit, column, (), done))
+            column += 1
+            quarters = 4
+        else:
+            op, quarters = _CORRECTION_STEPS[kind]
+            arg = cmath.exp(1j * cmd.angle) if kind is CorrectXPhase else None
+            steps.append((op, cmd.qubit, arg, cmd.signals, done))
+            quarters *= len(cmd.signals)
+        amplitudes += quarters << (axes + n_in) >> 2
+        width -= len(done)
+    return _Placement(order, prefix, steps, peak, amplitudes, extra)
+
+
+class _Plan:
+    """How the dense pass runs one pattern, built on its first pass and kept
+    with it (:func:`_plan`), as the pattern keeps its walk.
+
+    The commands run in one of two placements (:func:`_lower`): the eager
+    one is the pattern's own order; the lazy one defers each ``N`` to just
+    before the first command on its qubit, each ``E`` to just before the
+    first measurement or X/XA correction on either endpoint (it commutes
+    with ``Z`` and with other ``E``s), and those never needed to the end, in
+    their own order.  No command moves earlier, so the maps are unchanged.
+    Each is a prefix, the leading preparations and entanglers that the
+    engine's constructor builds, then steps ``(op, qubit, arg, signals,
+    done)``: ``_GROW`` adds ``arg``, a run of preparations and entanglers;
+    ``_MEASURE`` is the butterfly at column ``arg`` of the angle rows;
+    ``_X``, ``_Z`` and ``_XA`` are corrections, one engine call per signal
+    (three for ``_XA``, a flip between the phases ``arg.conjugate()`` and
+    ``arg = e^{i angle}``).  ``done`` lists the measured qubits whose last
+    use (their ``M``, or the last correction reading them) is the step, and
+    ``width`` is the most qubit axes a merging pass then holds.
+
+    The order rule, stated here only: a pass of ``rows`` angle vectors runs
+    the lazy placement when ``rows`` times the amplitudes per row that it
+    saves exceed :data:`_AMPLITUDES_PER_STEP` times the steps it adds.  A
+    placement's ``amplitudes`` are those its full pass's engine calls touch
+    per row: the constructor's, each growth's and each measurement's whole
+    tensor, and per signal the share in :data:`_CORRECTION_STEPS`.  Its
+    ``extra`` steps are its growths and entanglers with an older qubit.  On
+    two shared cores a step's fixed cost came to about 3 us and an
+    amplitude's to about 1.5 ns.  So the cluster grids and paths of 11 to 15
+    qubits run lazy at 21 rows, and the 2x6 grid and the 1x13 path at one
+    too (saving 100000 to 250000 amplitudes per row for 22 to 25 steps), but
+    no flow geometry of at most 5 vertices does, where it saves at most 112
+    per row for 2 to 8 added steps.
+    """
+
+    __slots__ = ("layout", "eager", "lazy")
+
+    def __init__(self, p: Pattern) -> None:
+        # measured qubits in measurement order, then the outputs: the
+        # constructor's axis order, which the branch maps read unmoved
+        self.layout = (*p.measurement_order, *p.outputs)
+        done_at = _merge_points(p.commands)
+        self.eager = _lower(p, done_at, False)
+        self.lazy = _lower(p, done_at, True)
+
+    def placement(self, rows: int) -> _Placement:
+        """The placement a pass of ``rows`` angle vectors runs."""
+        saved = rows * (self.eager.amplitudes - self.lazy.amplitudes)
+        added = self.lazy.extra - self.eager.extra
+        return self.lazy if saved > _AMPLITUDES_PER_STEP * added else self.eager
+
+
+def _plan(p: Pattern) -> _Plan:
+    """The pass plan of ``p``, kept in its ``__dict__`` as
+    ``functools.cached_property`` keeps ``Pattern._walk``."""
+    plan = p.__dict__.get("_plan")
+    if plan is None:
+        plan = p.__dict__["_plan"] = _Plan(p)
+    return plan
 
 
 def _run_branches(
@@ -654,68 +726,51 @@ def _run_branches(
 ) -> _TensorEngine:
     """One dense pass over every branch, for each row of ``angles``: one
     batch entry per row, and column k holds the k-th measurement's angles.
-    The pass runs the lazy order of :func:`_compile`, or, up to
-    :data:`_LAZY_MIN_ELEMENTS` amplitudes, the pattern's own order: the
-    leading preparations and entanglers in the constructor, each later run
-    of them by :meth:`_TensorEngine.grow`.
+    It runs the placement of the pattern's plan that its row count picks.
 
-    Given a ``tolerance``, the pass merges: after the last command that
-    reads a measurement's outcome (:func:`_merges`), it adds the distance
-    between that outcome's two halves to each row's bound and keeps the
-    0-half (:meth:`_TensorEngine.merge`).  Its tensor then holds only the
-    most live qubits plus unmerged branch axes.  If every bound stays below
-    ``tolerance / 2``, the engine ends with no branch axis.  At the first
-    merge that takes a row's bound to ``tolerance / 2`` the pass stops
-    merging: it goes on as the full pass from where it stands, in a tensor
-    widened to every qubit, if no axis has merged yet, and else starts the
-    full pass afresh.  Both give the full pass's engine bit for bit."""
-    size = len(angles) << (len(p.vertices) + len(p.inputs))
-    plan = _compile(p) if size > _LAZY_MIN_ELEMENTS else p.commands
-    merges, width = ({}, len(p.vertices))
-    if tolerance is not None:
-        merges, width = _merges(plan, len(p.inputs))
-    prefix = [*takewhile(lambda cmd: isinstance(cmd, (Prepare, Entangle)), plan)]
-    layout = (*p.measurement_order, *p.outputs)
-    eng = _TensorEngine(p.inputs, len(angles), width, prefix, layout)
-    factors = iter(np.exp(-1j * angles.T))
+    Given a ``tolerance``, the pass merges each step's ``done`` qubits
+    (:meth:`_TensorEngine.merge`; see :func:`classify_determinism`).  At the
+    first merge that takes a row's bound to ``tolerance / 2`` it goes on as
+    the full pass: from where it stands, widened to every qubit, if nothing
+    has merged yet, else afresh.  Both give the full pass's engine bit for
+    bit."""
+    plan = _plan(p)
+    place = plan.placement(len(angles))
+    merging = tolerance is not None
+    width = place.width if merging else len(p.vertices)
+    eng = _TensorEngine(p.inputs, len(angles), width, place.prefix, plan.layout)
+    factors = np.exp(-1j * angles.T)
     bound = np.zeros(len(angles))
     merged = False
-    run: list = []
-    for k, cmd in enumerate(plan[len(prefix) :], len(prefix)):
-        if isinstance(cmd, (Prepare, Entangle)):
-            run.append(cmd)
-            continue
-        if run:
-            eng.grow(run)
-            run = []
-        if isinstance(cmd, Measure):
-            eng.butterfly(cmd.qubit, next(factors))
-            eng.branch_order.append(cmd.qubit)
-        elif isinstance(cmd, CorrectX):
-            for s in cmd.signals:
-                eng.flip(cmd.qubit, s)
-        elif isinstance(cmd, CorrectZ):
-            for s in cmd.signals:
-                eng.phase(cmd.qubit, -1.0, s)
-        elif isinstance(cmd, CorrectXPhase):
-            e = cmath.exp(1j * cmd.angle)
-            for s in cmd.signals:
-                eng.phase(cmd.qubit, e.conjugate(), s)
-                eng.flip(cmd.qubit, s)
-                eng.phase(cmd.qubit, e, s)
-        for q in merges.get(k, ()):
-            if eng.merge(q, bound, tolerance / 2):
-                merged = True
-            elif merged:
-                del eng  # the merged tensor, before the full pass allocates
-                return _run_branches(p, angles)
-            else:
-                merges = {}
-                if width < len(p.vertices):
-                    eng.widen(len(p.vertices))
-                break
-    if run:
-        eng.grow(run)
+    for op, q, arg, signals, done in place.steps:
+        if op == _MEASURE:
+            eng.butterfly(q, factors[arg])
+            eng.branch_order.append(q)
+        elif op == _X:
+            for s in signals:
+                eng.flip(q, s)
+        elif op == _Z:
+            for s in signals:
+                eng.phase(q, -1.0, s)
+        elif op == _XA:
+            for s in signals:
+                eng.phase(q, arg.conjugate(), s)
+                eng.flip(q, s)
+                eng.phase(q, arg, s)
+        else:
+            eng.grow(arg)
+        if merging and done:
+            for r in done:
+                if eng.merge(r, bound, tolerance / 2):
+                    merged = True
+                elif merged:
+                    del eng  # the merged tensor, before the full pass allocates
+                    return _run_branches(p, angles)
+                else:
+                    merging = False
+                    if width < len(p.vertices):
+                        eng.widen(len(p.vertices))
+                    break
     return eng
 
 
@@ -802,17 +857,10 @@ def _pair_witness(
     Rank-one maps with a common range pass even though they may differ as
     matrices.
     """
-    dim_in = a.shape[1]
-    probes: list[np.ndarray] = [np.eye(dim_in, dtype=complex)[:, k] for k in range(dim_in)]
-    for k in range(dim_in):
-        for l in range(k + 1, dim_in):
-            e_kl = np.zeros(dim_in, dtype=complex)
-            e_kl[k] = 1.0
-            e_kl[l] = 1.0
-            probes.append(e_kl)
-            e_kli = e_kl.copy()
-            e_kli[l] = 1.0j
-            probes.append(e_kli)
+    eye = np.eye(a.shape[1], dtype=complex)
+    probes = list(eye)
+    for k, l in itertools.combinations(range(len(eye)), 2):
+        probes += [eye[k] + eye[l], eye[k] + 1j * eye[l]]
     defects = np.array(
         [_vectors_parallel(a @ probe, b @ probe, tolerance, scale) for probe in probes]
     )
@@ -919,11 +967,9 @@ def classify_determinism(
     Strongly deterministic means all branch maps are equal; deterministic
     means every pair acts identically up to a scalar on each input (zero
     maps count as proportional to everything).  ``uniform`` is decided by
-    re-running the classification on ``angle_samples`` fresh uniformly
-    random measurement-angle vectors over the same geometry and
-    corrections, evaluated in batched passes as large as the dense byte
-    budget allows; each pass's vectors are drawn as it starts, the same
-    values as one draw of them all.
+    re-running the classification on ``angle_samples`` uniformly random
+    measurement-angle vectors, in batched passes as large as the byte
+    budget allows, each pass's drawn as it starts (the values of one draw).
 
     Each batch runs first as a merging pass (:func:`_run_branches` with a
     tolerance): after a measurement's last use it adds the distance delta
@@ -931,15 +977,14 @@ def classify_determinism(
     0-half.  Every later command is an isometry that acts alike on both
     halves, so every final branch map lies within sum(delta) of the one
     that survives; if every entry ends with 2 * sum(delta) below
-    ``tolerance``, every pair of branch maps is closer than ``tolerance``
-    entrywise, and the batch is strongly deterministic with no classifier.
-    At the first merge that takes an entry to ``tolerance / 2``, the batch
-    falls back to the full pass.  After it, the strong test
-    (:func:`_strong_test`) runs on groups of entries
-    (:func:`_classifier_group`); only an entry that fails it is classified
-    further, and the first one that is not deterministic ends the run.  The
-    verdict is that of the pattern's own angles, and the same as the full
-    pass would give every batch.
+    ``tolerance``, every pair of maps is closer than ``tolerance``
+    entrywise: strongly deterministic, with no classifier.  At the first
+    merge that takes an entry to ``tolerance / 2`` the batch falls back to
+    the full pass; then the strong test (:func:`_strong_test`) runs on
+    groups of entries (:func:`_classifier_group`), only an entry that fails
+    it is classified further, and the first that is not deterministic ends
+    the run.  The verdict is that of the pattern's own angles, and the same
+    as the full pass would give every batch.
 
     Raises
     ------

@@ -6,8 +6,9 @@ import itertools
 import random
 
 import numpy as np
+import pytest
 
-from causalflow import OpenGraphState
+from causalflow import OpenGraphState, find_flow
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
@@ -62,3 +63,67 @@ def random_open_graph(rng: random.Random, max_vertices: int = 6) -> OpenGraphSta
 
 def random_angles(rng: np.random.Generator, qubits) -> dict[int, float]:
     return {q: float(rng.uniform(0.0, 2.0 * np.pi)) for q in qubits}
+
+
+def connected_graph_classes(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """Edge sets of all connected graphs on vertices 1..n, one per
+    isomorphism class."""
+    vs = list(range(1, n + 1))
+    all_edges = list(itertools.combinations(vs, 2))
+    perms = list(itertools.permutations(vs))
+    seen: set = set()
+    reps: list[tuple[tuple[int, int], ...]] = []
+    for bits in range(1 << len(all_edges)):
+        edges = [e for k, e in enumerate(all_edges) if bits >> k & 1]
+        if n > 1:
+            adj: dict[int, set[int]] = {v: set() for v in vs}
+            for u, v in edges:
+                adj[u].add(v)
+                adj[v].add(u)
+            component, stack = {vs[0]}, [vs[0]]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w not in component:
+                        component.add(w)
+                        stack.append(w)
+            if len(component) != n:
+                continue
+        canon = min(
+            tuple(sorted(tuple(sorted((p[u - 1], p[v - 1]))) for u, v in edges))
+            for p in perms
+        )
+        if canon in seen:
+            continue
+        seen.add(canon)
+        reps.append(tuple(edges))
+    return reps
+
+
+def all_subsets(vs):
+    return list(
+        itertools.chain.from_iterable(
+            itertools.combinations(vs, k) for k in range(len(vs) + 1)
+        )
+    )
+
+
+@pytest.fixture(scope="session")
+def flow_instances():
+    """Every connected open graph state with at most 5 vertices (up to
+    isomorphism, every I/O choice) that possesses a flow."""
+    class_counts = {}
+    instances = []
+    for n in range(1, 6):
+        reps = connected_graph_classes(n)
+        class_counts[n] = len(reps)
+        vs = list(range(1, n + 1))
+        subsets = all_subsets(vs)
+        for edges in reps:
+            for inputs in subsets:
+                for outputs in subsets:
+                    g = OpenGraphState(vs, edges, inputs, outputs)
+                    result = find_flow(g)
+                    if result.found:
+                        instances.append((g, result.flow))
+    assert class_counts == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
+    return instances

@@ -5,8 +5,9 @@ holds go through an in-process ``main()``.  Every call must return 0, 1 or
 2 and raise nothing; an id or an angle-file key spelled in a way that
 ``int()`` would still read (``+2``, ``02``, ``0_2``, ``2.0``, ...) must exit
 2; and every runnable pattern mutant of at most 8 measurements must give
-dense branch maps equal to ``run_branch``'s within 1e-12, in the pattern's
-own order and in the lazy order.
+dense branch maps equal to ``run_branch``'s within 1e-12 in both placements
+of its pass plan, eager and lazy, whichever the plan's rule would pick
+(``simulator._Plan`` states the rule).
 """
 
 import contextlib
@@ -173,9 +174,10 @@ def _respell_text_id(text: str, rng: random.Random) -> str | None:
     return "\n".join(lines) + "\n"
 
 
-def _assert_dense_equals_run_branch(text: str) -> int:
-    """Compare the dense maps with run_branch's on a runnable pattern of at
-    most 8 measurements; returns 1 if it compared, else 0."""
+def _assert_dense_equals_run_branch(text: str, monkeypatch) -> int:
+    """Compare the dense maps in both placements with run_branch's on a
+    runnable pattern of at most 8 measurements; returns 1 if it compared,
+    else 0."""
     try:
         p = parse_pattern(text)
     except PatternError:
@@ -183,13 +185,10 @@ def _assert_dense_equals_run_branch(text: str) -> int:
     if not check_runnable(p).ok or p.n_measurements > 8 or len(p.vertices) + len(p.inputs) > 16:
         return 0
     angles = simulator._base_angles(p)
-    for lazy in (False, True):
-        threshold = simulator._LAZY_MIN_ELEMENTS
-        simulator._LAZY_MIN_ELEMENTS = 0 if lazy else threshold
-        try:
+    for placement in ("eager", "lazy"):
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator._Plan, "placement", lambda plan, rows: getattr(plan, placement))
             maps = simulator._run_branches(p, angles).maps(0, p.outputs)
-        finally:
-            simulator._LAZY_MIN_ELEMENTS = threshold
         for s, m in enumerate(maps):
             label = simulator._outcome_label(s, len(maps))
             np.testing.assert_allclose(m, run_branch(p, label), atol=1e-12, err_msg=text)
@@ -197,7 +196,7 @@ def _assert_dense_equals_run_branch(text: str) -> int:
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_mutated_inputs(tmp_path, seed):
+def test_mutated_inputs(tmp_path, monkeypatch, seed):
     rng = random.Random(seed)
     compared = respelled = 0
     for _ in range(60):
@@ -227,7 +226,7 @@ def test_mutated_inputs(tmp_path, seed):
         text = rng.choice(PATTERNS)
         mutant = _mutate_text(text, rng)
         _call(["verify", "P", "--samples", "2"], {"P": mutant}, tmp_path)
-        compared += _assert_dense_equals_run_branch(mutant)
+        compared += _assert_dense_equals_run_branch(mutant, monkeypatch)
         spelled = _respell_text_id(text, rng)
         if spelled is not None:
             assert _call(["verify", "P", "--samples", "0"], {"P": spelled}, tmp_path) == 2

@@ -436,12 +436,12 @@ def _edited(p: Pattern, rng: random.Random) -> list[Pattern]:
 
 @pytest.fixture
 def always_lazy(monkeypatch):
-    """Run every dense pass in the lazy order, however small."""
-    monkeypatch.setattr(simulator, "_LAZY_MIN_ELEMENTS", 0)
+    """Run every dense pass in its plan's lazy placement, however small."""
+    monkeypatch.setattr(simulator._Plan, "placement", lambda plan, rows: plan.lazy)
 
 
 class TestGraphStateBuild:
-    """The dense pass runs the lazy order of ``_compile`` and grows its
+    """The dense pass runs the lazy placement of its plan and grows its
     tensor in place.  At zero preparation angles its branch maps are bit for
     bit those of the eager reference pass; at any angles they equal
     run_branch's."""
@@ -471,12 +471,13 @@ class TestGraphStateBuild:
         assert forms == {True, False}
 
     def test_cluster_grid_bitwise(self):
-        """The 3x4 grid at 21 angle rows, above the lazy order's threshold."""
+        """The 3x4 grid at 21 angle rows, which the plan's rule runs lazy."""
         g = cluster_grid(3, 4)
         p = synthesize(g, find_flow(g).flow, {q: 0.1 * q for q in g.measured})
         rows = np.random.default_rng(4).uniform(0.0, 2.0 * math.pi, size=(20, 9))
         angles = np.concatenate([_angle_rows(p, [p.measure_angles()]), rows])
-        assert len(angles) << (len(p.vertices) + len(p.inputs)) > simulator._LAZY_MIN_ELEMENTS
+        plan = simulator._plan(p)
+        assert plan.placement(len(angles)) is plan.lazy
         self._assert_bitwise(p, angles)
 
     def test_graph_after_measurements_matches_run_branch(self, always_lazy):
@@ -529,8 +530,13 @@ def _on(cmd, q: int) -> bool:
     return q in (cmd.a, cmd.b) if isinstance(cmd, Entangle) else cmd.qubit == q
 
 
+def _lazy_order(p: Pattern) -> list:
+    """The commands of ``p`` in its plan's lazy placement."""
+    return list(simulator._Plan(p).lazy.order)
+
+
 class TestCompile:
-    """``_compile``'s rule: each N just before the first command on its
+    """The lazy placement's rule: each N just before the first command on its
     qubit, each E just before the first measurement or X/XA correction on
     either endpoint, leftovers at the end in their own order, and no
     command earlier than in the pattern."""
@@ -541,7 +547,7 @@ class TestCompile:
         # N3 E23 M2; E13 X3; N4 E34 M3; E14 XA4; Z1 M4 X1; N5 Z5; then the
         # leftover E15, which commutes with Z5
         order = [0, 1, 3, 2, 4, 5, 7, 8, 6, 9, 10, 11, 12, 13, 15, 14]
-        assert simulator._compile(p) == [c[k] for k in order]
+        assert _lazy_order(p) == [c[k] for k in order]
 
     def test_rule_on_sampled_patterns(self):
         rng = random.Random(18)
@@ -555,7 +561,7 @@ class TestCompile:
             self._assert_rule(p)
 
     def _assert_rule(self, p: Pattern) -> None:
-        plan = simulator._compile(p)
+        plan = _lazy_order(p)
         origin = _placed_at(p, plan)
         assert sorted(origin) == [*range(len(p.commands))]
         # a command passes one that came before it in p only if that one
@@ -598,6 +604,69 @@ class TestCompile:
             else:
                 assert not any(_on(c, cmd.qubit) for c in later if not isinstance(c, Entangle))
         assert origin[tail:] == sorted(origin[tail:])
+
+
+class TestPlan:
+    """One pass plan per pattern (``simulator._Plan``): both placements,
+    lowered once, and the rule that picks one for a pass's row count."""
+
+    def test_rule_keeps_small_patterns_eager_and_grids_lazy(self, flow_instances):
+        """Every flow geometry of at most five vertices, synthesized, runs
+        eager at 1 and at 21 rows.  The benchmark's dense grids run lazy at
+        21 rows, and so do the 2x6 grid's and the 1x13 path's stripped and
+        X-dropped patterns at one row."""
+        arng = np.random.default_rng(19)
+        for g, fl in flow_instances:
+            plan = simulator._plan(synthesize(g, fl, random_angles(arng, g.measured)))
+            assert plan.placement(1) is plan.eager and plan.placement(21) is plan.eager
+        for rows, cols in [(3, 4), (2, 6), (1, 13), (1, 11)]:
+            g = cluster_grid(rows, cols)
+            flow = find_flow(g).flow
+            p = synthesize(g, flow, random_angles(arng, g.measured))
+            plan = simulator._plan(p)
+            assert plan.placement(21) is plan.lazy
+            if (rows, cols) in [(2, 6), (1, 13)]:
+                dropped = drop_x_corrections(synthesize(g, flow, {q: 0.0 for q in g.measured}))
+                for q in (p.without_corrections(), dropped):
+                    plan = simulator._plan(q)
+                    assert plan.placement(1) is plan.lazy
+
+    def test_one_plan_per_pattern(self, monkeypatch):
+        """classify_determinism builds a pattern's plan once, across four
+        batches whose merging passes each restart as the full pass; a second
+        classification and enumerate_branches build none."""
+        g = path_state(8, [1], [8])
+        arng = np.random.default_rng(8)
+        flow = find_flow(g).flow
+        p = synthesize(g, flow, random_angles(arng, g.measured), random_angles(arng, g.prepared))
+        p = _off_strong(p, 1)
+        built, passes = [], []
+        plan_class = simulator._Plan
+
+        class Counting(plan_class):
+            __slots__ = ()
+
+            def __init__(self, q):
+                built.append(q)
+                super().__init__(q)
+
+        def counting(q, angles, tolerance=None):
+            passes.append(tolerance)
+            return _run_branches(q, angles, tolerance)
+
+        budget = simulator._MAX_DENSE_BYTES
+        sample = np.dtype(complex).itemsize << (len(p.vertices) + len(p.inputs))
+        monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", simulator._BUFFER_RESERVE + 3 * sample)
+        monkeypatch.setattr(simulator, "_Plan", Counting)
+        monkeypatch.setattr(simulator, "_run_branches", counting)
+        verdict = classify_determinism(p, angle_samples=7, tolerance=OFF_TOLERANCE)
+        assert verdict.is_strong and verdict.uniform
+        # each batch: a merging pass, then its restart as the full pass
+        assert passes == [OFF_TOLERANCE, None] * 4
+        classify_determinism(p, angle_samples=7, tolerance=OFF_TOLERANCE)
+        monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", budget)
+        enumerate_branches(p)
+        assert built == [p]
 
 
 def _eye_product_build(inputs, batch: int, prefix, layout):
@@ -1166,7 +1235,7 @@ class TestDenseBudget:
     @pytest.mark.parametrize("rows, cols", [(3, 4), (2, 6), (1, 13)])
     def test_peak_within_budget_accounting(self, monkeypatch, rows, cols):
         """The merging pass of a strong pattern holds at most the live
-        qubits plus unmerged branch axes that ``_merges`` counts, and its
+        qubits plus unmerged branch axes that its plan counts, and its
         call's peak fits what _pass_bytes charges at that width.
 
         A pattern one XA angle off strong, at a tolerance below its merging
@@ -1182,8 +1251,10 @@ class TestDenseBudget:
         meas = {q: 0.1 * q for q in g.measured}
         p = synthesize(g, flow, meas)
         batch = 21
-        # 21 rows are above the lazy order's threshold on every grid here
-        width = simulator._merges(simulator._compile(p), len(p.inputs))[1]
+        # the plan's rule runs 21 rows lazy on every grid here
+        plan = simulator._plan(p)
+        assert plan.placement(batch) is plan.lazy
+        width = plan.lazy.width
         assert width < len(p.vertices)
         classify_determinism(p, angle_samples=batch - 1)
         tracemalloc.start()
