@@ -36,6 +36,7 @@ from .pattern import (
     PatternError,
     PatternFormatError,
     SimulationError,
+    _parse_angle,
     adjoint,
     check_runnable,
     parse_pattern,
@@ -53,12 +54,20 @@ class _CliError(Exception):
     """User-facing input error; maps to exit code 2."""
 
 
-def _load_json(path: str):
+def _read_text(path: str) -> str:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _load_json(path: str):
+    try:
+        return json.loads(_read_text(path))
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer past int()'s digit limit
         raise _CliError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -96,7 +105,7 @@ def _load_angles(path: str | None, qubits: Sequence[int]) -> dict[int, float]:
     for key, value in data.items():
         try:
             q, angle = _text_id(key), _json_angle(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise _CliError(f"{path}: bad angle entry {key!r}: {exc}") from exc
         if not math.isfinite(angle):
             raise _CliError(f"{path}: angle {value!r} of {key} is not finite")
@@ -121,20 +130,22 @@ def _find_flow_for(args, graph: OpenGraphState, y_from_file: frozenset[int]):
 
 
 def _tolerance(text: str) -> float:
+    """A tolerance, spelled as a pattern file's angles are."""
     try:
-        value = float(text)
+        value = _parse_angle(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not a plain number: {text!r}") from None
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"must be finite and positive: {text}")
     return value
 
 
 def _non_negative(text: str) -> int:
+    """A count or a seed, spelled as a pattern file's ids are."""
     try:
-        value = int(text)
+        value = _text_id(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not a plain integer: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {text}")
     return value
@@ -180,10 +191,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        text = Path(args.pattern).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _CliError(f"cannot read {args.pattern}: {exc}") from exc
+    text = _read_text(args.pattern)
     try:
         pattern = parse_pattern(text)
     except PatternFormatError as exc:

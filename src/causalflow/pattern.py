@@ -166,9 +166,10 @@ EXACT_TOLERANCE = 1e-12
 
 # What one pass over a pattern's commands finds: the runnability violations
 # (see check_runnable), the measurements as (qubit, angle) in command order,
-# and the most qubits live at once (inputs, plus preparations, minus
-# measurements so far).
-_Walk = namedtuple("_Walk", "violations measures live_peak")
+# the most qubits live at once (inputs, plus preparations, minus
+# measurements so far), and each measured qubit's last reader, the index of
+# its M or of the last correction whose signals hold it.
+_Walk = namedtuple("_Walk", "violations measures live_peak last_read")
 
 
 @dataclass(frozen=True)
@@ -178,9 +179,9 @@ class Pattern:
     ``commands`` run left to right.  Input qubits hold arbitrary states
     from the start; every non-input must be prepared and every non-output
     measured for the pattern to be runnable.  The runnability violations,
-    the measurements and the live-qubit peak come from one walk over the
-    commands (:attr:`_walk`), made on first use and cached: a pattern never
-    changes, so neither does the result.
+    the measurements, the live-qubit peak and each outcome's last reader
+    come from one walk over the commands (:attr:`_walk`), made on first use
+    and cached: a pattern never changes, so neither does the result.
     """
 
     vertices: tuple[int, ...]
@@ -211,6 +212,7 @@ class Pattern:
         available = set(iset)
         measured: set[int] = set()
         measures: list[tuple[int, float]] = []
+        last_read: dict[int, int] = {}
         live = peak = len(iset)
         for idx, cmd in enumerate(self.commands):
             targets = sorted({cmd.a, cmd.b}) if isinstance(cmd, Entangle) else (cmd.qubit,)
@@ -219,9 +221,11 @@ class Pattern:
                     violations.append(f"R1: command {idx} acts on undeclared qubit {q}")
             if isinstance(cmd, Entangle) and cmd.a == cmd.b:
                 violations.append(f"R1: command {idx} entangles qubit {cmd.a} with itself")
-            late = sorted(cmd.signals - measured) if isinstance(cmd, _CORRECTIONS) else []
-            if late:
-                violations.append(f"R0: command {idx} depends on unmeasured outcomes {late}")
+            if isinstance(cmd, _CORRECTIONS):
+                last_read.update(dict.fromkeys(cmd.signals, idx))
+                late = sorted(cmd.signals - measured)
+                if late:
+                    violations.append(f"R0: command {idx} depends on unmeasured outcomes {late}")
             if isinstance(cmd, Prepare):
                 live += 1
                 peak = max(peak, live)
@@ -247,11 +251,12 @@ class Pattern:
                 if cmd.qubit in oset:
                     violations.append(f"R2: output qubit {cmd.qubit} measured")
                 measured.add(cmd.qubit)
+                last_read[cmd.qubit] = idx
         for q in sorted(declared - oset - measured):
             violations.append(f"R2: non-output qubit {q} never measured")
         for q in sorted(declared - available):
             violations.append(f"R2: non-input qubit {q} never prepared")
-        return _Walk(tuple(violations), tuple(measures), peak)
+        return _Walk(tuple(violations), tuple(measures), peak, last_read)
 
     @property
     def measurement_order(self) -> tuple[int, ...]:

@@ -18,11 +18,13 @@ signal's branch bit is 1.  Every dense simulation fits one byte budget,
 checked before anything is allocated: at most 23 qubits plus inputs per
 angle vector.  :func:`classify_determinism` first runs each batch as a
 merging pass, which drops each outcome's branch axis after its last use
-and bounds how far the dropped branches lie from the one it keeps;
-:func:`enumerate_branches`, :func:`run_branch` and
-:func:`realized_embedding` never merge.  The same engine gives a geometry's
-:func:`realized_embedding` and the map of an extracted circuit
-(:func:`simulate_circuit`).  Verdicts do not depend on enumeration order.
+and bounds how far the dropped branches lie from the one it keeps; a batch
+whose bound reaches half the tolerance runs the full pass, whose entries
+are then classified one at a time.  :func:`enumerate_branches`,
+:func:`run_branch` and :func:`realized_embedding` never merge.  The same
+engine gives a geometry's :func:`realized_embedding` and the map of an
+extracted circuit (:func:`simulate_circuit`).  Verdicts do not depend on
+enumeration order.
 
 This is the package's only module that imports numpy; the package loads it
 on the first use of one of its names.
@@ -459,31 +461,25 @@ class _TensorEngine:
     def maps(self, b: int, outputs: Sequence[int]) -> np.ndarray:
         """Branch maps of batch entry ``b`` as (branches, output space, input
         space), a new array of one batch entry's size."""
-        return self.entry_maps(b, b + 1, outputs)[0]
-
-    def entry_maps(self, start: int, stop: int, outputs: Sequence[int]) -> np.ndarray:
-        """Branch maps of batch entries ``start`` to ``stop`` as (entries,
-        branches, output space, input space), a new array of their size."""
         live = self.axis_of.keys() - set(self.branch_order)
         if live != set(outputs):
             raise SimulationError(f"live qubits {sorted(live)} differ from outputs")
-        perm = [0] + [self.axis_of[q] for q in self.branch_order]
-        perm += [self.axis_of[q] for q in outputs]
+        perm = [self.axis_of[q] - 1 for q in self.branch_order]
+        perm += [self.axis_of[q] - 1 for q in outputs]
         # the domain axes, after every qubit's
-        perm += range(len(self.axis_of) + 1, self.t.ndim)
-        entries = self.t[start:stop].transpose(perm)
-        out = np.empty(entries.shape, dtype=complex)
-        np.multiply(entries, self.scale, out=out)
-        return out.reshape(stop - start, 1 << len(self.branch_order), 1 << len(outputs), -1)
+        perm += range(len(self.axis_of), self.t.ndim - 1)
+        entry = self.t[b].transpose(perm)
+        out = np.empty(entry.shape, dtype=complex)
+        np.multiply(entry, self.scale, out=out)
+        return out.reshape(1 << len(self.branch_order), 1 << len(outputs), -1)
 
 
 # Bytes one dense pass may hold at once, checked before it allocates: every
 # tensor of up to 23 qubit and input axes fits at batch 1 (see _pass_bytes).
 _MAX_DENSE_BYTES = 512 * 2**20
-# Three np.getbufsize() buffers of complex entries: during a pass, the two
-# that numpy's ufunc iteration allocates for a strided operand, as the
-# kernel's halves are, and small objects; after it, a classifier group's
-# temporaries (see _classifier_group).
+# Three np.getbufsize() buffers of complex entries: the two that numpy's
+# ufunc iteration allocates for a strided operand, as the kernel's halves
+# are, and small objects.
 _BUFFER_RESERVE = 3 * np.getbufsize() * np.dtype(complex).itemsize
 # Bytes of one of enumerate_branches' BranchReport records beside its map:
 # the record, its outcome string and the map's view (254 on CPython 3.11).
@@ -496,8 +492,8 @@ def _pass_bytes(batch: int, n_qubits: int, n_inputs: int) -> int:
     A batch entry is a complex tensor over every qubit and input axis.  A
     pass holds the ``batch`` entries plus the larger of half of them with
     :data:`_BUFFER_RESERVE` and three entries: the kernel's scratch with
-    numpy's iteration buffers during the pass, then a classifier group's
-    temporaries after it (see :func:`_classifier_group`).
+    numpy's iteration buffers during the pass, then the classifier's
+    temporaries on one entry after it (see :func:`_classify_entry`).
     """
     entry = np.dtype(complex).itemsize << (n_qubits + n_inputs)
     return batch * entry + max(batch * entry // 2 + _BUFFER_RESERVE, 3 * entry)
@@ -520,19 +516,6 @@ def _check_dense_bytes(batch: int, n_qubits: int, n_inputs: int) -> None:
         )
 
 
-def _classifier_group(entry_size: int) -> int:
-    """Batch entries of ``entry_size`` amplitudes the classifier reads at once.
-
-    A group holds as many amplitudes as one numpy iteration buffer, or one
-    entry when that alone has more: past that, numpy's per-call cost is
-    paid off and a larger group only works farther out of cache.  Its
-    temporaries in :func:`_strong_test` come to at most three times its
-    size, so they fit :data:`_BUFFER_RESERVE`, or three entries for a group
-    of one; :func:`_max_batch` charges both.
-    """
-    return max(1, np.getbufsize() // entry_size)
-
-
 def _base_angles(p: Pattern) -> np.ndarray:
     """The pattern's own measurement angles as one row, in measurement order."""
     return np.array([list(p.measure_angles().values())], dtype=float)
@@ -551,23 +534,6 @@ _AMPLITUDES_PER_STEP = 1 << 11
 
 # One placement of a pattern's commands, lowered (see _Plan).
 _Placement = namedtuple("_Placement", "order prefix steps width amplitudes extra")
-
-
-def _merge_points(cmds: Sequence) -> dict[int, tuple]:
-    """The measured qubits whose outcome no command after command k reads,
-    keyed by k: each measurement's last use is its ``M`` or the last
-    correction whose signals contain it."""
-    last: dict[int, int] = {}
-    for k, cmd in enumerate(cmds):
-        kind = type(cmd)
-        if kind is Measure:
-            last[cmd.qubit] = k
-        elif kind is not Prepare and kind is not Entangle:
-            last.update(dict.fromkeys(cmd.signals, k))
-    done_at: dict[int, tuple] = {}
-    for q, k in last.items():
-        done_at[k] = done_at.get(k, ()) + (q,)
-    return done_at
 
 
 def _lower(p: Pattern, done_at: dict[int, tuple], lazy: bool) -> _Placement:
@@ -701,7 +667,11 @@ class _Plan:
         # measured qubits in measurement order, then the outputs: the
         # constructor's axis order, which the branch maps read unmoved
         self.layout = (*p.measurement_order, *p.outputs)
-        done_at = _merge_points(p.commands)
+        # by command, the measured qubits that no later command reads
+        done_at: dict[int, tuple] = {}
+        for q in p.measurement_order:
+            k = p._walk.last_read[q]
+            done_at[k] = done_at.get(k, ()) + (q,)
         self.eager = _lower(p, done_at, False)
         self.lazy = _lower(p, done_at, True)
 
@@ -864,19 +834,18 @@ def _pair_witness(
     defects = np.array(
         [_vectors_parallel(a @ probe, b @ probe, tolerance, scale) for probe in probes]
     )
-    k = int(_first_near_max(defects))
+    k = _first_near_max(defects)
     if defects[k] <= tolerance:
         return None
     return float(defects[k]), probes[k] / np.linalg.norm(probes[k])
 
 
-def _first_near_max(values: np.ndarray) -> np.ndarray:
+def _first_near_max(values: np.ndarray) -> int:
     """Index of the first of ``values`` (non-negative) within a relative
-    1e-12 of the largest, along the last axis.  Values equal in exact
-    arithmetic, as branch norms and probe defects often are, then give the
-    same index whichever rounding the arithmetic that produced them took."""
-    top = values.max(axis=-1, keepdims=True)
-    return (values >= top * (1.0 - 1e-12)).argmax(axis=-1)
+    1e-12 of the largest.  Values equal in exact arithmetic, as branch norms
+    and probe defects often are, then give the same index whichever
+    rounding the arithmetic that produced them took."""
+    return int((values >= values.max() * (1.0 - 1e-12)).argmax())
 
 
 def _outcome_label(branch: int, n_branches: int) -> str:
@@ -885,39 +854,32 @@ def _outcome_label(branch: int, n_branches: int) -> str:
     return format(branch, f"0{n}b") if n else ""
 
 
-def _strong_test(
+def _classify_entry(
     maps: np.ndarray, tolerance: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The strong-equality test on several entries' branch maps at once.
-
-    ``maps`` is (entries, branches, output space, input space).  Returns,
-    per entry, whether every branch is within ``tolerance`` of the
-    reference branch entrywise, the branch norms, and the reference: the
-    first branch of largest norm, by :func:`_first_near_max`.  Temporaries
-    are a work array of the size of ``maps``, its moduli and the norms: with
-    ``maps``, at most three times its size (see :func:`_classifier_group`).
-    """
-    entries, n_branches = maps.shape[:2]
-    flat = maps.reshape(entries, n_branches, -1)
-    work = np.conjugate(flat)
-    np.multiply(work, flat, out=work)
-    # the sums np.linalg.norm forms, so each entry's norms are bit for bit its
-    norms = np.add.reduce(work.real, axis=-1)
-    np.sqrt(norms, out=norms)
-    refs = _first_near_max(norms)
-    np.subtract(flat, flat[np.arange(entries), refs][:, np.newaxis], out=work)
-    strong = np.abs(work).max(axis=(1, 2)) < tolerance
-    return strong, norms, refs
-
-
-def _classify_maps(
-    maps: np.ndarray, tolerance: float, norms: np.ndarray, ref: int
 ) -> tuple[Classification, Witness | None]:
-    """Verdict and witness for one batch entry's branch maps that failed
-    :func:`_strong_test`, given the branch norms and the reference branch it
-    found: deterministic, or not, with a witness."""
+    """Verdict and witness of one batch entry's branch maps, (branches,
+    output space, input space).
+
+    The reference is the first branch of largest norm, by
+    :func:`_first_near_max`.  Strongly deterministic when every branch is
+    within ``tolerance`` of it entrywise; else each branch whose
+    Hilbert-Schmidt overlap with it falls short of proportional is probed
+    (:func:`_pair_witness`): deterministic, or not, with a witness.
+    Temporaries are a work array of the size of ``maps`` and moduli of half
+    its size: with ``maps``, within the three entries that
+    :func:`_pass_bytes` charges beside the pass's tensor.
+    """
     n_branches = maps.shape[0]
     flat = maps.reshape(n_branches, -1)
+    work = np.conjugate(flat)
+    np.multiply(work, flat, out=work)
+    # the sums np.linalg.norm forms, so the norms are bit for bit its
+    norms = np.add.reduce(work.real, axis=-1)
+    np.sqrt(norms, out=norms)
+    ref = _first_near_max(norms)
+    np.subtract(flat, flat[ref], out=work)
+    if np.abs(work).max() < tolerance:
+        return Classification.STRONGLY_DETERMINISTIC, None
     scale = float(np.abs(maps).max()) or 1.0
     products = norms[ref] * norms
     overlaps = np.abs(np.einsum("bk,k->b", flat, flat[ref].conj()))
@@ -941,18 +903,14 @@ def _classify_batch(
     eng: _TensorEngine, outputs: Sequence[int], tolerance: float
 ) -> tuple[tuple[Classification, Witness | None], bool]:
     """Verdict of the engine's first batch entry, and whether every entry is
-    deterministic; stops at the first entry that is not."""
-    group = _classifier_group(eng.t.size // eng.batch)
-    first = Classification.STRONGLY_DETERMINISTIC, None
-    for start in range(0, eng.batch, group):
-        maps = eng.entry_maps(start, min(start + group, eng.batch), outputs)
-        strong, norms, refs = _strong_test(maps, tolerance)
-        for k in np.flatnonzero(~strong):
-            verdict = _classify_maps(maps[k], tolerance, norms[k], int(refs[k]))
-            if start + k == 0:
-                first = verdict
-            if not verdict[0].is_deterministic:
-                return first, False
+    deterministic; classifies the entries in turn and stops at the first
+    that is not."""
+    first = None
+    for b in range(eng.batch):
+        verdict = _classify_entry(eng.maps(b, outputs), tolerance)
+        first = first or verdict
+        if not verdict[0].is_deterministic:
+            return first, False
     return first, True
 
 
@@ -980,9 +938,8 @@ def classify_determinism(
     ``tolerance``, every pair of maps is closer than ``tolerance``
     entrywise: strongly deterministic, with no classifier.  At the first
     merge that takes an entry to ``tolerance / 2`` the batch falls back to
-    the full pass; then the strong test (:func:`_strong_test`) runs on
-    groups of entries (:func:`_classifier_group`), only an entry that fails
-    it is classified further, and the first that is not deterministic ends
+    the full pass; then its entries are classified one at a time
+    (:func:`_classify_entry`), and the first that is not deterministic ends
     the run.  The verdict is that of the pattern's own angles, and the same
     as the full pass would give every batch.
 

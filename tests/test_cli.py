@@ -503,6 +503,13 @@ def test_negative_counts_rejected(write, capsys, argv):
         (["identities", "--random", "x"], "--random"),
         (["verify", "PATTERN", "--samples", "2.5"], "--samples"),
         (["--tolerance", "x", "verify", "PATTERN"], "--tolerance"),
+        # spellings that int() or float() would coerce
+        (["identities", "--random", "\u0663"], "--random"),
+        (["identities", "--angles-grid", "+4"], "--angles-grid"),
+        (["verify", "PATTERN", "--samples", "02"], "--samples"),
+        (["--seed", "\uff13", "verify", "PATTERN"], "--seed"),
+        (["--tolerance", "1_0e-3", "verify", "PATTERN"], "--tolerance"),
+        (["--tolerance", "\u0661e-3", "verify", "PATTERN"], "--tolerance"),
     ],
 )
 def test_malformed_numbers_rejected_readably(write, capsys, argv, option):
@@ -513,7 +520,29 @@ def test_malformed_numbers_rejected_readably(write, capsys, argv, option):
     out = capsys.readouterr()
     assert out.out == ""
     assert f"argument {option}: not a" in out.err
+    assert repr(argv[argv.index(option) + 1]) in out.err
     assert "invalid _" not in out.err
+
+
+@pytest.mark.parametrize("argv", [["flow", "BAD"], ["verify", "BAD"], ["synth", "GRAPH", "--angles", "BAD"]])
+def test_file_that_is_not_utf8_is_a_named_error(write, tmp_path, capsys, argv):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff" + H_TEXT.encode("utf-8"))
+    files = {"BAD": str(bad), "GRAPH": write("p3.json", '{"vertices": [1, 2, 3], ' + _PATH3 + "}")}
+    assert main([files.get(a, a) for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {bad}: not UTF-8 text: ")
+
+
+@pytest.mark.parametrize("command", [["synth"], ["extract"]])
+def test_angle_beyond_float_range_is_a_named_error(write, capsys, command):
+    graph = write("p3.json", '{"vertices": [1, 2, 3], ' + _PATH3 + "}")
+    angles = write("a.json", '{"1": 1' + "0" * 400 + "}")
+    assert main([command[0], graph, "--angles", angles]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {angles}: bad angle entry '1': int too large to convert to float\n"
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 """A seeded fuzz gate on the command line's inputs.
 
 Mutants of the graph, angle and pattern files that ``cli_golden.json``
-holds go through an in-process ``main()``.  Every call must return 0, 1 or
-2 and raise nothing; an id or an angle-file key spelled in a way that
-``int()`` would still read (``+2``, ``02``, ``0_2``, ``2.0``, ...) must exit
-2; and every runnable pattern mutant of at most 8 measurements must give
+holds go through an in-process ``main()``.  Every call must exit with 0, 1
+or 2 (returned, or raised as argparse's ``SystemExit`` for a bad flag) and
+raise nothing else; an id, an angle-file key or a numeric flag spelled in a
+way that ``int()`` or ``float()`` would still read (``+2``, ``02``, ``0_2``,
+``2.0``, ``1_0e-3``, ...) must exit 2, and so must a file that is not
+UTF-8; and every runnable pattern mutant of at most 8 measurements must give
 dense branch maps equal to ``run_branch``'s within 1e-12 in both placements
 of its pass plan, eager and lazy, whichever the plan's rule would pick
 (``simulator._Plan`` states the rule).
@@ -42,11 +44,18 @@ ANGLE_CALLS = [
     ["adjoint", "G", "--prep-angles", "A"],
 ]
 # values a mutant puts where an id, an angle or a whole list was
-ODD_VALUES = [None, True, False, 0, -1, 2.5, 3.0, 99, 1e300, math.inf, math.nan]
+ODD_VALUES = [None, True, False, 0, -1, 2.5, 3.0, 99, 1e300, 10**400, math.inf, math.nan]
 ODD_VALUES += ["2", "x", "", [], {}]
 ODD_TOKENS = ["x", "-1", "0", "99", "nan", "inf", "1e400", "[]", "[1,2]", "[9]", "2.5", "{1}", ""]
 FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
 ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+# the numeric flags, each with a value for "{}"
+FLAG_CALLS = [
+    ["verify", "P", "--samples", "{}"],
+    ["--seed", "{}", "verify", "P"],
+    ["identities", "--angles-grid", "{}"],
+    ["identities", "--random", "{}"],
+]
 
 
 def _respelled(q: int, rng: random.Random) -> str:
@@ -65,14 +74,36 @@ def _respelled(q: int, rng: random.Random) -> str:
     return sign + "0" + digits if spelled == str(q) else spelled
 
 
-def _call(argv: list[str], files: dict[str, str], tmp_path: Path) -> int:
+def _respelled_number(rng: random.Random) -> str:
+    """A positive number that ``float()`` reads, spelled with an underscore
+    or non-ASCII digits."""
+    text = rng.choice(["1e-10", "0.25", "125e-4"])
+    if rng.random() < 0.5:
+        return text.translate(rng.choice([FULLWIDTH, ARABIC_INDIC]))
+    k = rng.choice([k for k in range(1, len(text)) if text[k - 1 : k + 1].isdigit()])
+    return text[:k] + "_" + text[k:]
+
+
+def _not_utf8(text: str, rng: random.Random) -> bytes:
+    """``text`` in UTF-8 with one byte that no UTF-8 text holds there put in."""
+    data = text.encode("utf-8")
+    k = rng.randrange(len(data) + 1)
+    return data[:k] + rng.choice([b"\xff", b"\x80", b"\xc3"]) + data[k:]
+
+
+def _call(argv: list[str], files: dict[str, str | bytes], tmp_path: Path) -> int:
     """``main(argv)`` with ``G``, ``A`` and ``P`` naming files written from
-    ``files``; fails the test unless it returns 0, 1 or 2."""
+    ``files``, text as UTF-8; fails the test unless it exits with 0, 1 or 2."""
     for name, text in files.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+        data = text if isinstance(text, bytes) else text.encode("utf-8")
+        (tmp_path / name).write_bytes(data)
     argv = [str(tmp_path / a) if a in files else a for a in argv]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse's exit on a flag it cannot read
+            code = exc.code
     assert code in (0, 1, 2), (argv, files)
     return code
 
@@ -212,6 +243,9 @@ def test_mutated_inputs(tmp_path, monkeypatch, seed):
         for argv in rng.sample(GRAPH_CALLS, 2):
             _call(argv, {"G": mutant}, tmp_path)
         _call(rng.choice(ANGLE_CALLS), {"G": GRAPH, "A": mutant}, tmp_path)
+        assert _call(rng.choice(GRAPH_CALLS), {"G": _not_utf8(mutant, rng)}, tmp_path) == 2
+        files = {"G": GRAPH, "A": _not_utf8(mutant, rng)}
+        assert _call(rng.choice(ANGLE_CALLS), files, tmp_path) == 2
         if isinstance(parsed, dict) and "vertices" in parsed:
             spelled = _respell_json_id(parsed, rng)
             if spelled is not None:
@@ -227,11 +261,19 @@ def test_mutated_inputs(tmp_path, monkeypatch, seed):
         mutant = _mutate_text(text, rng)
         _call(["verify", "P", "--samples", "2"], {"P": mutant}, tmp_path)
         compared += _assert_dense_equals_run_branch(mutant, monkeypatch)
+        assert _call(["verify", "P", "--samples", "0"], {"P": _not_utf8(mutant, rng)}, tmp_path) == 2
         spelled = _respell_text_id(text, rng)
         if spelled is not None:
             assert _call(["verify", "P", "--samples", "0"], {"P": spelled}, tmp_path) == 2
             respelled += 1
     y = _respelled(rng.choice([1, 2, 3]), rng)
     assert _call(["synth", "G", "--y-measured", f"2,{y}"], {"G": GRAPH}, tmp_path) == 2
+    pattern = {"P": rng.choice(PATTERNS)}
+    for _ in range(20):
+        argv = [a.format(_respelled(rng.randint(0, 30), rng)) for a in rng.choice(FLAG_CALLS)]
+        assert _call(argv, pattern, tmp_path) == 2
+        argv = ["--tolerance", _respelled_number(rng), "verify", "P", "--samples", "0"]
+        assert _call(argv, pattern, tmp_path) == 2
+        respelled += 2
     # the draw reaches each kind of check
-    assert compared >= 20 and respelled >= 200
+    assert compared >= 20 and respelled >= 240

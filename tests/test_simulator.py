@@ -48,10 +48,9 @@ from causalflow import simulator
 from causalflow.simulator import (
     DeterminismVerdict,
     _classify_batch,
-    _classify_maps,
+    _classify_entry,
     _max_batch,
     _run_branches,
-    _strong_test,
     _TensorEngine,
 )
 from conftest import (
@@ -447,8 +446,9 @@ class TestGraphStateBuild:
     run_branch's."""
 
     def _assert_bitwise(self, p: Pattern, angles: np.ndarray) -> None:
-        maps = _run_branches(p, angles).entry_maps(0, len(angles), p.outputs)
-        expected = _eager_pass(p, angles).entry_maps(0, len(angles), p.outputs)
+        eng, reference = _run_branches(p, angles), _eager_pass(p, angles)
+        maps = np.stack([eng.maps(b, p.outputs) for b in range(len(angles))])
+        expected = np.stack([reference.maps(b, p.outputs) for b in range(len(angles))])
         assert np.array_equal(maps, expected), print_pattern(p)
 
     def _assert_run_branch(self, p: Pattern) -> None:
@@ -748,15 +748,6 @@ class TestInputDiagonalWrite:
                     self._assert_equal(p.inputs, batch, prefix, layout)
 
 
-def _classify_entry(maps: np.ndarray, tolerance: float):
-    """Verdict and witness of one entry's branch maps: the strong test,
-    then, if it fails, ``_classify_maps`` with the norms and reference it found."""
-    strong, norms, refs = _strong_test(maps[np.newaxis], tolerance)
-    if strong[0]:
-        return Classification.STRONGLY_DETERMINISTIC, None
-    return _classify_maps(maps, tolerance, norms[0], int(refs[0]))
-
-
 def _per_entry_verdict(p: Pattern, angle_samples: int, seed: int):
     """Classification, uniformity and witness from one pass over every angle
     vector, drawn one scalar at a time, and one ``_classify_entry`` per entry."""
@@ -888,35 +879,29 @@ class TestBatchedClassifier:
 
     def test_batched_and_per_entry_verdicts_agree(self, monkeypatch):
         """Synthesized, stripped, X-dropped, mutated and loop patterns: the
-        batched strong test with its per-entry fallback gives the verdict,
-        uniformity and witness of classifying every entry on its own, in one
-        pass and with a budget of two entries per pass."""
+        merging pass with its per-entry fallback gives the verdict,
+        uniformity and witness of classifying every entry of one full pass
+        on its own, in one pass and with a budget of two entries per pass;
+        only a strong and uniform verdict skips the classifier."""
         patterns = self._patterns()
         expected = [_per_entry_verdict(p, 20, seed=k) for k, p in enumerate(patterns)]
-        groups = []
-        strong_test = simulator._strong_test
+        classified = []
+        classify_entry = simulator._classify_entry
 
         def recording(maps, tolerance):
-            groups.append(len(maps))
-            return strong_test(maps, tolerance)
+            classified.append(len(maps))
+            return classify_entry(maps, tolerance)
 
-        monkeypatch.setattr(simulator, "_strong_test", recording)
-        one_group = reached = 0
+        monkeypatch.setattr(simulator, "_classify_entry", recording)
         for k, (p, want) in enumerate(zip(patterns, expected)):
-            groups.clear()
+            classified.clear()
             _assert_same_verdict(classify_determinism(p, angle_samples=20, seed=k), want)
             # the merging pass alone decides a strong and uniform verdict;
-            # every other reaches the strong test
+            # every other reaches the classifier, which takes the 21 entries
+            # in turn and stops at the first that is not deterministic
             strong_uniform = want[:2] == (Classification.STRONGLY_DETERMINISTIC, True)
-            assert bool(groups) != strong_uniform
-            # a group holds one numpy buffer's worth of entries, or the rest
-            # of the 21-entry pass; a verdict that is not deterministic stops early
-            group = max(1, np.getbufsize() >> (len(p.vertices) + len(p.inputs)))
-            split = [min(group, 21 - start) for start in range(0, 21, group)]
-            assert groups == split[: len(groups)]
-            reached += bool(groups)
-            one_group += groups == [21]
-        assert one_group >= reached // 2
+            assert bool(classified) != strong_uniform
+            assert len(classified) == 21 if classified and want[1] else len(classified) <= 21
         for k, (p, want) in enumerate(zip(patterns, expected)):
             sample = np.dtype(complex).itemsize << (len(p.vertices) + len(p.inputs))
             budget = simulator._BUFFER_RESERVE + 3 * sample
@@ -933,11 +918,11 @@ class TestBatchedClassifier:
         } <= kinds
 
     def test_strong_test_is_the_per_entry_rule(self):
-        """Per entry, the norms are np.linalg.norm's bit for bit, the
-        reference is the first branch within 1e-12 of the largest norm, and
-        the verdict is the entrywise distance from it, on entries with tied
-        norms, with a largest branch that is not the first, and with one
-        branch off by more or less than the tolerance."""
+        """Per entry, the reference is the first branch within 1e-12 of the
+        largest norm, and the strong verdict is the entrywise distance from
+        it, on entries with tied norms, with a largest branch that is not
+        the first, and with one branch off by more or less than the
+        tolerance; a witness starts from the reference branch."""
         rng = np.random.default_rng(73)
         maps = np.repeat(rng.standard_normal((1, 1, 2, 4)) + 0j, 8, axis=1)
         maps = np.repeat(maps, 6, axis=0)
@@ -946,15 +931,20 @@ class TestBatchedClassifier:
         maps[3, 2, 1, 3] += 1e-10
         maps[4, 6, 0, 0] += 1e-8
         maps[5] = rng.standard_normal((8, 2, 4)) + 1j * rng.standard_normal((8, 2, 4))
-        strong, norms, refs = simulator._strong_test(maps, 1e-9)
-        for k, entry in enumerate(maps):
-            want = np.linalg.norm(entry.reshape(8, -1), axis=1)
-            np.testing.assert_array_equal(norms[k], want)
-            ref = int(np.flatnonzero(want >= want.max() * (1.0 - 1e-12))[0])
-            assert refs[k] == ref
-            assert strong[k] == (np.abs(entry - entry[ref]).max() < 1e-9)
-        assert list(refs[:3]) == [0, 5, 7]
-        assert list(strong) == [True, False, False, True, False, False]
+        refs, strong, witnesses = [], [], []
+        for entry in maps:
+            norms = np.linalg.norm(entry.reshape(8, -1), axis=1)
+            ref = int(np.flatnonzero(norms >= norms.max() * (1.0 - 1e-12))[0])
+            classification, witness = _classify_entry(entry, 1e-9)
+            refs.append(ref)
+            strong.append(classification is Classification.STRONGLY_DETERMINISTIC)
+            assert strong[-1] == (np.abs(entry - entry[ref]).max() < 1e-9)
+            if witness is not None:
+                assert witness.branch_a == format(ref, "03b")
+                witnesses.append(ref)
+        assert refs[:3] == [0, 5, 7]
+        assert witnesses == [1]
+        assert strong == [True, False, False, True, False, False]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_angles_drawn_in_one_call_equal_scalar_draws(self, monkeypatch, seed):
@@ -1294,9 +1284,8 @@ class TestDenseBudget:
 
     def test_small_patterns_peak_within_budget_accounting(self):
         """On synthesized and stripped patterns of at most five vertices, whose
-        entries are under one numpy buffer, a classifier group's temporaries
-        take the buffer reserve after the pass, so the call's peak may pass
-        the pass's but stays within what _max_batch charges."""
+        entries are under one numpy buffer, the call's peak, in the pass or
+        in the classifier after it, stays within what _max_batch charges."""
         arng = np.random.default_rng(5)
         patterns = []
         for g, fl in _flow_patterns(89, 300, max_vertices=5):
