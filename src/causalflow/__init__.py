@@ -4,144 +4,46 @@ Pipeline: represent an open graph state, find a flow, synthesize the
 deterministic correction pattern, verify determinism by exhaustive branch
 simulation, and extract an equivalent controlled-Z/phase/Hadamard circuit.
 
-Only :mod:`causalflow.simulator` imports numpy.  The graph, flow, pattern
-and circuit names are bound when the package is imported; the simulator's
-names are looked up on first use, so code that never simulates never
-loads numpy.
+Only :mod:`causalflow.simulator` imports numpy.  Every public name, and
+every module, is imported on first use, so importing the package loads
+none of them, and code that never simulates never loads numpy.
 """
 
-from .graph_model import (
-    Flow,
-    GraphFormatError,
-    OpenGraphState,
-    ValidationResult,
-    graph_from_json_dict,
-    validate_flow,
-    validate_graph,
-)
-from .flow_finder import (
-    FlowSearchResult,
-    OracleSizeError,
-    brute_force_flow_oracle,
-    dependency_order,
-    find_biflow,
-    find_flow,
-)
-from .pattern import (
-    Command,
-    CorrectX,
-    CorrectXPhase,
-    CorrectZ,
-    Entangle,
-    Measure,
-    Pattern,
-    PatternError,
-    PatternFormatError,
-    Prepare,
-    SimulationError,
-    adjoint,
-    check_runnable,
-    drop_x_corrections,
-    parse_pattern,
-    print_pattern,
-    relabel,
-    synthesize,
-    synthesize_stabilizer_form,
-)
-from .circuit_extract import (
-    Circuit,
-    CZGate,
-    HadamardGate,
-    PhaseGate,
-    StarPattern,
-    Wire,
-    decompose_stars,
-    extract_circuit,
-)
+import importlib
 
-# Resolved on first use, so that importing the package does not load numpy.
-_SIMULATOR_NAMES = (
-    "BranchReport",
-    "Classification",
-    "DeterminismVerdict",
-    "IdentityReport",
-    "Witness",
-    "check_rewrite_identities",
-    "classify_determinism",
-    "enumerate_branches",
-    "max_deviation_up_to_phase",
-    "realized_embedding",
-    "run_branch",
-    "simulate_circuit",
-)
+# The public names of each module.
+_NAMES = {
+    "graph_model": """Flow GraphFormatError OpenGraphState ValidationResult
+        graph_from_json_dict validate_flow validate_graph""",
+    "flow_finder": """FlowSearchResult OracleSizeError brute_force_flow_oracle
+        dependency_order find_biflow find_flow""",
+    "pattern": """Command CorrectX CorrectXPhase CorrectZ Entangle Measure
+        Pattern PatternError PatternFormatError Prepare SimulationError adjoint
+        check_runnable drop_x_corrections parse_pattern print_pattern relabel
+        synthesize synthesize_stabilizer_form""",
+    "circuit_extract": """Circuit CZGate HadamardGate PhaseGate StarPattern
+        Wire decompose_stars extract_circuit""",
+    "simulator": """BranchReport Classification DeterminismVerdict
+        IdentityReport Witness check_rewrite_identities classify_determinism
+        enumerate_branches max_deviation_up_to_phase realized_embedding
+        run_branch simulate_circuit""",
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names.split()}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BranchReport",
-    "Circuit",
-    "CZGate",
-    "Classification",
-    "Command",
-    "CorrectX",
-    "CorrectXPhase",
-    "CorrectZ",
-    "DeterminismVerdict",
-    "Entangle",
-    "Flow",
-    "FlowSearchResult",
-    "GraphFormatError",
-    "HadamardGate",
-    "IdentityReport",
-    "Measure",
-    "OpenGraphState",
-    "OracleSizeError",
-    "Pattern",
-    "PatternError",
-    "PatternFormatError",
-    "PhaseGate",
-    "Prepare",
-    "SimulationError",
-    "StarPattern",
-    "ValidationResult",
-    "Wire",
-    "Witness",
-    "adjoint",
-    "brute_force_flow_oracle",
-    "check_rewrite_identities",
-    "check_runnable",
-    "classify_determinism",
-    "decompose_stars",
-    "dependency_order",
-    "drop_x_corrections",
-    "enumerate_branches",
-    "extract_circuit",
-    "find_biflow",
-    "find_flow",
-    "graph_from_json_dict",
-    "max_deviation_up_to_phase",
-    "parse_pattern",
-    "print_pattern",
-    "realized_embedding",
-    "relabel",
-    "run_branch",
-    "simulate_circuit",
-    "synthesize",
-    "synthesize_stabilizer_form",
-    "validate_flow",
-    "validate_graph",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name not in _SIMULATOR_NAMES:
+    if name in _NAMES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import simulator
-
-    value = getattr(simulator, name)
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted(globals().keys() | set(_SIMULATOR_NAMES))
+    return sorted(globals().keys() | _MODULE_OF.keys())

@@ -7,9 +7,10 @@ text format, and all reports are emitted as JSON on stdout.  Exit codes:
 definite negative (no flow, weaker verdict, failed check), 2 for input or
 usage errors.
 
-Only ``verify``, ``extract --check`` and ``identities`` simulate; they import
-the simulator, and with it numpy, inside their handlers, so the other
-subcommands start without loading numpy.
+Each handler imports the modules it needs beyond the graph model and the
+flow search: ``flow`` loads no pattern module, and only ``verify``,
+``extract --check`` and ``identities`` load the simulator, and with it
+numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .circuit_extract import extract_circuit
 from .flow_finder import find_biflow, find_flow
 from .graph_model import (
     GraphFormatError,
@@ -29,20 +29,6 @@ from .graph_model import (
     _json_id,
     _text_id,
     graph_from_json_dict,
-)
-from .pattern import (
-    DEFAULT_TOLERANCE,
-    EXACT_TOLERANCE,
-    PatternError,
-    PatternFormatError,
-    SimulationError,
-    _parse_angle,
-    adjoint,
-    check_runnable,
-    parse_pattern,
-    print_pattern,
-    synthesize,
-    synthesize_stabilizer_form,
 )
 
 EXIT_OK = 0
@@ -131,6 +117,8 @@ def _find_flow_for(args, graph: OpenGraphState, y_from_file: frozenset[int]):
 
 def _tolerance(text: str) -> float:
     """A tolerance, spelled as a pattern file's angles are."""
+    from .pattern import _parse_angle
+
     try:
         value = _parse_angle(text)
     except ValueError:
@@ -173,6 +161,8 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .pattern import print_pattern, synthesize, synthesize_stabilizer_form
+
     if args.stabilizer_form and args.prep_angles is not None:
         raise _CliError("--prep-angles cannot be combined with --stabilizer-form")
     graph, y_from_file = _load_graph(args.graph)
@@ -191,6 +181,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .pattern import DEFAULT_TOLERANCE, PatternFormatError, check_runnable, parse_pattern
+
     text = _read_text(args.pattern)
     try:
         pattern = parse_pattern(text)
@@ -213,6 +205,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    from .circuit_extract import extract_circuit
+
     graph, _ = _load_graph(args.graph)
     result = find_flow(graph)
     if not result.found:
@@ -236,6 +230,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_adjoint(args) -> int:
+    from .pattern import adjoint, print_pattern, synthesize
+
     graph, _ = _load_graph(args.graph)
     forward, reverse = find_biflow(graph)
     if not (forward.found and reverse.found):
@@ -251,6 +247,7 @@ def _cmd_adjoint(args) -> int:
 def _cmd_identities(args) -> int:
     if args.angles_grid + args.random == 0:
         raise _CliError("--angles-grid and --random are both 0: no angles to check")
+    from .pattern import EXACT_TOLERANCE
     from .simulator import check_rewrite_identities
 
     report = check_rewrite_identities(
@@ -350,7 +347,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(str(exc))
     try:
         return args.handler(args)
-    except (_CliError, PatternError, SimulationError) as exc:
+    except Exception as exc:
+        # imported on the error path only: a run that succeeds without a
+        # pattern, as a flow search does, never loads the pattern module
+        from .pattern import PatternError, SimulationError
+
+        if not isinstance(exc, (_CliError, PatternError, SimulationError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

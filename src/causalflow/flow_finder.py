@@ -23,7 +23,8 @@ loop-free flows are tried first.
 
 :func:`brute_force_flow_oracle` re-derives existence exhaustively, and
 every returned flow passes :func:`causalflow.graph_model.validate_flow`.
-No function here recurses.
+No function here recurses.  :class:`causalflow.pattern.PatternError` is
+imported where it is raised, so that a flow search loads no pattern module.
 
 All functions are pure; independent searches may run concurrently.
 """
@@ -35,7 +36,6 @@ from itertools import permutations
 from typing import AbstractSet, Mapping
 
 from .graph_model import Flow, OpenGraphState, validate_flow
-from .pattern import PatternError
 
 DEFAULT_ORACLE_BOUND = 7
 
@@ -103,6 +103,8 @@ def dependency_order(
         has a cycle, so that no valid order exists for this ``f``.
     """
     if stray := sorted({*f, *f.values()} - g._adjacency.keys()):
+        from .pattern import PatternError
+
         raise PatternError(f"corrector map names vertices {stray} not in the graph")
     succ = _constraint_successors(g, f)
     indegree = {v: 0 for v in g.vertices}
@@ -202,6 +204,8 @@ def find_flow(
     """
     stray = sorted(set(loop_candidates) - set(g.measured))
     if stray:
+        from .pattern import PatternError
+
         raise PatternError(f"y-measured qubits {stray} are not measured vertices")
     result = _search(g, frozenset())
     loop_candidates = frozenset(loop_candidates).difference(g.inputs)

@@ -493,7 +493,8 @@ def _pass_bytes(batch: int, n_qubits: int, n_inputs: int) -> int:
     pass holds the ``batch`` entries plus the larger of half of them with
     :data:`_BUFFER_RESERVE` and three entries: the kernel's scratch with
     numpy's iteration buffers during the pass, then the classifier's
-    temporaries on one entry after it (see :func:`_classify_entry`).
+    temporaries on one entry after it, the witness's probes included (see
+    :func:`_classify_entry` and :func:`_pair_witness`).
     """
     entry = np.dtype(complex).itemsize << (n_qubits + n_inputs)
     return batch * entry + max(batch * entry // 2 + _BUFFER_RESERVE, 3 * entry)
@@ -804,40 +805,72 @@ def enumerate_branches(
     ]
 
 
-def _vectors_parallel(
-    u: np.ndarray, v: np.ndarray, tolerance: float, scale: float
-) -> float:
-    """0.0 when parallel (or either negligible); else the relative defect."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu <= tolerance * scale or nv <= tolerance * scale:
-        return 0.0
-    return (nu * nv - abs(np.vdot(u, v))) / (nu * nv)
+def _probe_defects(images: np.ndarray, tolerance: float, scale: float) -> np.ndarray:
+    """The relative defect (|u| |v| - |<u, v>|) / (|u| |v|) of each probe,
+    from its images u and v under two maps, stacked as (2, output space,
+    probes): 0 when they are parallel, and taken as 0 when either norm is at
+    most ``tolerance * scale``."""
+    norms = np.sqrt(
+        np.einsum("aij,aij->aj", images.real, images.real)
+        + np.einsum("aij,aij->aj", images.imag, images.imag)
+    )
+    products = norms[0] * norms[1]
+    overlaps = np.abs(np.einsum("ij,ij->j", images[0].conj(), images[1]))
+    live = norms.min(axis=0) > tolerance * scale
+    return (products - overlaps) / np.where(live, products, np.inf)
 
 
 def _pair_witness(
-    a: np.ndarray, b: np.ndarray, tolerance: float, scale: float
+    maps: np.ndarray, r: int, s: int, tolerance: float, scale: float
 ) -> tuple[float, np.ndarray] | None:
-    """Probe input states; return (defect, probe) for the worst failure,
-    the first probe of largest defect up to rounding.
+    """Probe input states on branches ``r`` and ``s`` of one entry's maps;
+    return (defect, probe) for the worst failure, the first probe of largest
+    defect up to rounding.
 
     Probing the basis states plus their pairwise real and imaginary
     combinations decides proportionality of the action on every input, the
     sense in which branch maps must agree for a deterministic pattern.
     Rank-one maps with a common range pass even though they may differ as
-    matrices.
+    matrices.  The probes are e_k, then e_k + e_l and e_k + i e_l for each
+    pair k < l in turn; their images are formed from the maps' columns, and
+    only the winning probe is built as a vector.  The pairs go in groups of
+    len(maps) // 16 rows k.  A row has fewer pairs than the input space has
+    dimensions, d, and a pair's images, their temporaries and its indices
+    take at most nine vectors of the output space, so a group takes under
+    9/16 of an entry.  With the d^2 defects, at most half an entry, and
+    ``maps``, that is within the three entries that :func:`_pass_bytes`
+    charges.
     """
-    eye = np.eye(a.shape[1], dtype=complex)
-    probes = list(eye)
-    for k, l in itertools.combinations(range(len(eye)), 2):
-        probes += [eye[k] + eye[l], eye[k] + 1j * eye[l]]
-    defects = np.array(
-        [_vectors_parallel(a @ probe, b @ probe, tolerance, scale) for probe in probes]
-    )
-    k = _first_near_max(defects)
-    if defects[k] <= tolerance:
+    pair = maps[[r, s]]
+    d = pair.shape[2]
+    defects = np.empty(d * d)
+    defects[:d] = _probe_defects(pair, tolerance, scale)
+    rows = max(1, len(maps) // 16)
+    for start in range(0, d - 1, rows):
+        k, l = np.nonzero(np.arange(start, min(start + rows, d))[:, None] < np.arange(d))
+        k += start
+        columns = pair[:, :, k]
+        images = np.empty(columns.shape + (2,), dtype=complex)
+        np.add(columns, pair[:, :, l], out=images[..., 0])
+        np.multiply(pair[:, :, l], 1j, out=images[..., 1])
+        images[..., 1] += columns
+        # 2 probes for each of the start * (2d - start - 1) / 2 earlier pairs
+        first = d + start * (2 * d - start - 1)
+        defects[first : first + 2 * len(k)] = _probe_defects(
+            images.reshape(*pair.shape[:2], -1), tolerance, scale
+        )
+    best = _first_near_max(defects)
+    if defects[best] <= tolerance:
         return None
-    return float(defects[k]), probes[k] / np.linalg.norm(probes[k])
+    probe = np.zeros(d, dtype=complex)
+    if best < d:
+        probe[best] = 1.0
+    else:
+        index, imaginary = divmod(best - d, 2)
+        k, l = next(itertools.islice(itertools.combinations(range(d), 2), index, None))
+        probe[k] = 1.0
+        probe[l] = 1j if imaginary else 1.0
+    return float(defects[best]), probe / np.linalg.norm(probe)
 
 
 def _first_near_max(values: np.ndarray) -> int:
@@ -862,32 +895,47 @@ def _classify_entry(
 
     The reference is the first branch of largest norm, by
     :func:`_first_near_max`.  Strongly deterministic when every branch is
-    within ``tolerance`` of it entrywise; else each branch whose
-    Hilbert-Schmidt overlap with it falls short of proportional is probed
-    (:func:`_pair_witness`): deterministic, or not, with a witness.
-    Temporaries are a work array of the size of ``maps`` and moduli of half
-    its size: with ``maps``, within the three entries that
-    :func:`_pass_bytes` charges beside the pass's tensor.
+    within ``tolerance`` of it entrywise.  A modulus lies between the
+    larger of its real and imaginary parts and sqrt(2) times it, so the
+    largest part decides the test below ``tolerance / 2`` (below
+    ``tolerance / sqrt(2)`` with room for rounding) and at ``tolerance`` or
+    above; the moduli are taken only in between.  Else each branch whose
+    Hilbert-Schmidt overlap with the reference, one matrix-vector product,
+    falls short of proportional is probed (:func:`_pair_witness`):
+    deterministic, or not, with a witness.  Norms at most ``tolerance``
+    times the entry's largest modulus count as zero.  No quantity here
+    depends on the order of the output basis.
+    Temporaries are a work array of the size of ``maps``, freed before the
+    probes, and moduli of half its size: with ``maps``, within the three
+    entries that :func:`_pass_bytes` charges beside the pass's tensor.
     """
     n_branches = maps.shape[0]
     flat = maps.reshape(n_branches, -1)
-    work = np.conjugate(flat)
+    work = np.conjugate(flat, order="C")
     np.multiply(work, flat, out=work)
     # the sums np.linalg.norm forms, so the norms are bit for bit its
     norms = np.add.reduce(work.real, axis=-1)
     np.sqrt(norms, out=norms)
+    # the imaginary parts are zero, or rounding far below the real parts
+    parts = work.view(float)
+    scale = math.sqrt(parts.max()) or 1.0
     ref = _first_near_max(norms)
     np.subtract(flat, flat[ref], out=work)
-    if np.abs(work).max() < tolerance:
+    largest = max(parts.max(), -parts.min())
+    strong = largest < tolerance / 2 or (
+        largest < tolerance and np.abs(work).max() < tolerance
+    )
+    del work, parts
+    if strong:
         return Classification.STRONGLY_DETERMINISTIC, None
-    scale = float(np.abs(maps).max()) or 1.0
     products = norms[ref] * norms
+    # einsum, not BLAS: a threaded matrix-vector product costs more here
     overlaps = np.abs(np.einsum("bk,k->b", flat, flat[ref].conj()))
     live = norms > tolerance * scale
     live[ref] = False
     hs_defects = (products - overlaps) / np.where(live, products, np.inf)
     for s in np.flatnonzero(hs_defects > tolerance):
-        failure = _pair_witness(maps[ref], maps[s], tolerance, scale)
+        failure = _pair_witness(maps, ref, s, tolerance, scale)
         if failure is not None:
             defect, probe = failure
             return Classification.NOT_DETERMINISTIC, Witness(
@@ -904,7 +952,11 @@ def _classify_batch(
 ) -> tuple[tuple[Classification, Witness | None], bool]:
     """Verdict of the engine's first batch entry, and whether every entry is
     deterministic; classifies the entries in turn and stops at the first
-    that is not."""
+    that is not.  Each entry's maps are read with ``outputs`` in the order
+    of their axes, the cheapest read, since the verdict and witness of
+    :func:`_classify_entry` do not depend on the order of the output
+    basis."""
+    outputs = sorted(outputs, key=eng.axis_of.__getitem__)
     first = None
     for b in range(eng.batch):
         verdict = _classify_entry(eng.maps(b, outputs), tolerance)

@@ -588,36 +588,39 @@ def test_output_matches_golden_file(tmp_path, capsys):
         assert got == call
 
 
-# Runs the CLI in a fresh interpreter and reports on stderr whether numpy
-# got loaded; the package import, dir() and the CLI import must not load it.
+# Runs the CLI in a fresh interpreter and reports on stderr whether the
+# pattern module and numpy got loaded; the package import loads no module of
+# the package, and neither it, dir() nor the CLI import loads numpy.
 _NUMPY_PROBE = """
 import sys
 import causalflow
 assert "numpy" not in sys.modules, "import causalflow"
+assert [m for m in sys.modules if m.startswith("causalflow")] == ["causalflow"]
 missing = set(causalflow.__all__) - set(dir(causalflow))
 assert not missing, f"dir(causalflow) lacks {sorted(missing)}"
 assert "numpy" not in sys.modules, "dir(causalflow)"
 from causalflow.cli import main
 assert "numpy" not in sys.modules, "import causalflow.cli"
 code = main(sys.argv[1:])
+sys.stderr.write(f"pattern loaded: {'causalflow.pattern' in sys.modules}\\n")
 sys.stderr.write(f"numpy loaded: {'numpy' in sys.modules}\\n")
 sys.exit(code)
 """
 
 
 @pytest.mark.parametrize(
-    "argv, loads_numpy",
+    "argv, loads_pattern, loads_numpy",
     [
-        (["flow", "GRAPH"], False),
-        (["flow", "--bidirectional", "GRAPH"], False),
-        (["synth", "GRAPH", "--angles", "ANGLES"], False),
-        (["adjoint", "GRAPH", "--angles", "ANGLES"], False),
-        (["extract", "GRAPH", "--angles", "ANGLES"], False),
-        (["verify", "PATTERN"], True),
+        (["flow", "GRAPH"], False, False),
+        (["flow", "--bidirectional", "GRAPH"], False, False),
+        (["synth", "GRAPH", "--angles", "ANGLES"], True, False),
+        (["adjoint", "GRAPH", "--angles", "ANGLES"], True, False),
+        (["extract", "GRAPH", "--angles", "ANGLES"], True, False),
+        (["verify", "PATTERN"], True, True),
     ],
     ids=["flow", "flow-bidirectional", "synth", "adjoint", "extract", "verify"],
 )
-def test_only_simulating_commands_load_numpy(write, argv, loads_numpy):
+def test_only_simulating_commands_load_numpy(write, argv, loads_pattern, loads_numpy):
     files = {
         "GRAPH": graph_file(write, path_state(3, [1], [3])),
         "ANGLES": write("angles.json", {"1": 0.4, "2": 1.1}),
@@ -632,4 +635,7 @@ def test_only_simulating_commands_load_numpy(write, argv, loads_numpy):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == f"numpy loaded: {loads_numpy}"
+    assert proc.stderr.splitlines()[-2:] == [
+        f"pattern loaded: {loads_pattern}",
+        f"numpy loaded: {loads_numpy}",
+    ]

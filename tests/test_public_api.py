@@ -14,3 +14,12 @@ def test_star_import():
     namespace: dict = {}
     exec("from causalflow import *", namespace)
     assert set(causalflow.__all__) <= namespace.keys()
+
+
+def test_names_are_the_defining_modules_own():
+    import causalflow.pattern
+    import causalflow.simulator
+
+    assert causalflow.PatternError is causalflow.pattern.PatternError
+    assert causalflow.classify_determinism is causalflow.simulator.classify_determinism
+    assert set(causalflow.__all__) <= set(dir(causalflow))

@@ -776,6 +776,29 @@ def _assert_same_verdict(verdict, expected) -> None:
         assert verdict.witness.deviation == witness.deviation
 
 
+def _reference_pair_witness(a: np.ndarray, b: np.ndarray, tolerance: float, scale: float):
+    """The witness as a loop over the probes, each image a matrix-vector
+    product: the probes are the basis states, then e_k + e_l and e_k + i e_l
+    for each pair k < l; (defect, probe) for the first of largest defect,
+    or None if no defect exceeds ``tolerance``."""
+
+    def defect(u: np.ndarray, v: np.ndarray) -> float:
+        nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+        if nu <= tolerance * scale or nv <= tolerance * scale:
+            return 0.0
+        return (nu * nv - abs(np.vdot(u, v))) / (nu * nv)
+
+    eye = np.eye(a.shape[1], dtype=complex)
+    probes = list(eye)
+    for k, l in itertools.combinations(range(len(eye)), 2):
+        probes += [eye[k] + eye[l], eye[k] + 1j * eye[l]]
+    defects = np.array([defect(a @ probe, b @ probe) for probe in probes])
+    k = simulator._first_near_max(defects)
+    if defects[k] <= tolerance:
+        return None
+    return float(defects[k]), probes[k] / np.linalg.norm(probes[k])
+
+
 class TestBatchedClassifier:
     def test_engine_and_run_branch_give_same_verdict_and_witness(self):
         """Strong, deterministic-only and non-deterministic samples from
@@ -945,6 +968,85 @@ class TestBatchedClassifier:
         assert refs[:3] == [0, 5, 7]
         assert witnesses == [1]
         assert strong == [True, False, False, True, False, False]
+
+    def test_strong_test_takes_moduli_between_the_bounds(self):
+        """A difference whose real and imaginary parts are each below the
+        tolerance may still have a modulus at or above it.  The verdict is
+        the modulus test's below tolerance / 2, in between and at the
+        tolerance."""
+        verdicts = []
+        for delta in [4e-10, 4e-10 * (1 + 1j), 9e-10, 6e-10 * (1 + 1j), 7.5e-10 * (1 + 1j), 1e-9]:
+            maps = np.ones((2, 2, 2), dtype=complex)
+            maps[1, 0, 1] += delta
+            classification, _ = _classify_entry(maps, 1e-9)
+            verdicts.append(classification is Classification.STRONGLY_DETERMINISTIC)
+            assert verdicts[-1] == (np.abs(maps[1] - maps[0]).max() < 1e-9)
+        assert verdicts == [True, True, True, True, False, False]
+
+    def test_verdict_does_not_depend_on_output_order(self):
+        """Permuting the output rows of an entry's maps leaves the
+        classification, the branch pair and the probe as they were, and the
+        deviation within 1e-12 relative."""
+        rng = np.random.default_rng(79)
+        witnesses = 0
+        for p in self._patterns():
+            angles = rng.uniform(0.0, 2.0 * math.pi, size=(2, p.n_measurements))
+            eng = _run_branches(p, np.concatenate([_angle_rows(p, [p.measure_angles()]), angles]))
+            for b in range(eng.batch):
+                maps = eng.maps(b, p.outputs)
+                perm = rng.permutation(maps.shape[1])
+                classification, witness = _classify_entry(maps, 1e-9)
+                permuted, moved = _classify_entry(maps[:, perm, :], 1e-9)
+                assert permuted is classification
+                assert (moved is None) == (witness is None)
+                if witness is not None:
+                    witnesses += 1
+                    assert (moved.branch_a, moved.branch_b) == (witness.branch_a, witness.branch_b)
+                    np.testing.assert_array_equal(moved.input_state, witness.input_state)
+                    assert moved.deviation == pytest.approx(witness.deviation, rel=1e-12)
+        assert witnesses > 10
+
+    def test_pair_witness_matches_the_per_probe_loop(self):
+        """On seeded maps, the same probe as testing each probe on its own,
+        and a deviation within 1e-12 relative: random pairs, rank-one pairs
+        with a common range (no witness), pairs whose probe defects tie
+        exactly (the first of largest wins) and pairs with negligible probe
+        images (the tolerance * scale case)."""
+        rng = np.random.default_rng(83)
+
+        def draw(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        cases = []
+        for out, d in [(1, 1), (1, 2), (2, 2), (2, 4), (4, 8), (8, 2), (1, 8), (2, 16)]:
+            cases.append((draw(out, d), draw(out, d)))
+            u = draw(out, 1)
+            cases.append((u @ draw(1, d), 0.7j * u @ draw(1, d)))
+        for d in (2, 4, 8):
+            signs = np.where(rng.random(d) < 0.5, 1.0, -1.0)
+            signs[-1] = -signs[0]
+            cases.append((np.eye(d, dtype=complex), np.diag(signs).astype(complex)))
+        cases.append((np.eye(2, dtype=complex), np.array([[1.0, -1.0], [0.0, 0.0]], dtype=complex)))
+        # e_1's image under the second map is negligible, else the worst probe
+        cases.append((np.eye(2, dtype=complex), np.array([[1.0, 1e-12], [0.0, 0.0]], dtype=complex)))
+        a, b = draw(2, 4), draw(2, 4)
+        b[:, 1] = -b[:, 0]
+        a[:, 3] = 0.0
+        b[:, 2] *= 1e-12
+        cases.append((a, b))
+        found = agreed = 0
+        for a, b in cases:
+            scale = max(np.abs(a).max(), np.abs(b).max())
+            want = _reference_pair_witness(a, b, 1e-9, scale)
+            got = simulator._pair_witness(np.stack([a, b]), 0, 1, 1e-9, scale)
+            assert (got is None) == (want is None)
+            if want is None:
+                agreed += 1
+                continue
+            found += 1
+            np.testing.assert_array_equal(got[1], want[1])
+            assert got[0] == pytest.approx(want[0], rel=1e-12)
+        assert found >= 10 and agreed >= 8
 
     @pytest.mark.parametrize("seed", range(5))
     def test_angles_drawn_in_one_call_equal_scalar_draws(self, monkeypatch, seed):
@@ -1213,6 +1315,34 @@ class TestDenseBudget:
             for _ in range(7)
         ]
         assert rows == [list(strong.measure_angles().values())] + scalar
+
+    def test_witness_probes_fit_the_budget(self, monkeypatch):
+        """Seven measured inputs beside one unentangled output: every branch
+        is rank one onto the output's state, so the pattern is
+        deterministic, and each of the 127 branches besides the reference
+        is probed, with 4^7 probes.  The call's peak stays within what
+        _pass_bytes charges at batch 1."""
+        k = 7
+        cmds = [Prepare(k + 1, 0.0)] + [Measure(i, 0.1 * i) for i in range(1, k + 1)]
+        p = Pattern(range(1, k + 2), range(1, k + 1), [k + 1], cmds)
+        probed = []
+        pair_witness = simulator._pair_witness
+
+        def counting(maps, r, s, tolerance, scale):
+            probed.append(s)
+            return pair_witness(maps, r, s, tolerance, scale)
+
+        monkeypatch.setattr(simulator, "_pair_witness", counting)
+        tracemalloc.start()
+        try:
+            verdict = classify_determinism(p, angle_samples=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.classification is Classification.DETERMINISTIC
+        assert verdict.witness is None
+        assert len(probed) == 2**k - 1
+        assert peak <= simulator._pass_bytes(1, k + 1, k)
 
     def test_every_tensor_of_23_axes_fits_at_batch_one(self):
         for n_inputs in range(0, 6):
