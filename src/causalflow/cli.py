@@ -26,6 +26,7 @@ from .flow_finder import find_biflow, find_flow
 from .graph_model import (
     GraphFormatError,
     OpenGraphState,
+    _json_array,
     _json_id,
     _text_id,
     graph_from_json_dict,
@@ -64,7 +65,11 @@ def _load_graph(path: str) -> tuple[OpenGraphState, frozenset[int]]:
     except GraphFormatError as exc:
         raise _CliError(f"{path}: {exc}") from exc
     try:
-        y_measured = frozenset(_json_id(q) for q in data.get("y_measured", []))
+        entries = _json_array(data.get("y_measured", []), "y_measured")
+    except TypeError as exc:
+        raise _CliError(f"{path}: {exc}") from exc
+    try:
+        y_measured = frozenset(_json_id(q) for q in entries)
     except (TypeError, ValueError, OverflowError) as exc:
         raise _CliError(f"{path}: bad y_measured entry: {exc}") from exc
     return graph, y_measured
@@ -145,8 +150,11 @@ def _emit(data) -> None:
 
 
 def _cmd_flow(args) -> int:
-    graph, y_from_file = _load_graph(args.graph)
     if args.bidirectional:
+        for flag, given in (("--loops", args.loops), ("--y-measured", args.y_measured)):
+            if given:
+                raise _CliError(f"{flag} cannot be combined with --bidirectional")
+        graph, _ = _load_graph(args.graph)
         forward, reverse = find_biflow(graph)
         _emit(
             {
@@ -155,7 +163,7 @@ def _cmd_flow(args) -> int:
             }
         )
         return EXIT_OK if forward.found and reverse.found else EXIT_NEGATIVE
-    result = _find_flow_for(args, graph, y_from_file)
+    result = _find_flow_for(args, *_load_graph(args.graph))
     _emit(result.to_json_dict())
     return EXIT_OK if result.found else EXIT_NEGATIVE
 
@@ -284,7 +292,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--y-measured", default="", help="comma-separated loop-eligible qubits"
     )
     p_flow.add_argument(
-        "--bidirectional", action="store_true", help="also search the reversed state"
+        "--bidirectional",
+        action="store_true",
+        help="also search the reversed state; neither search allows loops",
     )
     p_flow.set_defaults(handler=_cmd_flow)
 

@@ -13,13 +13,22 @@ existence criterion, arXiv:quant-ph/0611284):
   round's layer;
 * a flow exists exactly when every vertex ends up processed.
 
-A per-vertex count of unprocessed neighbours makes the search
-near-linear.  The levels of the found ``f`` are recomputed by
-:func:`dependency_order`, the coarsest layering; its depth is the minimum
-over all flows.  Under the Pauli-Y relaxation a loop candidate joins a
+Each vertex keeps a count and an XOR of the ids of its unprocessed
+neighbours (vertex ids are ints), so a ready corrector reads its one
+unprocessed neighbour in constant time.  A round costs the degrees of its
+layer plus a sort of its candidates, so a search takes
+O(|E| + |V| log |V|).  Under the Pauli-Y relaxation a loop candidate joins a
 round's layer, after the round's ordinary correctors and as its own
 corrector, once all its neighbours were processed in earlier rounds;
 loop-free flows are tried first.
+
+The peel processes every constraint successor of a vertex (``f(i)``, the
+other neighbours of ``f(i)``, or a loop vertex's neighbours) before the
+vertex itself.  So one sweep over the peel order, reversed, assigns each
+vertex the length of its longest constraint chain: the levels of
+:func:`dependency_order`, the coarsest layering, whose depth is the minimum
+over all flows.  :func:`dependency_order` derives them apart, from the
+constraint relation, for the oracle and for any given ``f``.
 
 :func:`brute_force_flow_oracle` re-derives existence exhaustively, and
 every returned flow passes :func:`causalflow.graph_model.validate_flow`.
@@ -134,43 +143,60 @@ def _search(
     ``loop_candidates`` must be measured non-input vertices.  Only the
     neighbours of a round's layer change their count of unprocessed
     neighbours, so the next round's correctors and loop vertices are
-    sought among those alone.
+    sought among those alone.  An entry of ``ready`` may repeat, or may
+    lose its last unprocessed neighbour to a later update of the same
+    round: the next round takes only the entries whose count is still 1,
+    and a repeat sets nothing new.  ``f``'s insertion order is the peel
+    order, which the level sweep reverses.
     """
     adjacency = g._adjacency
     inputs = frozenset(g.inputs)
+    count = {v: len(n) for v, n in adjacency.items()}
+    xor = dict.fromkeys(adjacency, 0)
+    for u, v in g.edges:
+        xor[u] ^= v
+        xor[v] ^= u
+    for u in g.outputs:
+        for w in adjacency[u]:
+            count[w] -= 1
+            xor[w] ^= u
     processed = set(g.outputs)
-    unprocessed = {v: len(adjacency[v] - processed) for v in g.vertices}
-    ready = {v for v in processed - inputs if unprocessed[v] == 1}
-    loops_ready = {v for v in loop_candidates if unprocessed[v] == 0}
+    ready = [v for v in g.outputs if count[v] == 1 and v not in inputs]
+    loops_ready = [v for v in loop_candidates if count[v] == 0]
     f: dict[int, int] = {}
     while ready or loops_ready:
         layer: dict[int, int] = {}
         for v in sorted(ready):
-            (u,) = adjacency[v] - processed
-            layer.setdefault(u, v)
+            if count[v] == 1:
+                layer.setdefault(xor[v], v)
         for u in sorted(loops_ready):
             layer.setdefault(u, u)
         f.update(layer)
         processed.update(layer)
-        touched = set(layer)
+        ready = []
+        loops_ready = []
         for u in layer:
+            if count[u] == 1 and u not in inputs:
+                ready.append(u)
             for w in adjacency[u]:
-                unprocessed[w] -= 1
-                touched.add(w)
-        ready = {
-            w
-            for w in touched
-            if w in processed and w not in inputs and unprocessed[w] == 1
-        }
-        loops_ready = {
-            w
-            for w in touched
-            if w in loop_candidates and w not in processed and unprocessed[w] == 0
-        }
+                c = count[w] = count[w] - 1
+                xor[w] ^= u
+                if c == 1:
+                    if w in processed and w not in inputs:
+                        ready.append(w)
+                elif c == 0 and w in loop_candidates and w not in processed:
+                    loops_ready.append(w)
     if len(processed) != len(g.vertices):
         return FlowSearchResult()
-    levels = dependency_order(g, f)
-    assert levels is not None
+    levels = dict.fromkeys(g.vertices, 0)
+    for i in reversed(f):
+        j = f[i]
+        later = levels[i] + 1
+        if i != j and levels[j] < later:
+            levels[j] = later
+        for k in adjacency[j]:
+            if k != i and levels[k] < later:
+                levels[k] = later
     flow = Flow(f, levels)
     check = validate_flow(g, flow, allow_loops=bool(flow.loops))
     if not check.ok:

@@ -131,6 +131,14 @@ def _json_id(value: object) -> int:
     return q
 
 
+def _json_array(value: object, field: str) -> list:
+    """A JSON document's array field.  Any other value raises TypeError
+    naming the field, before its items are read."""
+    if type(value) is not list:
+        raise TypeError(f"{field} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 def _text_id(token: str) -> int:
     """An integer read from text, in the one spelling ``str`` gives it.
     What ``int`` cannot read raises ``int``'s own error; a spelling that
@@ -146,17 +154,19 @@ def graph_from_json_dict(data: Mapping) -> OpenGraphState:
     """Build an :class:`OpenGraphState` from its JSON dictionary form.
 
     The expected shape is ``{"vertices": [...], "edges": [[u, v], ...],
-    "inputs": [...], "outputs": [...]}``, with every id a JSON integer
+    "inputs": [...], "outputs": [...]}``: each field and each edge a JSON
+    array (:func:`_json_array`), and every id a JSON integer
     (:func:`_json_id`).  Raises GraphFormatError on a document of another
     shape and, from the constructor, on an invalid open graph.
     """
     try:
         if not isinstance(data, Mapping):
             raise TypeError(f"expected a JSON object, got {type(data).__name__}")
-        vertices = [_json_id(v) for v in data["vertices"]]
-        raw_edges = [(_json_id(u), _json_id(v)) for u, v in data["edges"]]
-        inputs = [_json_id(v) for v in data.get("inputs", [])]
-        outputs = [_json_id(v) for v in data.get("outputs", [])]
+        vertices = [_json_id(v) for v in _json_array(data["vertices"], "vertices")]
+        edges = [_json_array(e, "each edge") for e in _json_array(data["edges"], "edges")]
+        raw_edges = [(_json_id(u), _json_id(v)) for u, v in edges]
+        inputs = [_json_id(v) for v in _json_array(data.get("inputs", []), "inputs")]
+        outputs = [_json_id(v) for v in _json_array(data.get("outputs", []), "outputs")]
     except KeyError as exc:
         raise GraphFormatError(f"malformed graph document: missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
@@ -267,61 +277,69 @@ def validate_flow(
 
     Loop vertices, the fixed points of ``f`` (:attr:`Flow.loops`), are
     rejected outright unless ``allow_loops`` is set.
+
+    One pass over ``f`` in ascending order checks every condition.  The
+    messages name the domain, the range, the loops and the repeated
+    targets, then each vertex's F0, F1 and F2 in ascending order; a
+    vertex's neighbours are sorted only to name its violations.
     """
-    violations: list[str] = []
-    measured = set(g.measured)
-    prepared = set(g.prepared)
     fmap = fl.f
     levels = fl.levels
-
-    for v in g.vertices:
-        if v not in levels:
-            violations.append(f"vertex {v} has no level")
-    if violations:
-        return ValidationResult(tuple(violations))
-
-    dom = set(fmap)
-    if dom != measured:
-        missing = sorted(measured - dom)
-        extra = sorted(dom - measured)
-        if missing:
-            violations.append(f"f undefined on measured vertices {missing}")
-        if extra:
-            violations.append(f"f defined outside measured set: {extra}")
+    adjacency = g._adjacency
+    if not levels.keys() >= adjacency.keys():
+        return ValidationResult(
+            tuple(f"vertex {v} has no level" for v in g.vertices if v not in levels)
+        )
+    inputs = frozenset(g.inputs)
+    outputs = frozenset(g.outputs)
+    extra: list[int] = []
+    unprepared: list[str] = []
+    repeats: list[str] = []
+    conditions: list[str] = []
+    first_source: dict[int, int] = {}
     for i, j in sorted(fmap.items()):
-        if j not in prepared:
-            violations.append(f"f({i})={j} is not a prepared vertex")
-
+        if i in outputs or i not in adjacency:
+            extra.append(i)
+        if j in inputs or j not in adjacency:
+            unprepared.append(f"f({i})={j} is not a prepared vertex")
+        source = first_source.setdefault(j, i)
+        if source != i:
+            repeats.append(f"f not injective: f({source})=f({i})={j}")
+        if i not in adjacency:
+            conditions.append(f"f defined on unknown vertex {i}")
+            continue
+        li = levels[i]
+        if i == j:
+            for w in adjacency[i]:
+                if levels[w] <= li:
+                    conditions += (
+                        f"F2 (loop): neighbor {k} of loop vertex {i} is not later"
+                        for k in sorted(adjacency[i])
+                        if levels[k] <= li
+                    )
+                    break
+            continue
+        if j not in adjacency[i]:
+            conditions.append(f"F0: ({i},{j}) is not an edge")
+            continue
+        if levels[j] <= li:
+            conditions.append(f"F1: f({i})={j} is not later than {i}")
+        for w in adjacency[j]:
+            if w != i and levels[w] <= li:
+                conditions += (
+                    f"F2: neighbor {k} of f({i})={j} is not later than {i}"
+                    for k in sorted(adjacency[j] - {i})
+                    if levels[k] <= li
+                )
+                break
+    violations: list[str] = []
+    if len(fmap) - len(extra) != len(g.measured):
+        violations.append(
+            f"f undefined on measured vertices {[v for v in g.measured if v not in fmap]}"
+        )
+    if extra:
+        violations.append(f"f defined outside measured set: {extra}")
+    violations += unprepared
     if fl.loops and not allow_loops:
         violations.append(f"loops not allowed: {sorted(fl.loops)}")
-
-    seen_targets: dict[int, int] = {}
-    for i, j in sorted(fmap.items()):
-        if j in seen_targets:
-            violations.append(f"f not injective: f({seen_targets[j]})=f({i})={j}")
-        else:
-            seen_targets[j] = i
-
-    adjacency = g._adjacency
-    for i, j in sorted(fmap.items()):
-        if i not in adjacency:
-            violations.append(f"f defined on unknown vertex {i}")
-            continue
-        if i in fl.loops:
-            for k in sorted(adjacency[i]):
-                if levels[k] <= levels[i]:
-                    violations.append(
-                        f"F2 (loop): neighbor {k} of loop vertex {i} is not later"
-                    )
-            continue
-        if j not in adjacency.get(i, frozenset()):
-            violations.append(f"F0: ({i},{j}) is not an edge")
-            continue
-        if levels[j] <= levels[i]:
-            violations.append(f"F1: f({i})={j} is not later than {i}")
-        for k in sorted(adjacency[j] - {i}):
-            if levels[k] <= levels[i]:
-                violations.append(
-                    f"F2: neighbor {k} of f({i})={j} is not later than {i}"
-                )
-    return ValidationResult(tuple(violations))
+    return ValidationResult(tuple(violations + repeats + conditions))

@@ -14,7 +14,8 @@ not objects, hold something other than a finite JSON number or key a qubit
 in another spelling than the plain integer, missing files, pattern text
 that does not parse (ids and angles spelled in ways ``int`` or ``float``
 would still read among it), a ``--y-measured`` item in such a spelling,
-patterns that are not runnable and a pattern over the dense byte budget.
+the loop flags that ``flow --bidirectional`` does not take, patterns that
+are not runnable and a pattern over the dense byte budget.
 Usage errors that argparse reports itself are left to ``tests/test_cli.py``:
 their text belongs to the Python version.
 
@@ -244,6 +245,10 @@ def calls() -> list[list[str]]:
         ["flow", f"{DIR}/path3.json", "--y-measured", "2,x"],
         ["synth", f"{DIR}/path3.json", "--y-measured", "0_2"],
         ["flow", f"{DIR}/path3.json", "--y-measured", "+2"],
+        # loop candidates are not searched in the reversed state
+        ["flow", f"{DIR}/loop.json", "--bidirectional", "--loops"],
+        ["flow", f"{DIR}/loop.json", "--bidirectional", "--y-measured", "2"],
+        ["flow", f"{DIR}/path3.json", "--bidirectional", "--y-measured", "abc"],
         ["identities", "--random", "3", "--angles-grid", "4"],
         ["--seed", "5", "--tolerance", "1e-6", "identities", "--random", "2", "--angles-grid", "2"],
         ["--tolerance", "1e-30", "identities", "--random", "1", "--angles-grid", "2"],

@@ -128,6 +128,16 @@ class TestFlowCommand:
         one_way = graph_file(write, path_state(2, [1], [1, 2]), "oneway.json")
         assert main(["flow", one_way, "--bidirectional"]) == 1
 
+    @pytest.mark.parametrize(
+        "flags", [["--loops"], ["--y-measured", "2"], ["--y-measured", "abc"]]
+    )
+    def test_bidirectional_takes_no_loop_flags(self, capsys, flags):
+        """Rejected before any file is read: the graph file here does not exist."""
+        assert main(["flow", "/nonexistent/g.json", "--bidirectional", *flags]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {flags[0]} cannot be combined with --bidirectional\n"
+
 
 class TestSynthCommand:
     def test_hadamard_text(self, write, capsys):
@@ -421,17 +431,41 @@ _PATH3 = '"edges": [[1, 2], [2, 3]], "inputs": [1], "outputs": [3]'
             "malformed graph document: id 3.0 is not an integer",
         ),
         ('{"vertices": [1, 2, 3], ' + _PATH3 + ', "y_measured": [2.0]}', "bad y_measured entry: id 2.0 is not an integer"),
+        ('{"vertices": "12", ' + _PATH3 + "}", "malformed graph document: vertices must be a JSON array, got str"),
+        (
+            '{"vertices": [1, 2, 3], "edges": {"1": 2}, "inputs": [1], "outputs": [3]}',
+            "malformed graph document: edges must be a JSON array, got dict",
+        ),
+        (
+            '{"vertices": [1, 2, 3], "edges": [[1, 2], "23"], "inputs": [1], "outputs": [3]}',
+            "malformed graph document: each edge must be a JSON array, got str",
+        ),
+        (
+            '{"vertices": [1, 2, 3], "edges": [[1, 2], [2, 3]], "inputs": 1, "outputs": [3]}',
+            "malformed graph document: inputs must be a JSON array, got int",
+        ),
+        (
+            '{"vertices": [1, 2, 3], "edges": [[1, 2], [2, 3]], "inputs": [1], "outputs": "3"}',
+            "malformed graph document: outputs must be a JSON array, got str",
+        ),
+        ('{"vertices": [1, 2, 3], ' + _PATH3 + ', "y_measured": {"1": 2}}', "y_measured must be a JSON array, got dict"),
+        ('{"vertices": [1, 2, 3], ' + _PATH3 + ', "y_measured": "2"}', "y_measured must be a JSON array, got str"),
     ],
-    ids=["float-vertex", "bool-vertex", "string-vertex", "edge", "input", "output", "y-measured"],
+    ids=[
+        "float-vertex", "bool-vertex", "string-vertex", "edge", "input", "output", "y-measured",
+        "vertices-field", "edges-field", "edge-field", "inputs-field", "outputs-field",
+        "y-measured-field", "y-measured-string",
+    ],
 )
 @pytest.mark.parametrize(
     "command",
-    [["flow"], ["synth"], ["extract", "--check"], ["adjoint"]],
-    ids=["flow", "synth", "extract-check", "adjoint"],
+    [["flow"], ["flow", "--bidirectional"], ["synth"], ["extract", "--check"], ["adjoint"]],
+    ids=["flow", "flow-bidirectional", "synth", "extract-check", "adjoint"],
 )
 def test_coerced_id_is_a_named_error(write, capsys, doc, error, command):
     """An id that int() would coerce (a float, a bool, a numeric string) is
-    not read as a vertex: the call exits 2 and names it."""
+    not read as a vertex, and a field or an edge that is not a JSON array is
+    named rather than an item read from it: the call exits 2 and names it."""
     path = write("coerced.json", doc)
     assert main([command[0], path, *command[1:]]) == 2
     out = capsys.readouterr()

@@ -119,6 +119,7 @@ class TestMinimumDepth:
         assert result.found == (best is not None), g
         if result.found:
             assert result.depth == best, g
+            assert result.flow.levels == dependency_order(g, result.flow.f), g
 
     def test_every_graph_up_to_four_vertices(self):
         for g in all_labelled_open_graphs(4):
@@ -131,9 +132,11 @@ class TestMinimumDepth:
 
     def test_long_path(self):
         n = 10_000
-        result = find_flow(path_state(n, [1], [n]))
+        g = path_state(n, [1], [n])
+        result = find_flow(g)
         assert result.found
         assert result.depth == n
+        assert result.flow.levels == dependency_order(g, result.flow.f)
 
 
 class TestLoops:
@@ -145,6 +148,8 @@ class TestLoops:
         for g in graphs:
             result = find_flow(g, loop_candidates=g.measured)
             assert result.found == brute_force_flow_oracle(g, True).found
+            if result.found:
+                assert result.flow.levels == dependency_order(g, result.flow.f), g
             if result.found and result.flow.loops:
                 assert not brute_force_flow_oracle(g).found
                 with_loops += 1

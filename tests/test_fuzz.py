@@ -34,6 +34,8 @@ GRAPH = FILES["path3.json"]
 ANGLES = [json.loads(FILES[name]) for name in ("angles.json", "preps.json", "right.json")]
 GRAPH_CALLS = [
     ["flow", "G"],
+    ["flow", "G", "--bidirectional"],
+    ["flow", "G", "--loops"],
     ["synth", "G", "--loops"],
     ["extract", "G", "--check"],
     ["adjoint", "G"],
