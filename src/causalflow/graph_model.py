@@ -131,10 +131,11 @@ def _json_id(value: object) -> int:
     return q
 
 
-def _json_array(value: object, field: str) -> list:
-    """A JSON document's array field.  Any other value raises TypeError
-    naming the field, before its items are read."""
-    if type(value) is not list:
+def _json_array(value: object, field: str) -> list | tuple:
+    """A JSON document's array field (a tuple passes too, as ``json`` would
+    write it as an array).  Any other value raises TypeError naming the
+    field, before its items are read."""
+    if not isinstance(value, (list, tuple)):
         raise TypeError(f"{field} must be a JSON array, got {type(value).__name__}")
     return value
 

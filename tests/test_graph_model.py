@@ -242,6 +242,10 @@ class TestJson:
         g = no_flow_geometry()
         assert graph_from_json_dict(json.loads(g.to_json())) == g
 
+    def test_tuples_read_as_arrays(self):
+        doc = {"vertices": (1, 2), "edges": [(1, 2)], "inputs": (1,), "outputs": (2,)}
+        assert graph_from_json_dict(doc) == OpenGraphState([1, 2], [(1, 2)], [1], [2])
+
     def test_duplicate_edges_rejected(self):
         doc = {"vertices": [1, 2], "edges": [[1, 2], [2, 1]], "inputs": [], "outputs": []}
         with pytest.raises(GraphFormatError):
