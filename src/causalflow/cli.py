@@ -56,6 +56,8 @@ def _load_json(path: str):
     except ValueError as exc:
         # a JSONDecodeError, or an integer past int()'s digit limit
         raise _CliError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise _CliError(f"{path}: invalid JSON: nested too deeply") from exc
 
 
 def _load_graph(path: str) -> tuple[OpenGraphState, frozenset[int]]:

@@ -10,8 +10,8 @@ every branch map falls out of one pass.  The two agree to rounding and are
 cross-checked in the test suite.
 
 A pass runs the pattern's plan (:class:`_Plan`), built once per pattern:
-its commands as integer opcodes, in the pattern's own order or in a lazy
-one, picked by the rule that the plan's docstring states.  It applies no
+its commands as integer opcodes, in a lazy order that defers each
+preparation and entangler until a command needs it.  It applies no
 matrices: every gate is an in-place phase, swap or butterfly on the halves
 of one axis, restricted for a dependent correction to the slice where its
 signal's branch bit is 1.  Every dense simulation fits one byte budget,
@@ -35,14 +35,12 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections import namedtuple
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .circuit_extract import Circuit, CZGate, PhaseGate
 from .graph_model import OpenGraphState
 from .pattern import (
     DEFAULT_TOLERANCE,
@@ -58,6 +56,9 @@ from .pattern import (
     SimulationError,
     _check_angles,
 )
+
+if TYPE_CHECKING:
+    from .circuit_extract import Circuit
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 # Each butterfly grows the engine's entries by up to sqrt(2) and shrinks its
@@ -438,7 +439,9 @@ class _TensorEngine:
         and return False."""
         zero = self._half(q, 0)
         diff = (self._half(q, 1) - zero).view(float).reshape(self.batch, -1)
-        bound += np.sqrt(np.einsum("ij,ij->i", diff, diff)) * self.scale
+        norms = np.einsum("ij,ij->i", diff, diff)
+        del diff  # before the copy below
+        bound += np.sqrt(norms, out=norms) * self.scale
         if not bound.max() < limit:
             return False
         ax = self.axis_of.pop(q)
@@ -486,26 +489,34 @@ _BUFFER_RESERVE = 3 * np.getbufsize() * np.dtype(complex).itemsize
 _RECORD_BYTES = 320
 
 
+def _entry_bytes(n_qubits: int, n_inputs: int) -> tuple[int, int]:
+    """Bytes of one batch entry, a complex tensor over every qubit and input
+    axis, and those a running pass holds per entry beside it: half an entry
+    of kernel scratch, the entry's angles and factors (at most a float and
+    a complex per qubit) and three floats of the merging bound's."""
+    entry = np.dtype(complex).itemsize << (n_qubits + n_inputs)
+    return entry, entry // 2 + 24 * n_qubits + 24
+
+
 def _pass_bytes(batch: int, n_qubits: int, n_inputs: int) -> int:
     """Bytes a dense pass of ``batch`` entries is charged.
 
-    A batch entry is a complex tensor over every qubit and input axis.  A
-    pass holds the ``batch`` entries plus the larger of half of them with
-    :data:`_BUFFER_RESERVE` and three entries: the kernel's scratch with
-    numpy's iteration buffers during the pass, then the classifier's
-    temporaries on one entry after it, the witness's probes included (see
-    :func:`_classify_entry` and :func:`_pair_witness`).
+    A pass holds the ``batch`` entries plus the larger of two charges: while
+    it runs, what it holds per entry beside it (:func:`_entry_bytes`) with
+    :data:`_BUFFER_RESERVE` for numpy's iteration buffers; after it, three
+    entries, the classifier's temporaries on one entry, the witness's
+    probes included (see :func:`_classify_entry` and :func:`_pair_witness`).
     """
-    entry = np.dtype(complex).itemsize << (n_qubits + n_inputs)
-    return batch * entry + max(batch * entry // 2 + _BUFFER_RESERVE, 3 * entry)
+    entry, held = _entry_bytes(n_qubits, n_inputs)
+    return batch * entry + max(batch * held + _BUFFER_RESERVE, 3 * entry)
 
 
 def _max_batch(n_qubits: int, n_inputs: int) -> int:
     """Largest batch whose :func:`_pass_bytes` fit :data:`_MAX_DENSE_BYTES`;
     0 if none."""
-    sample = np.dtype(complex).itemsize << (n_qubits + n_inputs)
-    half = 2 * (_MAX_DENSE_BYTES - _BUFFER_RESERVE) // (3 * sample)
-    return max(0, min(half, _MAX_DENSE_BYTES // sample - 3))
+    entry, held = _entry_bytes(n_qubits, n_inputs)
+    running = (_MAX_DENSE_BYTES - _BUFFER_RESERVE) // (entry + held)
+    return max(0, min(running, _MAX_DENSE_BYTES // entry - 3))
 
 
 def _check_dense_bytes(batch: int, n_qubits: int, n_inputs: int) -> None:
@@ -522,147 +533,34 @@ def _base_angles(p: Pattern) -> np.ndarray:
     return np.array([list(p.measure_angles().values())], dtype=float)
 
 
-# Opcodes of a pass plan's steps (see _Plan), and for each correction its
-# opcode with the quarters of the tensor that it touches per signal: a flip
-# half, a controlled phase a quarter, and an XA is two phases and a flip.
+# Opcodes of a pass plan's steps (see _Plan), and each correction's.
 _GROW, _MEASURE, _X, _Z, _XA = range(5)
-_CORRECTION_STEPS = {CorrectX: (_X, 2), CorrectZ: (_Z, 1), CorrectXPhase: (_XA, 4)}
-
-# The amplitudes per row that one engine call's fixed cost is worth, and so
-# what the lazy placement must save for each step it adds (see _Plan).
-_AMPLITUDES_PER_STEP = 1 << 11
-
-
-# One placement of a pattern's commands, lowered (see _Plan).
-_Placement = namedtuple("_Placement", "order prefix steps width amplitudes extra")
-
-
-def _lower(p: Pattern, done_at: dict[int, tuple], lazy: bool) -> _Placement:
-    """The eager or the lazy placement of ``p``'s commands (see
-    :class:`_Plan`): its order, prefix and steps; its merged width; and what
-    its full pass costs, the amplitudes per row that its engine calls touch
-    and its steps beyond its gates' own."""
-    cmds = p.commands
-    n_in = len(p.inputs)
-    order: list = []
-    steps: list = []
-    run: list = []
-    new: set = set()
-    prefix = None
-    axes = width = peak = n_in
-    amplitudes = extra = column = 0
-    # the lazy placement's deferred preparations and entanglers, by qubit
-    placed = bytearray(len(cmds))
-    prep: dict[int, int] = {}
-    ents: dict[int, list[int]] = {}
-
-    def place(j: int) -> None:
-        placed[j] = 1
-        run.append(cmds[j])
-        if type(cmds[j]) is Prepare:
-            new.add(cmds[j].qubit)
-
-    for k, cmd in enumerate((*cmds, None)):
-        kind = type(cmd)
-        if kind is Prepare:
-            if lazy:
-                prep[cmd.qubit] = k
-            else:
-                run.append(cmd)
-                new.add(cmd.qubit)
-            continue
-        if kind is Entangle:
-            if lazy:
-                ents.setdefault(cmd.a, []).append(k)
-                ents.setdefault(cmd.b, []).append(k)
-            else:
-                run.append(cmd)
-            continue
-        if lazy and cmd is None:
-            for j in range(len(cmds)):
-                if not placed[j]:
-                    place(j)
-        elif lazy:
-            placed[k] = 1
-            q = cmd.qubit
-            if kind is not CorrectZ and q in ents:
-                for e in ents.pop(q):
-                    if not placed[e]:
-                        for r in (cmds[e].a, cmds[e].b):
-                            if r in prep:
-                                place(prep.pop(r))
-                        place(e)
-            if q in prep:
-                place(prep.pop(q))
-        if prefix is None or run:
-            order += run
-            axes += len(new)
-            width += len(new)
-            peak = max(peak, width)
-            size = 1 << (axes + n_in)
-            if prefix is None:
-                prefix = run
-                amplitudes = size
-            else:
-                steps.append((_GROW, None, run, (), ()))
-                cross = sum(type(c) is Entangle and not (c.a in new and c.b in new) for c in run)
-                amplitudes += (size if new else 0) + (cross * size >> 2)
-                extra += 1 + cross
-            run, new = [], set()
-        if cmd is None:
-            break
-        order.append(cmd)
-        done = done_at.get(k, ())
-        if kind is Measure:
-            steps.append((_MEASURE, cmd.qubit, column, (), done))
-            column += 1
-            quarters = 4
-        else:
-            op, quarters = _CORRECTION_STEPS[kind]
-            arg = cmath.exp(1j * cmd.angle) if kind is CorrectXPhase else None
-            steps.append((op, cmd.qubit, arg, cmd.signals, done))
-            quarters *= len(cmd.signals)
-        amplitudes += quarters << (axes + n_in) >> 2
-        width -= len(done)
-    return _Placement(order, prefix, steps, peak, amplitudes, extra)
+_CORRECTION_STEPS = {CorrectX: _X, CorrectZ: _Z, CorrectXPhase: _XA}
 
 
 class _Plan:
     """How the dense pass runs one pattern, built on its first pass and kept
     with it (:func:`_plan`), as the pattern keeps its walk.
 
-    The commands run in one of two placements (:func:`_lower`): the eager
-    one is the pattern's own order; the lazy one defers each ``N`` to just
-    before the first command on its qubit, each ``E`` to just before the
-    first measurement or X/XA correction on either endpoint (it commutes
-    with ``Z`` and with other ``E``s), and those never needed to the end, in
-    their own order.  No command moves earlier, so the maps are unchanged.
-    Each is a prefix, the leading preparations and entanglers that the
-    engine's constructor builds, then steps ``(op, qubit, arg, signals,
-    done)``: ``_GROW`` adds ``arg``, a run of preparations and entanglers;
-    ``_MEASURE`` is the butterfly at column ``arg`` of the angle rows;
-    ``_X``, ``_Z`` and ``_XA`` are corrections, one engine call per signal
-    (three for ``_XA``, a flip between the phases ``arg.conjugate()`` and
-    ``arg = e^{i angle}``).  ``done`` lists the measured qubits whose last
-    use (their ``M``, or the last correction reading them) is the step, and
-    ``width`` is the most qubit axes a merging pass then holds.
-
-    The order rule, stated here only: a pass of ``rows`` angle vectors runs
-    the lazy placement when ``rows`` times the amplitudes per row that it
-    saves exceed :data:`_AMPLITUDES_PER_STEP` times the steps it adds.  A
-    placement's ``amplitudes`` are those its full pass's engine calls touch
-    per row: the constructor's, each growth's and each measurement's whole
-    tensor, and per signal the share in :data:`_CORRECTION_STEPS`.  Its
-    ``extra`` steps are its growths and entanglers with an older qubit.  On
-    two shared cores a step's fixed cost came to about 3 us and an
-    amplitude's to about 1.5 ns.  So the cluster grids and paths of 11 to 15
-    qubits run lazy at 21 rows, and the 2x6 grid and the 1x13 path at one
-    too (saving 100000 to 250000 amplitudes per row for 22 to 25 steps), but
-    no flow geometry of at most 5 vertices does, where it saves at most 112
-    per row for 2 to 8 added steps.
+    The commands run in a lazy order, :attr:`order`: each ``N`` just before
+    the first command on its qubit, each ``E`` just before the first
+    measurement or X/XA correction on either endpoint (it commutes with
+    ``Z`` and with other ``E``s), and those never needed at the end, in
+    their own order.  No command moves earlier, so the maps are those of
+    the pattern's own order, and early gates act on the few qubits prepared
+    so far.  The order is lowered to a prefix, the leading preparations and
+    entanglers that the engine's constructor builds, then steps ``(op,
+    qubit, arg, signals, done)``: ``_GROW`` adds ``arg``, a run of
+    preparations and entanglers; ``_MEASURE`` is the butterfly at column
+    ``arg`` of the angle rows; ``_X``, ``_Z`` and ``_XA`` are corrections,
+    one engine call per signal (three for ``_XA``, a flip between the
+    phases ``arg.conjugate()`` and ``arg = e^{i angle}``).  ``done`` lists
+    the measured qubits whose last use (their ``M``, or the last correction
+    reading them) is the step, and ``width`` is the most qubit axes a
+    merging pass then holds.
     """
 
-    __slots__ = ("layout", "eager", "lazy")
+    __slots__ = ("layout", "order", "prefix", "steps", "width")
 
     def __init__(self, p: Pattern) -> None:
         # measured qubits in measurement order, then the outputs: the
@@ -673,14 +571,68 @@ class _Plan:
         for q in p.measurement_order:
             k = p._walk.last_read[q]
             done_at[k] = done_at.get(k, ()) + (q,)
-        self.eager = _lower(p, done_at, False)
-        self.lazy = _lower(p, done_at, True)
+        cmds = p.commands
+        order: list = []
+        steps: list = []
+        run: list = []
+        prefix = None
+        width = peak = len(p.inputs)
+        column = 0
+        placed = bytearray(len(cmds))
+        # the deferred preparations and entanglers, by qubit
+        prep: dict[int, int] = {}
+        ents: dict[int, list[int]] = {}
 
-    def placement(self, rows: int) -> _Placement:
-        """The placement a pass of ``rows`` angle vectors runs."""
-        saved = rows * (self.eager.amplitudes - self.lazy.amplitudes)
-        added = self.lazy.extra - self.eager.extra
-        return self.lazy if saved > _AMPLITUDES_PER_STEP * added else self.eager
+        def place(j: int) -> None:
+            placed[j] = 1
+            run.append(cmds[j])
+
+        for k, cmd in enumerate((*cmds, None)):
+            kind = type(cmd)
+            if kind is Prepare:
+                prep[cmd.qubit] = k
+                continue
+            if kind is Entangle:
+                ents.setdefault(cmd.a, []).append(k)
+                ents.setdefault(cmd.b, []).append(k)
+                continue
+            if cmd is None:
+                for j in range(len(cmds)):
+                    if not placed[j]:
+                        place(j)
+            else:
+                placed[k] = 1
+                q = cmd.qubit
+                if kind is not CorrectZ and q in ents:
+                    for e in ents.pop(q):
+                        if not placed[e]:
+                            for r in (cmds[e].a, cmds[e].b):
+                                if r in prep:
+                                    place(prep.pop(r))
+                            place(e)
+                if q in prep:
+                    place(prep.pop(q))
+            if prefix is None or run:
+                order += run
+                width += sum(type(c) is Prepare for c in run)
+                peak = max(peak, width)
+                if prefix is None:
+                    prefix = run
+                else:
+                    steps.append((_GROW, None, run, (), ()))
+                run = []
+            if cmd is None:
+                break
+            order.append(cmd)
+            done = done_at.get(k, ())
+            if kind is Measure:
+                steps.append((_MEASURE, cmd.qubit, column, (), done))
+                column += 1
+            else:
+                arg = cmath.exp(1j * cmd.angle) if kind is CorrectXPhase else None
+                steps.append((_CORRECTION_STEPS[kind], cmd.qubit, arg, cmd.signals, done))
+            width -= len(done)
+        self.order, self.prefix, self.steps, self.width = order, prefix, steps, peak
 
 
 def _plan(p: Pattern) -> _Plan:
@@ -697,7 +649,7 @@ def _run_branches(
 ) -> _TensorEngine:
     """One dense pass over every branch, for each row of ``angles``: one
     batch entry per row, and column k holds the k-th measurement's angles.
-    It runs the placement of the pattern's plan that its row count picks.
+    It runs the pattern's plan (:class:`_Plan`): its prefix, then its steps.
 
     Given a ``tolerance``, the pass merges each step's ``done`` qubits
     (:meth:`_TensorEngine.merge`; see :func:`classify_determinism`).  At the
@@ -706,14 +658,14 @@ def _run_branches(
     has merged yet, else afresh.  Both give the full pass's engine bit for
     bit."""
     plan = _plan(p)
-    place = plan.placement(len(angles))
     merging = tolerance is not None
-    width = place.width if merging else len(p.vertices)
-    eng = _TensorEngine(p.inputs, len(angles), width, place.prefix, plan.layout)
+    width = plan.width if merging else len(p.vertices)
+    # before the engine allocates, so that its temporary never meets the tensor
     factors = np.exp(-1j * angles.T)
+    eng = _TensorEngine(p.inputs, len(angles), width, plan.prefix, plan.layout)
     bound = np.zeros(len(angles))
     merged = False
-    for op, q, arg, signals, done in place.steps:
+    for op, q, arg, signals, done in plan.steps:
         if op == _MEASURE:
             eng.butterfly(q, factors[arg])
             eng.branch_order.append(q)
@@ -735,7 +687,7 @@ def _run_branches(
                 if eng.merge(r, bound, tolerance / 2):
                     merged = True
                 elif merged:
-                    del eng  # the merged tensor, before the full pass allocates
+                    del eng, factors, bound  # before the full pass allocates
                     return _run_branches(p, angles)
                 else:
                     merging = False
@@ -1029,6 +981,7 @@ def classify_determinism(
             first, uniform = _classify_batch(eng, p.outputs, tolerance)
         else:
             first, uniform = (Classification.STRONGLY_DETERMINISTIC, None), True
+        del eng  # the batch's tensor, before the next pass allocates
         verdict = verdict or first
         if not uniform:
             break
@@ -1134,6 +1087,8 @@ def simulate_circuit(c: Circuit) -> np.ndarray:
     raises SimulationError, before allocating, unless the wires plus the
     input wires number at most 23 (the dense byte budget).
     """
+    from .circuit_extract import CZGate, PhaseGate
+
     inputs = [w.id for w in c.wires if w.source == "input"]
     _check_dense_bytes(1, len(c.wires), len(inputs))
     eng = _TensorEngine(inputs, 1, len(inputs))

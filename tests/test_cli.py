@@ -569,6 +569,27 @@ def test_file_that_is_not_utf8_is_a_named_error(write, tmp_path, capsys, argv):
     assert out.err.startswith(f"error: {bad}: not UTF-8 text: ")
 
 
+_DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["flow", "DEEP"], _DEEP),
+        (["flow", "DEEP"], '{"vertices": ' + _DEEP + "}"),
+        (["synth", "GRAPH", "--angles", "DEEP"], _DEEP),
+        (["synth", "GRAPH", "--prep-angles", "DEEP"], '{"3": ' + _DEEP + "}"),
+    ],
+    ids=["graph", "graph-field", "angles", "prep-angles"],
+)
+def test_deeply_nested_json_is_a_named_error(write, capsys, argv, doc):
+    files = {"DEEP": write("deep.json", doc), "GRAPH": graph_file(write, path_state(3, [1], [3]))}
+    assert main([files.get(a, a) for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {files['DEEP']}: invalid JSON: nested too deeply\n"
+
+
 @pytest.mark.parametrize("command", [["synth"], ["extract"]])
 def test_angle_beyond_float_range_is_a_named_error(write, capsys, command):
     graph = write("p3.json", '{"vertices": [1, 2, 3], ' + _PATH3 + "}")
@@ -623,7 +644,7 @@ def test_output_matches_golden_file(tmp_path, capsys):
 
 
 # Runs the CLI in a fresh interpreter and reports on stderr whether the
-# pattern module and numpy got loaded; the package import loads no module of
+# pattern module, numpy and circuit_extract got loaded; the package import loads no module of
 # the package, and neither it, dir() nor the CLI import loads numpy.
 _NUMPY_PROBE = """
 import sys
@@ -638,23 +659,25 @@ assert "numpy" not in sys.modules, "import causalflow.cli"
 code = main(sys.argv[1:])
 sys.stderr.write(f"pattern loaded: {'causalflow.pattern' in sys.modules}\\n")
 sys.stderr.write(f"numpy loaded: {'numpy' in sys.modules}\\n")
+sys.stderr.write(f"circuit_extract loaded: {'causalflow.circuit_extract' in sys.modules}\\n")
 sys.exit(code)
 """
 
 
 @pytest.mark.parametrize(
-    "argv, loads_pattern, loads_numpy",
+    "argv, loads_pattern, loads_numpy, loads_circuit",
     [
-        (["flow", "GRAPH"], False, False),
-        (["flow", "--bidirectional", "GRAPH"], False, False),
-        (["synth", "GRAPH", "--angles", "ANGLES"], True, False),
-        (["adjoint", "GRAPH", "--angles", "ANGLES"], True, False),
-        (["extract", "GRAPH", "--angles", "ANGLES"], True, False),
-        (["verify", "PATTERN"], True, True),
+        (["flow", "GRAPH"], False, False, False),
+        (["flow", "--bidirectional", "GRAPH"], False, False, False),
+        (["synth", "GRAPH", "--angles", "ANGLES"], True, False, False),
+        (["adjoint", "GRAPH", "--angles", "ANGLES"], True, False, False),
+        (["extract", "GRAPH", "--angles", "ANGLES"], True, False, True),
+        (["verify", "PATTERN"], True, True, False),
+        (["identities"], True, True, False),
     ],
-    ids=["flow", "flow-bidirectional", "synth", "adjoint", "extract", "verify"],
+    ids=["flow", "flow-bidirectional", "synth", "adjoint", "extract", "verify", "identities"],
 )
-def test_only_simulating_commands_load_numpy(write, argv, loads_pattern, loads_numpy):
+def test_only_simulating_commands_load_numpy(write, argv, loads_pattern, loads_numpy, loads_circuit):
     files = {
         "GRAPH": graph_file(write, path_state(3, [1], [3])),
         "ANGLES": write("angles.json", {"1": 0.4, "2": 1.1}),
@@ -669,7 +692,8 @@ def test_only_simulating_commands_load_numpy(write, argv, loads_pattern, loads_n
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-2:] == [
+    assert proc.stderr.splitlines()[-3:] == [
         f"pattern loaded: {loads_pattern}",
         f"numpy loaded: {loads_numpy}",
+        f"circuit_extract loaded: {loads_circuit}",
     ]

@@ -7,9 +7,8 @@ raise nothing else; an id, an angle-file key or a numeric flag spelled in a
 way that ``int()`` or ``float()`` would still read (``+2``, ``02``, ``0_2``,
 ``2.0``, ``1_0e-3``, ...) must exit 2, and so must a file that is not
 UTF-8; and every runnable pattern mutant of at most 8 measurements must give
-dense branch maps equal to ``run_branch``'s within 1e-12 in both placements
-of its pass plan, eager and lazy, whichever the plan's rule would pick
-(``simulator._Plan`` states the rule).
+dense branch maps equal to ``run_branch``'s within 1e-12, from the lazy
+order of its pass plan (``simulator._Plan`` states the order).
 """
 
 import contextlib
@@ -207,29 +206,24 @@ def _respell_text_id(text: str, rng: random.Random) -> str | None:
     return "\n".join(lines) + "\n"
 
 
-def _assert_dense_equals_run_branch(text: str, monkeypatch) -> int:
-    """Compare the dense maps in both placements with run_branch's on a
-    runnable pattern of at most 8 measurements; returns 1 if it compared,
-    else 0."""
+def _assert_dense_equals_run_branch(text: str) -> int:
+    """Compare the dense maps with run_branch's on a runnable pattern of at
+    most 8 measurements; returns 1 if it compared, else 0."""
     try:
         p = parse_pattern(text)
     except PatternError:
         return 0
     if not check_runnable(p).ok or p.n_measurements > 8 or len(p.vertices) + len(p.inputs) > 16:
         return 0
-    angles = simulator._base_angles(p)
-    for placement in ("eager", "lazy"):
-        with monkeypatch.context() as patch:
-            patch.setattr(simulator._Plan, "placement", lambda plan, rows: getattr(plan, placement))
-            maps = simulator._run_branches(p, angles).maps(0, p.outputs)
-        for s, m in enumerate(maps):
-            label = simulator._outcome_label(s, len(maps))
-            np.testing.assert_allclose(m, run_branch(p, label), atol=1e-12, err_msg=text)
+    maps = simulator._run_branches(p, simulator._base_angles(p)).maps(0, p.outputs)
+    for s, m in enumerate(maps):
+        label = simulator._outcome_label(s, len(maps))
+        np.testing.assert_allclose(m, run_branch(p, label), atol=1e-12, err_msg=text)
     return 1
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_mutated_inputs(tmp_path, monkeypatch, seed):
+def test_mutated_inputs(tmp_path, seed):
     rng = random.Random(seed)
     compared = respelled = 0
     for _ in range(60):
@@ -262,7 +256,7 @@ def test_mutated_inputs(tmp_path, monkeypatch, seed):
         text = rng.choice(PATTERNS)
         mutant = _mutate_text(text, rng)
         _call(["verify", "P", "--samples", "2"], {"P": mutant}, tmp_path)
-        compared += _assert_dense_equals_run_branch(mutant, monkeypatch)
+        compared += _assert_dense_equals_run_branch(mutant)
         assert _call(["verify", "P", "--samples", "0"], {"P": _not_utf8(mutant, rng)}, tmp_path) == 2
         spelled = _respell_text_id(text, rng)
         if spelled is not None:

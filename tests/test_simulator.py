@@ -433,15 +433,9 @@ def _edited(p: Pattern, rng: random.Random) -> list[Pattern]:
     return [*_mutants(p, rng), Pattern(p.vertices, p.inputs, p.outputs, doubled)]
 
 
-@pytest.fixture
-def always_lazy(monkeypatch):
-    """Run every dense pass in its plan's lazy placement, however small."""
-    monkeypatch.setattr(simulator._Plan, "placement", lambda plan, rows: plan.lazy)
-
-
 class TestGraphStateBuild:
-    """The dense pass runs the lazy placement of its plan and grows its
-    tensor in place.  At zero preparation angles its branch maps are bit for
+    """The dense pass runs its plan's lazy order and grows its tensor in
+    place.  At zero preparation angles its branch maps are bit for
     bit those of the eager reference pass; at any angles they equal
     run_branch's."""
 
@@ -458,7 +452,7 @@ class TestGraphStateBuild:
             label = format(s, f"0{p.n_measurements}b")
             np.testing.assert_allclose(maps[s], run_branch(p, label), atol=1e-12)
 
-    def test_sampled_geometries_bitwise(self, always_lazy):
+    def test_sampled_geometries_bitwise(self):
         arng = np.random.default_rng(14)
         forms = set()
         for g, fl in _flow_patterns(14, 120, max_vertices=5):
@@ -471,16 +465,16 @@ class TestGraphStateBuild:
         assert forms == {True, False}
 
     def test_cluster_grid_bitwise(self):
-        """The 3x4 grid at 21 angle rows, which the plan's rule runs lazy."""
+        """The 3x4 grid at 21 angle rows, whose merging pass holds fewer
+        qubit axes than the grid has vertices."""
         g = cluster_grid(3, 4)
         p = synthesize(g, find_flow(g).flow, {q: 0.1 * q for q in g.measured})
         rows = np.random.default_rng(4).uniform(0.0, 2.0 * math.pi, size=(20, 9))
         angles = np.concatenate([_angle_rows(p, [p.measure_angles()]), rows])
-        plan = simulator._plan(p)
-        assert plan.placement(len(angles)) is plan.lazy
+        assert simulator._plan(p).width < len(p.vertices)
         self._assert_bitwise(p, angles)
 
-    def test_graph_after_measurements_matches_run_branch(self, always_lazy):
+    def test_graph_after_measurements_matches_run_branch(self):
         arng = np.random.default_rng(15)
         batch = [_late_graph_pattern(random_angles(arng, [2, 3, 4])) for _ in range(4)]
         p = batch[0]
@@ -499,7 +493,7 @@ class TestGraphStateBuild:
         zero = _late_graph_pattern(p.measure_angles(), (0.0, 0.0, 0.0))
         self._assert_bitwise(zero, _angle_rows(zero, [q.measure_angles() for q in batch]))
 
-    def test_edited_patterns_match_run_branch(self, always_lazy):
+    def test_edited_patterns_match_run_branch(self):
         """Random preparation phases, corrections swapped X<->Z, dropped and
         duplicated, entanglers after measurements and corrections with
         several signals: the lazy pass equals run_branch within 1e-12."""
@@ -531,12 +525,12 @@ def _on(cmd, q: int) -> bool:
 
 
 def _lazy_order(p: Pattern) -> list:
-    """The commands of ``p`` in its plan's lazy placement."""
-    return list(simulator._Plan(p).lazy.order)
+    """The commands of ``p`` in its plan's lazy order."""
+    return list(simulator._Plan(p).order)
 
 
 class TestCompile:
-    """The lazy placement's rule: each N just before the first command on its
+    """The plan's lazy order: each N just before the first command on its
     qubit, each E just before the first measurement or X/XA correction on
     either endpoint, leftovers at the end in their own order, and no
     command earlier than in the pattern."""
@@ -607,29 +601,7 @@ class TestCompile:
 
 
 class TestPlan:
-    """One pass plan per pattern (``simulator._Plan``): both placements,
-    lowered once, and the rule that picks one for a pass's row count."""
-
-    def test_rule_keeps_small_patterns_eager_and_grids_lazy(self, flow_instances):
-        """Every flow geometry of at most five vertices, synthesized, runs
-        eager at 1 and at 21 rows.  The benchmark's dense grids run lazy at
-        21 rows, and so do the 2x6 grid's and the 1x13 path's stripped and
-        X-dropped patterns at one row."""
-        arng = np.random.default_rng(19)
-        for g, fl in flow_instances:
-            plan = simulator._plan(synthesize(g, fl, random_angles(arng, g.measured)))
-            assert plan.placement(1) is plan.eager and plan.placement(21) is plan.eager
-        for rows, cols in [(3, 4), (2, 6), (1, 13), (1, 11)]:
-            g = cluster_grid(rows, cols)
-            flow = find_flow(g).flow
-            p = synthesize(g, flow, random_angles(arng, g.measured))
-            plan = simulator._plan(p)
-            assert plan.placement(21) is plan.lazy
-            if (rows, cols) in [(2, 6), (1, 13)]:
-                dropped = drop_x_corrections(synthesize(g, flow, {q: 0.0 for q in g.measured}))
-                for q in (p.without_corrections(), dropped):
-                    plan = simulator._plan(q)
-                    assert plan.placement(1) is plan.lazy
+    """One pass plan per pattern (``simulator._Plan``), lowered once."""
 
     def test_one_plan_per_pattern(self, monkeypatch):
         """classify_determinism builds a pattern's plan once, across four
@@ -655,8 +627,8 @@ class TestPlan:
             return _run_branches(q, angles, tolerance)
 
         budget = simulator._MAX_DENSE_BYTES
-        sample = np.dtype(complex).itemsize << (len(p.vertices) + len(p.inputs))
-        monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", simulator._BUFFER_RESERVE + 3 * sample)
+        two = simulator._pass_bytes(2, len(p.vertices), len(p.inputs))
+        monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", two)
         monkeypatch.setattr(simulator, "_Plan", Counting)
         monkeypatch.setattr(simulator, "_run_branches", counting)
         verdict = classify_determinism(p, angle_samples=7, tolerance=OFF_TOLERANCE)
@@ -750,14 +722,17 @@ class TestInputDiagonalWrite:
 
 def _per_entry_verdict(p: Pattern, angle_samples: int, seed: int):
     """Classification, uniformity and witness from one pass over every angle
-    vector, drawn one scalar at a time, and one ``_classify_entry`` per entry."""
+    vector, drawn one scalar at a time, and one ``_classify_entry`` per entry.
+    The maps are read with the outputs in the order of their axes, as the
+    classifier reads them, so that its sums round alike."""
     rng = np.random.default_rng(seed)
     angle_sets = [p.measure_angles()] + [
         {q: float(rng.uniform(0.0, 2.0 * math.pi)) for q in p.measurement_order}
         for _ in range(angle_samples)
     ]
     eng = _run_branches(p, _angle_rows(p, angle_sets))
-    verdicts = [_classify_entry(eng.maps(b, p.outputs), 1e-9) for b in range(eng.batch)]
+    outputs = sorted(p.outputs, key=eng.axis_of.__getitem__)
+    verdicts = [_classify_entry(eng.maps(b, outputs), 1e-9) for b in range(eng.batch)]
     classification, witness = verdicts[0]
     return classification, all(c.is_deterministic for c, _ in verdicts), witness
 
@@ -860,8 +835,8 @@ class TestBatchedClassifier:
             sizes.append(len(angles))
             return _run_branches(p, angles, tolerance)
 
-        sample = np.dtype(complex).itemsize << (len(g.vertices) + len(g.inputs))
-        monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", simulator._BUFFER_RESERVE + 3 * sample)
+        two = simulator._pass_bytes(2, len(g.vertices), len(g.inputs))
+        monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", two)
         monkeypatch.setattr(simulator, "_run_branches", counting)
         assert _max_batch(len(g.vertices), len(g.inputs)) == 2
         chunked = [classify_determinism(p, angle_samples=7, seed=4) for p in patterns]
@@ -926,8 +901,7 @@ class TestBatchedClassifier:
             assert bool(classified) != strong_uniform
             assert len(classified) == 21 if classified and want[1] else len(classified) <= 21
         for k, (p, want) in enumerate(zip(patterns, expected)):
-            sample = np.dtype(complex).itemsize << (len(p.vertices) + len(p.inputs))
-            budget = simulator._BUFFER_RESERVE + 3 * sample
+            budget = simulator._pass_bytes(2, len(p.vertices), len(p.inputs))
             monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", budget)
             assert _max_batch(len(p.vertices), len(p.inputs)) == 2
             _assert_same_verdict(classify_determinism(p, angle_samples=20, seed=k), want)
@@ -1289,8 +1263,8 @@ class TestDenseBudget:
         strong = _path_pattern(4)
         stripped = strong.without_corrections()
         expected = classify_determinism(stripped, angle_samples=1)
-        sample = np.dtype(complex).itemsize << (len(strong.vertices) + len(strong.inputs))
-        monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", simulator._BUFFER_RESERVE + 3 * sample)
+        two = simulator._pass_bytes(2, len(strong.vertices), len(strong.inputs))
+        monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", two)
         tracemalloc.start()
         try:
             verdict = classify_determinism(stripped, angle_samples=10**6)
@@ -1371,10 +1345,7 @@ class TestDenseBudget:
         meas = {q: 0.1 * q for q in g.measured}
         p = synthesize(g, flow, meas)
         batch = 21
-        # the plan's rule runs 21 rows lazy on every grid here
-        plan = simulator._plan(p)
-        assert plan.placement(batch) is plan.lazy
-        width = plan.lazy.width
+        width = simulator._plan(p).width
         assert width < len(p.vertices)
         classify_determinism(p, angle_samples=batch - 1)
         tracemalloc.start()
@@ -1434,6 +1405,33 @@ class TestDenseBudget:
             finally:
                 tracemalloc.stop()
             assert peak <= charge, print_pattern(p)
+
+    @pytest.mark.parametrize("batches", [1, 2])
+    def test_filled_batches_peak_within_the_budget(self, monkeypatch, batches):
+        """At an 8 MiB budget, classifying a tiny pattern over one or two
+        filled batches peaks within the budget: each entry's angles, factors
+        and bound are charged, the merge frees its difference before it
+        moves the kept half, and a batch's tensor goes before the next pass
+        allocates.  The 1x2, 1x3 and 2x2 patterns, strong, stripped and
+        X-dropped."""
+        budget = 8 * 2**20
+        monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", budget)
+        patterns = [parse_pattern("V: 1 2\nI: 1\nO: 2\nN 2 0.0\nE 1 2\nM 1 0.3\nX 2 [1]\n")]
+        for g in (path_state(3, [1], [3]), cluster_grid(2, 2)):
+            flow = find_flow(g).flow
+            p = synthesize(g, flow, {q: 0.1 * q for q in g.measured})
+            zero = synthesize(g, flow, {q: 0.0 for q in g.measured})
+            patterns += [p, p.without_corrections(), drop_x_corrections(zero)]
+        classify_determinism(patterns[0], angle_samples=20)
+        for p in patterns:
+            rows = batches * _max_batch(len(p.vertices), len(p.inputs))
+            tracemalloc.start()
+            try:
+                classify_determinism(p, angle_samples=rows - 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= budget, print_pattern(p)
 
 
 def test_fifteen_measurements_classify_within_the_budget():
