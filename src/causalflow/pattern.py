@@ -14,6 +14,7 @@ and kept with the pattern.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from collections import namedtuple
@@ -167,9 +168,13 @@ EXACT_TOLERANCE = 1e-12
 # What one pass over a pattern's commands finds: the runnability violations
 # (see check_runnable), the measurements as (qubit, angle) in command order,
 # the most qubits live at once (inputs, plus preparations, minus
-# measurements so far), and each measured qubit's last reader, the index of
-# its M or of the last correction whose signals hold it.
-_Walk = namedtuple("_Walk", "violations measures live_peak last_read")
+# measurements so far), and the dense pass's plan: its prefix, steps and
+# width (see Pattern._walk).
+_Walk = namedtuple("_Walk", "violations measures live_peak prefix steps width")
+
+# Opcodes of the plan's steps, and each correction's.
+_GROW, _MEASURE, _X, _Z, _XA = range(5)
+_CORRECTION_STEPS = {CorrectX: _X, CorrectZ: _Z, CorrectXPhase: _XA}
 
 
 @dataclass(frozen=True)
@@ -179,9 +184,9 @@ class Pattern:
     ``commands`` run left to right.  Input qubits hold arbitrary states
     from the start; every non-input must be prepared and every non-output
     measured for the pattern to be runnable.  The runnability violations,
-    the measurements, the live-qubit peak and each outcome's last reader
-    come from one walk over the commands (:attr:`_walk`), made on first use
-    and cached: a pattern never changes, so neither does the result.
+    the measurements, the live-qubit peak and the dense pass's plan come
+    from one walk over the commands (:attr:`_walk`), made on first use and
+    cached: a pattern never changes, so neither does the result.
     """
 
     vertices: tuple[int, ...]
@@ -203,7 +208,27 @@ class Pattern:
 
     @cached_property
     def _walk(self) -> _Walk:
-        """The one pass over the commands, made on first use."""
+        """The one pass over the commands, made on first use.  Besides the
+        violations, it lowers the commands to the dense pass's plan.
+
+        The plan runs the commands in a lazy order: each ``N`` just before
+        the first command on its qubit, each ``E`` just before the first
+        measurement or X/XA correction on either endpoint (it commutes with
+        ``Z`` and with other ``E``s), and those never needed at the end, in
+        their own order.  No command moves earlier, so the maps are those
+        of the pattern's own order, and early gates act on the few qubits
+        prepared so far.  The order is lowered to a prefix, the leading
+        preparations and entanglers that the engine's constructor builds,
+        then steps ``(op, qubit, arg, signals, done)``: ``_GROW`` adds
+        ``arg``, a run of preparations and entanglers; ``_MEASURE`` is the
+        butterfly at column ``arg`` of the angle rows; ``_X``, ``_Z`` and
+        ``_XA`` are corrections, one engine call per signal (three for
+        ``_XA``, a flip between the phases ``arg.conjugate()`` and ``arg =
+        e^{i angle}``).  ``done`` lists the measured qubits whose last use
+        (their ``M``, or the last correction reading them) is the step, and
+        ``width`` is the most qubit axes a merging pass then holds.  The
+        lowering raises on no pattern, runnable or not.
+        """
         declared = set(self.vertices)
         iset = set(self.inputs)
         oset = set(self.outputs)
@@ -212,51 +237,114 @@ class Pattern:
         available = set(iset)
         measured: set[int] = set()
         measures: list[tuple[int, float]] = []
-        last_read: dict[int, int] = {}
         live = peak = len(iset)
-        for idx, cmd in enumerate(self.commands):
-            targets = sorted({cmd.a, cmd.b}) if isinstance(cmd, Entangle) else (cmd.qubit,)
-            for q in targets:
-                if q not in declared:
-                    violations.append(f"R1: command {idx} acts on undeclared qubit {q}")
-            if isinstance(cmd, Entangle) and cmd.a == cmd.b:
-                violations.append(f"R1: command {idx} entangles qubit {cmd.a} with itself")
-            if isinstance(cmd, _CORRECTIONS):
-                last_read.update(dict.fromkeys(cmd.signals, idx))
-                late = sorted(cmd.signals - measured)
-                if late:
-                    violations.append(f"R0: command {idx} depends on unmeasured outcomes {late}")
-            if isinstance(cmd, Prepare):
+        cmds = self.commands
+        steps: list[tuple] = []
+        run: list[Command] = []
+        prefix = None
+        # by outcome, the step of its last reader
+        last_read: dict[int, int] = {}
+        placed = bytearray(len(cmds))
+        # the deferred preparations and entanglers, by qubit
+        prep: dict[int, int] = {}
+        ents: dict[int, list[int]] = {}
+
+        def place(j: int) -> None:
+            placed[j] = 1
+            run.append(cmds[j])
+
+        for idx, cmd in enumerate(cmds):
+            kind = type(cmd)
+            if kind is Entangle:
+                # the constructor orders the two ends
+                targets = (cmd.a,) if cmd.a == cmd.b else (cmd.a, cmd.b)
+            else:
+                q = cmd.qubit
+                targets = (q,)
+            for t in targets:
+                if t not in declared:
+                    violations.append(f"R1: command {idx} acts on undeclared qubit {t}")
+            if kind is Prepare:
                 live += 1
                 peak = max(peak, live)
-                if cmd.qubit in iset:
-                    violations.append(f"R2: input qubit {cmd.qubit} prepared")
-                if cmd.qubit in measured:
-                    violations.append(f"R1: measured qubit {cmd.qubit} prepared")
-                elif cmd.qubit in available:
-                    violations.append(f"R1: qubit {cmd.qubit} prepared twice")
-                else:
-                    available.add(cmd.qubit)
-                continue
-            for q in targets:
-                if q not in declared:
-                    continue
+                if q in iset:
+                    violations.append(f"R2: input qubit {q} prepared")
                 if q in measured:
-                    violations.append(f"R1: command {idx} acts on measured qubit {q}")
-                elif q not in available:
-                    violations.append(f"R1: command {idx} acts on unprepared qubit {q}")
-            if isinstance(cmd, Measure):
+                    violations.append(f"R1: measured qubit {q} prepared")
+                elif q in available:
+                    violations.append(f"R1: qubit {q} prepared twice")
+                else:
+                    available.add(q)
+                prep[q] = idx
+                continue
+            if kind is Entangle:
+                if cmd.a == cmd.b:
+                    violations.append(f"R1: command {idx} entangles qubit {cmd.a} with itself")
+                ents.setdefault(cmd.a, []).append(idx)
+                ents.setdefault(cmd.b, []).append(idx)
+            else:
+                # a gate: place the deferred commands it needs, then its step
+                placed[idx] = 1
+                if kind is not CorrectZ and q in ents:
+                    for e in ents.pop(q):
+                        if not placed[e]:
+                            for r in (cmds[e].a, cmds[e].b):
+                                if r in prep:
+                                    place(prep.pop(r))
+                            place(e)
+                if q in prep:
+                    place(prep.pop(q))
+                if prefix is None:
+                    prefix, run = run, []
+                elif run:
+                    steps.append((_GROW, None, run, (), ()))
+                    run = []
+                if kind is not Measure:
+                    last_read.update(dict.fromkeys(cmd.signals, len(steps)))
+                    late = sorted(cmd.signals - measured)
+                    if late:
+                        violations.append(f"R0: command {idx} depends on unmeasured outcomes {late}")
+            for t in targets:
+                if t not in declared:
+                    continue
+                if t in measured:
+                    violations.append(f"R1: command {idx} acts on measured qubit {t}")
+                elif t not in available:
+                    violations.append(f"R1: command {idx} acts on unprepared qubit {t}")
+            if kind is Entangle:
+                continue
+            if kind is Measure:
                 live -= 1
-                measures.append((cmd.qubit, cmd.angle))
-                if cmd.qubit in oset:
-                    violations.append(f"R2: output qubit {cmd.qubit} measured")
-                measured.add(cmd.qubit)
-                last_read[cmd.qubit] = idx
+                last_read[q] = len(steps)
+                steps.append((_MEASURE, q, len(measures), (), ()))
+                measures.append((q, cmd.angle))
+                if q in oset:
+                    violations.append(f"R2: output qubit {q} measured")
+                measured.add(q)
+            else:
+                arg = cmath.exp(1j * cmd.angle) if kind is CorrectXPhase else None
+                steps.append((_CORRECTION_STEPS[kind], q, arg, cmd.signals, ()))
         for q in sorted(declared - oset - measured):
             violations.append(f"R2: non-output qubit {q} never measured")
         for q in sorted(declared - available):
             violations.append(f"R2: non-input qubit {q} never prepared")
-        return _Walk(tuple(violations), tuple(measures), peak, last_read)
+        # the leftovers, which no gate needs, in their own order
+        run = [c for c, flag in zip(cmds, placed) if not flag]
+        if prefix is None:
+            prefix = run
+        elif run:
+            steps.append((_GROW, None, run, (), ()))
+        for q, _ in measures:
+            op, target, arg, signals, done = steps[last_read[q]]
+            steps[last_read[q]] = (op, target, arg, signals, done + (q,))
+        width = len(iset) + sum(type(c) is Prepare for c in prefix)
+        plan_peak = width
+        for op, _, arg, _, done in steps:
+            if op == _GROW:
+                width += sum(type(c) is Prepare for c in arg)
+                plan_peak = max(plan_peak, width)
+            width -= len(done)
+        return _Walk(tuple(violations), tuple(measures), peak, prefix, steps, plan_peak)
 
     @property
     def measurement_order(self) -> tuple[int, ...]:
@@ -295,8 +383,8 @@ def check_runnable(p: Pattern) -> ValidationResult:
     inputs or outputs, or measured/prepared sets that do not match the
     declared outputs/inputs).  Undeclared inputs, then outputs, come first,
     ascending; then command order; then the never-measured and the
-    never-prepared qubits.  The walk runs once per pattern, so repeated
-    checks cost nothing.
+    never-prepared qubits.  The walk, which also lowers the dense pass's
+    plan, runs once per pattern, so repeated checks cost nothing.
     """
     return ValidationResult(p._walk.violations)
 

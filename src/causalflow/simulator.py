@@ -9,9 +9,10 @@ qubit is rotated into its measurement basis and kept as a branch index, so
 every branch map falls out of one pass.  The two agree to rounding and are
 cross-checked in the test suite.
 
-A pass runs the pattern's plan (:class:`_Plan`), built once per pattern:
-its commands as integer opcodes, in a lazy order that defers each
-preparation and entangler until a command needs it.  It applies no
+A pass runs the plan that the pattern's one walk over its commands lowers
+(:attr:`Pattern._walk`): the commands as integer opcodes, in a lazy order
+that defers each preparation and entangler until a command needs it.  The
+walk is made once per pattern and kept with it.  A pass applies no
 matrices: every gate is an in-place phase, swap or butterfly on the halves
 of one axis, restricted for a dependent correction to the slice where its
 signal's branch bit is 1.  Every dense simulation fits one byte budget,
@@ -55,6 +56,10 @@ from .pattern import (
     Prepare,
     SimulationError,
     _check_angles,
+    _MEASURE,
+    _X,
+    _XA,
+    _Z,
 )
 
 if TYPE_CHECKING:
@@ -533,123 +538,13 @@ def _base_angles(p: Pattern) -> np.ndarray:
     return np.array([list(p.measure_angles().values())], dtype=float)
 
 
-# Opcodes of a pass plan's steps (see _Plan), and each correction's.
-_GROW, _MEASURE, _X, _Z, _XA = range(5)
-_CORRECTION_STEPS = {CorrectX: _X, CorrectZ: _Z, CorrectXPhase: _XA}
-
-
-class _Plan:
-    """How the dense pass runs one pattern, built on its first pass and kept
-    with it (:func:`_plan`), as the pattern keeps its walk.
-
-    The commands run in a lazy order, :attr:`order`: each ``N`` just before
-    the first command on its qubit, each ``E`` just before the first
-    measurement or X/XA correction on either endpoint (it commutes with
-    ``Z`` and with other ``E``s), and those never needed at the end, in
-    their own order.  No command moves earlier, so the maps are those of
-    the pattern's own order, and early gates act on the few qubits prepared
-    so far.  The order is lowered to a prefix, the leading preparations and
-    entanglers that the engine's constructor builds, then steps ``(op,
-    qubit, arg, signals, done)``: ``_GROW`` adds ``arg``, a run of
-    preparations and entanglers; ``_MEASURE`` is the butterfly at column
-    ``arg`` of the angle rows; ``_X``, ``_Z`` and ``_XA`` are corrections,
-    one engine call per signal (three for ``_XA``, a flip between the
-    phases ``arg.conjugate()`` and ``arg = e^{i angle}``).  ``done`` lists
-    the measured qubits whose last use (their ``M``, or the last correction
-    reading them) is the step, and ``width`` is the most qubit axes a
-    merging pass then holds.
-    """
-
-    __slots__ = ("layout", "order", "prefix", "steps", "width")
-
-    def __init__(self, p: Pattern) -> None:
-        # measured qubits in measurement order, then the outputs: the
-        # constructor's axis order, which the branch maps read unmoved
-        self.layout = (*p.measurement_order, *p.outputs)
-        # by command, the measured qubits that no later command reads
-        done_at: dict[int, tuple] = {}
-        for q in p.measurement_order:
-            k = p._walk.last_read[q]
-            done_at[k] = done_at.get(k, ()) + (q,)
-        cmds = p.commands
-        order: list = []
-        steps: list = []
-        run: list = []
-        prefix = None
-        width = peak = len(p.inputs)
-        column = 0
-        placed = bytearray(len(cmds))
-        # the deferred preparations and entanglers, by qubit
-        prep: dict[int, int] = {}
-        ents: dict[int, list[int]] = {}
-
-        def place(j: int) -> None:
-            placed[j] = 1
-            run.append(cmds[j])
-
-        for k, cmd in enumerate((*cmds, None)):
-            kind = type(cmd)
-            if kind is Prepare:
-                prep[cmd.qubit] = k
-                continue
-            if kind is Entangle:
-                ents.setdefault(cmd.a, []).append(k)
-                ents.setdefault(cmd.b, []).append(k)
-                continue
-            if cmd is None:
-                for j in range(len(cmds)):
-                    if not placed[j]:
-                        place(j)
-            else:
-                placed[k] = 1
-                q = cmd.qubit
-                if kind is not CorrectZ and q in ents:
-                    for e in ents.pop(q):
-                        if not placed[e]:
-                            for r in (cmds[e].a, cmds[e].b):
-                                if r in prep:
-                                    place(prep.pop(r))
-                            place(e)
-                if q in prep:
-                    place(prep.pop(q))
-            if prefix is None or run:
-                order += run
-                width += sum(type(c) is Prepare for c in run)
-                peak = max(peak, width)
-                if prefix is None:
-                    prefix = run
-                else:
-                    steps.append((_GROW, None, run, (), ()))
-                run = []
-            if cmd is None:
-                break
-            order.append(cmd)
-            done = done_at.get(k, ())
-            if kind is Measure:
-                steps.append((_MEASURE, cmd.qubit, column, (), done))
-                column += 1
-            else:
-                arg = cmath.exp(1j * cmd.angle) if kind is CorrectXPhase else None
-                steps.append((_CORRECTION_STEPS[kind], cmd.qubit, arg, cmd.signals, done))
-            width -= len(done)
-        self.order, self.prefix, self.steps, self.width = order, prefix, steps, peak
-
-
-def _plan(p: Pattern) -> _Plan:
-    """The pass plan of ``p``, kept in its ``__dict__`` as
-    ``functools.cached_property`` keeps ``Pattern._walk``."""
-    plan = p.__dict__.get("_plan")
-    if plan is None:
-        plan = p.__dict__["_plan"] = _Plan(p)
-    return plan
-
-
 def _run_branches(
     p: Pattern, angles: np.ndarray, tolerance: float | None = None
 ) -> _TensorEngine:
     """One dense pass over every branch, for each row of ``angles``: one
     batch entry per row, and column k holds the k-th measurement's angles.
-    It runs the pattern's plan (:class:`_Plan`): its prefix, then its steps.
+    It runs the plan that the pattern's walk lowered (:attr:`Pattern._walk`):
+    its prefix, then its steps.
 
     Given a ``tolerance``, the pass merges each step's ``done`` qubits
     (:meth:`_TensorEngine.merge`; see :func:`classify_determinism`).  At the
@@ -657,15 +552,18 @@ def _run_branches(
     the full pass: from where it stands, widened to every qubit, if nothing
     has merged yet, else afresh.  Both give the full pass's engine bit for
     bit."""
-    plan = _plan(p)
+    walk = p._walk
     merging = tolerance is not None
-    width = plan.width if merging else len(p.vertices)
+    width = walk.width if merging else len(p.vertices)
     # before the engine allocates, so that its temporary never meets the tensor
     factors = np.exp(-1j * angles.T)
-    eng = _TensorEngine(p.inputs, len(angles), width, plan.prefix, plan.layout)
+    # measured qubits in measurement order, then the outputs: the
+    # constructor's axis order, which the branch maps read unmoved
+    layout = (*p.measurement_order, *p.outputs)
+    eng = _TensorEngine(p.inputs, len(angles), width, walk.prefix, layout)
     bound = np.zeros(len(angles))
     merged = False
-    for op, q, arg, signals, done in plan.steps:
+    for op, q, arg, signals, done in walk.steps:
         if op == _MEASURE:
             eng.butterfly(q, factors[arg])
             eng.branch_order.append(q)
@@ -1025,11 +923,13 @@ def realized_embedding(
     """Correction-free projection map of a geometry, rescaled by 2^{n/2}.
 
     Prepares every non-input qubit, applies all entanglers, and projects
-    each measured qubit onto its outcome-0 bra.  On geometries with flow
-    this equals every rescaled branch map of the synthesized pattern and
-    is an isometry.  Preparation angles default to 0.  Raises PatternError
-    on a missing or non-finite angle, SimulationError when the most qubits
-    in flight exceed the dense tensor bound.  Entanglers run in the order of
+    each measured qubit onto its outcome-0 bra times sqrt(2), so the
+    rescaling is exact at any n and no factor 2^{n/2} is ever formed.  On
+    geometries with flow this equals every rescaled branch map of the
+    synthesized pattern and is an isometry.  Preparation angles default to
+    0.  Raises PatternError on a missing or non-finite angle,
+    SimulationError when the most qubits in flight exceed the dense tensor
+    bound.  Entanglers run in the order of
     :func:`_bfs_rank`, by the later endpoint first, so the qubits in flight
     do not depend on the vertex labels; each qubit is prepared just before
     its first entangler and projected, if measured, right after its last one.
@@ -1073,8 +973,9 @@ def realized_embedding(
             eng.phase(step[1], -1.0, step[0])
         for q in done:
             eng.contract_bra(q, meas_angles[q])
-    matrix = eng.maps(0, g.outputs)[0]
-    return matrix * (2.0 ** (len(g.measured) / 2.0))
+            # the bra's 1/sqrt(2), cancelled as it is applied; scale was 1
+            eng.scale = 1.0
+    return eng.maps(0, g.outputs)[0]
 
 
 def simulate_circuit(c: Circuit) -> np.ndarray:

@@ -308,6 +308,14 @@ class TestExtractCommand:
     def test_no_flow(self, write):
         assert main(["extract", graph_file(write, no_flow_geometry())]) == 1
 
+    def test_check_past_2048_measurements(self, write, capsys):
+        """A 1x2100 path: 2^(2099/2) overflows a float, and the check still
+        reports the realized map equal to the circuit's."""
+        path = graph_file(write, path_state(2100, [1], [2100]))
+        assert main(["extract", path, "--check"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["max_deviation"] <= 1e-9
+
     def test_check_over_budget_is_a_named_error(self, write, capsys):
         """16 disjoint input-output edges extract to 16 input wires, 32 axes
         in all: the check stops before it allocates, with a named error."""

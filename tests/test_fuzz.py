@@ -6,9 +6,11 @@ or 2 (returned, or raised as argparse's ``SystemExit`` for a bad flag) and
 raise nothing else; an id, an angle-file key or a numeric flag spelled in a
 way that ``int()`` or ``float()`` would still read (``+2``, ``02``, ``0_2``,
 ``2.0``, ``1_0e-3``, ...) must exit 2, and so must a file that is not
-UTF-8; and every runnable pattern mutant of at most 8 measurements must give
-dense branch maps equal to ``run_branch``'s within 1e-12, from the lazy
-order of its pass plan (``simulator._Plan`` states the order).
+UTF-8.  Every pattern mutant that parses goes through ``check_runnable``,
+whose walk lowers the dense pass's plan and must raise on none of them; and
+every runnable one of at most 8 measurements must give dense branch maps
+equal to ``run_branch``'s within 1e-12, from the lazy order of that plan
+(``Pattern._walk`` states the order).
 """
 
 import contextlib

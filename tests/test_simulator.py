@@ -45,6 +45,7 @@ from causalflow import (
     synthesize_stabilizer_form,
 )
 from causalflow import simulator
+from causalflow.pattern import _GROW
 from causalflow.simulator import (
     DeterminismVerdict,
     _classify_batch,
@@ -238,6 +239,41 @@ class TestOneWalk:
         enumerate_branches(p, input_state=np.array([0.6, 0.8]))
         run_branch(p, "01")
         assert len(walked) == 1
+
+    def test_one_walk_across_restarts(self, monkeypatch):
+        """classify_determinism walks a pattern once, across four batches
+        whose merging passes each restart as the full pass; a second
+        classification and enumerate_branches walk it no more."""
+        g = path_state(8, [1], [8])
+        arng = np.random.default_rng(8)
+        flow = find_flow(g).flow
+        p = synthesize(g, flow, random_angles(arng, g.measured), random_angles(arng, g.prepared))
+        p = _off_strong(p, 1)
+        walked, passes = [], []
+        walk = Pattern.__dict__["_walk"]
+        func = walk.func
+
+        def counting_walk(q):
+            walked.append(q)
+            return func(q)
+
+        def counting(q, angles, tolerance=None):
+            passes.append(tolerance)
+            return _run_branches(q, angles, tolerance)
+
+        budget = simulator._MAX_DENSE_BYTES
+        two = simulator._pass_bytes(2, len(p.vertices), len(p.inputs))
+        monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", two)
+        monkeypatch.setattr(walk, "func", counting_walk)
+        monkeypatch.setattr(simulator, "_run_branches", counting)
+        verdict = classify_determinism(p, angle_samples=7, tolerance=OFF_TOLERANCE)
+        assert verdict.is_strong and verdict.uniform
+        # each batch: a merging pass, then its restart as the full pass
+        assert passes == [OFF_TOLERANCE, None] * 4
+        classify_determinism(p, angle_samples=7, tolerance=OFF_TOLERANCE)
+        monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", budget)
+        enumerate_branches(p)
+        assert walked == [p]
 
 
 class TestClassification:
@@ -471,7 +507,7 @@ class TestGraphStateBuild:
         p = synthesize(g, find_flow(g).flow, {q: 0.1 * q for q in g.measured})
         rows = np.random.default_rng(4).uniform(0.0, 2.0 * math.pi, size=(20, 9))
         angles = np.concatenate([_angle_rows(p, [p.measure_angles()]), rows])
-        assert simulator._plan(p).width < len(p.vertices)
+        assert p._walk.width < len(p.vertices)
         self._assert_bitwise(p, angles)
 
     def test_graph_after_measurements_matches_run_branch(self):
@@ -525,8 +561,14 @@ def _on(cmd, q: int) -> bool:
 
 
 def _lazy_order(p: Pattern) -> list:
-    """The commands of ``p`` in its plan's lazy order."""
-    return list(simulator._Plan(p).order)
+    """The commands of ``p`` in its plan's lazy order: the prefix, then each
+    _GROW step's run, and each other step's command, the next gate of
+    ``p.commands`` (no gate moves)."""
+    gates = (c for c in p.commands if not isinstance(c, (Prepare, Entangle)))
+    order = list(p._walk.prefix)
+    for op, _, arg, _, _ in p._walk.steps:
+        order += arg if op == _GROW else [next(gates)]
+    return order
 
 
 class TestCompile:
@@ -553,6 +595,26 @@ class TestCompile:
                 patterns += [p, p.without_corrections(), *_edited(p, rng)]
         for p in patterns:
             self._assert_rule(p)
+
+    def test_malformed_patterns_lower(self):
+        """The walk lowers a pattern that is not runnable without raising,
+        each command placed once and the gates in their own order: a
+        repeated N, a self-entangler, gates on an unprepared and on an
+        undeclared qubit, signals never measured and a qubit measured
+        twice."""
+        texts = [
+            "V: 1 2\nI: 1\nO: 2\nN 2 0.0\nN 2 0.7\nE 1 2\nM 1 0.5\nX 2 [1]\n",
+            "V: 4\nI:\nO: 4\nE 4 4\nN 4 0.0\n",
+            "V: 1 2 3\nI: 1\nO: 3\nE 1 2\nM 2 0.1\nN 2 0.0\nZ 3 [1]\nX 9 [7]\n",
+            "V: 1 2\nI: 1\nO: 2\nN 2 0.0\nE 1 2\nXA 2 0.4 [1,5]\nM 1 0.3\nM 1 0.2\n",
+        ]
+        for text in texts:
+            p = parse_pattern(text)
+            assert not check_runnable(p).ok
+            origin = _placed_at(p, _lazy_order(p))
+            assert sorted(origin) == [*range(len(p.commands))], text
+            gates = [k for k in origin if not isinstance(p.commands[k], (Prepare, Entangle))]
+            assert gates == sorted(gates), text
 
     def _assert_rule(self, p: Pattern) -> None:
         plan = _lazy_order(p)
@@ -598,47 +660,6 @@ class TestCompile:
             else:
                 assert not any(_on(c, cmd.qubit) for c in later if not isinstance(c, Entangle))
         assert origin[tail:] == sorted(origin[tail:])
-
-
-class TestPlan:
-    """One pass plan per pattern (``simulator._Plan``), lowered once."""
-
-    def test_one_plan_per_pattern(self, monkeypatch):
-        """classify_determinism builds a pattern's plan once, across four
-        batches whose merging passes each restart as the full pass; a second
-        classification and enumerate_branches build none."""
-        g = path_state(8, [1], [8])
-        arng = np.random.default_rng(8)
-        flow = find_flow(g).flow
-        p = synthesize(g, flow, random_angles(arng, g.measured), random_angles(arng, g.prepared))
-        p = _off_strong(p, 1)
-        built, passes = [], []
-        plan_class = simulator._Plan
-
-        class Counting(plan_class):
-            __slots__ = ()
-
-            def __init__(self, q):
-                built.append(q)
-                super().__init__(q)
-
-        def counting(q, angles, tolerance=None):
-            passes.append(tolerance)
-            return _run_branches(q, angles, tolerance)
-
-        budget = simulator._MAX_DENSE_BYTES
-        two = simulator._pass_bytes(2, len(p.vertices), len(p.inputs))
-        monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", two)
-        monkeypatch.setattr(simulator, "_Plan", Counting)
-        monkeypatch.setattr(simulator, "_run_branches", counting)
-        verdict = classify_determinism(p, angle_samples=7, tolerance=OFF_TOLERANCE)
-        assert verdict.is_strong and verdict.uniform
-        # each batch: a merging pass, then its restart as the full pass
-        assert passes == [OFF_TOLERANCE, None] * 4
-        classify_determinism(p, angle_samples=7, tolerance=OFF_TOLERANCE)
-        monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", budget)
-        enumerate_branches(p)
-        assert built == [p]
 
 
 def _eye_product_build(inputs, batch: int, prefix, layout):
@@ -1345,7 +1366,7 @@ class TestDenseBudget:
         meas = {q: 0.1 * q for q in g.measured}
         p = synthesize(g, flow, meas)
         batch = 21
-        width = simulator._plan(p).width
+        width = p._walk.width
         assert width < len(p.vertices)
         classify_determinism(p, angle_samples=batch - 1)
         tracemalloc.start()
