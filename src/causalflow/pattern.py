@@ -10,6 +10,12 @@ Patterns are immutable values and synthesis is a pure function.  What the
 runnability check, the measurement accessors and the simulator need to know
 about a pattern's commands comes from one walk over them, made on first use
 and kept with the pattern.
+
+:func:`certify_strong` decides strong, uniform determinism without numbers:
+one backward sweep pulls each outcome's Pauli operator back through the
+commands, as the proof of the source paper's Theorem 1 does.  The simulator's
+``classify_determinism`` asks it first and runs its dense pass only on the
+patterns it declines.
 """
 
 from __future__ import annotations
@@ -387,6 +393,102 @@ def check_runnable(p: Pattern) -> ValidationResult:
     plan, runs once per pattern, so repeated checks cost nothing.
     """
     return ValidationResult(p._walk.violations)
+
+
+def _bits(mask: int) -> Iterable[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def certify_strong(p: Pattern) -> bool:
+    """Whether a Pauli-frame certificate proves every branch map of ``p``
+    equal at every measurement-angle vector: True means strongly and
+    uniformly deterministic; False proves nothing.
+
+    The argument, the proof of the source paper's Theorem 1 run on the
+    commands.  Outcome 1 of a measurement is its outcome-0 bra after a Z
+    (<-_a| = <+_a| Z), and a correction whose signal reads 1 is its Pauli,
+    so the branch map of an outcome string s is the all-zero branch map
+    with one Pauli operator P_k inserted per signal k with s_k = 1.  Each
+    qubit is read in the Z(theta) frame of its preparation angle theta
+    (an input's is 0): Z and the entanglers commute with Z(theta), the
+    preparation becomes |+>, and an ``XA`` correction at theta becomes a
+    plain X, as does an ``X`` at theta zero; an X-type correction that does
+    not match its qubit's frame under the one exact-angle rule
+    (:func:`_is_zero_angle` of the difference) declines.  Measurement angles
+    never enter, so a certificate holds at every angle.
+
+    One backward sweep pulls every P_k back to the start.  Bit k of the
+    ints ``x[q]`` and ``z[q]`` says that P_k has an X or a Z on qubit q;
+    the product over the signals set in s is a sign times X^x(s) Z^z(s),
+    and the sign is (-1) to the quadratic form s^T F s over GF(2), whose
+    row k is ``form[k]``.  Walking backwards:
+
+    - ``M q`` puts Z on q for its own signal; nothing later may act on q.
+    - ``Z q [S]`` toggles Z on q for each signal in S.
+    - An X on q for the signals in S moves right of Z^z(s): form[k] ^= z[q]
+      for each k in S, then x[q] ^= mask(S).
+    - ``E a b`` conjugates X_a to X_a Z_b and X_b to Z_a X_b; reordering
+      the two when both are present costs -1, the form's x[a] x[b] term.
+    - ``N q`` absorbs X, which fixes |+>; a Z left on q would turn it into
+      |->, so the sweep declines.
+
+    At the start only inputs remain: every P_k must act trivially on them,
+    and the form must have a zero diagonal and be symmetric, so that
+    s^T F s is 0 for every s.  Then every branch map equals the all-zero
+    one, at every angle.  Loop patterns decline, since their ``XA(pi/2)``
+    does not match a zero preparation.  A pattern that is not runnable
+    declines; no pattern raises.
+    """
+    walk = p._walk
+    if walk.violations:
+        return False
+    bit = {q: 1 << k for k, (q, _) in enumerate(walk.measures)}
+    theta = p.prep_angles()
+    x: dict[int, int] = {}
+    z: dict[int, int] = {}
+    form = [0] * len(bit)
+    for cmd in reversed(p.commands):
+        kind = type(cmd)
+        if kind is Entangle:
+            xa, xb = x.get(cmd.a, 0), x.get(cmd.b, 0)
+            if xb:
+                for k in _bits(xa):
+                    form[k] ^= xb
+            z[cmd.a] = z.get(cmd.a, 0) ^ xb
+            z[cmd.b] = z.get(cmd.b, 0) ^ xa
+            continue
+        q = cmd.qubit
+        if kind is Measure:
+            if x.get(q) or z.get(q):
+                return False
+            z[q] = bit[q]
+        elif kind is Prepare:
+            if z.pop(q, 0):
+                return False
+            x.pop(q, None)
+        else:
+            signals = sum(bit[s] for s in cmd.signals)
+            if kind is CorrectZ:
+                z[q] = z.get(q, 0) ^ signals
+                continue
+            angle = cmd.angle if kind is CorrectXPhase else 0.0
+            if not _is_zero_angle(angle - theta.get(q, 0.0)):
+                return False
+            zq = z.get(q, 0)
+            if zq:
+                for k in _bits(signals):
+                    form[k] ^= zq
+            x[q] = x.get(q, 0) ^ signals
+    if any(x.values()) or any(z.values()):
+        return False
+    return all(
+        not row >> k & 1 and all(form[l] >> k & 1 for l in _bits(row))
+        for k, row in enumerate(form)
+    )
 
 
 def _measured_in_flow_order(g: OpenGraphState, fl: Flow) -> list[int]:

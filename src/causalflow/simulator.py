@@ -17,7 +17,10 @@ matrices: every gate is an in-place phase, swap or butterfly on the halves
 of one axis, restricted for a dependent correction to the slice where its
 signal's branch bit is 1.  Every dense simulation fits one byte budget,
 checked before anything is allocated: at most 23 qubits plus inputs per
-angle vector.  :func:`classify_determinism` first runs each batch as a
+angle vector.  :func:`classify_determinism` first asks the pattern's
+Pauli-frame certificate (:func:`certify_strong`, pure Python): a pattern it
+certifies is strongly and uniformly deterministic with no pass at all.
+Every other pattern takes the dense route: each batch runs first as a
 merging pass, which drops each outcome's branch axis after its last use
 and bounds how far the dropped branches lie from the one it keeps; a batch
 whose bound reaches half the tolerance runs the full pass, whose entries
@@ -55,6 +58,7 @@ from .pattern import (
     PatternError,
     Prepare,
     SimulationError,
+    certify_strong,
     _check_angles,
     _MEASURE,
     _X,
@@ -145,8 +149,10 @@ class DeterminismVerdict:
     """Classification of a pattern's branch maps.
 
     ``uniform`` records whether the sampled random measurement-angle
-    vectors (same geometry and corrections) all stayed deterministic; the
-    sample count and seed are kept so verdicts are reproducible.
+    vectors (same geometry and corrections) all stayed deterministic, or,
+    for a pattern that :func:`certify_strong` certifies, that every angle
+    vector is strong; the sample count and seed are kept so verdicts are
+    reproducible.
     """
 
     classification: Classification
@@ -831,6 +837,15 @@ def classify_determinism(
     measurement-angle vectors, in batched passes as large as the byte
     budget allows, each pass's drawn as it starts (the values of one draw).
 
+    The routes, in order.  After the arguments, the runnability check and
+    the byte budget's check of one batch entry, a pattern with no
+    measurement is strong and uniform.  Then the Pauli-frame certificate
+    (:func:`certify_strong`): a pattern it certifies has every branch map
+    equal at every angle, so it is strongly deterministic and uniform,
+    exactly and at any ``tolerance``, with no angle drawn and no pass run.
+    The certificate never proves the contrary, so every pattern it declines
+    takes the dense route below, which is also its oracle in the tests.
+
     Each batch runs first as a merging pass (:func:`_run_branches` with a
     tolerance): after a measurement's last use it adds the distance delta
     between the outcome's two halves to each entry's bound and keeps the
@@ -859,8 +874,9 @@ def classify_determinism(
         raise ValueError(f"angle_samples must be >= 0, got {angle_samples}")
     n = _runnable_or_raise(p)
     _check_dense_bytes(1, len(p.vertices), len(p.inputs))
-    if n == 0:
-        # one branch, and no measurement angle to vary
+    if n == 0 or certify_strong(p):
+        # one branch and no angle to vary, or branch maps that the Pauli-frame
+        # certificate proves equal at every angle: no angles drawn, no pass
         return DeterminismVerdict(
             Classification.STRONGLY_DETERMINISTIC, True, None, angle_samples, seed, tolerance
         )

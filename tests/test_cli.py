@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from causalflow import (
     validate_flow,
 )
 from causalflow.cli import main
-from conftest import hadamard_geometry, loop_geometry, no_flow_geometry, path_state
+from conftest import cluster_grid, hadamard_geometry, loop_geometry, no_flow_geometry, path_state
 
 H_TEXT = "V: 1 2\nI: 1\nO: 2\nN 2 0.0\nE 1 2\nM 1 0.0\nX 2 [1]\n"
 
@@ -627,6 +628,70 @@ def test_unknown_flag_before_the_subcommand_is_named(write, capsys, argv, error)
     out = capsys.readouterr()
     assert out.out == ""
     assert f"causalflow: error: {error}" in out.err
+
+
+def _chorded_grid_without_flow(rows: int, cols: int, rng: random.Random) -> OpenGraphState:
+    """A cluster grid plus three random chords, drawn until it has no flow."""
+    base = cluster_grid(rows, cols)
+    while True:
+        chords = set()
+        while len(chords) < 3:
+            u, v = sorted(rng.sample(base.vertices, 2))
+            if (u, v) not in base.edges:
+                chords.add((u, v))
+        g = OpenGraphState(base.vertices, base.edges + tuple(sorted(chords)), base.inputs, base.outputs)
+        if not find_flow(g).found:
+            return g
+
+
+# Sizes no other test reaches: two flow geometries past 2048 measured
+# qubits and a chorded grid of 1100 vertices without flow.
+LADDER = {
+    "path-1x2100": lambda: path_state(2100, [1], [2100]),
+    "grid-4x600": lambda: cluster_grid(4, 600),
+    "chorded-20x55": lambda: _chorded_grid_without_flow(20, 55, random.Random(55)),
+}
+
+
+@pytest.mark.parametrize("size", LADDER)
+def test_size_ladder_answers_or_names_an_error(write, capsys, size):
+    """Every subcommand on a large, legal input exits 0, 1 or 2 and raises
+    nothing; an exit 2 prints an ``error:`` line and no output.  With a
+    flow, every command but ``verify`` exits 0 (``verify`` may meet the
+    dense bound), and ``extract --check`` finds the circuit equal to the
+    realized map; without one, every command exits 1."""
+    g = LADDER[size]()
+    graph = graph_file(write, g)
+    calls = [
+        ["flow", graph],
+        ["flow", graph, "--bidirectional"],
+        ["synth", graph],
+        ["synth", graph, "--stabilizer-form"],
+        ["extract", graph],
+        ["extract", graph, "--check"],
+        ["adjoint", graph],
+    ]
+    found = find_flow(g).found
+    codes = []
+    for argv in calls:
+        codes.append(main(argv))
+        code = codes[-1]
+        out = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert out.out == "" and out.err.startswith("error:"), argv
+        elif argv[0] == "synth" and len(argv) == 2 and code == 0:
+            pattern = write("synth.pat", out.out)
+        elif argv[-1] == "--check" and code == 0:
+            assert json.loads(out.out)["max_deviation"] <= 1e-9
+    if found:
+        code = main(["verify", pattern])
+        out = capsys.readouterr()
+        assert code in (0, 2)
+        if code == 2:
+            assert out.out == "" and out.err.startswith("error:")
+            assert "dense tensor bound" in out.err
+    assert set(codes) == {0 if found else 1}
 
 
 def test_output_matches_golden_file(tmp_path, capsys):

@@ -7,10 +7,12 @@ raise nothing else; an id, an angle-file key or a numeric flag spelled in a
 way that ``int()`` or ``float()`` would still read (``+2``, ``02``, ``0_2``,
 ``2.0``, ``1_0e-3``, ...) must exit 2, and so must a file that is not
 UTF-8.  Every pattern mutant that parses goes through ``check_runnable``,
-whose walk lowers the dense pass's plan and must raise on none of them; and
-every runnable one of at most 8 measurements must give dense branch maps
-equal to ``run_branch``'s within 1e-12, from the lazy order of that plan
-(``Pattern._walk`` states the order).
+whose walk lowers the dense pass's plan and must raise on none of them, and
+through ``certify_strong``, which must return a bool; and every runnable one
+of at most 8 measurements must give dense branch maps equal to
+``run_branch``'s within 1e-12, from the lazy order of that plan
+(``Pattern._walk`` states the order), and equal to each other within 1e-12
+when the certificate certifies it.
 """
 
 import contextlib
@@ -25,6 +27,7 @@ import pytest
 
 from causalflow import PatternError, check_runnable, parse_pattern, run_branch, simulator
 from causalflow.cli import main
+from causalflow.pattern import certify_strong
 
 FILES = json.loads(
     (Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8")
@@ -210,17 +213,22 @@ def _respell_text_id(text: str, rng: random.Random) -> str | None:
 
 def _assert_dense_equals_run_branch(text: str) -> int:
     """Compare the dense maps with run_branch's on a runnable pattern of at
-    most 8 measurements; returns 1 if it compared, else 0."""
+    most 8 measurements, and with each other if the certificate certifies
+    it; returns 1 if it compared, else 0."""
     try:
         p = parse_pattern(text)
     except PatternError:
         return 0
+    certified = certify_strong(p)
+    assert type(certified) is bool
     if not check_runnable(p).ok or p.n_measurements > 8 or len(p.vertices) + len(p.inputs) > 16:
         return 0
     maps = simulator._run_branches(p, simulator._base_angles(p)).maps(0, p.outputs)
     for s, m in enumerate(maps):
         label = simulator._outcome_label(s, len(maps))
         np.testing.assert_allclose(m, run_branch(p, label), atol=1e-12, err_msg=text)
+        if certified:
+            np.testing.assert_allclose(m, maps[0], atol=1e-12, err_msg=text)
     return 1
 
 

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import causalflow
 from causalflow import (
     CorrectX,
     CorrectXPhase,
@@ -484,3 +488,29 @@ class TestAngles:
 
     def test_entangle_normalizes_orientation(self):
         assert Entangle(2, 1) == Entangle(1, 2)
+
+
+# Certifies a synthesized pattern with a preparation phase in a fresh
+# interpreter, then asserts that numpy never loaded.
+_CERTIFICATE_PROBE = """
+import sys
+from causalflow import OpenGraphState, find_flow, synthesize
+from causalflow.pattern import certify_strong
+g = OpenGraphState([1, 2, 3], [(1, 2), (2, 3)], [1], [3])
+p = synthesize(g, find_flow(g).flow, {1: 0.3, 2: 1.1}, {2: 0.7, 3: 0.2})
+assert certify_strong(p) is True
+assert certify_strong(p.without_corrections()) is False
+assert "numpy" not in sys.modules
+"""
+
+
+def test_certificate_loads_no_numpy():
+    src = str(Path(causalflow.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CERTIFICATE_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -45,7 +46,7 @@ from causalflow import (
     synthesize_stabilizer_form,
 )
 from causalflow import simulator
-from causalflow.pattern import _GROW
+from causalflow.pattern import _GROW, certify_strong
 from causalflow.simulator import (
     DeterminismVerdict,
     _classify_batch,
@@ -843,7 +844,9 @@ class TestBatchedClassifier:
     def test_chunked_run_matches_unchunked(self, monkeypatch):
         """A budget of two batch entries (with their scratch and the
         iteration-buffer reserve) splits 8 angle vectors into four passes
-        and leaves every verdict as it was."""
+        and leaves every verdict as it was.  The certificate is off, so the
+        strong pattern takes the dense route too."""
+        monkeypatch.setattr(simulator, "certify_strong", lambda p: False)
         g = path_state(4, [1], [4])
         fl = find_flow(g).flow
         strong = synthesize(g, fl, {1: 0.4, 2: 1.3, 3: 2.9})
@@ -1045,7 +1048,9 @@ class TestBatchedClassifier:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_angles_drawn_in_one_call_equal_scalar_draws(self, monkeypatch, seed):
-        """The samples reach the pass as the scalar-at-a-time draws would."""
+        """The samples reach the pass as the scalar-at-a-time draws would,
+        on a strong pattern with the certificate off."""
+        monkeypatch.setattr(simulator, "certify_strong", lambda p: False)
         g = path_state(8, [1], [8])
         p = synthesize(g, find_flow(g).flow, {q: 0.1 * q for q in g.measured})
         rows = []
@@ -1189,6 +1194,155 @@ class TestMergingPass:
             assert batches == ([] if tolerance == 3e-10 else [samples + 1])
 
 
+# Every STRIDE-th flow geometry of at most five vertices goes through the
+# certificate's soundness gate.
+STRIDE = 16
+
+
+def _correction_mutants(p: Pattern, rng: random.Random) -> list[Pattern]:
+    """``p``'s :func:`_mutants`, and ``p`` stripped of its corrections, with
+    one correction re-signalled on outcomes measured before it, and with
+    one correction duplicated."""
+    spots = [
+        k for k, c in enumerate(p.commands) if isinstance(c, (CorrectX, CorrectXPhase, CorrectZ))
+    ]
+    mutants = [p.without_corrections(), *_mutants(p, rng)]
+    if not spots:
+        return mutants
+    cmds = list(p.commands)
+    k = rng.choice(spots)
+    earlier = [c.qubit for c in cmds[:k] if isinstance(c, Measure)]
+    signals = frozenset(rng.sample(earlier, rng.randint(1, len(earlier))))
+    resignalled = cmds[:k] + [replace(cmds[k], signals=signals)] + cmds[k + 1 :]
+    k = rng.choice(spots)
+    duplicated = cmds[: k + 1] + cmds[k:]
+    return mutants + [Pattern(p.vertices, p.inputs, p.outputs, c) for c in (resignalled, duplicated)]
+
+
+class TestCertificate:
+    """certify_strong, the Pauli-frame certificate that classify_determinism
+    tries before any dense pass.  The dense route, with the certificate
+    off, is its oracle."""
+
+    def test_certified_patterns_are_strong_and_uniform(self, monkeypatch, flow_instances):
+        """Every STRIDE-th flow geometry of at most five vertices,
+        synthesized, with random preparation phases, in stabilizer form, and
+        X-dropped at zero and at mixed angles, each also stripped and with a
+        correction deleted, swapped between X and Z, re-signalled or
+        duplicated: every pattern the certificate certifies is strong and
+        uniform by the dense route."""
+        monkeypatch.setattr(simulator, "certify_strong", lambda p: False)
+        rng = random.Random(27)
+        arng = np.random.default_rng(27)
+        certified = declined = 0
+        for g, fl in flow_instances[::STRIDE]:
+            meas = random_angles(arng, g.measured)
+            mixed = {q: 0.0 if rng.random() < 0.5 else a for q, a in meas.items()}
+            bases = [
+                synthesize(g, fl, meas),
+                synthesize(g, fl, meas, random_angles(arng, g.prepared)),
+                synthesize_stabilizer_form(g, fl, meas),
+                drop_x_corrections(synthesize(g, fl, dict.fromkeys(g.measured, 0.0))),
+                drop_x_corrections(synthesize(g, fl, mixed)),
+            ]
+            for p in bases + [m for b in bases for m in _correction_mutants(b, rng)]:
+                if not check_runnable(p).ok:
+                    continue
+                if not certify_strong(p):
+                    declined += 1
+                    continue
+                certified += 1
+                verdict = classify_determinism(p, angle_samples=5, seed=certified)
+                assert verdict.is_strong and verdict.uniform, print_pattern(p)
+        assert certified > 3000 and declined > 7000
+
+    def test_every_synthesized_flow_pattern_is_certified(self, flow_instances):
+        """Every flow geometry of at most five vertices synthesizes to a
+        certified pattern, with and without preparation phases and in
+        stabilizer form."""
+        arng = np.random.default_rng(28)
+        for g, fl in flow_instances:
+            meas = random_angles(arng, g.measured)
+            assert certify_strong(synthesize(g, fl, meas))
+            assert certify_strong(synthesize(g, fl, meas, random_angles(arng, g.prepared)))
+            assert certify_strong(synthesize_stabilizer_form(g, fl, meas))
+
+    def test_certified_pattern_runs_no_pass(self, monkeypatch):
+        """A certified pattern's verdict draws no angle, builds no engine and
+        runs no pass, and keeps the call's samples, seed and tolerance; a
+        declined one runs the dense route."""
+        g = path_state(5, [1], [5])
+        arng = np.random.default_rng(5)
+        p = synthesize(
+            g, find_flow(g).flow, random_angles(arng, g.measured), random_angles(arng, g.prepared)
+        )
+
+        def dense(*args, **kwargs):
+            raise AssertionError("the dense route ran")
+
+        with monkeypatch.context() as m:
+            for name in ("_run_branches", "_TensorEngine"):
+                m.setattr(simulator, name, dense)
+            m.setattr(np.random, "default_rng", dense)
+            verdict = classify_determinism(p, angle_samples=20, seed=9, tolerance=1e-7)
+        assert verdict.to_json_dict() == {
+            "classification": "strongly-deterministic",
+            "uniform": True,
+            "witness": None,
+            "angle_samples": 20,
+            "seed": 9,
+            "tolerance": 1e-7,
+        }
+        passes = []
+
+        def counting(p, angles, tolerance=None):
+            passes.append(len(angles))
+            return _run_branches(p, angles, tolerance)
+
+        monkeypatch.setattr(simulator, "_run_branches", counting)
+        classify_determinism(p.without_corrections(), angle_samples=20)
+        assert passes == [21]
+
+    def test_declines_what_it_cannot_prove(self):
+        """A loop at pi/2, which is strong at that angle only; X-dropped and
+        stripped patterns; an XA whose angle is off its qubit's preparation
+        by more than the exact-angle rule's 1e-12; a plain X on a phased
+        qubit; and a pattern that is not runnable.  Within the rule, the XA
+        still matches."""
+        g = loop_geometry()
+        loop = synthesize(g, find_flow(g, loop_candidates=g.measured).flow, {2: math.pi / 2})
+        g = path_state(4, [1], [4])
+        fl = find_flow(g).flow
+        zero = synthesize(g, fl, dict.fromkeys(g.measured, 0.0))
+        phased = synthesize(g, fl, {1: 0.4, 2: 1.3, 3: 2.9}, {2: 0.5, 3: 1.1, 4: 2.0})
+        k = next(k for k, c in enumerate(phased.commands) if isinstance(c, CorrectXPhase))
+
+        def moved(delta: float) -> Pattern:
+            cmds = list(phased.commands)
+            cmds[k] = replace(cmds[k], angle=cmds[k].angle + delta)
+            return Pattern(phased.vertices, phased.inputs, phased.outputs, cmds)
+
+        plain_x = parse_pattern("V: 1 2\nI: 1\nO: 2\nN 2 0.5\nE 1 2\nM 1 0.3\nX 2 [1]\n")
+        unrunnable = parse_pattern("V: 1 2\nI: 1\nO: 2 5\nN 2 0.0\nE 1 2\nM 1 0.0\n")
+        declined = [loop, drop_x_corrections(zero), zero.without_corrections(), moved(1e-6), plain_x]
+        for p in declined:
+            assert certify_strong(p) is False, print_pattern(p)
+            verdict = classify_determinism(p)
+            assert not (verdict.is_strong and verdict.uniform), print_pattern(p)
+        assert certify_strong(unrunnable) is False
+        assert certify_strong(moved(1e-13)) is True
+
+    def test_exact_at_any_tolerance(self):
+        """The certificate is exact: a synthesized 1x2 path with a
+        preparation phase is strong at tolerance 1e-30, where the dense
+        route's rounding of the phases reads deterministic, not uniform."""
+        g = path_state(2, [1], [2])
+        p = synthesize(g, find_flow(g).flow, {1: 0.1}, {2: 0.3})
+        for tolerance in (1e-9, 1e-16, 1e-30):
+            verdict = classify_determinism(p, tolerance=tolerance)
+            assert verdict.is_strong and verdict.uniform
+
+
 def _path_pattern(n: int) -> Pattern:
     g = path_state(n, [1], [n])
     return synthesize(g, find_flow(g).flow, {q: 0.0 for q in g.measured})
@@ -1279,8 +1433,10 @@ class TestDenseBudget:
     def test_angle_draw_is_bounded_by_the_pass(self, monkeypatch):
         """With a budget of two entries per pass, a million angle samples on a
         pattern that is not deterministic stop in the first pass, having
-        drawn only that pass's rows.  On a strong pattern the rows drawn pass
-        by pass are those drawn one scalar at a time."""
+        drawn only that pass's rows.  On a strong pattern, with the
+        certificate off, the rows drawn pass by pass are those drawn one
+        scalar at a time."""
+        monkeypatch.setattr(simulator, "certify_strong", lambda p: False)
         strong = _path_pattern(4)
         stripped = strong.without_corrections()
         expected = classify_determinism(stripped, angle_samples=1)
