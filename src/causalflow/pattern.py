@@ -14,8 +14,9 @@ and kept with the pattern.
 :func:`certify_strong` decides strong, uniform determinism without numbers:
 one backward sweep pulls each outcome's Pauli operator back through the
 commands, as the proof of the source paper's Theorem 1 does.  The simulator's
-``classify_determinism`` asks it first and runs its dense pass only on the
-patterns it declines.
+``classify_determinism`` asks it first, so a certified pattern is strong at
+any size; it runs its dense pass, within the byte budget, only on the
+patterns the certificate declines.
 """
 
 from __future__ import annotations
@@ -174,9 +175,9 @@ EXACT_TOLERANCE = 1e-12
 # What one pass over a pattern's commands finds: the runnability violations
 # (see check_runnable), the measurements as (qubit, angle) in command order,
 # the most qubits live at once (inputs, plus preparations, minus
-# measurements so far), and the dense pass's plan: its prefix, steps and
-# width (see Pattern._walk).
-_Walk = namedtuple("_Walk", "violations measures live_peak prefix steps width")
+# measurements so far), and the dense pass's plan: its prefix and steps
+# (see Pattern._walk).
+_Walk = namedtuple("_Walk", "violations measures live_peak prefix steps")
 
 # Opcodes of the plan's steps, and each correction's.
 _GROW, _MEASURE, _X, _Z, _XA = range(5)
@@ -225,15 +226,12 @@ class Pattern:
         of the pattern's own order, and early gates act on the few qubits
         prepared so far.  The order is lowered to a prefix, the leading
         preparations and entanglers that the engine's constructor builds,
-        then steps ``(op, qubit, arg, signals, done)``: ``_GROW`` adds
-        ``arg``, a run of preparations and entanglers; ``_MEASURE`` is the
-        butterfly at column ``arg`` of the angle rows; ``_X``, ``_Z`` and
-        ``_XA`` are corrections, one engine call per signal (three for
-        ``_XA``, a flip between the phases ``arg.conjugate()`` and ``arg =
-        e^{i angle}``).  ``done`` lists the measured qubits whose last use
-        (their ``M``, or the last correction reading them) is the step, and
-        ``width`` is the most qubit axes a merging pass then holds.  The
-        lowering raises on no pattern, runnable or not.
+        then steps ``(op, qubit, arg, signals)``: ``_GROW`` adds ``arg``, a
+        run of preparations and entanglers; ``_MEASURE`` is the butterfly at
+        column ``arg`` of the angle rows; ``_X``, ``_Z`` and ``_XA`` are
+        corrections, one engine call per signal (three for ``_XA``, a flip
+        between the phases ``arg.conjugate()`` and ``arg = e^{i angle}``).
+        The lowering raises on no pattern, runnable or not.
         """
         declared = set(self.vertices)
         iset = set(self.inputs)
@@ -248,8 +246,6 @@ class Pattern:
         steps: list[tuple] = []
         run: list[Command] = []
         prefix = None
-        # by outcome, the step of its last reader
-        last_read: dict[int, int] = {}
         placed = bytearray(len(cmds))
         # the deferred preparations and entanglers, by qubit
         prep: dict[int, int] = {}
@@ -303,10 +299,9 @@ class Pattern:
                 if prefix is None:
                     prefix, run = run, []
                 elif run:
-                    steps.append((_GROW, None, run, (), ()))
+                    steps.append((_GROW, None, run, ()))
                     run = []
                 if kind is not Measure:
-                    last_read.update(dict.fromkeys(cmd.signals, len(steps)))
                     late = sorted(cmd.signals - measured)
                     if late:
                         violations.append(f"R0: command {idx} depends on unmeasured outcomes {late}")
@@ -321,15 +316,14 @@ class Pattern:
                 continue
             if kind is Measure:
                 live -= 1
-                last_read[q] = len(steps)
-                steps.append((_MEASURE, q, len(measures), (), ()))
+                steps.append((_MEASURE, q, len(measures), ()))
                 measures.append((q, cmd.angle))
                 if q in oset:
                     violations.append(f"R2: output qubit {q} measured")
                 measured.add(q)
             else:
                 arg = cmath.exp(1j * cmd.angle) if kind is CorrectXPhase else None
-                steps.append((_CORRECTION_STEPS[kind], q, arg, cmd.signals, ()))
+                steps.append((_CORRECTION_STEPS[kind], q, arg, cmd.signals))
         for q in sorted(declared - oset - measured):
             violations.append(f"R2: non-output qubit {q} never measured")
         for q in sorted(declared - available):
@@ -339,18 +333,8 @@ class Pattern:
         if prefix is None:
             prefix = run
         elif run:
-            steps.append((_GROW, None, run, (), ()))
-        for q, _ in measures:
-            op, target, arg, signals, done = steps[last_read[q]]
-            steps[last_read[q]] = (op, target, arg, signals, done + (q,))
-        width = len(iset) + sum(type(c) is Prepare for c in prefix)
-        plan_peak = width
-        for op, _, arg, _, done in steps:
-            if op == _GROW:
-                width += sum(type(c) is Prepare for c in arg)
-                plan_peak = max(plan_peak, width)
-            width -= len(done)
-        return _Walk(tuple(violations), tuple(measures), peak, prefix, steps, plan_peak)
+            steps.append((_GROW, None, run, ()))
+        return _Walk(tuple(violations), tuple(measures), peak, prefix, steps)
 
     @property
     def measurement_order(self) -> tuple[int, ...]:

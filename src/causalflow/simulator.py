@@ -19,16 +19,12 @@ signal's branch bit is 1.  Every dense simulation fits one byte budget,
 checked before anything is allocated: at most 23 qubits plus inputs per
 angle vector.  :func:`classify_determinism` first asks the pattern's
 Pauli-frame certificate (:func:`certify_strong`, pure Python): a pattern it
-certifies is strongly and uniformly deterministic with no pass at all.
-Every other pattern takes the dense route: each batch runs first as a
-merging pass, which drops each outcome's branch axis after its last use
-and bounds how far the dropped branches lie from the one it keeps; a batch
-whose bound reaches half the tolerance runs the full pass, whose entries
-are then classified one at a time.  :func:`enumerate_branches`,
-:func:`run_branch` and :func:`realized_embedding` never merge.  The same
-engine gives a geometry's :func:`realized_embedding` and the map of an
-extracted circuit (:func:`simulate_circuit`).  Verdicts do not depend on
-enumeration order.
+certifies is strongly and uniformly deterministic with no pass at all, at
+any size.  Every other pattern takes the dense route, within the budget:
+one full pass per batch of angle vectors, whose entries are then
+classified one at a time.  The same engine gives a geometry's
+:func:`realized_embedding` and the map of an extracted circuit
+(:func:`simulate_circuit`).  Verdicts do not depend on enumeration order.
 
 This is the package's only module that imports numpy; the package loads it
 on the first use of one of its names.
@@ -295,8 +291,7 @@ class _TensorEngine:
     preparation order, its 1/sqrt(2) deferred to :attr:`scale`.  A
     measurement keeps its qubit's axis as a branch index.  A qubit prepared
     later takes axis 1: :meth:`add_qubit` makes a new tensor for it, and
-    :meth:`grow` adds a run in place.  :meth:`merge` drops a branch axis,
-    and :meth:`widen` moves the tensor to a larger allocation.
+    :meth:`grow` adds a run in place.
 
     Every gate acts in place on the 0-half and the 1-half of one qubit's
     axis, restricted, when a control is given, to the slice where the
@@ -441,37 +436,6 @@ class _TensorEngine:
         ax = self.axis_of.pop(q)
         self.axis_of = {key: a - (a > ax) for key, a in self.axis_of.items()}
 
-    def merge(self, q: int, bound: np.ndarray, limit: float) -> bool:
-        """Add to ``bound``, per batch entry, the Frobenius norm of the
-        1-half of branch qubit ``q`` minus its 0-half, times :attr:`scale`.
-        If every entry's bound stays below ``limit``, keep the 0-half, moved
-        to the front of each row of the allocation so that :meth:`grow` still
-        applies, drop ``q``'s axis and return True; else change nothing more
-        and return False."""
-        zero = self._half(q, 0)
-        diff = (self._half(q, 1) - zero).view(float).reshape(self.batch, -1)
-        norms = np.einsum("ij,ij->i", diff, diff)
-        del diff  # before the copy below
-        bound += np.sqrt(norms, out=norms) * self.scale
-        if not bound.max() < limit:
-            return False
-        ax = self.axis_of.pop(q)
-        self.axis_of = {key: a - (a > ax) for key, a in self.axis_of.items()}
-        self.branch_order.remove(q)
-        self.t = self._rows[:, : zero[0].size].reshape(zero.shape)
-        # numpy copies an operand that overlaps its output first
-        self.t[...] = zero
-        return True
-
-    def widen(self, qubits: int) -> None:
-        """Move the tensor to the front of a new allocation with room for
-        ``qubits`` axes, checked against the budget first."""
-        n_in = self.t.ndim - 1 - len(self.axis_of)
-        _check_dense_bytes(self.batch, qubits, n_in)
-        self._rows = np.empty((self.batch, 1 << (qubits + n_in)), dtype=complex)
-        self._rows[:, : self.t[0].size] = self.t.reshape(self.batch, -1)
-        self.t = self._rows[:, : self.t[0].size].reshape(self.t.shape)
-
     def maps(self, b: int, outputs: Sequence[int]) -> np.ndarray:
         """Branch maps of batch entry ``b`` as (branches, output space, input
         space), a new array of one batch entry's size."""
@@ -503,10 +467,10 @@ _RECORD_BYTES = 320
 def _entry_bytes(n_qubits: int, n_inputs: int) -> tuple[int, int]:
     """Bytes of one batch entry, a complex tensor over every qubit and input
     axis, and those a running pass holds per entry beside it: half an entry
-    of kernel scratch, the entry's angles and factors (at most a float and
-    a complex per qubit) and three floats of the merging bound's."""
+    of kernel scratch and the entry's angles and factors (at most a float
+    and a complex per qubit)."""
     entry = np.dtype(complex).itemsize << (n_qubits + n_inputs)
-    return entry, entry // 2 + 24 * n_qubits + 24
+    return entry, entry // 2 + 24 * n_qubits
 
 
 def _pass_bytes(batch: int, n_qubits: int, n_inputs: int) -> int:
@@ -544,32 +508,20 @@ def _base_angles(p: Pattern) -> np.ndarray:
     return np.array([list(p.measure_angles().values())], dtype=float)
 
 
-def _run_branches(
-    p: Pattern, angles: np.ndarray, tolerance: float | None = None
-) -> _TensorEngine:
+def _run_branches(p: Pattern, angles: np.ndarray) -> _TensorEngine:
     """One dense pass over every branch, for each row of ``angles``: one
     batch entry per row, and column k holds the k-th measurement's angles.
     It runs the plan that the pattern's walk lowered (:attr:`Pattern._walk`):
-    its prefix, then its steps.
-
-    Given a ``tolerance``, the pass merges each step's ``done`` qubits
-    (:meth:`_TensorEngine.merge`; see :func:`classify_determinism`).  At the
-    first merge that takes a row's bound to ``tolerance / 2`` it goes on as
-    the full pass: from where it stands, widened to every qubit, if nothing
-    has merged yet, else afresh.  Both give the full pass's engine bit for
-    bit."""
+    its prefix, then its steps, in an allocation with room for every qubit,
+    and keeps every measured qubit's axis as a branch index."""
     walk = p._walk
-    merging = tolerance is not None
-    width = walk.width if merging else len(p.vertices)
     # before the engine allocates, so that its temporary never meets the tensor
     factors = np.exp(-1j * angles.T)
     # measured qubits in measurement order, then the outputs: the
     # constructor's axis order, which the branch maps read unmoved
     layout = (*p.measurement_order, *p.outputs)
-    eng = _TensorEngine(p.inputs, len(angles), width, walk.prefix, layout)
-    bound = np.zeros(len(angles))
-    merged = False
-    for op, q, arg, signals, done in walk.steps:
+    eng = _TensorEngine(p.inputs, len(angles), len(p.vertices), walk.prefix, layout)
+    for op, q, arg, signals in walk.steps:
         if op == _MEASURE:
             eng.butterfly(q, factors[arg])
             eng.branch_order.append(q)
@@ -586,18 +538,6 @@ def _run_branches(
                 eng.phase(q, arg, s)
         else:
             eng.grow(arg)
-        if merging and done:
-            for r in done:
-                if eng.merge(r, bound, tolerance / 2):
-                    merged = True
-                elif merged:
-                    del eng, factors, bound  # before the full pass allocates
-                    return _run_branches(p, angles)
-                else:
-                    merging = False
-                    if width < len(p.vertices):
-                        eng.widen(len(p.vertices))
-                    break
     return eng
 
 
@@ -837,28 +777,20 @@ def classify_determinism(
     measurement-angle vectors, in batched passes as large as the byte
     budget allows, each pass's drawn as it starts (the values of one draw).
 
-    The routes, in order.  After the arguments, the runnability check and
-    the byte budget's check of one batch entry, a pattern with no
-    measurement is strong and uniform.  Then the Pauli-frame certificate
-    (:func:`certify_strong`): a pattern it certifies has every branch map
-    equal at every angle, so it is strongly deterministic and uniform,
-    exactly and at any ``tolerance``, with no angle drawn and no pass run.
-    The certificate never proves the contrary, so every pattern it declines
-    takes the dense route below, which is also its oracle in the tests.
+    The routes, in order.  After the arguments and the runnability check,
+    a pattern with no measurement is strong and uniform.  Then the
+    Pauli-frame certificate (:func:`certify_strong`): a pattern it certifies
+    has every branch map equal at every angle, so it is strongly
+    deterministic and uniform, exactly and at any ``tolerance``, with no
+    angle drawn, no pass run and no byte budget to meet.  The certificate
+    never proves the contrary, so every pattern it declines takes the dense
+    route below, which is also its oracle in the tests.
 
-    Each batch runs first as a merging pass (:func:`_run_branches` with a
-    tolerance): after a measurement's last use it adds the distance delta
-    between the outcome's two halves to each entry's bound and keeps the
-    0-half.  Every later command is an isometry that acts alike on both
-    halves, so every final branch map lies within sum(delta) of the one
-    that survives; if every entry ends with 2 * sum(delta) below
-    ``tolerance``, every pair of maps is closer than ``tolerance``
-    entrywise: strongly deterministic, with no classifier.  At the first
-    merge that takes an entry to ``tolerance / 2`` the batch falls back to
-    the full pass; then its entries are classified one at a time
-    (:func:`_classify_entry`), and the first that is not deterministic ends
-    the run.  The verdict is that of the pattern's own angles, and the same
-    as the full pass would give every batch.
+    The dense route checks the byte budget for one batch entry, then runs
+    one full pass per batch (:func:`_run_branches`) and classifies the
+    batch's entries one at a time (:func:`_classify_entry`); the first that
+    is not deterministic ends the run.  The verdict is that of the
+    pattern's own angles.
 
     Raises
     ------
@@ -866,20 +798,20 @@ def classify_determinism(
         If ``tolerance`` is not finite and positive, or ``angle_samples``
         is negative.
     SimulationError
-        If one batch entry alone exceeds the dense tensor bound, whatever
-        the number of measurements.
+        If the certificate declines the pattern and one batch entry alone
+        exceeds the dense tensor bound, whatever the number of measurements.
     """
     _check_tolerance(tolerance)
     if angle_samples < 0:
         raise ValueError(f"angle_samples must be >= 0, got {angle_samples}")
     n = _runnable_or_raise(p)
-    _check_dense_bytes(1, len(p.vertices), len(p.inputs))
     if n == 0 or certify_strong(p):
         # one branch and no angle to vary, or branch maps that the Pauli-frame
         # certificate proves equal at every angle: no angles drawn, no pass
         return DeterminismVerdict(
             Classification.STRONGLY_DETERMINISTIC, True, None, angle_samples, seed, tolerance
         )
+    _check_dense_bytes(1, len(p.vertices), len(p.inputs))
     rng = np.random.default_rng(seed)
     chunk = _max_batch(len(p.vertices), len(p.inputs))
     verdict = None
@@ -889,12 +821,8 @@ def classify_determinism(
         angles = rng.uniform(0.0, 2.0 * math.pi, size=(rows - (start == 0), n))
         if start == 0:
             angles = np.concatenate([_base_angles(p), angles])
-        eng = _run_branches(p, angles, tolerance)
-        # a merging pass that stayed within its bound kept no branch axis
-        if eng.branch_order:
-            first, uniform = _classify_batch(eng, p.outputs, tolerance)
-        else:
-            first, uniform = (Classification.STRONGLY_DETERMINISTIC, None), True
+        eng = _run_branches(p, angles)
+        first, uniform = _classify_batch(eng, p.outputs, tolerance)
         del eng  # the batch's tensor, before the next pass allocates
         verdict = verdict or first
         if not uniform:

@@ -14,8 +14,9 @@ not objects, hold something other than a finite JSON number or key a qubit
 in another spelling than the plain integer, missing files, pattern text
 that does not parse (ids and angles spelled in ways ``int`` or ``float``
 would still read among it), a ``--y-measured`` item in such a spelling,
-the loop flags that ``flow --bidirectional`` does not take, patterns that
-are not runnable and a pattern over the dense byte budget.
+the loop flags that ``flow --bidirectional`` does not take and patterns that
+are not runnable; and a strong pattern over the dense byte budget, which the
+certificate decides.
 Usage errors that argparse reports itself are left to ``tests/test_cli.py``:
 their text belongs to the Python version.
 
@@ -161,7 +162,7 @@ def patterns() -> dict[str, str]:
             synthesize(loop, find_flow(loop, loop_candidates=loop.measured).flow, {2: 0.3})
         ),
         "long.pat": print_pattern(synthesize(long, find_flow(long).flow, {q: 0.0 for q in long.measured})),
-        # 24 qubits and an input: over the dense byte budget
+        # 24 qubits and an input: over the dense byte budget, and certified
         "huge.pat": print_pattern(synthesize(huge, find_flow(huge).flow, {q: 0.0 for q in huge.measured})),
         "early.pat": "V: 1 2\nI: 1\nO: 2\nN 2 0.0\nE 1 2\nZ 2 [1]\nM 1 0.0\nX 2 [1]\n",
         "self-entangler.pat": H_TEXT.replace("E 1 2\n", "E 1 2\nE 2 2\n"),

@@ -243,8 +243,8 @@ class TestOneWalk:
 
     def test_one_walk_across_restarts(self, monkeypatch):
         """classify_determinism walks a pattern once, across four batches
-        whose merging passes each restart as the full pass; a second
-        classification and enumerate_branches walk it no more."""
+        of one full pass each; a second classification and
+        enumerate_branches walk it no more."""
         g = path_state(8, [1], [8])
         arng = np.random.default_rng(8)
         flow = find_flow(g).flow
@@ -258,9 +258,9 @@ class TestOneWalk:
             walked.append(q)
             return func(q)
 
-        def counting(q, angles, tolerance=None):
-            passes.append(tolerance)
-            return _run_branches(q, angles, tolerance)
+        def counting(q, angles):
+            passes.append(len(angles))
+            return _run_branches(q, angles)
 
         budget = simulator._MAX_DENSE_BYTES
         two = simulator._pass_bytes(2, len(p.vertices), len(p.inputs))
@@ -269,8 +269,8 @@ class TestOneWalk:
         monkeypatch.setattr(simulator, "_run_branches", counting)
         verdict = classify_determinism(p, angle_samples=7, tolerance=OFF_TOLERANCE)
         assert verdict.is_strong and verdict.uniform
-        # each batch: a merging pass, then its restart as the full pass
-        assert passes == [OFF_TOLERANCE, None] * 4
+        # one pass per batch of two angle vectors
+        assert passes == [2] * 4
         classify_determinism(p, angle_samples=7, tolerance=OFF_TOLERANCE)
         monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", budget)
         enumerate_branches(p)
@@ -502,13 +502,11 @@ class TestGraphStateBuild:
         assert forms == {True, False}
 
     def test_cluster_grid_bitwise(self):
-        """The 3x4 grid at 21 angle rows, whose merging pass holds fewer
-        qubit axes than the grid has vertices."""
+        """The 3x4 grid at 21 angle rows."""
         g = cluster_grid(3, 4)
         p = synthesize(g, find_flow(g).flow, {q: 0.1 * q for q in g.measured})
         rows = np.random.default_rng(4).uniform(0.0, 2.0 * math.pi, size=(20, 9))
         angles = np.concatenate([_angle_rows(p, [p.measure_angles()]), rows])
-        assert p._walk.width < len(p.vertices)
         self._assert_bitwise(p, angles)
 
     def test_graph_after_measurements_matches_run_branch(self):
@@ -567,7 +565,7 @@ def _lazy_order(p: Pattern) -> list:
     ``p.commands`` (no gate moves)."""
     gates = (c for c in p.commands if not isinstance(c, (Prepare, Entangle)))
     order = list(p._walk.prefix)
-    for op, _, arg, _, _ in p._walk.steps:
+    for op, _, arg, _ in p._walk.steps:
         order += arg if op == _GROW else [next(gates)]
     return order
 
@@ -855,9 +853,9 @@ class TestBatchedClassifier:
 
         sizes = []
 
-        def counting(p, angles, tolerance=None):
+        def counting(p, angles):
             sizes.append(len(angles))
-            return _run_branches(p, angles, tolerance)
+            return _run_branches(p, angles)
 
         two = simulator._pass_bytes(2, len(g.vertices), len(g.inputs))
         monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", two)
@@ -900,11 +898,11 @@ class TestBatchedClassifier:
         return patterns
 
     def test_batched_and_per_entry_verdicts_agree(self, monkeypatch):
-        """Synthesized, stripped, X-dropped, mutated and loop patterns: the
-        merging pass with its per-entry fallback gives the verdict,
-        uniformity and witness of classifying every entry of one full pass
-        on its own, in one pass and with a budget of two entries per pass;
-        only a strong and uniform verdict skips the classifier."""
+        """Synthesized, stripped, X-dropped, mutated and loop patterns:
+        classify_determinism gives the verdict, uniformity and witness of
+        classifying every entry of one full pass on its own, in one pass and
+        with a budget of two entries per pass; only a strong and uniform
+        verdict, which the certificate gives, skips the classifier."""
         patterns = self._patterns()
         expected = [_per_entry_verdict(p, 20, seed=k) for k, p in enumerate(patterns)]
         classified = []
@@ -918,7 +916,7 @@ class TestBatchedClassifier:
         for k, (p, want) in enumerate(zip(patterns, expected)):
             classified.clear()
             _assert_same_verdict(classify_determinism(p, angle_samples=20, seed=k), want)
-            # the merging pass alone decides a strong and uniform verdict;
+            # the certificate alone decides a strong and uniform verdict;
             # every other reaches the classifier, which takes the 21 entries
             # in turn and stops at the first that is not deterministic
             strong_uniform = want[:2] == (Classification.STRONGLY_DETERMINISTIC, True)
@@ -1055,9 +1053,9 @@ class TestBatchedClassifier:
         p = synthesize(g, find_flow(g).flow, {q: 0.1 * q for q in g.measured})
         rows = []
 
-        def capture(p, angles, tolerance=None):
+        def capture(p, angles):
             rows.extend(angles.tolist())
-            return _run_branches(p, angles, tolerance)
+            return _run_branches(p, angles)
 
         monkeypatch.setattr(simulator, "_run_branches", capture)
         classify_determinism(p, angle_samples=20, seed=seed)
@@ -1085,9 +1083,9 @@ class TestBatchedClassifier:
 
 
 # Moving the first or second XA angle of a synthesized path or grid by
-# OFF_ANGLE puts its merging bound 2 sum delta at 1.4e-10 to 4e-10, while its
-# branch maps stay within 1e-11 of each other entrywise; OFF_TOLERANCE lies
-# between the two.
+# OFF_ANGLE takes it off the certificate, whose exact-angle rule allows
+# 1e-12, while its branch maps stay within 1e-11 of each other entrywise, so
+# within OFF_TOLERANCE.
 OFF_ANGLE = 1e-10
 OFF_TOLERANCE = 1e-10
 
@@ -1103,7 +1101,7 @@ def _off_strong(p: Pattern, k: int) -> Pattern:
 
 def _full_path_verdict(p: Pattern, angle_samples: int, seed: int, tolerance: float):
     """The verdict of the full pass and classifier on every angle row at
-    once, drawn in one call, with no merging pass."""
+    once, drawn in one call, with no certificate."""
     rng = np.random.default_rng(seed)
     samples = rng.uniform(0.0, 2.0 * math.pi, size=(angle_samples, p.n_measurements))
     angles = np.concatenate([_angle_rows(p, [p.measure_angles()]), samples])
@@ -1113,19 +1111,20 @@ def _full_path_verdict(p: Pattern, angle_samples: int, seed: int, tolerance: flo
 
 
 class TestMergingPass:
-    """classify_determinism first runs a merging pass, which drops each
-    measurement's branch axis after its last use and bounds how far the
-    branches it dropped can lie from the one it keeps."""
+    """No merging pass shortens the dense route: the certificate gives
+    every strong and uniform verdict it can prove, and every pattern it
+    declines runs one full pass per batch and the classifier."""
 
-    def test_merging_and_full_path_verdicts_agree(self):
+    def test_certificate_and_full_path_verdicts_agree(self):
         """Geometries of at most five vertices, synthesized, with random
         preparation angles (so with XA corrections), in stabilizer form,
         stripped, X-dropped and mutated, at 0 and 20 samples and tolerances
-        1e-9 and 1e-13: the verdict is the full path's, JSON for JSON."""
+        1e-9 and 1e-13: the verdict, by the certificate or by the dense
+        route, is the full path's, JSON for JSON."""
         rng = random.Random(97)
         arng = np.random.default_rng(97)
         seen = set()
-        merged = 0
+        strong = 0
         for g, fl in _flow_patterns(97, 60, max_vertices=5):
             meas = random_angles(arng, g.measured)
             p = synthesize(g, fl, meas)
@@ -1145,32 +1144,18 @@ class TestMergingPass:
                     want = _full_path_verdict(q, samples, seed, tolerance)
                     assert got.to_json_dict() == want.to_json_dict(), print_pattern(q)
                     seen.add(got.classification)
-                    merged += got.is_strong and got.uniform
+                    strong += got.is_strong and got.uniform
         assert seen == set(Classification)
-        assert merged > 500
-
-    @pytest.mark.parametrize("rows, cols", [(3, 4), (2, 6), (1, 13), (1, 11)])
-    def test_surviving_branch_is_the_all_zero_branch(self, rows, cols):
-        """The one branch a merging pass keeps is run_branch's all-zero one."""
-        g = cluster_grid(rows, cols)
-        arng = np.random.default_rng(rows * cols)
-        p = synthesize(g, find_flow(g).flow, random_angles(arng, g.measured))
-        eng = _run_branches(p, _angle_rows(p, [p.measure_angles()]), 1e-9)
-        assert eng.branch_order == []
-        np.testing.assert_allclose(
-            eng.maps(0, p.outputs)[0], run_branch(p, "0" * p.n_measurements), atol=1e-12
-        )
+        assert strong > 500
 
     @pytest.mark.parametrize("xa", [0, 1])
     def test_near_strong_pattern_falls_back_to_the_full_pass(self, monkeypatch, xa):
-        """A path one XA angle off strong: its branch maps stay within
-        OFF_TOLERANCE of each other, but its merging bound 2 sum delta (2e-10
-        off the first XA, 1.4e-10 off the second) does not.  At
-        OFF_TOLERANCE the merging pass gives up, at its first merge (the
-        first XA reads the first outcome) or after one (the second), and the
-        full pass and classifier find the pattern strong; at 3e-10 the
-        merging pass decides alone; at 1e-12 the full pass finds the maps
-        unequal.  Every verdict is the full path's."""
+        """A path one XA angle off strong: the certificate declines it, and
+        its branch maps stay within OFF_TOLERANCE of each other.  At
+        OFF_TOLERANCE and at 3e-10 the full pass and classifier find the
+        pattern strong; at 1e-12 they find the maps unequal.  Each case
+        runs one full pass, classified as one batch, and every verdict is
+        the full path's."""
         g = path_state(8, [1], [8])
         arng = np.random.default_rng(8)
         flow = find_flow(g).flow
@@ -1191,7 +1176,7 @@ class TestMergingPass:
             verdict = classify_determinism(p, samples, 0, tolerance)
             assert verdict.to_json_dict() == expected
             assert verdict.is_strong == (tolerance > 1e-12)
-            assert batches == ([] if tolerance == 3e-10 else [samples + 1])
+            assert batches == [samples + 1]
 
 
 # Every STRIDE-th flow geometry of at most five vertices goes through the
@@ -1295,9 +1280,9 @@ class TestCertificate:
         }
         passes = []
 
-        def counting(p, angles, tolerance=None):
+        def counting(p, angles):
             passes.append(len(angles))
-            return _run_branches(p, angles, tolerance)
+            return _run_branches(p, angles)
 
         monkeypatch.setattr(simulator, "_run_branches", counting)
         classify_determinism(p.without_corrections(), angle_samples=20)
@@ -1356,7 +1341,10 @@ def _complete_graph(n: int) -> OpenGraphState:
 # Each builder makes an input over the dense byte budget and returns the call
 # of one dense entry point on it.
 OVER_BUDGET = {
-    "classify_determinism": lambda: partial(classify_determinism, _path_pattern(30)),
+    # the certificate declines the stripped path, so the dense route meets it
+    "classify_determinism": lambda: partial(
+        classify_determinism, _path_pattern(30).without_corrections()
+    ),
     "enumerate_branches": lambda: partial(enumerate_branches, _path_pattern(30)),
     # 23 axes fit the pass at batch 1, but not beside 2^21 branch records
     "enumerate_branches-records": lambda: partial(enumerate_branches, _path_pattern(22)),
@@ -1386,6 +1374,19 @@ class TestDenseBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_certified_pattern_meets_no_budget(self):
+        """The strong 1x30 path, over the budget for any dense pass, gets its
+        verdict from the certificate, allocating no tensor."""
+        p = _path_pattern(30)
+        tracemalloc.start()
+        try:
+            verdict = classify_determinism(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.is_strong and verdict.uniform
         assert peak < 2**20
 
     def test_records_are_charged_before_the_pass(self, monkeypatch):
@@ -1454,9 +1455,9 @@ class TestDenseBudget:
         assert verdict.witness.to_json_dict() == expected.witness.to_json_dict()
         rows = []
 
-        def capture(p, angles, tolerance=None):
+        def capture(p, angles):
             rows.extend(angles.tolist())
-            return _run_branches(p, angles, tolerance)
+            return _run_branches(p, angles)
 
         monkeypatch.setattr(simulator, "_run_branches", capture)
         assert classify_determinism(strong, angle_samples=7, seed=3).is_strong
@@ -1505,12 +1506,8 @@ class TestDenseBudget:
 
     @pytest.mark.parametrize("rows, cols", [(3, 4), (2, 6), (1, 13)])
     def test_peak_within_budget_accounting(self, monkeypatch, rows, cols):
-        """The merging pass of a strong pattern holds at most the live
-        qubits plus unmerged branch axes that its plan counts, and its
-        call's peak fits what _pass_bytes charges at that width.
-
-        A pattern one XA angle off strong, at a tolerance below its merging
-        bound, falls back to the full pass and is strong all the same.
+        """A pattern one XA angle off strong, which the certificate
+        declines, runs the full pass and is strong all the same.
         _max_batch reserves, beyond a pass's batch tensor, the larger of
         half of it and three entries, and for the pass also numpy's
         iteration buffers.  The full pass's peak (the tensor, the kernel's
@@ -1520,20 +1517,7 @@ class TestDenseBudget:
         g = cluster_grid(rows, cols)
         flow = find_flow(g).flow
         meas = {q: 0.1 * q for q in g.measured}
-        p = synthesize(g, flow, meas)
         batch = 21
-        width = p._walk.width
-        assert width < len(p.vertices)
-        classify_determinism(p, angle_samples=batch - 1)
-        tracemalloc.start()
-        try:
-            verdict = classify_determinism(p, angle_samples=batch - 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert verdict.is_strong and verdict.uniform
-        assert peak <= simulator._pass_bytes(batch, width, len(p.inputs))
-
         arng = np.random.default_rng(rows * cols)
         p = _off_strong(synthesize(g, flow, meas, random_angles(arng, g.prepared)), 0)
         entry = np.dtype(complex).itemsize << (len(p.vertices) + len(p.inputs))
@@ -1586,11 +1570,10 @@ class TestDenseBudget:
     @pytest.mark.parametrize("batches", [1, 2])
     def test_filled_batches_peak_within_the_budget(self, monkeypatch, batches):
         """At an 8 MiB budget, classifying a tiny pattern over one or two
-        filled batches peaks within the budget: each entry's angles, factors
-        and bound are charged, the merge frees its difference before it
-        moves the kept half, and a batch's tensor goes before the next pass
-        allocates.  The 1x2, 1x3 and 2x2 patterns, strong, stripped and
-        X-dropped."""
+        filled batches peaks within the budget: each entry's angles and
+        factors are charged, and a batch's tensor goes before the next pass
+        allocates.  The 1x2, 1x3 and 2x2 patterns, stripped and X-dropped,
+        and strong, which the certificate decides with no pass."""
         budget = 8 * 2**20
         monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", budget)
         patterns = [parse_pattern("V: 1 2\nI: 1\nO: 2\nN 2 0.0\nE 1 2\nM 1 0.3\nX 2 [1]\n")]
