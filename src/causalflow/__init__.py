@@ -6,7 +6,8 @@ simulation, and extract an equivalent controlled-Z/phase/Hadamard circuit.
 
 Only :mod:`causalflow.simulator` imports numpy.  Every public name, and
 every module, is imported on first use, so importing the package loads
-none of them, and code that never simulates never loads numpy.
+none of them, and code that never simulates never loads numpy, nor does
+``classify_determinism`` on a pattern the Pauli-frame certificate proves strong.
 """
 
 import importlib
@@ -23,8 +24,8 @@ _NAMES = {
         synthesize synthesize_stabilizer_form""",
     "circuit_extract": """Circuit CZGate HadamardGate PhaseGate StarPattern
         Wire decompose_stars extract_circuit""",
-    "simulator": """BranchReport Classification DeterminismVerdict
-        IdentityReport Witness check_rewrite_identities classify_determinism
+    "verdict": "Classification DeterminismVerdict Witness classify_determinism",
+    "simulator": """BranchReport IdentityReport check_rewrite_identities
         enumerate_branches max_deviation_up_to_phase realized_embedding
         run_branch simulate_circuit""",
 }

@@ -8,9 +8,9 @@ definite negative (no flow, weaker verdict, failed check), 2 for input or
 usage errors.
 
 Each handler imports the modules it needs beyond the graph model and the
-flow search: ``flow`` loads no pattern module, and only ``verify``,
-``extract --check`` and ``identities`` load the simulator, and with it
-numpy.
+flow search: ``flow`` loads no pattern module, and only ``extract --check``,
+``identities`` and ``verify`` on a pattern the Pauli-frame certificate
+declines load the simulator, and with it numpy.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def _cmd_verify(args) -> int:
     if not check.ok:
         _emit({"runnable": False, "violations": list(check.violations)})
         return EXIT_INPUT_ERROR
-    from .simulator import classify_determinism
+    from .verdict import classify_determinism
 
     verdict = classify_determinism(
         pattern,

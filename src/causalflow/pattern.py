@@ -7,16 +7,16 @@ Each command kind has one row in a table of its text token and field
 names, from which printing, parsing and relabelling are derived.
 
 Patterns are immutable values and synthesis is a pure function.  What the
-runnability check, the measurement accessors and the simulator need to know
-about a pattern's commands comes from one walk over them, made on first use
-and kept with the pattern.
+runnability check, the measurement accessors and the certificate need to
+know about a pattern's commands comes from one walk over them, made on first
+use and kept with the pattern; the dense pass's plan, from a second.
 
 :func:`certify_strong` decides strong, uniform determinism without numbers:
 one backward sweep pulls each outcome's Pauli operator back through the
-commands, as the proof of the source paper's Theorem 1 does.  The simulator's
+commands, as the proof of the source paper's Theorem 1 does.
 ``classify_determinism`` asks it first, so a certified pattern is strong at
-any size; it runs its dense pass, within the byte budget, only on the
-patterns the certificate declines.
+any size, with no plan lowered and no numpy loaded; only the patterns the
+certificate declines take the simulator's dense pass, within the byte budget.
 """
 
 from __future__ import annotations
@@ -174,10 +174,10 @@ EXACT_TOLERANCE = 1e-12
 
 # What one pass over a pattern's commands finds: the runnability violations
 # (see check_runnable), the measurements as (qubit, angle) in command order,
-# the most qubits live at once (inputs, plus preparations, minus
-# measurements so far), and the dense pass's plan: its prefix and steps
-# (see Pattern._walk).
-_Walk = namedtuple("_Walk", "violations measures live_peak prefix steps")
+# and the most qubits live at once (inputs plus preparations less measurements).
+_Walk = namedtuple("_Walk", "violations measures live_peak")
+# The dense pass's plan: its prefix and steps (see Pattern._plan).
+_Plan = namedtuple("_Plan", "prefix steps")
 
 # Opcodes of the plan's steps, and each correction's.
 _GROW, _MEASURE, _X, _Z, _XA = range(5)
@@ -190,10 +190,10 @@ class Pattern:
 
     ``commands`` run left to right.  Input qubits hold arbitrary states
     from the start; every non-input must be prepared and every non-output
-    measured for the pattern to be runnable.  The runnability violations,
-    the measurements, the live-qubit peak and the dense pass's plan come
-    from one walk over the commands (:attr:`_walk`), made on first use and
-    cached: a pattern never changes, so neither does the result.
+    measured for the pattern to be runnable.  A pattern never changes, so
+    what its commands say is computed once, on first use, and cached: the
+    runnability violations, measurements and live-qubit peak (:attr:`_walk`)
+    and the dense pass's plan (:attr:`_plan`), which only a dense pass reads.
     """
 
     vertices: tuple[int, ...]
@@ -215,24 +215,8 @@ class Pattern:
 
     @cached_property
     def _walk(self) -> _Walk:
-        """The one pass over the commands, made on first use.  Besides the
-        violations, it lowers the commands to the dense pass's plan.
-
-        The plan runs the commands in a lazy order: each ``N`` just before
-        the first command on its qubit, each ``E`` just before the first
-        measurement or X/XA correction on either endpoint (it commutes with
-        ``Z`` and with other ``E``s), and those never needed at the end, in
-        their own order.  No command moves earlier, so the maps are those
-        of the pattern's own order, and early gates act on the few qubits
-        prepared so far.  The order is lowered to a prefix, the leading
-        preparations and entanglers that the engine's constructor builds,
-        then steps ``(op, qubit, arg, signals)``: ``_GROW`` adds ``arg``, a
-        run of preparations and entanglers; ``_MEASURE`` is the butterfly at
-        column ``arg`` of the angle rows; ``_X``, ``_Z`` and ``_XA`` are
-        corrections, one engine call per signal (three for ``_XA``, a flip
-        between the phases ``arg.conjugate()`` and ``arg = e^{i angle}``).
-        The lowering raises on no pattern, runnable or not.
-        """
+        """The one pass over the commands that every reader shares, made on
+        first use: the violations, the measurements and the live peak."""
         declared = set(self.vertices)
         iset = set(self.inputs)
         oset = set(self.outputs)
@@ -242,20 +226,7 @@ class Pattern:
         measured: set[int] = set()
         measures: list[tuple[int, float]] = []
         live = peak = len(iset)
-        cmds = self.commands
-        steps: list[tuple] = []
-        run: list[Command] = []
-        prefix = None
-        placed = bytearray(len(cmds))
-        # the deferred preparations and entanglers, by qubit
-        prep: dict[int, int] = {}
-        ents: dict[int, list[int]] = {}
-
-        def place(j: int) -> None:
-            placed[j] = 1
-            run.append(cmds[j])
-
-        for idx, cmd in enumerate(cmds):
+        for idx, cmd in enumerate(self.commands):
             kind = type(cmd)
             if kind is Entangle:
                 # the constructor orders the two ends
@@ -277,34 +248,14 @@ class Pattern:
                     violations.append(f"R1: qubit {q} prepared twice")
                 else:
                     available.add(q)
-                prep[q] = idx
                 continue
             if kind is Entangle:
                 if cmd.a == cmd.b:
                     violations.append(f"R1: command {idx} entangles qubit {cmd.a} with itself")
-                ents.setdefault(cmd.a, []).append(idx)
-                ents.setdefault(cmd.b, []).append(idx)
-            else:
-                # a gate: place the deferred commands it needs, then its step
-                placed[idx] = 1
-                if kind is not CorrectZ and q in ents:
-                    for e in ents.pop(q):
-                        if not placed[e]:
-                            for r in (cmds[e].a, cmds[e].b):
-                                if r in prep:
-                                    place(prep.pop(r))
-                            place(e)
-                if q in prep:
-                    place(prep.pop(q))
-                if prefix is None:
-                    prefix, run = run, []
-                elif run:
-                    steps.append((_GROW, None, run, ()))
-                    run = []
-                if kind is not Measure:
-                    late = sorted(cmd.signals - measured)
-                    if late:
-                        violations.append(f"R0: command {idx} depends on unmeasured outcomes {late}")
+            elif kind is not Measure:
+                late = sorted(cmd.signals - measured)
+                if late:
+                    violations.append(f"R0: command {idx} depends on unmeasured outcomes {late}")
             for t in targets:
                 if t not in declared:
                     continue
@@ -312,29 +263,91 @@ class Pattern:
                     violations.append(f"R1: command {idx} acts on measured qubit {t}")
                 elif t not in available:
                     violations.append(f"R1: command {idx} acts on unprepared qubit {t}")
-            if kind is Entangle:
-                continue
             if kind is Measure:
                 live -= 1
-                steps.append((_MEASURE, q, len(measures), ()))
                 measures.append((q, cmd.angle))
                 if q in oset:
                     violations.append(f"R2: output qubit {q} measured")
                 measured.add(q)
-            else:
-                arg = cmath.exp(1j * cmd.angle) if kind is CorrectXPhase else None
-                steps.append((_CORRECTION_STEPS[kind], q, arg, cmd.signals))
         for q in sorted(declared - oset - measured):
             violations.append(f"R2: non-output qubit {q} never measured")
         for q in sorted(declared - available):
             violations.append(f"R2: non-input qubit {q} never prepared")
+        return _Walk(tuple(violations), tuple(measures), peak)
+
+    @cached_property
+    def _plan(self) -> _Plan:
+        """The commands lowered to the dense pass's plan, made on the first
+        dense pass over the pattern.
+
+        The plan runs the commands in a lazy order: each ``N`` just before
+        the first command on its qubit, each ``E`` just before the first
+        measurement or X/XA correction on either endpoint (it commutes with
+        ``Z`` and with other ``E``s), and those never needed at the end, in
+        their own order.  No command moves earlier, so the maps are those
+        of the pattern's own order, and early gates act on the few qubits
+        prepared so far.  The order is lowered to a prefix, the leading
+        preparations and entanglers that the engine's constructor builds,
+        then steps ``(op, qubit, arg, signals)``: ``_GROW`` adds ``arg``, a
+        run of preparations and entanglers; ``_MEASURE`` is the butterfly at
+        column ``arg`` of the angle rows; ``_X``, ``_Z`` and ``_XA`` are
+        corrections, one engine call per signal (three for ``_XA``, a flip
+        between the phases ``arg.conjugate()`` and ``arg = e^{i angle}``).
+        The lowering raises on no pattern, runnable or not.
+        """
+        cmds = self.commands
+        steps: list[tuple] = []
+        run: list[Command] = []
+        prefix = None
+        measures = 0
+        placed = bytearray(len(cmds))
+        # the deferred preparations and entanglers, by qubit
+        prep: dict[int, int] = {}
+        ents: dict[int, list[int]] = {}
+
+        def place(j: int) -> None:
+            placed[j] = 1
+            run.append(cmds[j])
+
+        for idx, cmd in enumerate(cmds):
+            kind = type(cmd)
+            if kind is Prepare:
+                prep[cmd.qubit] = idx
+                continue
+            if kind is Entangle:
+                ents.setdefault(cmd.a, []).append(idx)
+                ents.setdefault(cmd.b, []).append(idx)
+                continue
+            # a gate: place the deferred commands it needs, then its step
+            q = cmd.qubit
+            placed[idx] = 1
+            if kind is not CorrectZ and q in ents:
+                for e in ents.pop(q):
+                    if not placed[e]:
+                        for r in (cmds[e].a, cmds[e].b):
+                            if r in prep:
+                                place(prep.pop(r))
+                        place(e)
+            if q in prep:
+                place(prep.pop(q))
+            if prefix is None:
+                prefix, run = run, []
+            elif run:
+                steps.append((_GROW, None, run, ()))
+                run = []
+            if kind is Measure:
+                steps.append((_MEASURE, q, measures, ()))
+                measures += 1
+            else:
+                arg = cmath.exp(1j * cmd.angle) if kind is CorrectXPhase else None
+                steps.append((_CORRECTION_STEPS[kind], q, arg, cmd.signals))
         # the leftovers, which no gate needs, in their own order
         run = [c for c, flag in zip(cmds, placed) if not flag]
         if prefix is None:
             prefix = run
         elif run:
             steps.append((_GROW, None, run, ()))
-        return _Walk(tuple(violations), tuple(measures), peak, prefix, steps)
+        return _Plan(prefix, steps)
 
     @property
     def measurement_order(self) -> tuple[int, ...]:
@@ -373,8 +386,8 @@ def check_runnable(p: Pattern) -> ValidationResult:
     inputs or outputs, or measured/prepared sets that do not match the
     declared outputs/inputs).  Undeclared inputs, then outputs, come first,
     ascending; then command order; then the never-measured and the
-    never-prepared qubits.  The walk, which also lowers the dense pass's
-    plan, runs once per pattern, so repeated checks cost nothing.
+    never-prepared qubits.  The walk runs once per pattern, so repeated
+    checks cost nothing.
     """
     return ValidationResult(p._walk.violations)
 

@@ -3,31 +3,29 @@
 The engine (:class:`_TensorEngine`) is a dense complex tensor over the live
 qubits.  Two routes are kept on purpose: :func:`run_branch` evaluates one
 outcome string column by column with 2x2 gate matrices (the simple
-reference), while :func:`enumerate_branches` and
-:func:`classify_determinism` run one tensor pass in which each measured
-qubit is rotated into its measurement basis and kept as a branch index, so
-every branch map falls out of one pass.  The two agree to rounding and are
+reference), while :func:`enumerate_branches` and the dense route of
+``classify_determinism`` run one tensor pass in which each measured qubit is
+rotated into its measurement basis and kept as a branch index, so every
+branch map falls out of one pass.  The two agree to rounding and are
 cross-checked in the test suite.
 
-A pass runs the plan that the pattern's one walk over its commands lowers
-(:attr:`Pattern._walk`): the commands as integer opcodes, in a lazy order
-that defers each preparation and entangler until a command needs it.  The
-walk is made once per pattern and kept with it.  A pass applies no
+A pass runs the pattern's plan (:attr:`Pattern._plan`, lowered on its first
+pass): the commands as integer opcodes, in a lazy order that defers each
+preparation and entangler until a command needs it.  A pass applies no
 matrices: every gate is an in-place phase, swap or butterfly on the halves
 of one axis, restricted for a dependent correction to the slice where its
 signal's branch bit is 1.  Every dense simulation fits one byte budget,
 checked before anything is allocated: at most 23 qubits plus inputs per
-angle vector.  :func:`classify_determinism` first asks the pattern's
-Pauli-frame certificate (:func:`certify_strong`, pure Python): a pattern it
-certifies is strongly and uniformly deterministic with no pass at all, at
-any size.  Every other pattern takes the dense route, within the budget:
-one full pass per batch of angle vectors, whose entries are then
-classified one at a time.  The same engine gives a geometry's
-:func:`realized_embedding` and the map of an extracted circuit
-(:func:`simulate_circuit`).  Verdicts do not depend on enumeration order.
+angle vector.  ``classify_determinism`` (:mod:`causalflow.verdict`) first
+asks the Pauli-frame certificate, in pure Python, and calls
+:func:`_classify_dense` only for a pattern it declines.  The same engine
+gives a geometry's :func:`realized_embedding` and the map of an extracted
+circuit (:func:`simulate_circuit`).  Verdicts do not depend on enumeration
+order.
 
-This is the package's only module that imports numpy; the package loads it
-on the first use of one of its names.
+This is the package's only module that imports numpy.  The package loads it
+on the first use of one of its names, and ``classify_determinism`` on the
+first pattern the certificate declines.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ import cmath
 import itertools
 import math
 from dataclasses import asdict, dataclass
-from enum import Enum
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -54,13 +51,13 @@ from .pattern import (
     PatternError,
     Prepare,
     SimulationError,
-    certify_strong,
     _check_angles,
     _MEASURE,
     _X,
     _XA,
     _Z,
 )
+from .verdict import Classification, DeterminismVerdict, Witness, _check_tolerance, _runnable_or_raise
 
 if TYPE_CHECKING:
     from .circuit_extract import Circuit
@@ -95,36 +92,6 @@ def measurement_bras(alpha: float) -> np.ndarray:
     return np.array([[1.0, e], [1.0, -e]], dtype=complex) * _SQRT2_INV
 
 
-class Classification(str, Enum):
-    """Determinism classes, weakest first; strong implies plain determinism."""
-
-    NOT_DETERMINISTIC = "not-deterministic"
-    DETERMINISTIC = "deterministic"
-    STRONGLY_DETERMINISTIC = "strongly-deterministic"
-
-    @property
-    def is_deterministic(self) -> bool:
-        return self is not Classification.NOT_DETERMINISTIC
-
-
-@dataclass(frozen=True, eq=False)
-class Witness:
-    """A branch pair and an input state on which their images are not parallel."""
-
-    branch_a: str
-    branch_b: str
-    input_state: np.ndarray
-    deviation: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "branch_a": self.branch_a,
-            "branch_b": self.branch_b,
-            "input_state": [[float(z.real), float(z.imag)] for z in self.input_state],
-            "deviation": float(self.deviation),
-        }
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class BranchReport:
     """One branch: its outcome string, linear map, and optional probability.
@@ -138,57 +105,6 @@ class BranchReport:
     outcomes: str
     branch_map: np.ndarray
     probability: float | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class DeterminismVerdict:
-    """Classification of a pattern's branch maps.
-
-    ``uniform`` records whether the sampled random measurement-angle
-    vectors (same geometry and corrections) all stayed deterministic, or,
-    for a pattern that :func:`certify_strong` certifies, that every angle
-    vector is strong; the sample count and seed are kept so verdicts are
-    reproducible.
-    """
-
-    classification: Classification
-    uniform: bool
-    witness: Witness | None = None
-    angle_samples: int = 0
-    seed: int = 0
-    tolerance: float = DEFAULT_TOLERANCE
-
-    @property
-    def is_deterministic(self) -> bool:
-        return self.classification.is_deterministic
-
-    @property
-    def is_strong(self) -> bool:
-        return self.classification is Classification.STRONGLY_DETERMINISTIC
-
-    def to_json_dict(self) -> dict:
-        return {
-            "classification": self.classification.value,
-            "uniform": self.uniform,
-            "witness": None if self.witness is None else self.witness.to_json_dict(),
-            "angle_samples": self.angle_samples,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-        }
-
-
-def _check_tolerance(tolerance: float) -> None:
-    """Every comparison with a nan tolerance is false, and a tolerance <= 0
-    fails exact equality, so both would give a wrong verdict."""
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
-
-
-def _runnable_or_raise(p: Pattern) -> int:
-    """Measurement count of ``p``, once its walk has found it runnable."""
-    if p._walk.violations:
-        raise PatternError("pattern is not runnable: " + "; ".join(p._walk.violations))
-    return p.n_measurements
 
 
 def run_branch(p: Pattern, outcomes: str) -> np.ndarray:
@@ -276,7 +192,7 @@ def run_branch(p: Pattern, outcomes: str) -> np.ndarray:
 
 class _TensorEngine:
     """Batched all-branches tensor engine: the one kernel under
-    :func:`enumerate_branches`, :func:`classify_determinism`,
+    :func:`enumerate_branches`, :func:`_classify_dense`,
     :func:`realized_embedding` and the circuit simulator.
 
     :attr:`t` is the tensor in memory order: axis 0 is the batch (one entry
@@ -511,17 +427,18 @@ def _base_angles(p: Pattern) -> np.ndarray:
 def _run_branches(p: Pattern, angles: np.ndarray) -> _TensorEngine:
     """One dense pass over every branch, for each row of ``angles``: one
     batch entry per row, and column k holds the k-th measurement's angles.
-    It runs the plan that the pattern's walk lowered (:attr:`Pattern._walk`):
-    its prefix, then its steps, in an allocation with room for every qubit,
-    and keeps every measured qubit's axis as a branch index."""
-    walk = p._walk
+    It runs the pattern's plan (:attr:`Pattern._plan`, lowered on the
+    pattern's first pass): its prefix, then its steps, in an allocation with
+    room for every qubit, and keeps every measured qubit's axis as a branch
+    index."""
+    plan = p._plan
     # before the engine allocates, so that its temporary never meets the tensor
     factors = np.exp(-1j * angles.T)
     # measured qubits in measurement order, then the outputs: the
     # constructor's axis order, which the branch maps read unmoved
     layout = (*p.measurement_order, *p.outputs)
-    eng = _TensorEngine(p.inputs, len(angles), len(p.vertices), walk.prefix, layout)
-    for op, q, arg, signals in walk.steps:
+    eng = _TensorEngine(p.inputs, len(angles), len(p.vertices), plan.prefix, layout)
+    for op, q, arg, signals in plan.steps:
         if op == _MEASURE:
             eng.butterfly(q, factors[arg])
             eng.branch_order.append(q)
@@ -762,55 +679,13 @@ def _classify_batch(
     return first, True
 
 
-def classify_determinism(
-    p: Pattern,
-    angle_samples: int = 20,
-    seed: int = 0,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> DeterminismVerdict:
-    """Classify the branch maps of a pattern.
-
-    Strongly deterministic means all branch maps are equal; deterministic
-    means every pair acts identically up to a scalar on each input (zero
-    maps count as proportional to everything).  ``uniform`` is decided by
-    re-running the classification on ``angle_samples`` uniformly random
-    measurement-angle vectors, in batched passes as large as the byte
-    budget allows, each pass's drawn as it starts (the values of one draw).
-
-    The routes, in order.  After the arguments and the runnability check,
-    a pattern with no measurement is strong and uniform.  Then the
-    Pauli-frame certificate (:func:`certify_strong`): a pattern it certifies
-    has every branch map equal at every angle, so it is strongly
-    deterministic and uniform, exactly and at any ``tolerance``, with no
-    angle drawn, no pass run and no byte budget to meet.  The certificate
-    never proves the contrary, so every pattern it declines takes the dense
-    route below, which is also its oracle in the tests.
-
-    The dense route checks the byte budget for one batch entry, then runs
-    one full pass per batch (:func:`_run_branches`) and classifies the
-    batch's entries one at a time (:func:`_classify_entry`); the first that
-    is not deterministic ends the run.  The verdict is that of the
-    pattern's own angles.
-
-    Raises
-    ------
-    ValueError
-        If ``tolerance`` is not finite and positive, or ``angle_samples``
-        is negative.
-    SimulationError
-        If the certificate declines the pattern and one batch entry alone
-        exceeds the dense tensor bound, whatever the number of measurements.
-    """
-    _check_tolerance(tolerance)
-    if angle_samples < 0:
-        raise ValueError(f"angle_samples must be >= 0, got {angle_samples}")
-    n = _runnable_or_raise(p)
-    if n == 0 or certify_strong(p):
-        # one branch and no angle to vary, or branch maps that the Pauli-frame
-        # certificate proves equal at every angle: no angles drawn, no pass
-        return DeterminismVerdict(
-            Classification.STRONGLY_DETERMINISTIC, True, None, angle_samples, seed, tolerance
-        )
+def _classify_dense(p: Pattern, angle_samples: int, seed: int, tolerance: float) -> DeterminismVerdict:
+    """The verdict of a runnable pattern with measurements that the
+    certificate declined: after the byte budget for one entry, one full pass
+    per batch as large as the budget allows (:func:`_run_branches`), whose
+    entries are classified in turn (:func:`_classify_entry`) until one is not
+    deterministic.  The verdict is that of the pattern's own angles, the
+    first entry; the samples follow, each pass's drawn as it starts."""
     _check_dense_bytes(1, len(p.vertices), len(p.inputs))
     rng = np.random.default_rng(seed)
     chunk = _max_batch(len(p.vertices), len(p.inputs))
@@ -818,7 +693,7 @@ def classify_determinism(
     for start in range(0, angle_samples + 1, chunk):
         # the base angles, then the samples, each pass's drawn as it starts
         rows = min(chunk, angle_samples + 1 - start)
-        angles = rng.uniform(0.0, 2.0 * math.pi, size=(rows - (start == 0), n))
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=(rows - (start == 0), p.n_measurements))
         if start == 0:
             angles = np.concatenate([_base_angles(p), angles])
         eng = _run_branches(p, angles)
@@ -828,9 +703,7 @@ def classify_determinism(
         if not uniform:
             break
     classification, witness = verdict
-    return DeterminismVerdict(
-        classification, uniform, witness, angle_samples, seed, tolerance
-    )
+    return DeterminismVerdict(classification, uniform, witness, angle_samples, seed, tolerance)
 
 
 def _bfs_rank(g: OpenGraphState) -> dict[int, int]:

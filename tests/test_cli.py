@@ -653,13 +653,14 @@ def _chorded_grid_without_flow(rows: int, cols: int, rng: random.Random) -> Open
             return g
 
 
-# Sizes no other test reaches: two flow geometries past 2048 measured
+# Sizes no other test reaches: three flow geometries past 2048 measured
 # qubits, a 20x50 grid and a chorded grid of 1100 vertices without flow.
 # Each size names the calls that meet the dense bound: the 20x50 grid's
 # realized map holds its 20 input axes beside the qubits in flight, so
 # ``extract --check`` is over the budget there.
 LADDER = {
     "path-1x2100": (lambda: path_state(2100, [1], [2100]), ()),
+    "path-1x3000": (lambda: path_state(3000, [1], [3000]), ()),
     "grid-4x600": (lambda: cluster_grid(4, 600), ()),
     "grid-20x50": (lambda: cluster_grid(20, 50), ("--check",)),
     "chorded-20x55": (lambda: _chorded_grid_without_flow(20, 55, random.Random(55)), ()),
@@ -729,8 +730,8 @@ def test_output_matches_golden_file(tmp_path, capsys):
 
 
 # Runs the CLI in a fresh interpreter and reports on stderr whether the
-# pattern module, numpy and circuit_extract got loaded; the package import loads no module of
-# the package, and neither it, dir() nor the CLI import loads numpy.
+# pattern module, numpy, the simulator and circuit_extract got loaded; the package import loads
+# no module of the package, and neither it, dir() nor the CLI import loads numpy.
 _NUMPY_PROBE = """
 import sys
 import causalflow
@@ -744,6 +745,7 @@ assert "numpy" not in sys.modules, "import causalflow.cli"
 code = main(sys.argv[1:])
 sys.stderr.write(f"pattern loaded: {'causalflow.pattern' in sys.modules}\\n")
 sys.stderr.write(f"numpy loaded: {'numpy' in sys.modules}\\n")
+sys.stderr.write(f"simulator loaded: {'causalflow.simulator' in sys.modules}\\n")
 sys.stderr.write(f"circuit_extract loaded: {'causalflow.circuit_extract' in sys.modules}\\n")
 sys.exit(code)
 """
@@ -757,16 +759,25 @@ sys.exit(code)
         (["synth", "GRAPH", "--angles", "ANGLES"], True, False, False),
         (["adjoint", "GRAPH", "--angles", "ANGLES"], True, False, False),
         (["extract", "GRAPH", "--angles", "ANGLES"], True, False, True),
-        (["verify", "PATTERN"], True, True, False),
+        (["verify", "PATTERN"], True, False, False),
+        (["verify", "STRIPPED"], True, True, False),
         (["identities"], True, True, False),
     ],
-    ids=["flow", "flow-bidirectional", "synth", "adjoint", "extract", "verify", "identities"],
+    ids=[
+        "flow", "flow-bidirectional", "synth", "adjoint", "extract", "verify",
+        "verify-declined", "identities",
+    ],
 )
 def test_only_simulating_commands_load_numpy(write, argv, loads_pattern, loads_numpy, loads_circuit):
+    """Only the commands that simulate load the simulator, and numpy with it:
+    ``verify`` on the certified Hadamard pattern loads neither, and on its
+    stripped pattern, which the certificate declines, loads both (and exits
+    1, not deterministic)."""
     files = {
         "GRAPH": graph_file(write, path_state(3, [1], [3])),
         "ANGLES": write("angles.json", {"1": 0.4, "2": 1.1}),
         "PATTERN": write("h.pat", H_TEXT),
+        "STRIPPED": write("stripped.pat", H_TEXT.replace("X 2 [1]\n", "")),
     }
     src = str(Path(causalflow.__file__).resolve().parent.parent)
     proc = subprocess.run(
@@ -776,9 +787,10 @@ def test_only_simulating_commands_load_numpy(write, argv, loads_pattern, loads_n
         env={**os.environ, "PYTHONPATH": src},
         timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-3:] == [
+    assert proc.returncode == (1 if "STRIPPED" in argv else 0), proc.stderr
+    assert proc.stderr.splitlines()[-4:] == [
         f"pattern loaded: {loads_pattern}",
         f"numpy loaded: {loads_numpy}",
+        f"simulator loaded: {loads_numpy}",
         f"circuit_extract loaded: {loads_circuit}",
     ]

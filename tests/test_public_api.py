@@ -19,7 +19,9 @@ def test_star_import():
 def test_names_are_the_defining_modules_own():
     import causalflow.pattern
     import causalflow.simulator
+    import causalflow.verdict
 
     assert causalflow.PatternError is causalflow.pattern.PatternError
-    assert causalflow.classify_determinism is causalflow.simulator.classify_determinism
+    assert causalflow.classify_determinism is causalflow.verdict.classify_determinism
+    assert causalflow.run_branch is causalflow.simulator.run_branch
     assert set(causalflow.__all__) <= set(dir(causalflow))

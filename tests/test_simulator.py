@@ -46,6 +46,7 @@ from causalflow import (
     synthesize_stabilizer_form,
 )
 from causalflow import simulator
+from causalflow import verdict as front
 from causalflow.pattern import _GROW, certify_strong
 from causalflow.simulator import (
     DeterminismVerdict,
@@ -218,45 +219,51 @@ def test_undeclared_output_rejected_before_any_pass(monkeypatch):
     assert passes == []
 
 
+def _count_cached(monkeypatch, name: str) -> list:
+    """The patterns whose cached ``Pattern.<name>`` is computed from now on,
+    in order."""
+    cached = Pattern.__dict__[name]
+    func = cached.func
+    log = []
+
+    def counting(p):
+        log.append(p)
+        return func(p)
+
+    monkeypatch.setattr(cached, "func", counting)
+    return log
+
+
 class TestOneWalk:
     def test_each_reader_shares_one_walk(self, monkeypatch):
         """synthesize's own check, check_runnable, classify_determinism,
         enumerate_branches and run_branch all read the one walk of the
-        pattern's commands that the first of them made."""
-        walked = []
-        walk = Pattern.__dict__["_walk"]
-        func = walk.func
-
-        def counting(p):
-            walked.append(p)
-            return func(p)
-
-        monkeypatch.setattr(walk, "func", counting)
+        pattern's commands that the first of them made.  The certified
+        classification lowers no plan; enumerate_branches lowers it once."""
+        walked = _count_cached(monkeypatch, "_walk")
+        planned = _count_cached(monkeypatch, "_plan")
         g = path_state(3, [1], [3])
         p = synthesize(g, find_flow(g).flow, {1: 2.11, 2: 0.37})
         assert len(walked) == 1 and walked[0] is p
         assert check_runnable(p).ok
         assert classify_determinism(p, angle_samples=5).is_strong
+        assert planned == []
         enumerate_branches(p, input_state=np.array([0.6, 0.8]))
         run_branch(p, "01")
+        enumerate_branches(p)
         assert len(walked) == 1
+        assert planned == [p]
 
     def test_one_walk_across_restarts(self, monkeypatch):
-        """classify_determinism walks a pattern once, across four batches
-        of one full pass each; a second classification and
-        enumerate_branches walk it no more."""
+        """classify_determinism walks a pattern and lowers its plan once,
+        across four batches of one full pass each; a second classification
+        and enumerate_branches walk it and lower it no more."""
         g = path_state(8, [1], [8])
         arng = np.random.default_rng(8)
         flow = find_flow(g).flow
         p = synthesize(g, flow, random_angles(arng, g.measured), random_angles(arng, g.prepared))
         p = _off_strong(p, 1)
-        walked, passes = [], []
-        walk = Pattern.__dict__["_walk"]
-        func = walk.func
-
-        def counting_walk(q):
-            walked.append(q)
-            return func(q)
+        passes = []
 
         def counting(q, angles):
             passes.append(len(angles))
@@ -265,7 +272,8 @@ class TestOneWalk:
         budget = simulator._MAX_DENSE_BYTES
         two = simulator._pass_bytes(2, len(p.vertices), len(p.inputs))
         monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", two)
-        monkeypatch.setattr(walk, "func", counting_walk)
+        walked = _count_cached(monkeypatch, "_walk")
+        planned = _count_cached(monkeypatch, "_plan")
         monkeypatch.setattr(simulator, "_run_branches", counting)
         verdict = classify_determinism(p, angle_samples=7, tolerance=OFF_TOLERANCE)
         assert verdict.is_strong and verdict.uniform
@@ -274,7 +282,7 @@ class TestOneWalk:
         classify_determinism(p, angle_samples=7, tolerance=OFF_TOLERANCE)
         monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", budget)
         enumerate_branches(p)
-        assert walked == [p]
+        assert walked == [p] and planned == [p]
 
 
 class TestClassification:
@@ -564,8 +572,8 @@ def _lazy_order(p: Pattern) -> list:
     _GROW step's run, and each other step's command, the next gate of
     ``p.commands`` (no gate moves)."""
     gates = (c for c in p.commands if not isinstance(c, (Prepare, Entangle)))
-    order = list(p._walk.prefix)
-    for op, _, arg, _ in p._walk.steps:
+    order = list(p._plan.prefix)
+    for op, _, arg, _ in p._plan.steps:
         order += arg if op == _GROW else [next(gates)]
     return order
 
@@ -844,7 +852,7 @@ class TestBatchedClassifier:
         iteration-buffer reserve) splits 8 angle vectors into four passes
         and leaves every verdict as it was.  The certificate is off, so the
         strong pattern takes the dense route too."""
-        monkeypatch.setattr(simulator, "certify_strong", lambda p: False)
+        monkeypatch.setattr(front, "certify_strong", lambda p: False)
         g = path_state(4, [1], [4])
         fl = find_flow(g).flow
         strong = synthesize(g, fl, {1: 0.4, 2: 1.3, 3: 2.9})
@@ -1048,7 +1056,7 @@ class TestBatchedClassifier:
     def test_angles_drawn_in_one_call_equal_scalar_draws(self, monkeypatch, seed):
         """The samples reach the pass as the scalar-at-a-time draws would,
         on a strong pattern with the certificate off."""
-        monkeypatch.setattr(simulator, "certify_strong", lambda p: False)
+        monkeypatch.setattr(front, "certify_strong", lambda p: False)
         g = path_state(8, [1], [8])
         p = synthesize(g, find_flow(g).flow, {q: 0.1 * q for q in g.measured})
         rows = []
@@ -1216,7 +1224,7 @@ class TestCertificate:
         correction deleted, swapped between X and Z, re-signalled or
         duplicated: every pattern the certificate certifies is strong and
         uniform by the dense route."""
-        monkeypatch.setattr(simulator, "certify_strong", lambda p: False)
+        monkeypatch.setattr(front, "certify_strong", lambda p: False)
         rng = random.Random(27)
         arng = np.random.default_rng(27)
         certified = declined = 0
@@ -1437,7 +1445,7 @@ class TestDenseBudget:
         drawn only that pass's rows.  On a strong pattern, with the
         certificate off, the rows drawn pass by pass are those drawn one
         scalar at a time."""
-        monkeypatch.setattr(simulator, "certify_strong", lambda p: False)
+        monkeypatch.setattr(front, "certify_strong", lambda p: False)
         strong = _path_pattern(4)
         stripped = strong.without_corrections()
         expected = classify_determinism(stripped, angle_samples=1)
@@ -1572,26 +1580,42 @@ class TestDenseBudget:
         """At an 8 MiB budget, classifying a tiny pattern over one or two
         filled batches peaks within the budget: each entry's angles and
         factors are charged, and a batch's tensor goes before the next pass
-        allocates.  The 1x2, 1x3 and 2x2 patterns, stripped and X-dropped,
-        and strong, which the certificate decides with no pass."""
+        allocates.  The 1x2, 1x3 and 2x2 patterns, strong, stripped and
+        X-dropped (the 2x2 grid's X corrections all go into outputs, so
+        dropping keeps them).  The certificate is off, so each strong
+        pattern runs one pass per batch; each other pattern's first batch
+        holds a sample that is not deterministic, which ends the run."""
         budget = 8 * 2**20
         monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", budget)
-        patterns = [parse_pattern("V: 1 2\nI: 1\nO: 2\nN 2 0.0\nE 1 2\nM 1 0.3\nX 2 [1]\n")]
+        monkeypatch.setattr(front, "certify_strong", lambda p: False)
+        passes = []
+
+        def counting(p, angles):
+            passes.append(len(angles))
+            return _run_branches(p, angles)
+
+        monkeypatch.setattr(simulator, "_run_branches", counting)
+        h = parse_pattern("V: 1 2\nI: 1\nO: 2\nN 2 0.0\nE 1 2\nM 1 0.3\nX 2 [1]\n")
+        patterns = [h]
         for g in (path_state(3, [1], [3]), cluster_grid(2, 2)):
             flow = find_flow(g).flow
             p = synthesize(g, flow, {q: 0.1 * q for q in g.measured})
             zero = synthesize(g, flow, {q: 0.0 for q in g.measured})
             patterns += [p, p.without_corrections(), drop_x_corrections(zero)]
-        classify_determinism(patterns[0], angle_samples=20)
+        assert [certify_strong(p) for p in patterns] == [True, True, False, False, True, False, True]
+        classify_determinism(h, angle_samples=20)
         for p in patterns:
-            rows = batches * _max_batch(len(p.vertices), len(p.inputs))
+            n_passes = batches if certify_strong(p) else 1
+            chunk = _max_batch(len(p.vertices), len(p.inputs))
+            passes.clear()
             tracemalloc.start()
             try:
-                classify_determinism(p, angle_samples=rows - 1)
+                classify_determinism(p, angle_samples=batches * chunk - 1)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak <= budget, print_pattern(p)
+            assert passes == [chunk] * n_passes, print_pattern(p)
 
 
 def test_fifteen_measurements_classify_within_the_budget():
