@@ -290,7 +290,7 @@ class Pattern:
         preparations and entanglers that the engine's constructor builds,
         then steps ``(op, qubit, arg, signals)``: ``_GROW`` adds ``arg``, a
         run of preparations and entanglers; ``_MEASURE`` is the butterfly at
-        column ``arg`` of the angle rows; ``_X``, ``_Z`` and ``_XA`` are
+        entry ``arg`` of the pass's angle vector; ``_X``, ``_Z`` and ``_XA`` are
         corrections, one engine call per signal (three for ``_XA``, a flip
         between the phases ``arg.conjugate()`` and ``arg = e^{i angle}``).
         The lowering raises on no pattern, runnable or not.

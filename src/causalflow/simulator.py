@@ -4,9 +4,10 @@ The engine (:class:`_TensorEngine`) is a dense complex tensor over the live
 qubits.  Two routes are kept on purpose: :func:`run_branch` evaluates one
 outcome string column by column with 2x2 gate matrices (the simple
 reference), while :func:`enumerate_branches` and the dense route of
-``classify_determinism`` run one tensor pass in which each measured qubit is
-rotated into its measurement basis and kept as a branch index, so every
-branch map falls out of one pass.  The two agree to rounding and are
+``classify_determinism`` run one tensor pass per angle vector, with no batch
+axis, in which each measured qubit is rotated into its measurement basis
+and kept as a branch index, so every branch map at that vector falls out of
+one pass.  The two agree to rounding and are
 cross-checked in the test suite.
 
 A pass runs the pattern's plan (:attr:`Pattern._plan`, lowered on its first
@@ -15,10 +16,11 @@ preparation and entangler until a command needs it.  A pass applies no
 matrices: every gate is an in-place phase, swap or butterfly on the halves
 of one axis, restricted for a dependent correction to the slice where its
 signal's branch bit is 1.  Every dense simulation fits one byte budget,
-checked before anything is allocated: at most 23 qubits plus inputs per
-angle vector.  ``classify_determinism`` (:mod:`causalflow.verdict`) first
-asks the Pauli-frame certificate, in pure Python, and calls
-:func:`_classify_dense` only for a pattern it declines.  The same engine
+checked before anything is allocated: at most 23 qubits plus inputs.
+``classify_determinism`` (:mod:`causalflow.verdict`) first asks the
+Pauli-frame certificate, in pure Python, and calls :func:`_classify_dense`
+only for a pattern it declines; that runs one pass per angle vector and
+stops at the first that is not deterministic.  The same engine
 gives a geometry's :func:`realized_embedding` and the map of an extracted
 circuit (:func:`simulate_circuit`).  Verdicts do not depend on enumeration
 order.
@@ -63,7 +65,7 @@ if TYPE_CHECKING:
     from .circuit_extract import Circuit
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
-# Each butterfly grows the engine's entries by up to sqrt(2) and shrinks its
+# Each butterfly grows the engine's amplitudes by up to sqrt(2) and shrinks its
 # deferred scale by as much; at this scale the two are multiplied together.
 _MIN_SCALE = 2.0**-500
 # The index of a whole axis.
@@ -131,7 +133,7 @@ def run_branch(p: Pattern, outcomes: str) -> np.ndarray:
         raise PatternError(
             f"outcome string {outcomes!r} does not match {len(order)} measurements"
         )
-    _check_dense_bytes(1, p._walk.live_peak, 0)
+    _check_dense_bytes(p._walk.live_peak, 0)
     outcome_of = {q: int(bit) for q, bit in zip(order, outcomes)}
     n_in = len(p.inputs)
     n_out = len(p.outputs)
@@ -191,23 +193,21 @@ def run_branch(p: Pattern, outcomes: str) -> np.ndarray:
 
 
 class _TensorEngine:
-    """Batched all-branches tensor engine: the one kernel under
-    :func:`enumerate_branches`, :func:`_classify_dense`,
+    """All-branches tensor engine, one angle vector per pass: the one kernel
+    under :func:`enumerate_branches`, :func:`_classify_dense`,
     :func:`realized_embedding` and the circuit simulator.
 
-    :attr:`t` is the tensor in memory order: axis 0 is the batch (one entry
-    per measurement-angle vector), then one axis per qubit, named by
+    :attr:`t` is the tensor in memory order: one axis per qubit, named by
     :attr:`axis_of`, then one domain axis per input, always the last axes.
-    The constructor checks the byte budget for ``batch`` entries over
-    ``qubits`` and the domain axes, allocates a zero row per entry with
-    room for them, and writes the graph state of ``prefix`` (preparations
-    and entanglers) into every entry's input diagonal, where each input's
-    qubit axis equals its domain axis, with its qubits in the order of
-    ``layout``.  Each plus state is (1, e^{i theta}), multiplied in
-    preparation order, its 1/sqrt(2) deferred to :attr:`scale`.  A
-    measurement keeps its qubit's axis as a branch index.  A qubit prepared
-    later takes axis 1: :meth:`add_qubit` makes a new tensor for it, and
-    :meth:`grow` adds a run in place.
+    The constructor checks the byte budget for ``qubits`` and the domain
+    axes, allocates a zero row with room for them, and writes the graph
+    state of ``prefix`` (preparations and entanglers) into the input
+    diagonal, where each input's qubit axis equals its domain axis, with
+    its qubits in the order of ``layout``.  Each plus state is (1,
+    e^{i theta}), multiplied in preparation order, its 1/sqrt(2) deferred
+    to :attr:`scale`.  A measurement keeps its qubit's axis as a branch
+    index.  A qubit prepared later takes axis 0: :meth:`add_qubit` makes a
+    new tensor for it, and :meth:`grow` adds a run in place.
 
     Every gate acts in place on the 0-half and the 1-half of one qubit's
     axis, restricted, when a control is given, to the slice where the
@@ -215,38 +215,36 @@ class _TensorEngine:
     1: :meth:`phase` multiplies the 1-half by a factor (Z, CZ, P(theta));
     :meth:`flip` swaps the halves (X, and between two phases the
     phase-conjugated X); :meth:`butterfly` maps them to (a + f b, a - f b)
-    /sqrt(2) with one factor f per entry (the Hadamard, and the measurement
-    at alpha with f = e^{-i alpha}).  Scratch is at most half the tensor.
-    The butterflies' 1/sqrt(2) collect in :attr:`scale` too, applied when
+    /sqrt(2) (the Hadamard at f = 1, and the measurement at alpha with
+    f = e^{-i alpha}).  Scratch is at most half the tensor.  The
+    butterflies' 1/sqrt(2) collect in :attr:`scale` too, applied when
     :meth:`maps` reads the result, or once ``scale`` falls below
-    :data:`_MIN_SCALE`, so entries and ``scale`` stay normal floats.
+    :data:`_MIN_SCALE`, so amplitudes and ``scale`` stay normal floats.
     """
 
     def __init__(
         self,
         inputs: Sequence[int],
-        batch: int,
         qubits: int,
         prefix: Sequence[Prepare | Entangle] = (),
         layout: Sequence[int] = (),
     ) -> None:
         n_in = len(inputs)
-        _check_dense_bytes(batch, qubits, n_in)
-        self.batch = batch
+        _check_dense_bytes(qubits, n_in)
         self.branch_order: list[int] = []
         self.scale = 1.0
         held = {q: k for k, q in enumerate(inputs)}
         graph = self._graph(held, prefix, n_in)
         order = [q for q in layout if q in held]
         order += [q for q in held if q not in order]
-        self.axis_of = {q: k for k, q in enumerate(order, 1)}
-        self._rows = np.zeros((batch, 1 << (qubits + n_in)), dtype=complex)
-        self.t = self._rows[:, : 1 << (len(order) + n_in)].reshape(
-            (batch,) + (2,) * (len(order) + n_in)
-        )
-        axes = [*range(len(order) + 1)]
-        # einsum's diagonal over repeated labels is a writable view of self.t
-        diagonal = np.einsum(self.t, axes + [self.axis_of[q] for q in inputs], axes)
+        self.axis_of = {q: k for k, q in enumerate(order)}
+        self._row = np.zeros(1 << (qubits + n_in), dtype=complex)
+        self.t = self._row[: 1 << (len(order) + n_in)].reshape((2,) * (len(order) + n_in))
+        # einsum's diagonal over repeated labels is a writable view of the
+        # tensor, an array even with no axis, thanks to a leading axis of 1
+        axes = [*range(1, len(order) + 1)]
+        domain = [self.axis_of[q] + 1 for q in inputs]
+        diagonal = np.einsum(self.t[None], [0, *axes, *domain], [0, *axes])
         diagonal[...] = graph.transpose([held[q] for q in order])
 
     def _graph(
@@ -275,39 +273,40 @@ class _TensorEngine:
 
     def grow(self, run: Sequence[Prepare | Entangle]) -> None:
         """Add a run of preparations and entanglers, in place.  The run's
-        qubits take axes 1 onwards, in preparation order, outermost in each
-        entry's row, so the tensor as it stands is their 0-half and one
-        outer product with the run's graph state writes the rest.  Then each
+        qubits take axes 0 onwards, in preparation order, outermost in the
+        row, so the tensor as it stands is their 0-half and one outer
+        product with the run's graph state writes the rest.  Then each
         entangler with an older qubit is applied.  The tensor must still be
         the constructor's allocation."""
         new: dict[int, int] = {}
         graph = self._graph(new, run, 0)
-        size = self.t[0].size
-        rows = self._rows[:, : size * graph.size]
-        out = rows[:, size:].reshape(self.batch, -1, size)
-        np.multiply(rows[:, np.newaxis, :size], graph.reshape(-1, 1)[1:], out=out)
-        self.t = rows.reshape((self.batch,) + graph.shape + self.t.shape[1:])
+        size = self.t.size
+        row = self._row[: size * graph.size]
+        np.multiply(row[:size], graph.reshape(-1, 1)[1:], out=row[size:].reshape(-1, size))
+        self.t = row.reshape(graph.shape + self.t.shape)
         self.axis_of = {q: a + len(new) for q, a in self.axis_of.items()}
-        self.axis_of.update((q, 1 + k) for q, k in new.items())
+        self.axis_of.update(new)
         for cmd in run:
             if type(cmd) is Entangle and not (cmd.a in new and cmd.b in new):
                 self.phase(cmd.b, -1.0, cmd.a)
 
     def add_qubit(self, q: int, state: np.ndarray) -> None:
-        """Prepare ``q`` in ``state`` on axis 1, in a new tensor."""
+        """Prepare ``q`` in ``state`` on axis 0, in a new tensor."""
         self.axis_of = {key: a + 1 for key, a in self.axis_of.items()}
-        self.axis_of[q] = 1
-        self.t = self.t[:, np.newaxis] * state.reshape((2,) + (1,) * (self.t.ndim - 1))
+        self.axis_of[q] = 0
+        self.t = state.reshape((2,) + (1,) * self.t.ndim) * self.t
 
     def _half(self, q: int, bit: int, control: int | None = None) -> np.ndarray:
+        """The ``bit``-half of ``q`` where ``control``, if given, reads 1: a
+        view, by the ``...``, even when it indexes every axis."""
         ax = self.axis_of[q]
         if control is None:
-            return self.t[(_ALL,) * ax + (bit,)]
+            return self.t[(_ALL,) * ax + (bit, ...)]
         c = self.axis_of[control]
         idx = [_ALL] * (max(ax, c) + 1)
         idx[ax] = bit
         idx[c] = 1
-        return self.t[tuple(idx)]
+        return self.t[(*idx, ...)]
 
     def phase(self, q: int, factor: complex, control: int | None = None) -> None:
         """Multiply the 1-half of ``q`` by ``factor``."""
@@ -322,16 +321,13 @@ class _TensorEngine:
         zero[...] = one
         one[...] = scratch
 
-    def butterfly(self, q: int, factors: np.ndarray | None = None) -> None:
+    def butterfly(self, q: int, factor: complex | None = None) -> None:
         """Map the halves (a, b) of ``q`` to (a + f b, a - f b)/sqrt(2), with
-        one factor f per batch entry (1 when omitted): :meth:`phase` by f
-        followed by the Hadamard, in one pass."""
+        f = ``factor`` (1 when omitted): :meth:`phase` by f followed by the
+        Hadamard, in one pass."""
         zero = self._half(q, 0)
         one = self._half(q, 1)
-        if factors is None:
-            scratch = one.copy()
-        else:
-            scratch = one * factors.reshape((-1,) + (1,) * (one.ndim - 1))
+        scratch = one.copy() if factor is None else one * factor
         np.subtract(zero, scratch, out=one)
         zero += scratch
         self._shrink_scale()
@@ -345,31 +341,28 @@ class _TensorEngine:
             self.scale = 1.0
 
     def contract_bra(self, q: int, alpha: float) -> None:
-        """Project ``q`` onto the outcome-0 bra of the measurement at ``alpha``."""
+        """Project ``q`` onto sqrt(2) times the outcome-0 bra of the
+        measurement at ``alpha``, (1, e^{-i alpha})."""
         self.phase(q, cmath.exp(-1j * alpha))
         self.t = np.add(self._half(q, 0), self._half(q, 1))
-        self._shrink_scale()
         ax = self.axis_of.pop(q)
         self.axis_of = {key: a - (a > ax) for key, a in self.axis_of.items()}
 
-    def maps(self, b: int, outputs: Sequence[int]) -> np.ndarray:
-        """Branch maps of batch entry ``b`` as (branches, output space, input
-        space), a new array of one batch entry's size."""
+    def maps(self, outputs: Sequence[int]) -> np.ndarray:
+        """Branch maps as (branches, output space, input space), a new array
+        of the tensor's size."""
         live = self.axis_of.keys() - set(self.branch_order)
         if live != set(outputs):
             raise SimulationError(f"live qubits {sorted(live)} differ from outputs")
-        perm = [self.axis_of[q] - 1 for q in self.branch_order]
-        perm += [self.axis_of[q] - 1 for q in outputs]
+        perm = [self.axis_of[q] for q in (*self.branch_order, *outputs)]
         # the domain axes, after every qubit's
-        perm += range(len(self.axis_of), self.t.ndim - 1)
-        entry = self.t[b].transpose(perm)
-        out = np.empty(entry.shape, dtype=complex)
-        np.multiply(entry, self.scale, out=out)
+        perm += range(len(self.axis_of), self.t.ndim)
+        out = np.multiply(self.t.transpose(perm), self.scale, order="C")
         return out.reshape(1 << len(self.branch_order), 1 << len(outputs), -1)
 
 
 # Bytes one dense pass may hold at once, checked before it allocates: every
-# tensor of up to 23 qubit and input axes fits at batch 1 (see _pass_bytes).
+# tensor of up to 23 qubit and input axes fits (see _pass_bytes).
 _MAX_DENSE_BYTES = 512 * 2**20
 # Three np.getbufsize() buffers of complex entries: the two that numpy's
 # ufunc iteration allocates for a strided operand, as the kernel's halves
@@ -380,65 +373,39 @@ _BUFFER_RESERVE = 3 * np.getbufsize() * np.dtype(complex).itemsize
 _RECORD_BYTES = 320
 
 
-def _entry_bytes(n_qubits: int, n_inputs: int) -> tuple[int, int]:
-    """Bytes of one batch entry, a complex tensor over every qubit and input
-    axis, and those a running pass holds per entry beside it: half an entry
-    of kernel scratch and the entry's angles and factors (at most a float
-    and a complex per qubit)."""
-    entry = np.dtype(complex).itemsize << (n_qubits + n_inputs)
-    return entry, entry // 2 + 24 * n_qubits
+def _pass_bytes(n_qubits: int, n_inputs: int) -> int:
+    """Bytes a dense pass over ``n_qubits`` and ``n_inputs`` is charged: its
+    tensor, a complex amplitude per basis state of those axes, plus the
+    larger of what it holds while it runs (half a tensor of kernel scratch,
+    a float and a complex of angle and factor per qubit, and
+    :data:`_BUFFER_RESERVE` for numpy's iteration buffers) and what the
+    classifier holds after it (three tensors, the witness's probes included:
+    see :func:`_classify_entry` and :func:`_pair_witness`)."""
+    tensor = np.dtype(complex).itemsize << (n_qubits + n_inputs)
+    return tensor + max(tensor // 2 + 24 * n_qubits + _BUFFER_RESERVE, 3 * tensor)
 
 
-def _pass_bytes(batch: int, n_qubits: int, n_inputs: int) -> int:
-    """Bytes a dense pass of ``batch`` entries is charged.
-
-    A pass holds the ``batch`` entries plus the larger of two charges: while
-    it runs, what it holds per entry beside it (:func:`_entry_bytes`) with
-    :data:`_BUFFER_RESERVE` for numpy's iteration buffers; after it, three
-    entries, the classifier's temporaries on one entry, the witness's
-    probes included (see :func:`_classify_entry` and :func:`_pair_witness`).
-    """
-    entry, held = _entry_bytes(n_qubits, n_inputs)
-    return batch * entry + max(batch * held + _BUFFER_RESERVE, 3 * entry)
-
-
-def _max_batch(n_qubits: int, n_inputs: int) -> int:
-    """Largest batch whose :func:`_pass_bytes` fit :data:`_MAX_DENSE_BYTES`;
-    0 if none."""
-    entry, held = _entry_bytes(n_qubits, n_inputs)
-    running = (_MAX_DENSE_BYTES - _BUFFER_RESERVE) // (entry + held)
-    return max(0, min(running, _MAX_DENSE_BYTES // entry - 3))
-
-
-def _check_dense_bytes(batch: int, n_qubits: int, n_inputs: int) -> None:
+def _check_dense_bytes(n_qubits: int, n_inputs: int) -> None:
     """Raise, before allocating, for a dense pass over the byte budget."""
-    if _pass_bytes(batch, n_qubits, n_inputs) > _MAX_DENSE_BYTES:
+    if _pass_bytes(n_qubits, n_inputs) > _MAX_DENSE_BYTES:
         raise SimulationError(
-            f"{n_qubits} qubits with {n_inputs} inputs at batch {batch} exceed "
+            f"{n_qubits} qubits with {n_inputs} inputs exceed "
             f"the dense tensor bound of {_MAX_DENSE_BYTES} bytes"
         )
 
 
-def _base_angles(p: Pattern) -> np.ndarray:
-    """The pattern's own measurement angles as one row, in measurement order."""
-    return np.array([list(p.measure_angles().values())], dtype=float)
-
-
-def _run_branches(p: Pattern, angles: np.ndarray) -> _TensorEngine:
-    """One dense pass over every branch, for each row of ``angles``: one
-    batch entry per row, and column k holds the k-th measurement's angles.
-    It runs the pattern's plan (:attr:`Pattern._plan`, lowered on the
-    pattern's first pass): its prefix, then its steps, in an allocation with
-    room for every qubit, and keeps every measured qubit's axis as a branch
-    index."""
-    plan = p._plan
-    # before the engine allocates, so that its temporary never meets the tensor
-    factors = np.exp(-1j * angles.T)
+def _run_branches(p: Pattern, angles: Sequence[float]) -> _TensorEngine:
+    """One dense pass over every branch at one angle vector, ``angles[k]``
+    the k-th measurement's angle.  It runs the pattern's plan
+    (:attr:`Pattern._plan`, lowered on the pattern's first pass): its
+    prefix, then its steps, in an allocation with room for every qubit, and
+    keeps every measured qubit's axis as a branch index."""
+    factors = np.exp(-1j * np.asarray(angles, dtype=float))
     # measured qubits in measurement order, then the outputs: the
     # constructor's axis order, which the branch maps read unmoved
     layout = (*p.measurement_order, *p.outputs)
-    eng = _TensorEngine(p.inputs, len(angles), len(p.vertices), plan.prefix, layout)
-    for op, q, arg, signals in plan.steps:
+    eng = _TensorEngine(p.inputs, len(p.vertices), p._plan.prefix, layout)
+    for op, q, arg, signals in p._plan.steps:
         if op == _MEASURE:
             eng.butterfly(q, factors[arg])
             eng.branch_order.append(q)
@@ -481,7 +448,7 @@ def enumerate_branches(
     ``input_state`` (a normalized vector over the input space) is given,
     each report also carries that branch's probability.  The 2^n records,
     :data:`_RECORD_BYTES` each beside the maps, are charged to the dense
-    byte budget on top of the pass at batch 1, before the pass.
+    byte budget on top of the pass, before the pass.
 
     Raises
     ------
@@ -501,12 +468,12 @@ def enumerate_branches(
         if input_state.shape != (dim,) or not np.isfinite(input_state).all():
             raise ValueError(f"input state must be a finite vector of length {dim}")
     records = _RECORD_BYTES << n
-    if _pass_bytes(1, len(p.vertices), len(p.inputs)) + records > _MAX_DENSE_BYTES:
+    if _pass_bytes(len(p.vertices), len(p.inputs)) + records > _MAX_DENSE_BYTES:
         raise SimulationError(
             f"{1 << n} branch records and their pass exceed the dense tensor "
             f"bound of {_MAX_DENSE_BYTES} bytes"
         )
-    maps = _run_branches(p, _base_angles(p)).maps(0, p.outputs)
+    maps = _run_branches(p, list(p.measure_angles().values())).maps(p.outputs)
     _check_trace_preserving(maps, tolerance)
     probabilities = [None] * len(maps)
     if input_state is not None:
@@ -536,7 +503,7 @@ def _probe_defects(images: np.ndarray, tolerance: float, scale: float) -> np.nda
 def _pair_witness(
     maps: np.ndarray, r: int, s: int, tolerance: float, scale: float
 ) -> tuple[float, np.ndarray] | None:
-    """Probe input states on branches ``r`` and ``s`` of one entry's maps;
+    """Probe input states on branches ``r`` and ``s`` of one pass's maps;
     return (defect, probe) for the worst failure, the first probe of largest
     defect up to rounding.
 
@@ -550,8 +517,8 @@ def _pair_witness(
     len(maps) // 16 rows k.  A row has fewer pairs than the input space has
     dimensions, d, and a pair's images, their temporaries and its indices
     take at most nine vectors of the output space, so a group takes under
-    9/16 of an entry.  With the d^2 defects, at most half an entry, and
-    ``maps``, that is within the three entries that :func:`_pass_bytes`
+    9/16 of the maps' size.  With the d^2 defects, at most half that size,
+    and ``maps``, that is within the three tensors that :func:`_pass_bytes`
     charges.
     """
     pair = maps[[r, s]]
@@ -603,8 +570,8 @@ def _outcome_label(branch: int, n_branches: int) -> str:
 def _classify_entry(
     maps: np.ndarray, tolerance: float
 ) -> tuple[Classification, Witness | None]:
-    """Verdict and witness of one batch entry's branch maps, (branches,
-    output space, input space).
+    """Verdict and witness of one pass's branch maps, (branches, output
+    space, input space).
 
     The reference is the first branch of largest norm, by
     :func:`_first_near_max`.  Strongly deterministic when every branch is
@@ -616,11 +583,11 @@ def _classify_entry(
     Hilbert-Schmidt overlap with the reference, one matrix-vector product,
     falls short of proportional is probed (:func:`_pair_witness`):
     deterministic, or not, with a witness.  Norms at most ``tolerance``
-    times the entry's largest modulus count as zero.  No quantity here
+    times the maps' largest modulus count as zero.  No quantity here
     depends on the order of the output basis.
     Temporaries are a work array of the size of ``maps``, freed before the
     probes, and moduli of half its size: with ``maps``, within the three
-    entries that :func:`_pass_bytes` charges beside the pass's tensor.
+    tensors that :func:`_pass_bytes` charges beside the pass's own.
     """
     n_branches = maps.shape[0]
     flat = maps.reshape(n_branches, -1)
@@ -660,50 +627,29 @@ def _classify_entry(
     return Classification.DETERMINISTIC, None
 
 
-def _classify_batch(
-    eng: _TensorEngine, outputs: Sequence[int], tolerance: float
-) -> tuple[tuple[Classification, Witness | None], bool]:
-    """Verdict of the engine's first batch entry, and whether every entry is
-    deterministic; classifies the entries in turn and stops at the first
-    that is not.  Each entry's maps are read with ``outputs`` in the order
-    of their axes, the cheapest read, since the verdict and witness of
-    :func:`_classify_entry` do not depend on the order of the output
-    basis."""
-    outputs = sorted(outputs, key=eng.axis_of.__getitem__)
-    first = None
-    for b in range(eng.batch):
-        verdict = _classify_entry(eng.maps(b, outputs), tolerance)
-        first = first or verdict
-        if not verdict[0].is_deterministic:
-            return first, False
-    return first, True
-
-
 def _classify_dense(p: Pattern, angle_samples: int, seed: int, tolerance: float) -> DeterminismVerdict:
     """The verdict of a runnable pattern with measurements that the
-    certificate declined: after the byte budget for one entry, one full pass
-    per batch as large as the budget allows (:func:`_run_branches`), whose
-    entries are classified in turn (:func:`_classify_entry`) until one is not
-    deterministic.  The verdict is that of the pattern's own angles, the
-    first entry; the samples follow, each pass's drawn as it starts."""
-    _check_dense_bytes(1, len(p.vertices), len(p.inputs))
+    certificate declined: one full pass (:func:`_run_branches`) per angle
+    vector, the pattern's own and then each sample as it is drawn, each
+    classified (:func:`_classify_entry`) until one is not deterministic; the
+    verdict is the first pass's.  The maps are read with the outputs in the
+    order of their axes, the cheapest read: nothing the classifier computes
+    depends on the order of the output basis."""
     rng = np.random.default_rng(seed)
-    chunk = _max_batch(len(p.vertices), len(p.inputs))
-    verdict = None
-    for start in range(0, angle_samples + 1, chunk):
-        # the base angles, then the samples, each pass's drawn as it starts
-        rows = min(chunk, angle_samples + 1 - start)
-        angles = rng.uniform(0.0, 2.0 * math.pi, size=(rows - (start == 0), p.n_measurements))
-        if start == 0:
-            angles = np.concatenate([_base_angles(p), angles])
+    angles = list(p.measure_angles().values())
+    first = None
+    for sample in range(angle_samples + 1):
+        if sample:
+            angles = rng.uniform(0.0, 2.0 * math.pi, size=p.n_measurements)
         eng = _run_branches(p, angles)
-        first, uniform = _classify_batch(eng, p.outputs, tolerance)
-        del eng  # the batch's tensor, before the next pass allocates
-        verdict = verdict or first
-        if not uniform:
+        maps = eng.maps(sorted(p.outputs, key=eng.axis_of.__getitem__))
+        del eng  # the pass's tensor, before the classifier's temporaries
+        verdict = _classify_entry(maps, tolerance)
+        first = first or verdict
+        if not verdict[0].is_deterministic:
             break
-    classification, witness = verdict
-    return DeterminismVerdict(classification, uniform, witness, angle_samples, seed, tolerance)
+    uniform = verdict[0].is_deterministic
+    return DeterminismVerdict(first[0], uniform, first[1], angle_samples, seed, tolerance)
 
 
 def _bfs_rank(g: OpenGraphState) -> dict[int, int]:
@@ -780,8 +726,8 @@ def realized_embedding(
                 live += 1
         peak = max(peak, live)
         live -= len(done)
-    _check_dense_bytes(1, peak, len(g.inputs))
-    eng = _TensorEngine(g.inputs, 1, len(g.inputs))
+    _check_dense_bytes(peak, len(g.inputs))
+    eng = _TensorEngine(g.inputs, len(g.inputs))
     for step, done in zip(steps, leaving):
         for q in step:
             if q not in eng.axis_of:
@@ -790,9 +736,7 @@ def realized_embedding(
             eng.phase(step[1], -1.0, step[0])
         for q in done:
             eng.contract_bra(q, meas_angles[q])
-            # the bra's 1/sqrt(2), cancelled as it is applied; scale was 1
-            eng.scale = 1.0
-    return eng.maps(0, g.outputs)[0]
+    return eng.maps(g.outputs)[0]
 
 
 def simulate_circuit(c: Circuit) -> np.ndarray:
@@ -808,8 +752,8 @@ def simulate_circuit(c: Circuit) -> np.ndarray:
     from .circuit_extract import CZGate, PhaseGate
 
     inputs = [w.id for w in c.wires if w.source == "input"]
-    _check_dense_bytes(1, len(c.wires), len(inputs))
-    eng = _TensorEngine(inputs, 1, len(inputs))
+    _check_dense_bytes(len(c.wires), len(inputs))
+    eng = _TensorEngine(inputs, len(inputs))
     for w in c.wires:
         if w.source == "plus":
             eng.add_qubit(w.id, plus_ket(0.0))
@@ -820,13 +764,16 @@ def simulate_circuit(c: Circuit) -> np.ndarray:
             eng.phase(gate.wire, cmath.exp(1j * gate.theta))
         else:
             eng.butterfly(gate.wire)
-    return eng.maps(0, c.outputs)[0]
+    return eng.maps(c.outputs)[0]
 
 
 def max_deviation_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
-    """Entrywise distance between ``a`` and the best phase-aligned ``b``."""
+    """Entrywise distance between ``a`` and the best phase-aligned ``b``;
+    ValueError unless the two have one shape."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        raise ValueError(f"shapes {a.shape} and {b.shape} differ")
     overlap = np.vdot(b, a)
     if abs(overlap) < 1e-30:
         return float(max(np.max(np.abs(a)), np.max(np.abs(b))))

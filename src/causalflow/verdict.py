@@ -90,6 +90,16 @@ def _check_tolerance(tolerance: float) -> None:
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
 
 
+def _check_count(name: str, value: int) -> int:
+    """``value`` as an int; TypeError unless it is an integer, ValueError if
+    it is negative."""
+    if not hasattr(value, "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return int(value)
+
+
 def _runnable_or_raise(p: Pattern) -> int:
     """Measurement count of ``p``, once its walk has found it runnable."""
     if p._walk.violations:
@@ -115,21 +125,24 @@ def classify_determinism(
     deterministic and uniform, exactly and at any ``tolerance``, with no
     angle drawn, no pass run, no byte budget to meet and no numpy loaded.
     The certificate never proves the contrary, so every pattern it declines
-    takes the simulator's dense route (``simulator._classify_dense``), which
-    is also its oracle in the tests.
+    takes the simulator's dense route (``simulator._classify_dense``), one
+    pass per angle vector, which is also its oracle in the tests.
 
     Raises
     ------
+    TypeError
+        If ``angle_samples`` or ``seed`` is not an integer.
     ValueError
         If ``tolerance`` is not finite and positive, or ``angle_samples``
-        is negative.
+        or ``seed`` is negative.
     SimulationError
-        If the certificate declines the pattern and one batch entry alone
-        exceeds the dense tensor bound, whatever the number of measurements.
+        If the certificate declines the pattern and its pass, at one angle
+        vector, exceeds the dense tensor bound, whatever the number of
+        measurements.
     """
     _check_tolerance(tolerance)
-    if angle_samples < 0:
-        raise ValueError(f"angle_samples must be >= 0, got {angle_samples}")
+    angle_samples = _check_count("angle_samples", angle_samples)
+    seed = _check_count("seed", seed)
     n = _runnable_or_raise(p)
     if n == 0 or certify_strong(p):
         # one branch and no angle to vary, or branch maps that the Pauli-frame

@@ -223,7 +223,7 @@ def _assert_dense_equals_run_branch(text: str) -> int:
     assert type(certified) is bool
     if not check_runnable(p).ok or p.n_measurements > 8 or len(p.vertices) + len(p.inputs) > 16:
         return 0
-    maps = simulator._run_branches(p, simulator._base_angles(p)).maps(0, p.outputs)
+    maps = simulator._run_branches(p, list(p.measure_angles().values())).maps(p.outputs)
     for s, m in enumerate(maps):
         label = simulator._outcome_label(s, len(maps))
         np.testing.assert_allclose(m, run_branch(p, label), atol=1e-12, err_msg=text)

@@ -24,6 +24,7 @@ from causalflow import (
     OpenGraphState,
     Pattern,
     PatternError,
+    PhaseGate,
     Prepare,
     SimulationError,
     Wire,
@@ -48,14 +49,7 @@ from causalflow import (
 from causalflow import simulator
 from causalflow import verdict as front
 from causalflow.pattern import _GROW, certify_strong
-from causalflow.simulator import (
-    DeterminismVerdict,
-    _classify_batch,
-    _classify_entry,
-    _max_batch,
-    _run_branches,
-    _TensorEngine,
-)
+from causalflow.simulator import DeterminismVerdict, _classify_entry, _run_branches, _TensorEngine
 from conftest import (
     CZ,
     HADAMARD,
@@ -84,6 +78,19 @@ def projector_pattern() -> Pattern:
 def hadamard_pattern() -> Pattern:
     g = hadamard_geometry()
     return synthesize(g, find_flow(g).flow, {1: 0.0})
+
+
+def _count_passes(monkeypatch) -> list:
+    """The angle vector of every dense pass from now on, in order, each as
+    a list of floats."""
+    passes = []
+
+    def counting(p, angles):
+        passes.append([float(a) for a in angles])
+        return _run_branches(p, angles)
+
+    monkeypatch.setattr(simulator, "_run_branches", counting)
+    return passes
 
 
 class TestRunBranch:
@@ -189,13 +196,7 @@ class TestEnumerateBranches:
     def test_bad_input_state_rejected_before_any_pass(self, monkeypatch, state):
         """A state of the wrong length or with a non-finite amplitude raises
         ValueError before the dense pass, also on a pattern over the budget."""
-        passes = []
-
-        def counting(p, angles):
-            passes.append(len(angles))
-            return _run_branches(p, angles)
-
-        monkeypatch.setattr(simulator, "_run_branches", counting)
+        passes = _count_passes(monkeypatch)
         with pytest.raises(ValueError, match="input state"):
             enumerate_branches(hadamard_pattern(), input_state=state)
         with pytest.raises(ValueError, match="input state"):
@@ -206,13 +207,7 @@ class TestEnumerateBranches:
 def test_undeclared_output_rejected_before_any_pass(monkeypatch):
     """An output outside the declared qubits is a runnability violation, so
     classify_determinism raises before it simulates anything."""
-    passes = []
-
-    def counting(p, angles):
-        passes.append(len(angles))
-        return _run_branches(p, angles)
-
-    monkeypatch.setattr(simulator, "_run_branches", counting)
+    passes = _count_passes(monkeypatch)
     p = parse_pattern("V: 1 2\nI: 1\nO: 2 5\nN 2 0.0\nE 1 2\nM 1 0.0\n")
     with pytest.raises(PatternError, match="output qubit 5 not declared"):
         classify_determinism(p)
@@ -256,31 +251,21 @@ class TestOneWalk:
 
     def test_one_walk_across_restarts(self, monkeypatch):
         """classify_determinism walks a pattern and lowers its plan once,
-        across four batches of one full pass each; a second classification
-        and enumerate_branches walk it and lower it no more."""
+        across its eight passes, one per angle vector; a second
+        classification and enumerate_branches walk it and lower it no
+        more."""
         g = path_state(8, [1], [8])
         arng = np.random.default_rng(8)
         flow = find_flow(g).flow
         p = synthesize(g, flow, random_angles(arng, g.measured), random_angles(arng, g.prepared))
         p = _off_strong(p, 1)
-        passes = []
-
-        def counting(q, angles):
-            passes.append(len(angles))
-            return _run_branches(q, angles)
-
-        budget = simulator._MAX_DENSE_BYTES
-        two = simulator._pass_bytes(2, len(p.vertices), len(p.inputs))
-        monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", two)
         walked = _count_cached(monkeypatch, "_walk")
         planned = _count_cached(monkeypatch, "_plan")
-        monkeypatch.setattr(simulator, "_run_branches", counting)
+        passes = _count_passes(monkeypatch)
         verdict = classify_determinism(p, angle_samples=7, tolerance=OFF_TOLERANCE)
         assert verdict.is_strong and verdict.uniform
-        # one pass per batch of two angle vectors
-        assert passes == [2] * 4
+        assert len(passes) == 8
         classify_determinism(p, angle_samples=7, tolerance=OFF_TOLERANCE)
-        monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", budget)
         enumerate_branches(p)
         assert walked == [p] and planned == [p]
 
@@ -361,40 +346,40 @@ def _mutants(p: Pattern, rng: random.Random) -> list[Pattern]:
     ]
 
 
-def _angle_rows(p: Pattern, angle_sets) -> np.ndarray:
-    """Angle vectors as ``_run_branches`` takes them: a row per vector,
-    a column per measurement in measurement order."""
-    return np.array([[angles[q] for q in p.measurement_order] for angles in angle_sets])
+def _angle_vector(p: Pattern, angles) -> list[float]:
+    """An angle vector as ``_run_branches`` takes it: ``angles`` of each
+    measurement, in measurement order."""
+    return [angles[q] for q in p.measurement_order]
 
 
 class TestBatchedEngine:
     def test_every_batch_entry_matches_run_branch(self):
-        """Distinct angle vectors in one pass; every batch entry's branch maps
-        equal run_branch on the pattern with that entry's angles.  Random
-        preparation angles turn X corrections into phase-conjugated ones.
-        The late-graph pattern puts a correction's control on a later axis
-        of the engine's tensor than its target."""
+        """Distinct angle vectors, one pass each over one pattern's plan;
+        each pass's branch maps equal run_branch on the pattern with that
+        pass's angles.  Random preparation angles turn X corrections into
+        phase-conjugated ones.  The late-graph pattern puts a correction's
+        control on a later axis of the engine's tensor than its target."""
         arng = np.random.default_rng(61)
-        batches = []
+        families = []
         for k, (g, fl) in enumerate(_flow_patterns(61, 14)):
             prep = random_angles(arng, g.prepared) if k % 2 else {q: 0.0 for q in g.prepared}
-            batches.append(
+            families.append(
                 [synthesize(g, fl, random_angles(arng, g.measured), prep) for _ in range(3)]
             )
-        batches.append([_late_graph_pattern(random_angles(arng, [2, 3, 4])) for _ in range(3)])
+        families.append([_late_graph_pattern(random_angles(arng, [2, 3, 4])) for _ in range(3)])
         control_first = set()
         kinds = set()
-        for batch in batches:
-            p = batch[0]
-            eng = _run_branches(p, _angle_rows(p, [q.measure_angles() for q in batch]))
-            for cmd in p.commands:
-                if isinstance(cmd, (CorrectX, CorrectXPhase, CorrectZ)):
-                    kinds.add(type(cmd))
-                    control_first.update(
-                        eng.axis_of[s] < eng.axis_of[cmd.qubit] for s in cmd.signals
-                    )
-            for b, q in enumerate(batch):
-                maps = eng.maps(b, p.outputs)
+        for family in families:
+            p = family[0]
+            for q in family:
+                eng = _run_branches(p, _angle_vector(p, q.measure_angles()))
+                for cmd in p.commands:
+                    if isinstance(cmd, (CorrectX, CorrectXPhase, CorrectZ)):
+                        kinds.add(type(cmd))
+                        control_first.update(
+                            eng.axis_of[s] < eng.axis_of[cmd.qubit] for s in cmd.signals
+                        )
+                maps = eng.maps(p.outputs)
                 n = p.n_measurements
                 for s in range(1 << n):
                     label = format(s, f"0{n}b")
@@ -434,16 +419,16 @@ def _late_graph_pattern(angles, preps=(0.3, 0.5, 1.2)) -> Pattern:
     )
 
 
-def _eager_pass(p: Pattern, angles: np.ndarray) -> _TensorEngine:
+def _eager_pass(p: Pattern, angles) -> _TensorEngine:
     """The reference pass, eager and in the pattern's own order, with the
     dense pass's arithmetic: the constructor builds the leading preparations
-    and entanglers, each later preparation is a new axis 1 holding
+    and entanglers, each later preparation is a new axis 0 holding
     (1, e^{i theta}) with its 1/sqrt(2) deferred to the scale, and every
     gate is one of the engine's kernels."""
     prefix = [*itertools.takewhile(lambda c: isinstance(c, (Prepare, Entangle)), p.commands)]
     layout = (*p.measurement_order, *p.outputs)
-    eng = _TensorEngine(p.inputs, len(angles), len(p.vertices), prefix, layout)
-    factors = iter(np.exp(-1j * angles.T))
+    eng = _TensorEngine(p.inputs, len(p.vertices), prefix, layout)
+    factors = iter(np.exp(-1j * np.asarray(angles, dtype=float)))
     for cmd in p.commands[len(prefix) :]:
         if isinstance(cmd, Prepare):
             eng.add_qubit(cmd.qubit, np.array([1.0, cmath.exp(1j * cmd.angle)]))
@@ -484,15 +469,14 @@ class TestGraphStateBuild:
     bit those of the eager reference pass; at any angles they equal
     run_branch's."""
 
-    def _assert_bitwise(self, p: Pattern, angles: np.ndarray) -> None:
-        eng, reference = _run_branches(p, angles), _eager_pass(p, angles)
-        maps = np.stack([eng.maps(b, p.outputs) for b in range(len(angles))])
-        expected = np.stack([reference.maps(b, p.outputs) for b in range(len(angles))])
-        assert np.array_equal(maps, expected), print_pattern(p)
+    def _assert_bitwise(self, p: Pattern, angle_vectors) -> None:
+        for angles in angle_vectors:
+            maps = _run_branches(p, angles).maps(p.outputs)
+            expected = _eager_pass(p, angles).maps(p.outputs)
+            assert np.array_equal(maps, expected), print_pattern(p)
 
     def _assert_run_branch(self, p: Pattern) -> None:
-        angles = _angle_rows(p, [p.measure_angles()])
-        maps = _run_branches(p, angles).maps(0, p.outputs)
+        maps = _run_branches(p, _angle_vector(p, p.measure_angles())).maps(p.outputs)
         for s in range(1 << p.n_measurements):
             label = format(s, f"0{p.n_measurements}b")
             np.testing.assert_allclose(maps[s], run_branch(p, label), atol=1e-12)
@@ -510,31 +494,30 @@ class TestGraphStateBuild:
         assert forms == {True, False}
 
     def test_cluster_grid_bitwise(self):
-        """The 3x4 grid at 21 angle rows."""
+        """The 3x4 grid at 21 angle vectors."""
         g = cluster_grid(3, 4)
         p = synthesize(g, find_flow(g).flow, {q: 0.1 * q for q in g.measured})
         rows = np.random.default_rng(4).uniform(0.0, 2.0 * math.pi, size=(20, 9))
-        angles = np.concatenate([_angle_rows(p, [p.measure_angles()]), rows])
-        self._assert_bitwise(p, angles)
+        self._assert_bitwise(p, [_angle_vector(p, p.measure_angles()), *rows])
 
     def test_graph_after_measurements_matches_run_branch(self):
         arng = np.random.default_rng(15)
-        batch = [_late_graph_pattern(random_angles(arng, [2, 3, 4])) for _ in range(4)]
-        p = batch[0]
+        variants = [_late_graph_pattern(random_angles(arng, [2, 3, 4])) for _ in range(4)]
+        p = variants[0]
         assert check_runnable(p).ok
-        eng = _run_branches(p, _angle_rows(p, [q.measure_angles() for q in batch]))
-        # the constructor lays out 2, 3, 1; qubits 4 and 5, prepared after
-        # measurements, each took axis 1; the two domain axes stay last
-        assert sorted(eng.axis_of, key=eng.axis_of.get) == [5, 4, 2, 3, 1]
-        assert sorted(eng.axis_of.values()) == [1, 2, 3, 4, 5]
-        assert eng.t.shape == (4,) + (2,) * 7
-        for b, q in enumerate(batch):
-            maps = eng.maps(b, p.outputs)
+        for q in variants:
+            eng = _run_branches(p, _angle_vector(p, q.measure_angles()))
+            # the constructor lays out 2, 3, 1; qubits 4 and 5, prepared after
+            # measurements, each took axis 0; the two domain axes stay last
+            assert sorted(eng.axis_of, key=eng.axis_of.get) == [5, 4, 2, 3, 1]
+            assert sorted(eng.axis_of.values()) == [0, 1, 2, 3, 4]
+            assert eng.t.shape == (2,) * 7
+            maps = eng.maps(p.outputs)
             for s in range(8):
                 label = format(s, "03b")
                 np.testing.assert_allclose(maps[s], run_branch(q, label), atol=1e-12)
         zero = _late_graph_pattern(p.measure_angles(), (0.0, 0.0, 0.0))
-        self._assert_bitwise(zero, _angle_rows(zero, [q.measure_angles() for q in batch]))
+        self._assert_bitwise(zero, [_angle_vector(zero, q.measure_angles()) for q in variants])
 
     def test_edited_patterns_match_run_branch(self):
         """Random preparation phases, corrections swapped X<->Z, dropped and
@@ -669,13 +652,12 @@ class TestCompile:
         assert origin[tail:] == sorted(origin[tail:])
 
 
-def _eye_product_build(inputs, batch: int, prefix, layout):
+def _eye_product_build(inputs, prefix, layout):
     """The reference graph-state build: the plus states, each (1, e^{i theta})
-    with its 1/sqrt(2) collected in a scale, multiplied over one entry's
-    inputs and prepared qubits in preparation order, transposed to the
-    layout, times the identity from each input's axis to its domain axis,
-    then copied across the batch.  Returns the tensor, the qubit order of
-    its axes and the scale."""
+    with its 1/sqrt(2) collected in a scale, multiplied over the inputs and
+    prepared qubits in preparation order, transposed to the layout, times
+    the identity from each input's axis to its domain axis.  Returns the
+    tensor, the qubit order of its axes and the scale."""
     n_in = len(inputs)
     held = list(inputs)
     graph = np.ones((2,) * n_in, dtype=complex)
@@ -694,33 +676,30 @@ def _eye_product_build(inputs, batch: int, prefix, layout):
     eye = np.eye(1 << n_in, dtype=complex).reshape((2,) * (2 * n_in))
     perm = [inputs.index(q) for q in layout if q in inputs] + [*range(n_in, 2 * n_in)]
     eye = eye.transpose(perm).reshape([2 if q in inputs else 1 for q in layout] + [2] * n_in)
-    t = np.empty((batch,) + (2,) * (len(layout) + n_in), dtype=complex)
-    np.multiply(graph, eye, out=t[:1])
-    t[1:] = t[:1]
-    return t, layout, scale
+    return graph * eye, layout, scale
 
 
 class TestInputDiagonalWrite:
-    """The engine writes the graph state into every entry's input diagonal
-    and zeros elsewhere; its tensor equals the eye-product build's (zeros of
-    either sign compare equal: the product gives some zeros a minus sign)."""
+    """The engine writes the graph state into its input diagonal and zeros
+    elsewhere; its tensor equals the eye-product build's (zeros of either
+    sign compare equal: the product gives some zeros a minus sign)."""
 
-    def _assert_equal(self, inputs, batch, prefix, layout) -> None:
+    def _assert_equal(self, inputs, prefix, layout) -> None:
         qubits = len(inputs) + sum(isinstance(c, Prepare) for c in prefix)
-        eng = _TensorEngine(inputs, batch, qubits, prefix, layout)
-        expected, order, scale = _eye_product_build(list(inputs), batch, prefix, layout)
+        eng = _TensorEngine(inputs, qubits, prefix, layout)
+        expected, order, scale = _eye_product_build(list(inputs), prefix, layout)
         # the qubit axes in layout order, then the domain axes
-        assert eng.axis_of == {q: k for k, q in enumerate(order, 1)}
+        assert eng.axis_of == {q: k for k, q in enumerate(order)}
         assert eng.t.shape == expected.shape
-        assert np.array_equal(eng.t, expected), (inputs, batch, layout)
+        assert np.array_equal(eng.t, expected), (inputs, layout)
         assert eng.scale == scale
 
     def test_empty_prefix_at_every_layout(self):
+        """From no input, a tensor with no axis, to four."""
         for n_in in range(5):
             inputs = [7, 2, 9, 4][:n_in]
             for layout in [(), *itertools.permutations(inputs)]:
-                for batch in (1, 21):
-                    self._assert_equal(inputs, batch, (), layout)
+                self._assert_equal(inputs, (), layout)
 
     def test_synthesized_prefixes_at_every_layout(self):
         """Five-vertex flow geometries with 0 to 4 inputs, and the two-qubit
@@ -744,39 +723,7 @@ class TestInputDiagonalWrite:
             ]
             assert any(isinstance(c, Entangle) for c in prefix)
             for layout in [(), *itertools.permutations(p.vertices)]:
-                for batch in (1, 21):
-                    self._assert_equal(p.inputs, batch, prefix, layout)
-
-
-def _per_entry_verdict(p: Pattern, angle_samples: int, seed: int):
-    """Classification, uniformity and witness from one pass over every angle
-    vector, drawn one scalar at a time, and one ``_classify_entry`` per entry.
-    The maps are read with the outputs in the order of their axes, as the
-    classifier reads them, so that its sums round alike."""
-    rng = np.random.default_rng(seed)
-    angle_sets = [p.measure_angles()] + [
-        {q: float(rng.uniform(0.0, 2.0 * math.pi)) for q in p.measurement_order}
-        for _ in range(angle_samples)
-    ]
-    eng = _run_branches(p, _angle_rows(p, angle_sets))
-    outputs = sorted(p.outputs, key=eng.axis_of.__getitem__)
-    verdicts = [_classify_entry(eng.maps(b, outputs), 1e-9) for b in range(eng.batch)]
-    classification, witness = verdicts[0]
-    return classification, all(c.is_deterministic for c, _ in verdicts), witness
-
-
-def _assert_same_verdict(verdict, expected) -> None:
-    classification, uniform, witness = expected
-    assert verdict.classification is classification
-    assert verdict.uniform == uniform
-    assert (verdict.witness is None) == (witness is None)
-    if witness is not None:
-        assert (verdict.witness.branch_a, verdict.witness.branch_b) == (
-            witness.branch_a,
-            witness.branch_b,
-        )
-        np.testing.assert_array_equal(verdict.witness.input_state, witness.input_state)
-        assert verdict.witness.deviation == witness.deviation
+                self._assert_equal(p.inputs, prefix, layout)
 
 
 def _reference_pair_witness(a: np.ndarray, b: np.ndarray, tolerance: float, scale: float):
@@ -805,9 +752,9 @@ def _reference_pair_witness(a: np.ndarray, b: np.ndarray, tolerance: float, scal
 class TestBatchedClassifier:
     def test_engine_and_run_branch_give_same_verdict_and_witness(self):
         """Strong, deterministic-only and non-deterministic samples from
-        synthesized, X-dropped and mutated patterns: classifying a batch
-        entry's maps gives the verdict and witness of classifying the maps
-        run_branch builds for that entry's angles, although the two routes
+        synthesized, X-dropped and mutated patterns: classifying a pass's
+        maps gives the verdict and witness of classifying the maps
+        run_branch builds for that pass's angles, although the two routes
         round differently and tied branch norms and probe defects abound."""
         rng = random.Random(67)
         arng = np.random.default_rng(67)
@@ -822,9 +769,8 @@ class TestBatchedClassifier:
             angle_sets = [p.measure_angles()] + [
                 random_angles(arng, p.measurement_order) for _ in range(3)
             ]
-            eng = _run_branches(p, _angle_rows(p, angle_sets))
             n = p.n_measurements
-            for b, angles in enumerate(angle_sets):
+            for angles in angle_sets:
                 q = Pattern(
                     p.vertices,
                     p.inputs,
@@ -833,7 +779,8 @@ class TestBatchedClassifier:
                 )
                 reference = np.array([run_branch(q, format(s, f"0{n}b")) for s in range(1 << n)])
                 expected = _classify_entry(reference, 1e-9)
-                got = _classify_entry(eng.maps(b, p.outputs), 1e-9)
+                maps = _run_branches(p, _angle_vector(p, angles)).maps(p.outputs)
+                got = _classify_entry(maps, 1e-9)
                 assert got[0] is expected[0]
                 if expected[1] is None:
                     assert got[1] is None
@@ -846,48 +793,6 @@ class TestBatchedClassifier:
                 seen.add(expected[0])
         assert seen == set(Classification)
         assert witnesses > 10
-
-    def test_chunked_run_matches_unchunked(self, monkeypatch):
-        """A budget of two batch entries (with their scratch and the
-        iteration-buffer reserve) splits 8 angle vectors into four passes
-        and leaves every verdict as it was.  The certificate is off, so the
-        strong pattern takes the dense route too."""
-        monkeypatch.setattr(front, "certify_strong", lambda p: False)
-        g = path_state(4, [1], [4])
-        fl = find_flow(g).flow
-        strong = synthesize(g, fl, {1: 0.4, 2: 1.3, 3: 2.9})
-        patterns = [strong, strong.without_corrections(), projector_pattern()]
-        unchunked = [classify_determinism(p, angle_samples=7, seed=4) for p in patterns]
-
-        sizes = []
-
-        def counting(p, angles):
-            sizes.append(len(angles))
-            return _run_branches(p, angles)
-
-        two = simulator._pass_bytes(2, len(g.vertices), len(g.inputs))
-        monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", two)
-        monkeypatch.setattr(simulator, "_run_branches", counting)
-        assert _max_batch(len(g.vertices), len(g.inputs)) == 2
-        chunked = [classify_determinism(p, angle_samples=7, seed=4) for p in patterns]
-        assert sizes[:4] == [2, 2, 2, 2]
-        for a, b in zip(unchunked, chunked):
-            assert a.classification is b.classification
-            assert a.uniform == b.uniform
-            assert (a.witness is None) == (b.witness is None)
-            if a.witness is not None:
-                assert (a.witness.branch_a, a.witness.branch_b) == (
-                    b.witness.branch_a,
-                    b.witness.branch_b,
-                )
-                np.testing.assert_allclose(a.witness.input_state, b.witness.input_state)
-                assert a.witness.deviation == pytest.approx(b.witness.deviation, abs=1e-12)
-        assert [v.classification for v in chunked] == [
-            Classification.STRONGLY_DETERMINISTIC,
-            Classification.NOT_DETERMINISTIC,
-            Classification.DETERMINISTIC,
-        ]
-        assert [v.uniform for v in chunked] == [True, False, False]
 
     def _patterns(self) -> list[Pattern]:
         rng = random.Random(71)
@@ -904,45 +809,6 @@ class TestBatchedClassifier:
             patterns.append(drop_x_corrections(synthesize(g, fl, {q: 0.0 for q in g.measured})))
             patterns += _mutants(p, rng)
         return patterns
-
-    def test_batched_and_per_entry_verdicts_agree(self, monkeypatch):
-        """Synthesized, stripped, X-dropped, mutated and loop patterns:
-        classify_determinism gives the verdict, uniformity and witness of
-        classifying every entry of one full pass on its own, in one pass and
-        with a budget of two entries per pass; only a strong and uniform
-        verdict, which the certificate gives, skips the classifier."""
-        patterns = self._patterns()
-        expected = [_per_entry_verdict(p, 20, seed=k) for k, p in enumerate(patterns)]
-        classified = []
-        classify_entry = simulator._classify_entry
-
-        def recording(maps, tolerance):
-            classified.append(len(maps))
-            return classify_entry(maps, tolerance)
-
-        monkeypatch.setattr(simulator, "_classify_entry", recording)
-        for k, (p, want) in enumerate(zip(patterns, expected)):
-            classified.clear()
-            _assert_same_verdict(classify_determinism(p, angle_samples=20, seed=k), want)
-            # the certificate alone decides a strong and uniform verdict;
-            # every other reaches the classifier, which takes the 21 entries
-            # in turn and stops at the first that is not deterministic
-            strong_uniform = want[:2] == (Classification.STRONGLY_DETERMINISTIC, True)
-            assert bool(classified) != strong_uniform
-            assert len(classified) == 21 if classified and want[1] else len(classified) <= 21
-        for k, (p, want) in enumerate(zip(patterns, expected)):
-            budget = simulator._pass_bytes(2, len(p.vertices), len(p.inputs))
-            monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", budget)
-            assert _max_batch(len(p.vertices), len(p.inputs)) == 2
-            _assert_same_verdict(classify_determinism(p, angle_samples=20, seed=k), want)
-        kinds = {(c, u, w is not None) for c, u, w in expected}
-        assert {
-            (Classification.STRONGLY_DETERMINISTIC, True, False),
-            (Classification.STRONGLY_DETERMINISTIC, False, False),
-            (Classification.DETERMINISTIC, True, False),
-            (Classification.DETERMINISTIC, False, False),
-            (Classification.NOT_DETERMINISTIC, False, True),
-        } <= kinds
 
     def test_strong_test_is_the_per_entry_rule(self):
         """Per entry, the reference is the first branch within 1e-12 of the
@@ -988,16 +854,15 @@ class TestBatchedClassifier:
         assert verdicts == [True, True, True, True, False, False]
 
     def test_verdict_does_not_depend_on_output_order(self):
-        """Permuting the output rows of an entry's maps leaves the
+        """Permuting the output rows of a pass's maps leaves the
         classification, the branch pair and the probe as they were, and the
         deviation within 1e-12 relative."""
         rng = np.random.default_rng(79)
         witnesses = 0
         for p in self._patterns():
-            angles = rng.uniform(0.0, 2.0 * math.pi, size=(2, p.n_measurements))
-            eng = _run_branches(p, np.concatenate([_angle_rows(p, [p.measure_angles()]), angles]))
-            for b in range(eng.batch):
-                maps = eng.maps(b, p.outputs)
+            samples = rng.uniform(0.0, 2.0 * math.pi, size=(2, p.n_measurements))
+            for angles in [_angle_vector(p, p.measure_angles()), *samples]:
+                maps = _run_branches(p, angles).maps(p.outputs)
                 perm = rng.permutation(maps.shape[1])
                 classification, witness = _classify_entry(maps, 1e-9)
                 permuted, moved = _classify_entry(maps[:, perm, :], 1e-9)
@@ -1054,18 +919,13 @@ class TestBatchedClassifier:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_angles_drawn_in_one_call_equal_scalar_draws(self, monkeypatch, seed):
-        """The samples reach the pass as the scalar-at-a-time draws would,
-        on a strong pattern with the certificate off."""
+        """The samples, each drawn in one call as its pass starts, reach the
+        passes as the scalar-at-a-time draws would, after the pattern's own
+        angles, on a strong pattern with the certificate off."""
         monkeypatch.setattr(front, "certify_strong", lambda p: False)
         g = path_state(8, [1], [8])
         p = synthesize(g, find_flow(g).flow, {q: 0.1 * q for q in g.measured})
-        rows = []
-
-        def capture(p, angles):
-            rows.extend(angles.tolist())
-            return _run_branches(p, angles)
-
-        monkeypatch.setattr(simulator, "_run_branches", capture)
+        rows = _count_passes(monkeypatch)
         classify_determinism(p, angle_samples=20, seed=seed)
         rng = np.random.default_rng(seed)
         scalar = [
@@ -1108,20 +968,25 @@ def _off_strong(p: Pattern, k: int) -> Pattern:
 
 
 def _full_path_verdict(p: Pattern, angle_samples: int, seed: int, tolerance: float):
-    """The verdict of the full pass and classifier on every angle row at
-    once, drawn in one call, with no certificate."""
+    """The verdict of the full pass and classifier at every angle vector,
+    the samples drawn in one call, with no certificate and no early stop:
+    the pattern's own angles give the verdict, and uniform means every
+    vector's maps are deterministic."""
     rng = np.random.default_rng(seed)
     samples = rng.uniform(0.0, 2.0 * math.pi, size=(angle_samples, p.n_measurements))
-    angles = np.concatenate([_angle_rows(p, [p.measure_angles()]), samples])
-    eng = _run_branches(p, angles)
-    (classification, witness), uniform = _classify_batch(eng, p.outputs, tolerance)
+    verdicts = []
+    for angles in [_angle_vector(p, p.measure_angles()), *samples]:
+        eng = _run_branches(p, angles)
+        outputs = sorted(p.outputs, key=eng.axis_of.__getitem__)
+        verdicts.append(_classify_entry(eng.maps(outputs), tolerance))
+    (classification, witness), uniform = verdicts[0], all(c.is_deterministic for c, _ in verdicts)
     return DeterminismVerdict(classification, uniform, witness, angle_samples, seed, tolerance)
 
 
 class TestMergingPass:
     """No merging pass shortens the dense route: the certificate gives
     every strong and uniform verdict it can prove, and every pattern it
-    declines runs one full pass per batch and the classifier."""
+    declines runs one full pass per angle vector and the classifier."""
 
     def test_certificate_and_full_path_verdicts_agree(self):
         """Geometries of at most five vertices, synthesized, with random
@@ -1162,8 +1027,8 @@ class TestMergingPass:
         its branch maps stay within OFF_TOLERANCE of each other.  At
         OFF_TOLERANCE and at 3e-10 the full pass and classifier find the
         pattern strong; at 1e-12 they find the maps unequal.  Each case
-        runs one full pass, classified as one batch, and every verdict is
-        the full path's."""
+        runs one full pass per angle vector, since every vector is
+        deterministic, and every verdict is the full path's."""
         g = path_state(8, [1], [8])
         arng = np.random.default_rng(8)
         flow = find_flow(g).flow
@@ -1171,20 +1036,13 @@ class TestMergingPass:
         p = _off_strong(p, xa)
         cases = [*itertools.product((0, 20), (OFF_TOLERANCE, 3e-10, 1e-12))]
         want = [_full_path_verdict(p, s, 0, t).to_json_dict() for s, t in cases]
-        batches = []
-        classify_batch = simulator._classify_batch
-
-        def counting(eng, outputs, tolerance):
-            batches.append(eng.batch)
-            return classify_batch(eng, outputs, tolerance)
-
-        monkeypatch.setattr(simulator, "_classify_batch", counting)
+        passes = _count_passes(monkeypatch)
         for (samples, tolerance), expected in zip(cases, want):
-            batches.clear()
+            passes.clear()
             verdict = classify_determinism(p, samples, 0, tolerance)
             assert verdict.to_json_dict() == expected
             assert verdict.is_strong == (tolerance > 1e-12)
-            assert batches == [samples + 1]
+            assert len(passes) == samples + 1
 
 
 # Every STRIDE-th flow geometry of at most five vertices goes through the
@@ -1286,15 +1144,10 @@ class TestCertificate:
             "seed": 9,
             "tolerance": 1e-7,
         }
-        passes = []
-
-        def counting(p, angles):
-            passes.append(len(angles))
-            return _run_branches(p, angles)
-
-        monkeypatch.setattr(simulator, "_run_branches", counting)
+        passes = _count_passes(monkeypatch)
         classify_determinism(p.without_corrections(), angle_samples=20)
-        assert passes == [21]
+        # the stripped path is not deterministic at its own angles
+        assert passes == [_angle_vector(p, p.measure_angles())]
 
     def test_declines_what_it_cannot_prove(self):
         """A loop at pi/2, which is strong at that angle only; X-dropped and
@@ -1354,7 +1207,7 @@ OVER_BUDGET = {
         classify_determinism, _path_pattern(30).without_corrections()
     ),
     "enumerate_branches": lambda: partial(enumerate_branches, _path_pattern(30)),
-    # 23 axes fit the pass at batch 1, but not beside 2^21 branch records
+    # 23 axes fit the pass, but not beside 2^21 branch records
     "enumerate_branches-records": lambda: partial(enumerate_branches, _path_pattern(22)),
     # every qubit is in flight at the first vertex's last entangler: 26
     # qubits and 1 input axis
@@ -1398,15 +1251,9 @@ class TestDenseBudget:
         assert peak < 2**20
 
     def test_records_are_charged_before_the_pass(self, monkeypatch):
-        """The 1x22 path's pass fits at batch 1, but not beside its 2^21
-        branch records: enumerate_branches raises before the pass."""
-        passes = []
-
-        def counting(p, angles):
-            passes.append(len(angles))
-            return _run_branches(p, angles)
-
-        monkeypatch.setattr(simulator, "_run_branches", counting)
+        """The 1x22 path's pass fits, but not beside its 2^21 branch
+        records: enumerate_branches raises before the pass."""
+        passes = _count_passes(monkeypatch)
         with pytest.raises(SimulationError, match="branch records .* dense tensor bound"):
             enumerate_branches(_path_pattern(22))
         assert passes == []
@@ -1415,7 +1262,7 @@ class TestDenseBudget:
         """The 1x14 path's 8192 branch records and its pass peak at or below
         what enumerate_branches charges them before the pass."""
         p = _path_pattern(14)
-        charge = simulator._pass_bytes(1, len(p.vertices), len(p.inputs))
+        charge = simulator._pass_bytes(len(p.vertices), len(p.inputs))
         charge += simulator._RECORD_BYTES << p.n_measurements
         enumerate_branches(p)
         tracemalloc.start()
@@ -1440,17 +1287,11 @@ class TestDenseBudget:
         np.testing.assert_allclose(branch * 2.0 ** (29 / 2), HADAMARD, atol=1e-12)
 
     def test_angle_draw_is_bounded_by_the_pass(self, monkeypatch):
-        """With a budget of two entries per pass, a million angle samples on a
-        pattern that is not deterministic stop in the first pass, having
-        drawn only that pass's rows.  On a strong pattern, with the
-        certificate off, the rows drawn pass by pass are those drawn one
-        scalar at a time."""
-        monkeypatch.setattr(front, "certify_strong", lambda p: False)
-        strong = _path_pattern(4)
-        stripped = strong.without_corrections()
-        expected = classify_determinism(stripped, angle_samples=1)
-        two = simulator._pass_bytes(2, len(strong.vertices), len(strong.inputs))
-        monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", two)
+        """A million angle samples on a pattern that is not deterministic at
+        its own angles run one pass and draw no sample, within a 1 MiB
+        peak."""
+        stripped = _path_pattern(4).without_corrections()
+        passes = _count_passes(monkeypatch)
         tracemalloc.start()
         try:
             verdict = classify_determinism(stripped, angle_samples=10**6)
@@ -1460,28 +1301,39 @@ class TestDenseBudget:
         assert peak < 2**20
         assert verdict.classification is Classification.NOT_DETERMINISTIC
         assert not verdict.uniform
-        assert verdict.witness.to_json_dict() == expected.witness.to_json_dict()
-        rows = []
+        assert passes == [_angle_vector(stripped, stripped.measure_angles())]
 
-        def capture(p, angles):
-            rows.extend(angles.tolist())
-            return _run_branches(p, angles)
-
-        monkeypatch.setattr(simulator, "_run_branches", capture)
-        assert classify_determinism(strong, angle_samples=7, seed=3).is_strong
-        rng = np.random.default_rng(3)
-        scalar = [
-            [float(rng.uniform(0.0, 2.0 * math.pi)) for _ in strong.measurement_order]
-            for _ in range(7)
-        ]
-        assert rows == [list(strong.measure_angles().values())] + scalar
+    def test_first_sample_that_is_not_deterministic_ends_the_run(self, monkeypatch):
+        """At 20 samples, a declined pattern runs one pass per angle vector
+        up to the first whose maps are not deterministic, and no more: one
+        pass for the stripped path, which fails at its own angles; for the
+        X-dropped path and the projector pattern, deterministic at their own
+        angles, passes up to their first sample that is not."""
+        g = path_state(4, [1], [4])
+        fl = find_flow(g).flow
+        stripped = synthesize(g, fl, {1: 0.4, 2: 1.3, 3: 2.9}).without_corrections()
+        dropped = drop_x_corrections(synthesize(g, fl, {1: 0.0, 2: 0.0, 3: 0.0}))
+        passes = _count_passes(monkeypatch)
+        counts = []
+        for p in (stripped, dropped, projector_pattern()):
+            passes.clear()
+            verdict = classify_determinism(p, angle_samples=20, seed=1)
+            assert not verdict.uniform
+            deterministic = [
+                _classify_entry(_run_branches(p, angles).maps(p.outputs), 1e-9)[0].is_deterministic
+                for angles in passes
+            ]
+            assert deterministic == [True] * (len(passes) - 1) + [False], print_pattern(p)
+            counts.append(len(passes))
+        assert counts[0] == 1
+        assert all(1 < n < 21 for n in counts[1:])
 
     def test_witness_probes_fit_the_budget(self, monkeypatch):
         """Seven measured inputs beside one unentangled output: every branch
         is rank one onto the output's state, so the pattern is
         deterministic, and each of the 127 branches besides the reference
         is probed, with 4^7 probes.  The call's peak stays within what
-        _pass_bytes charges at batch 1."""
+        _pass_bytes charges."""
         k = 7
         cmds = [Prepare(k + 1, 0.0)] + [Measure(i, 0.1 * i) for i in range(1, k + 1)]
         p = Pattern(range(1, k + 2), range(1, k + 1), [k + 1], cmds)
@@ -1502,60 +1354,55 @@ class TestDenseBudget:
         assert verdict.classification is Classification.DETERMINISTIC
         assert verdict.witness is None
         assert len(probed) == 2**k - 1
-        assert peak <= simulator._pass_bytes(1, k + 1, k)
+        assert peak <= simulator._pass_bytes(k + 1, k)
 
     def test_every_tensor_of_23_axes_fits_at_batch_one(self):
+        """One pass, at one angle vector, fits the budget exactly when its
+        qubits and inputs number at most 23."""
         for n_inputs in range(0, 6):
-            assert _max_batch(23 - n_inputs, n_inputs) == 1
-            assert _max_batch(24 - n_inputs, n_inputs) == 0
-
-    def test_twenty_samples_fit_in_one_pass_on_small_grids(self):
-        assert _max_batch(15, 3) >= 21
+            assert simulator._pass_bytes(23 - n_inputs, n_inputs) <= simulator._MAX_DENSE_BYTES
+            assert simulator._pass_bytes(24 - n_inputs, n_inputs) > simulator._MAX_DENSE_BYTES
 
     @pytest.mark.parametrize("rows, cols", [(3, 4), (2, 6), (1, 13)])
     def test_peak_within_budget_accounting(self, monkeypatch, rows, cols):
         """A pattern one XA angle off strong, which the certificate
-        declines, runs the full pass and is strong all the same.
-        _max_batch reserves, beyond a pass's batch tensor, the larger of
-        half of it and three entries, and for the pass also numpy's
-        iteration buffers.  The full pass's peak (the tensor, the kernel's
-        scratch and those buffers) must fit what _max_batch charges.  The
-        classifier's temporaries must fit in the reserve, with one entry to
-        spare for small objects, and leave the call's peak at the pass's."""
+        declines, runs the full pass and is strong all the same.  While the
+        pass runs, its peak (the tensor, the kernel's scratch and numpy's
+        iteration buffers) must fit the running charge of _pass_bytes: the
+        tensor, half of it and the buffer reserve.  The read-out and the
+        classifier after it must keep the call's peak within _pass_bytes."""
         g = cluster_grid(rows, cols)
         flow = find_flow(g).flow
         meas = {q: 0.1 * q for q in g.measured}
-        batch = 21
         arng = np.random.default_rng(rows * cols)
         p = _off_strong(synthesize(g, flow, meas, random_angles(arng, g.prepared)), 0)
-        entry = np.dtype(complex).itemsize << (len(p.vertices) + len(p.inputs))
-        pass_peak, classify_peak = [], []
-        classify_batch = simulator._classify_batch
+        tensor = np.dtype(complex).itemsize << (len(p.vertices) + len(p.inputs))
+        pass_peak = []
+        run_branches = simulator._run_branches
 
-        def measured(eng, outputs, tolerance):
-            pass_peak.append(tracemalloc.get_traced_memory()[1])
+        def measured(q, angles):
             tracemalloc.reset_peak()
-            result = classify_batch(eng, outputs, tolerance)
-            classify_peak.append(tracemalloc.get_traced_memory()[1])
-            return result
+            eng = run_branches(q, angles)
+            pass_peak.append(tracemalloc.get_traced_memory()[1])
+            return eng
 
-        classify_determinism(p, angle_samples=batch - 1, tolerance=OFF_TOLERANCE)
-        monkeypatch.setattr(simulator, "_classify_batch", measured)
+        classify_determinism(p, angle_samples=0, tolerance=OFF_TOLERANCE)
+        monkeypatch.setattr(simulator, "_run_branches", measured)
         tracemalloc.start()
         try:
-            verdict = classify_determinism(p, angle_samples=batch - 1, tolerance=OFF_TOLERANCE)
+            verdict = classify_determinism(p, angle_samples=0, tolerance=OFF_TOLERANCE)
+            call_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert verdict.is_strong and verdict.uniform
-        assert len(pass_peak) == len(classify_peak) == 1
-        assert classify_peak[0] <= (batch + max(batch // 2, 3) + 1) * entry
-        assert classify_peak[0] < pass_peak[0]
-        assert pass_peak[0] <= 3 * batch * entry // 2 + simulator._BUFFER_RESERVE
+        assert len(pass_peak) == 1
+        assert pass_peak[0] <= 3 * tensor // 2 + simulator._BUFFER_RESERVE
+        assert call_peak <= simulator._pass_bytes(len(p.vertices), len(p.inputs))
 
     def test_small_patterns_peak_within_budget_accounting(self):
         """On synthesized and stripped patterns of at most five vertices, whose
-        entries are under one numpy buffer, the call's peak, in the pass or
-        in the classifier after it, stays within what _max_batch charges."""
+        tensors are under one numpy buffer, the call's peak, in the pass or
+        in the classifier after it, stays within what _pass_bytes charges."""
         arng = np.random.default_rng(5)
         patterns = []
         for g, fl in _flow_patterns(89, 300, max_vertices=5):
@@ -1565,8 +1412,7 @@ class TestDenseBudget:
         # allocates once is not charged to a pattern
         classify_determinism(patterns[0], angle_samples=20)
         for p in patterns:
-            s = np.dtype(complex).itemsize << (len(p.vertices) + len(p.inputs))
-            charge = 21 * s + max(21 * s // 2 + simulator._BUFFER_RESERVE, 3 * s)
+            charge = simulator._pass_bytes(len(p.vertices), len(p.inputs))
             tracemalloc.start()
             try:
                 classify_determinism(p, angle_samples=20)
@@ -1574,48 +1420,6 @@ class TestDenseBudget:
             finally:
                 tracemalloc.stop()
             assert peak <= charge, print_pattern(p)
-
-    @pytest.mark.parametrize("batches", [1, 2])
-    def test_filled_batches_peak_within_the_budget(self, monkeypatch, batches):
-        """At an 8 MiB budget, classifying a tiny pattern over one or two
-        filled batches peaks within the budget: each entry's angles and
-        factors are charged, and a batch's tensor goes before the next pass
-        allocates.  The 1x2, 1x3 and 2x2 patterns, strong, stripped and
-        X-dropped (the 2x2 grid's X corrections all go into outputs, so
-        dropping keeps them).  The certificate is off, so each strong
-        pattern runs one pass per batch; each other pattern's first batch
-        holds a sample that is not deterministic, which ends the run."""
-        budget = 8 * 2**20
-        monkeypatch.setattr(simulator, "_MAX_DENSE_BYTES", budget)
-        monkeypatch.setattr(front, "certify_strong", lambda p: False)
-        passes = []
-
-        def counting(p, angles):
-            passes.append(len(angles))
-            return _run_branches(p, angles)
-
-        monkeypatch.setattr(simulator, "_run_branches", counting)
-        h = parse_pattern("V: 1 2\nI: 1\nO: 2\nN 2 0.0\nE 1 2\nM 1 0.3\nX 2 [1]\n")
-        patterns = [h]
-        for g in (path_state(3, [1], [3]), cluster_grid(2, 2)):
-            flow = find_flow(g).flow
-            p = synthesize(g, flow, {q: 0.1 * q for q in g.measured})
-            zero = synthesize(g, flow, {q: 0.0 for q in g.measured})
-            patterns += [p, p.without_corrections(), drop_x_corrections(zero)]
-        assert [certify_strong(p) for p in patterns] == [True, True, False, False, True, False, True]
-        classify_determinism(h, angle_samples=20)
-        for p in patterns:
-            n_passes = batches if certify_strong(p) else 1
-            chunk = _max_batch(len(p.vertices), len(p.inputs))
-            passes.clear()
-            tracemalloc.start()
-            try:
-                classify_determinism(p, angle_samples=batches * chunk - 1)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= budget, print_pattern(p)
-            assert passes == [chunk] * n_passes, print_pattern(p)
 
 
 def test_fifteen_measurements_classify_within_the_budget():
@@ -1647,8 +1451,23 @@ class TestClassifierArguments:
             enumerate_branches(projector_pattern(), tolerance=tolerance)
 
     def test_negative_angle_samples_rejected(self):
-        with pytest.raises(ValueError, match="angle_samples"):
-            classify_determinism(projector_pattern(), angle_samples=-5)
+        """A negative count raises ValueError and one that is not an integer
+        TypeError, on a pattern the certificate certifies as on one it
+        declines."""
+        certified = hadamard_pattern()
+        assert certify_strong(certified) and not certify_strong(projector_pattern())
+        for p in (certified, projector_pattern()):
+            for kwargs, error in [
+                ({"angle_samples": -5}, ValueError),
+                ({"seed": -1}, ValueError),
+                ({"angle_samples": 2.5}, TypeError),
+                ({"seed": 2.5}, TypeError),
+                ({"seed": "3"}, TypeError),
+            ]:
+                with pytest.raises(error, match=next(iter(kwargs))):
+                    classify_determinism(p, **kwargs)
+        verdict = classify_determinism(certified, angle_samples=np.int64(3), seed=np.int64(4))
+        assert json.dumps(verdict.to_json_dict())
 
 
 class TestRealizedEmbedding:
@@ -1677,6 +1496,20 @@ class TestRealizedEmbedding:
             realized_embedding(g, {1: 0.0}, {2: math.inf})
         with pytest.raises(PatternError, match="measurement angles missing"):
             realized_embedding(g, {})
+
+    def test_gates_act_on_a_tensor_of_one_axis(self):
+        """With no input, a lone qubit's tensor has one axis, and a gate's
+        half of it indexes every axis; the gate must still act in place.
+        The last projection of an edge with no input and no output, and a
+        phase on one plus wire, against their closed forms."""
+        g = OpenGraphState([1, 2], [(1, 2)], [], [])
+        a, b = 0.3, 0.1
+        expected = (1 + cmath.exp(-1j * a) + cmath.exp(-1j * b) - cmath.exp(-1j * (a + b))) / 2
+        np.testing.assert_allclose(realized_embedding(g, {1: a, 2: b}), [[expected]], atol=1e-14)
+        circuit = Circuit((Wire(0, "plus"),), (PhaseGate(0, 0.7),), (0,))
+        np.testing.assert_allclose(
+            simulate_circuit(circuit), [[1 / math.sqrt(2)], [cmath.exp(0.7j) / math.sqrt(2)]], atol=1e-14
+        )
 
     @pytest.mark.parametrize("n", [24, 30])
     def test_long_path_contracts_as_it_goes(self, n):
@@ -1833,3 +1666,12 @@ def test_max_deviation_up_to_phase():
     m = arng.normal(size=(3, 3)) + 1j * arng.normal(size=(3, 3))
     assert max_deviation_up_to_phase(m, np.exp(0.7j) * m) < 1e-12
     assert max_deviation_up_to_phase(m, m + 1.0) > 0.1
+
+
+def test_max_deviation_rejects_unequal_shapes():
+    """A column and the same values as a row would broadcast to 4x4."""
+    column = np.arange(4.0).reshape(4, 1)
+    with pytest.raises(ValueError, match="shapes"):
+        max_deviation_up_to_phase(column, column.T)
+    with pytest.raises(ValueError, match="shapes"):
+        max_deviation_up_to_phase(np.eye(2), np.eye(3))
