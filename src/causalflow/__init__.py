@@ -6,8 +6,8 @@ simulation, and extract an equivalent controlled-Z/phase/Hadamard circuit.
 
 Only :mod:`causalflow.simulator` imports numpy.  Every public name, and
 every module, is imported on first use, so importing the package loads
-none of them, and code that never simulates never loads numpy, nor does
-``classify_determinism`` on a pattern the Pauli-frame certificate proves strong.
+none of them, and code that never simulates never loads numpy, nor do
+``check_rewrite_identities`` and ``classify_determinism`` on a certified pattern.
 """
 
 import importlib
@@ -25,9 +25,9 @@ _NAMES = {
     "circuit_extract": """Circuit CZGate HadamardGate PhaseGate StarPattern
         Wire decompose_stars extract_circuit""",
     "verdict": "Classification DeterminismVerdict Witness classify_determinism",
-    "simulator": """BranchReport IdentityReport check_rewrite_identities
-        enumerate_branches max_deviation_up_to_phase realized_embedding
-        run_branch simulate_circuit""",
+    "rewrite_rules": "IdentityReport check_rewrite_identities",
+    "simulator": """BranchReport enumerate_branches max_deviation_up_to_phase
+        realized_embedding run_branch simulate_circuit""",
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names.split()}
 

@@ -8,9 +8,9 @@ definite negative (no flow, weaker verdict, failed check), 2 for input or
 usage errors.
 
 Each handler imports the modules it needs beyond the graph model and the
-flow search: ``flow`` loads no pattern module, and only ``extract --check``,
-``identities`` and ``verify`` on a pattern the Pauli-frame certificate
-declines load the simulator, and with it numpy.
+flow search: ``flow`` loads no pattern module, and only ``extract --check``
+and ``verify`` on a pattern the Pauli-frame certificate declines load the
+simulator, and with it numpy; ``identities`` runs in pure Python.
 """
 
 from __future__ import annotations
@@ -258,7 +258,7 @@ def _cmd_identities(args) -> int:
     if args.angles_grid + args.random == 0:
         raise _CliError("--angles-grid and --random are both 0: no angles to check")
     from .pattern import EXACT_TOLERANCE
-    from .simulator import check_rewrite_identities
+    from .rewrite_rules import check_rewrite_identities
 
     report = check_rewrite_identities(
         tolerance=EXACT_TOLERANCE if args.tolerance is None else args.tolerance,

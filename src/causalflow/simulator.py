@@ -25,9 +25,10 @@ gives a geometry's :func:`realized_embedding` and the map of an extracted
 circuit (:func:`simulate_circuit`).  Verdicts do not depend on enumeration
 order.
 
-This is the package's only module that imports numpy.  The package loads it
-on the first use of one of its names, and ``classify_determinism`` on the
-first pattern the certificate declines.
+This is the package's only module that imports numpy; the rewrite rules and
+their identity checks are in :mod:`causalflow.rewrite_rules`, without it.
+The package loads this module on the first use of one of its names, and
+``classify_determinism`` on the first pattern the certificate declines.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -43,7 +44,6 @@ import numpy as np
 from .graph_model import OpenGraphState
 from .pattern import (
     DEFAULT_TOLERANCE,
-    EXACT_TOLERANCE,
     CorrectX,
     CorrectXPhase,
     CorrectZ,
@@ -73,7 +73,6 @@ _ALL = slice(None)
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-CZ_MATRIX = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
 def x_phase_gate(alpha: float) -> np.ndarray:
@@ -779,146 +778,3 @@ def max_deviation_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
         return float(max(np.max(np.abs(a)), np.max(np.abs(b))))
     phase = overlap / abs(overlap)
     return float(np.max(np.abs(a - phase * b)))
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    """Max deviation observed for one rewrite identity."""
-
-    name: str
-    max_deviation: float
-    worst_angle: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    checks: tuple[IdentityCheck, ...]
-    tolerance: float
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tolerance": self.tolerance,
-            "ok": self.ok,
-            "checks": [asdict(c) for c in self.checks],
-        }
-
-
-def _identity_deviations(alpha: float) -> dict[str, float]:
-    """Deviations of every rewrite identity at one angle, worst case over s."""
-    eye2 = np.eye(2, dtype=complex)
-    bras = measurement_bras(alpha)
-    plus = plus_ket(0.0)
-    plus_alpha = plus_ket(alpha)
-    xa = x_phase_gate(alpha)
-    devs: dict[str, float] = {}
-
-    def dev(a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.max(np.abs(a - b)))
-
-    # Anachronical Z on the measured qubit turns both outcome bras into the
-    # outcome-0 bra: bra_s Z^s == bra_0 for s in {0, 1}.
-    devs["anachronical-z-fuses-into-measurement"] = max(
-        dev(bras[0], bras[0]), dev(bras[1] @ PAULI_Z, bras[0])
-    )
-
-    for s, tag in ((0, "s0"), (1, "s1")):
-        xs = PAULI_X if s else eye2
-        zs = PAULI_Z if s else eye2
-        xas = xa if s else eye2
-        zi = np.kron(zs, eye2)
-        zj = np.kron(eye2, zs)
-        xi = np.kron(xs, eye2)
-        xj = np.kron(eye2, xs)
-        xaj = np.kron(eye2, xas)
-        xai = np.kron(xas, eye2)
-        devs[f"z-conjugates-to-x-pair-through-cz-{tag}"] = dev(
-            zi @ CZ_MATRIX, xj @ CZ_MATRIX @ xj
-        )
-        devs[f"x-through-cz-leaves-z-{tag}"] = dev(
-            xi @ CZ_MATRIX, CZ_MATRIX @ zj @ xi
-        )
-        devs[f"z-commutes-with-cz-{tag}"] = dev(zi @ CZ_MATRIX, CZ_MATRIX @ zi)
-        devs[f"x-fixes-plus-preparation-{tag}"] = dev(xs @ plus, plus)
-        devs[f"phase-x-pair-through-cz-{tag}"] = dev(
-            zi @ CZ_MATRIX, xaj @ CZ_MATRIX @ xaj
-        )
-        devs[f"phase-x-through-cz-leaves-z-{tag}"] = dev(
-            xai @ CZ_MATRIX, CZ_MATRIX @ zj @ xai
-        )
-        devs[f"phase-x-fixes-matching-preparation-{tag}"] = dev(
-            xas @ plus_alpha if s else plus_alpha, plus_alpha
-        )
-    return devs
-
-
-def _pauli_identity_deviations() -> dict[str, float]:
-    """Pauli special cases, checked at the projector level.
-
-    An X before a right-angle measurement relabels outcomes exactly like a
-    Z does, and an X before a zero-angle measurement is invisible.  The
-    outcome bras themselves pick up unit phases under these rewrites, so
-    the exact statement is about the measurement operators
-    K K^dag-style, i.e. the projectors of each outcome.
-    """
-    devs: dict[str, float] = {}
-    for s in (0, 1):
-        xs = PAULI_X if s else np.eye(2, dtype=complex)
-        zs = PAULI_Z if s else np.eye(2, dtype=complex)
-        worst_y = 0.0
-        worst_x = 0.0
-        for outcome in (0, 1):
-            bra_y = measurement_bras(math.pi / 2.0)[outcome]
-            proj_y = np.outer(bra_y.conj(), bra_y)
-            worst_y = max(
-                worst_y,
-                float(np.max(np.abs(xs @ proj_y @ xs - zs @ proj_y @ zs))),
-            )
-            bra_x = measurement_bras(0.0)[outcome]
-            proj_x = np.outer(bra_x.conj(), bra_x)
-            worst_x = max(
-                worst_x, float(np.max(np.abs(xs @ proj_x @ xs - proj_x)))
-            )
-        devs[f"y-measurement-x-equals-z-s{s}"] = worst_y
-        devs[f"x-measurement-absorbs-x-s{s}"] = worst_x
-    return devs
-
-
-def check_rewrite_identities(
-    tolerance: float = EXACT_TOLERANCE,
-    grid_points: int = 16,
-    n_random: int = 50,
-    seed: int = 7,
-) -> IdentityReport:
-    """Verify the correction-rewrite identities as matrix equalities.
-
-    Sweeps a uniform angle grid plus random angles for the
-    angle-parameterized identities, both signal values each, and checks
-    the Pauli special cases at their exact (projector) level.  Failures
-    are reported per identity with the offending angle.  Raises ValueError
-    when ``grid_points + n_random`` is 0, which would leave the
-    angle-parameterized identities unchecked.
-    """
-    if grid_points + n_random == 0:
-        raise ValueError("no angles to check: grid_points + n_random is 0")
-    rng = np.random.default_rng(seed)
-    angles = [2.0 * math.pi * k / grid_points for k in range(grid_points)]
-    angles += [float(a) for a in rng.uniform(0.0, 2.0 * math.pi, size=n_random)]
-
-    worst: dict[str, tuple[float, float]] = {}
-    for alpha in angles:
-        for name, deviation in _identity_deviations(alpha).items():
-            if name not in worst or deviation > worst[name][0]:
-                worst[name] = (deviation, alpha)
-    for name, deviation in _pauli_identity_deviations().items():
-        worst[name] = (deviation, 0.0)
-
-    checks = tuple(
-        IdentityCheck(name, dev, angle, dev < tolerance)
-        for name, (dev, angle) in sorted(worst.items())
-    )
-    return IdentityReport(checks, tolerance)

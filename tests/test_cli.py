@@ -761,7 +761,7 @@ sys.exit(code)
         (["extract", "GRAPH", "--angles", "ANGLES"], True, False, True),
         (["verify", "PATTERN"], True, False, False),
         (["verify", "STRIPPED"], True, True, False),
-        (["identities"], True, True, False),
+        (["identities"], True, False, False),
     ],
     ids=[
         "flow", "flow-bidirectional", "synth", "adjoint", "extract", "verify",
@@ -772,7 +772,8 @@ def test_only_simulating_commands_load_numpy(write, argv, loads_pattern, loads_n
     """Only the commands that simulate load the simulator, and numpy with it:
     ``verify`` on the certified Hadamard pattern loads neither, and on its
     stripped pattern, which the certificate declines, loads both (and exits
-    1, not deterministic)."""
+    1, not deterministic).  ``identities`` checks its table of rules in pure
+    Python and loads neither."""
     files = {
         "GRAPH": graph_file(write, path_state(3, [1], [3])),
         "ANGLES": write("angles.json", {"1": 0.4, "2": 1.1}),

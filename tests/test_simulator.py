@@ -352,8 +352,8 @@ def _angle_vector(p: Pattern, angles) -> list[float]:
     return [angles[q] for q in p.measurement_order]
 
 
-class TestBatchedEngine:
-    def test_every_batch_entry_matches_run_branch(self):
+class TestOnePassPerAngleVector:
+    def test_each_pass_matches_run_branch(self):
         """Distinct angle vectors, one pass each over one pattern's plan;
         each pass's branch maps equal run_branch on the pattern with that
         pass's angles.  Random preparation angles turn X corrections into
@@ -1356,7 +1356,7 @@ class TestDenseBudget:
         assert len(probed) == 2**k - 1
         assert peak <= simulator._pass_bytes(k + 1, k)
 
-    def test_every_tensor_of_23_axes_fits_at_batch_one(self):
+    def test_every_tensor_of_23_axes_fits_in_one_pass(self):
         """One pass, at one angle vector, fits the budget exactly when its
         qubits and inputs number at most 23."""
         for n_inputs in range(0, 6):
