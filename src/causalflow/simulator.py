@@ -68,8 +68,8 @@ _SQRT2_INV = 1.0 / math.sqrt(2.0)
 # Each butterfly grows the engine's amplitudes by up to sqrt(2) and shrinks its
 # deferred scale by as much; at this scale the two are multiplied together.
 _MIN_SCALE = 2.0**-500
-# The index of a whole axis.
-_ALL = slice(None)
+# The index of the first k whole axes, for every k up to the budget's 23 axes.
+_LEADING = [(slice(None),) * k for k in range(24)]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -85,6 +85,11 @@ def x_phase_gate(alpha: float) -> np.ndarray:
 def plus_ket(alpha: float = 0.0) -> np.ndarray:
     """(|0> + e^{i alpha}|1>)/sqrt(2) as a column of amplitudes."""
     return np.array([1.0, np.exp(1j * alpha)], dtype=complex) * _SQRT2_INV
+
+
+# The plus state at angle 0, computed once, for the simulators to read.
+_PLUS = plus_ket()
+_PLUS.flags.writeable = False
 
 
 def measurement_bras(alpha: float) -> np.ndarray:
@@ -198,15 +203,16 @@ class _TensorEngine:
 
     :attr:`t` is the tensor in memory order: one axis per qubit, named by
     :attr:`axis_of`, then one domain axis per input, always the last axes.
-    The constructor checks the byte budget for ``qubits`` and the domain
-    axes, allocates a zero row with room for them, and writes the graph
-    state of ``prefix`` (preparations and entanglers) into the input
-    diagonal, where each input's qubit axis equals its domain axis, with
-    its qubits in the order of ``layout``.  Each plus state is (1,
-    e^{i theta}), multiplied in preparation order, its 1/sqrt(2) deferred
-    to :attr:`scale`.  A measurement keeps its qubit's axis as a branch
-    index.  A qubit prepared later takes axis 0: :meth:`add_qubit` makes a
-    new tensor for it, and :meth:`grow` adds a run in place.
+    It starts one row: the constructor checks the byte budget for ``qubits``
+    (the most held at once) and the domain axes, allocates a zero row with
+    room for them, and writes the graph state of ``prefix`` (preparations
+    and entanglers) into the input diagonal, where each input's qubit axis
+    equals its domain axis, with its qubits in the order of ``layout``.
+    Each plus state is (1, e^{i theta}), multiplied in preparation order,
+    its 1/sqrt(2) deferred to :attr:`scale`.  A measurement keeps its axis
+    as a branch index.  A later qubit takes axis 0, outermost in the row:
+    :meth:`add_qubit` and :meth:`grow` write in place, :meth:`contract_bra`
+    into a second row.
 
     Every gate acts in place on the 0-half and the 1-half of one qubit's
     axis, restricted, when a control is given, to the slice where the
@@ -215,7 +221,7 @@ class _TensorEngine:
     :meth:`flip` swaps the halves (X, and between two phases the
     phase-conjugated X); :meth:`butterfly` maps them to (a + f b, a - f b)
     /sqrt(2) (the Hadamard at f = 1, and the measurement at alpha with
-    f = e^{-i alpha}).  Scratch is at most half the tensor.  The
+    f = e^{-i alpha}).  Their scratch is at most half the tensor.  The
     butterflies' 1/sqrt(2) collect in :attr:`scale` too, applied when
     :meth:`maps` reads the result, or once ``scale`` falls below
     :data:`_MIN_SCALE`, so amplitudes and ``scale`` stay normal floats.
@@ -238,12 +244,14 @@ class _TensorEngine:
         order += [q for q in held if q not in order]
         self.axis_of = {q: k for k, q in enumerate(order)}
         self._row = np.zeros(1 << (qubits + n_in), dtype=complex)
-        self.t = self._row[: 1 << (len(order) + n_in)].reshape((2,) * (len(order) + n_in))
-        # einsum's diagonal over repeated labels is a writable view of the
-        # tensor, an array even with no axis, thanks to a leading axis of 1
-        axes = [*range(1, len(order) + 1)]
-        domain = [self.axis_of[q] + 1 for q in inputs]
-        diagonal = np.einsum(self.t[None], [0, *axes, *domain], [0, *axes])
+        self._spare: np.ndarray | None = None
+        self.t = self._row[: graph.size << n_in].reshape((2,) * (graph.ndim + n_in))
+        # the input diagonal: a view of the row, each input's axis striding
+        # over both its qubit axis and its domain axis
+        strides = list(self.t.strides[: graph.ndim])
+        for k, q in enumerate(inputs, graph.ndim):
+            strides[self.axis_of[q]] += self.t.strides[k]
+        diagonal = np.ndarray(graph.shape, complex, self._row, strides=strides)
         diagonal[...] = graph.transpose([held[q] for q in order])
 
     def _graph(
@@ -253,7 +261,8 @@ class _TensorEngine:
         after ``n_axes`` axes of ones, with the -1 of each of ``run``'s
         entanglers whose two qubits ``held`` gives axes; adds each prepared
         qubit's axis to ``held``."""
-        graph = np.ones((2,) * n_axes, dtype=complex)
+        graph = np.empty((2,) * n_axes, dtype=complex)
+        graph[...] = 1.0  # on tiny arrays, cheaper than np.ones
         plus = {}
         for cmd in run:
             if isinstance(cmd, Prepare):
@@ -275,8 +284,7 @@ class _TensorEngine:
         qubits take axes 0 onwards, in preparation order, outermost in the
         row, so the tensor as it stands is their 0-half and one outer
         product with the run's graph state writes the rest.  Then each
-        entangler with an older qubit is applied.  The tensor must still be
-        the constructor's allocation."""
+        entangler with an older qubit is applied."""
         new: dict[int, int] = {}
         graph = self._graph(new, run, 0)
         size = self.t.size
@@ -290,22 +298,28 @@ class _TensorEngine:
                 self.phase(cmd.b, -1.0, cmd.a)
 
     def add_qubit(self, q: int, state: np.ndarray) -> None:
-        """Prepare ``q`` in ``state`` on axis 0, in a new tensor."""
+        """Prepare ``q`` in ``state`` on axis 0: the tensor times each of
+        ``state``'s amplitudes, written in place, is the new axis's halves."""
+        zero, one = state.tolist()
+        size = self.t.size
+        head = self._row[:size]
+        # amplitude first: swapped, numpy's complex product can round otherwise
+        np.multiply(one, head, self._row[size : 2 * size])
+        np.multiply(zero, head, head)
+        self.t = self._row[: 2 * size].reshape((2,) * (self.t.ndim + 1))
         self.axis_of = {key: a + 1 for key, a in self.axis_of.items()}
         self.axis_of[q] = 0
-        self.t = state.reshape((2,) + (1,) * self.t.ndim) * self.t
 
     def _half(self, q: int, bit: int, control: int | None = None) -> np.ndarray:
         """The ``bit``-half of ``q`` where ``control``, if given, reads 1: a
         view, by the ``...``, even when it indexes every axis."""
         ax = self.axis_of[q]
         if control is None:
-            return self.t[(_ALL,) * ax + (bit, ...)]
+            return self.t[_LEADING[ax] + (bit, ...)]
         c = self.axis_of[control]
-        idx = [_ALL] * (max(ax, c) + 1)
-        idx[ax] = bit
-        idx[c] = 1
-        return self.t[(*idx, ...)]
+        if ax < c:
+            return self.t[_LEADING[ax] + (bit,) + _LEADING[c - ax - 1] + (1, ...)]
+        return self.t[_LEADING[c] + (1,) + _LEADING[ax - c - 1] + (bit, ...)]
 
     def phase(self, q: int, factor: complex, control: int | None = None) -> None:
         """Multiply the 1-half of ``q`` by ``factor``."""
@@ -341,9 +355,14 @@ class _TensorEngine:
 
     def contract_bra(self, q: int, alpha: float) -> None:
         """Project ``q`` onto sqrt(2) times the outcome-0 bra of the
-        measurement at ``alpha``, (1, e^{-i alpha})."""
+        measurement at ``alpha``, (1, e^{-i alpha}).  The halves' sum goes to a
+        second row of the same size, and the rows trade places: no overlap."""
         self.phase(q, cmath.exp(-1j * alpha))
-        self.t = np.add(self._half(q, 0), self._half(q, 1))
+        zero, one = self._half(q, 0), self._half(q, 1)
+        if self._spare is None:
+            self._spare = np.empty(self._row.size, dtype=complex)
+        self._row, self._spare = self._spare, self._row
+        self.t = np.add(zero, one, self._row[: zero.size].reshape(zero.shape))
         ax = self.axis_of.pop(q)
         self.axis_of = {key: a - (a > ax) for key, a in self.axis_of.items()}
 
@@ -363,10 +382,11 @@ class _TensorEngine:
 # Bytes one dense pass may hold at once, checked before it allocates: every
 # tensor of up to 23 qubit and input axes fits (see _pass_bytes).
 _MAX_DENSE_BYTES = 512 * 2**20
+_COMPLEX_BYTES = np.dtype(complex).itemsize
 # Three np.getbufsize() buffers of complex entries: the two that numpy's
 # ufunc iteration allocates for a strided operand, as the kernel's halves
 # are, and small objects.
-_BUFFER_RESERVE = 3 * np.getbufsize() * np.dtype(complex).itemsize
+_BUFFER_RESERVE = 3 * np.getbufsize() * _COMPLEX_BYTES
 # Bytes of one of enumerate_branches' BranchReport records beside its map:
 # the record, its outcome string and the map's view (254 on CPython 3.11).
 _RECORD_BYTES = 320
@@ -379,8 +399,9 @@ def _pass_bytes(n_qubits: int, n_inputs: int) -> int:
     a float and a complex of angle and factor per qubit, and
     :data:`_BUFFER_RESERVE` for numpy's iteration buffers) and what the
     classifier holds after it (three tensors, the witness's probes included:
-    see :func:`_classify_entry` and :func:`_pair_witness`)."""
-    tensor = np.dtype(complex).itemsize << (n_qubits + n_inputs)
+    see :func:`_classify_entry` and :func:`_pair_witness`), which also hold
+    the second row of :meth:`_TensorEngine.contract_bra` and its map."""
+    tensor = _COMPLEX_BYTES << (n_qubits + n_inputs)
     return tensor + max(tensor // 2 + 24 * n_qubits + _BUFFER_RESERVE, 3 * tensor)
 
 
@@ -725,12 +746,12 @@ def realized_embedding(
                 live += 1
         peak = max(peak, live)
         live -= len(done)
-    _check_dense_bytes(peak, len(g.inputs))
-    eng = _TensorEngine(g.inputs, len(g.inputs))
+    eng = _TensorEngine(g.inputs, peak)
+    plus = {0.0: _PLUS} | {a: plus_ket(a) for a in set(preps.values()) - {0.0}}
     for step, done in zip(steps, leaving):
         for q in step:
             if q not in eng.axis_of:
-                eng.add_qubit(q, plus_ket(preps[q]))
+                eng.add_qubit(q, plus[preps[q]])
         if len(step) == 2:
             eng.phase(step[1], -1.0, step[0])
         for q in done:
@@ -751,11 +772,10 @@ def simulate_circuit(c: Circuit) -> np.ndarray:
     from .circuit_extract import CZGate, PhaseGate
 
     inputs = [w.id for w in c.wires if w.source == "input"]
-    _check_dense_bytes(len(c.wires), len(inputs))
-    eng = _TensorEngine(inputs, len(inputs))
+    eng = _TensorEngine(inputs, len(c.wires))
     for w in c.wires:
         if w.source == "plus":
-            eng.add_qubit(w.id, plus_ket(0.0))
+            eng.add_qubit(w.id, _PLUS)
     for gate in c.gates:
         if isinstance(gate, CZGate):
             eng.phase(gate.b, -1.0, gate.a)

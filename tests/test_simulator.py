@@ -726,6 +726,91 @@ class TestInputDiagonalWrite:
                 self._assert_equal(p.inputs, prefix, layout)
 
 
+class TestOneRow:
+    """Every simulation lives in the row its constructor allocates, sized
+    for its most qubits at once: each step leaves the tensor at the start
+    of the engine's row, and the simulation allocates within its charge."""
+
+    STEPS = ("add_qubit", "contract_bra", "grow")
+
+    def _watch(self, monkeypatch) -> list[str]:
+        """Check the tensor after every call of one of STEPS; return the
+        names of the calls, in order."""
+        calls = []
+        for name in self.STEPS:
+
+            def watched(eng, *args, _step=getattr(_TensorEngine, name), _name=name):
+                _step(eng, *args)
+                calls.append(_name)
+                assert np.shares_memory(eng.t, eng._row), _name
+                assert eng.t.flags.c_contiguous, _name
+                start = eng.t.__array_interface__["data"][0]
+                assert start == eng._row.__array_interface__["data"][0], _name
+
+            monkeypatch.setattr(_TensorEngine, name, watched)
+        return calls
+
+    @pytest.mark.parametrize("inputs", [[1, 4, 7], [4]], ids=["grid-3x3", "grid-3x3-one-input"])
+    def test_each_step_leaves_the_tensor_at_the_row_start(self, monkeypatch, inputs):
+        """On the 3x3 grid, with its three inputs and with the middle one
+        alone: realized_embedding adds and contracts qubits, simulate_circuit
+        adds its ancilla wires (the one-input grid's circuit has two) and
+        the dense pass of enumerate_branches grows its tensor, each in its
+        row."""
+        calls = self._watch(monkeypatch)
+        grid = cluster_grid(3, 3)
+        g = OpenGraphState(grid.vertices, grid.edges, inputs, grid.outputs)
+        flow = find_flow(g).flow
+        angles = {q: 0.1 * q for q in g.measured}
+        realized_embedding(g, angles)
+        assert {"add_qubit", "contract_bra"} <= set(calls)
+        calls.clear()
+        circuit = extract_circuit(g, flow, angles)
+        simulate_circuit(circuit)
+        assert calls == ["add_qubit"] * sum(w.source == "plus" for w in circuit.wires)
+        calls.clear()
+        enumerate_branches(synthesize(g, flow, angles))
+        assert set(calls) == {"grow"}
+
+    @pytest.mark.parametrize(
+        "g", [path_state(3000, [1], [3000]), cluster_grid(7, 6)], ids=["path-1x3000", "grid-7x6"]
+    )
+    def test_simulation_peaks_within_its_charge(self, monkeypatch, g):
+        """realized_embedding, and simulate_circuit on the extracted circuit:
+        from the engine's constructor to the end of the call, the traced
+        allocations peak within _pass_bytes of the qubit count and input
+        axes the constructor is handed and checks.  The 7x6 grid holds 15
+        axes at once, so its two rows and its map weigh more than numpy's
+        buffer reserve.  The geometry's bookkeeping (ranks and steps, about
+        1 MB for the path's 3000 vertices) is held before the constructor,
+        grows with the geometry, not with the tensor, and is not charged."""
+        charges = []
+        engine = _TensorEngine.__init__
+
+        def charged(eng, inputs, qubits, *args):
+            charges.append(
+                (simulator._pass_bytes(qubits, len(inputs)), tracemalloc.get_traced_memory()[0])
+            )
+            tracemalloc.reset_peak()
+            engine(eng, inputs, qubits, *args)
+
+        angles = {q: 0.0 for q in g.measured}
+        circuit = extract_circuit(g, find_flow(g).flow, angles)
+        realized_embedding(g, angles)
+        simulate_circuit(circuit)
+        monkeypatch.setattr(_TensorEngine, "__init__", charged)
+        for call in (partial(realized_embedding, g, angles), partial(simulate_circuit, circuit)):
+            charges.clear()
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            [(charge, held)] = charges
+            assert peak - held <= charge
+
+
 def _reference_pair_witness(a: np.ndarray, b: np.ndarray, tolerance: float, scale: float):
     """The witness as a loop over the probes, each image a matrix-vector
     product: the probes are the basis states, then e_k + e_l and e_k + i e_l
@@ -749,7 +834,7 @@ def _reference_pair_witness(a: np.ndarray, b: np.ndarray, tolerance: float, scal
     return float(defects[k]), probes[k] / np.linalg.norm(probes[k])
 
 
-class TestBatchedClassifier:
+class TestPassClassifier:
     def test_engine_and_run_branch_give_same_verdict_and_witness(self):
         """Strong, deterministic-only and non-deterministic samples from
         synthesized, X-dropped and mutated patterns: classifying a pass's
@@ -918,7 +1003,7 @@ class TestBatchedClassifier:
         assert found >= 10 and agreed >= 8
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_angles_drawn_in_one_call_equal_scalar_draws(self, monkeypatch, seed):
+    def test_samples_equal_scalar_at_a_time_draws(self, monkeypatch, seed):
         """The samples, each drawn in one call as its pass starts, reach the
         passes as the scalar-at-a-time draws would, after the pattern's own
         angles, on a strong pattern with the certificate off."""
