@@ -16,15 +16,13 @@ comes from :func:`causalflow.simulator.simulate_circuit`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .graph_model import Flow, OpenGraphState, validate_flow
+from .graph_model import Flow, OpenGraphState, _Frozen, validate_flow
 from .pattern import PatternError, _check_angles, _measured_in_flow_order
 
 
-@dataclass(frozen=True)
-class StarPattern:
+class StarPattern(_Frozen):
     """One measured qubit with its remaining neighbors at pick time.
 
     ``corrected`` is the neighbor designated by the flow; it continues on
@@ -36,36 +34,55 @@ class StarPattern:
     angle: float
     corrected: int
 
-    def __post_init__(self) -> None:
-        if self.corrected not in self.outputs:
-            raise ValueError(
-                f"corrected output {self.corrected} not among outputs"
-            )
+    def __init__(
+        self, input: int, outputs: tuple[int, ...], angle: float, corrected: int
+    ) -> None:
+        if corrected not in outputs:
+            raise ValueError(f"corrected output {corrected} not among outputs")
+        d = self.__dict__
+        d["input"] = input
+        d["outputs"] = outputs
+        d["angle"] = angle
+        d["corrected"] = corrected
 
 
-@dataclass(frozen=True)
-class Wire:
+class Wire(_Frozen):
     """A circuit wire: born as an input or as a plus-state ancilla."""
 
     id: int
     source: str  # "input" | "plus"
 
+    def __init__(self, id: int, source: str) -> None:
+        d = self.__dict__
+        d["id"] = id
+        d["source"] = source
 
-@dataclass(frozen=True)
-class CZGate:
+
+class CZGate(_Frozen):
     a: int
     b: int
 
+    def __init__(self, a: int, b: int) -> None:
+        d = self.__dict__
+        d["a"] = a
+        d["b"] = b
 
-@dataclass(frozen=True)
-class PhaseGate:
+
+class PhaseGate(_Frozen):
     wire: int
     theta: float
 
+    def __init__(self, wire: int, theta: float) -> None:
+        d = self.__dict__
+        d["wire"] = wire
+        d["theta"] = theta
 
-@dataclass(frozen=True)
-class HadamardGate:
+
+class HadamardGate(_Frozen):
     wire: int
+
+    def __init__(self, wire: int) -> None:
+        self.__dict__["wire"] = wire
 
 
 Gate = Union[CZGate, PhaseGate, HadamardGate]
@@ -79,8 +96,7 @@ _GATES: dict[type, tuple[str, tuple[tuple[str, str], ...]]] = {
 }
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(_Frozen):
     """Gate list over declared wires.
 
     ``outputs`` lists, for each output qubit in ascending id order, the
@@ -93,6 +109,14 @@ class Circuit:
     wires: tuple[Wire, ...]
     gates: tuple[Gate, ...]
     outputs: tuple[int, ...]
+
+    def __init__(
+        self, wires: tuple[Wire, ...], gates: tuple[Gate, ...], outputs: tuple[int, ...]
+    ) -> None:
+        d = self.__dict__
+        d["wires"] = wires
+        d["gates"] = gates
+        d["outputs"] = outputs
 
     def to_json_dict(self) -> dict:
         gates = []

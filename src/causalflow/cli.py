@@ -7,10 +7,11 @@ text format, and all reports are emitted as JSON on stdout.  Exit codes:
 definite negative (no flow, weaker verdict, failed check), 2 for input or
 usage errors.
 
-Each handler imports the modules it needs beyond the graph model and the
-flow search: ``flow`` loads no pattern module, and only ``extract --check``
-and ``verify`` on a pattern the Pauli-frame certificate declines load the
-simulator, and with it numpy; ``identities`` runs in pure Python.
+Each handler imports the modules it needs beyond the graph model:
+``verify`` and ``identities`` load no flow search, ``flow`` loads no
+pattern module, and only ``extract --check`` and ``verify`` on a pattern
+the Pauli-frame certificate declines load the simulator, and with it numpy;
+``identities`` runs in pure Python.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .flow_finder import find_biflow, find_flow
 from .graph_model import (
     GraphFormatError,
     OpenGraphState,
@@ -119,6 +119,8 @@ def _find_flow_for(args, graph: OpenGraphState, y_from_file: frozenset[int]):
             raise _CliError(f"--y-measured: {exc}") from exc
     if not y_qubits and args.loops:
         y_qubits = frozenset(graph.measured)
+    from .flow_finder import find_flow
+
     return find_flow(graph, loop_candidates=y_qubits)
 
 
@@ -156,6 +158,8 @@ def _cmd_flow(args) -> int:
         for flag, given in (("--loops", args.loops), ("--y-measured", args.y_measured)):
             if given:
                 raise _CliError(f"{flag} cannot be combined with --bidirectional")
+        from .flow_finder import find_biflow
+
         graph, _ = _load_graph(args.graph)
         forward, reverse = find_biflow(graph)
         _emit(
@@ -216,6 +220,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_extract(args) -> int:
     from .circuit_extract import extract_circuit
+    from .flow_finder import find_flow
 
     graph, _ = _load_graph(args.graph)
     result = find_flow(graph)
@@ -240,6 +245,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_adjoint(args) -> int:
+    from .flow_finder import find_biflow
     from .pattern import adjoint, print_pattern, synthesize
 
     graph, _ = _load_graph(args.graph)

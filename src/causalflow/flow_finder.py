@@ -40,20 +40,21 @@ All functions are pure; independent searches may run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from typing import AbstractSet, Mapping
 
-from .graph_model import Flow, OpenGraphState, validate_flow
+from .graph_model import Flow, OpenGraphState, _Frozen, validate_flow
 
 DEFAULT_ORACLE_BOUND = 7
 
 
-@dataclass(frozen=True)
-class FlowSearchResult:
+class FlowSearchResult(_Frozen):
     """Result of a flow search: the validated flow, or ``None`` if none exists."""
 
-    flow: Flow | None = None
+    flow: Flow | None
+
+    def __init__(self, flow: Flow | None = None) -> None:
+        self.__dict__["flow"] = flow
 
     @property
     def found(self) -> bool:

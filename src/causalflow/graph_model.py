@@ -7,23 +7,65 @@ measured to prepared vertices and a layered partial order; together they
 certify that a deterministic measurement pattern exists for the geometry.
 
 All types in this module are immutable after construction and safe to share
-across concurrent tasks.
+across concurrent tasks.  :class:`_Frozen`, the base of every record type
+in the library, makes them so: each class sets its fields once in its own
+``__init__``, and setting or deleting an attribute afterwards raises
+AttributeError.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class _Frozen:
+    """An immutable value with named fields.
+
+    A subclass annotates its fields in order and writes them once, in its
+    own ``__init__``, into ``self.__dict__`` (with ``object.__setattr__``
+    under ``__slots__``).  Values of one class with equal fields are equal
+    and hash alike; ``repr`` reads ``Prepare(qubit=1, angle=0.5)``.
+    """
+
+    __slots__ = ()
+    # the field names, in annotation order, set on each subclass
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ValidationResult(_Frozen):
     """Outcome of a structural check: ``ok`` or a list of named violations."""
 
-    violations: tuple[str, ...] = ()
+    violations: tuple[str, ...]
+
+    def __init__(self, violations: tuple[str, ...] = ()) -> None:
+        self.__dict__["violations"] = violations
 
     @property
     def ok(self) -> bool:
@@ -37,8 +79,7 @@ class GraphFormatError(ValueError):
     """Raised for a malformed graph document or an invalid open graph."""
 
 
-@dataclass(frozen=True)
-class OpenGraphState:
+class OpenGraphState(_Frozen):
     """Undirected graph with designated input and output vertex sets.
 
     An open graph state is valid once it exists: the constructor raises
@@ -71,12 +112,11 @@ class OpenGraphState:
         inputs: Iterable[int] = (),
         outputs: Iterable[int] = (),
     ) -> None:
-        object.__setattr__(self, "vertices", tuple(sorted(set(vertices))))
-        object.__setattr__(
-            self, "edges", tuple((u, v) if u <= v else (v, u) for u, v in edges)
-        )
-        object.__setattr__(self, "inputs", tuple(sorted(set(inputs))))
-        object.__setattr__(self, "outputs", tuple(sorted(set(outputs))))
+        d = self.__dict__
+        d["vertices"] = tuple(sorted(set(vertices)))
+        d["edges"] = tuple((u, v) if u <= v else (v, u) for u, v in edges)
+        d["inputs"] = tuple(sorted(set(inputs)))
+        d["outputs"] = tuple(sorted(set(outputs)))
         check = validate_graph(self)
         if not check.ok:
             raise GraphFormatError("invalid open graph: " + "; ".join(check.violations))
@@ -208,8 +248,7 @@ def validate_graph(g: OpenGraphState) -> ValidationResult:
     return ValidationResult(tuple(violations))
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(_Frozen):
     """Corrector map plus a layered order witnessing the flow conditions.
 
     Parameters
@@ -228,8 +267,9 @@ class Flow:
     levels: Mapping[int, int]
 
     def __init__(self, f: Mapping[int, int], levels: Mapping[int, int]) -> None:
-        object.__setattr__(self, "f", MappingProxyType(dict(f)))
-        object.__setattr__(self, "levels", MappingProxyType(dict(levels)))
+        d = self.__dict__
+        d["f"] = MappingProxyType(dict(f))
+        d["levels"] = MappingProxyType(dict(levels))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Flow):

@@ -25,11 +25,10 @@ import cmath
 import math
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Union
 
-from .graph_model import Flow, OpenGraphState, ValidationResult, _text_id, validate_flow
+from .graph_model import Flow, OpenGraphState, ValidationResult, _Frozen, _text_id, validate_flow
 
 TWO_PI = 2.0 * math.pi
 _ANGLE_EPS = 1e-12
@@ -73,66 +72,66 @@ def drop_x_corrections(p: Pattern) -> Pattern:
     return Pattern(p.vertices, p.inputs, p.outputs, kept)
 
 
-@dataclass(frozen=True)
-class Prepare:
+class Prepare(_Frozen):
     """Prepare ``qubit`` in the equatorial state with the given phase."""
 
     qubit: int
-    angle: float = 0.0
+    angle: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "angle", normalize_angle(self.angle))
+    def __init__(self, qubit: int, angle: float = 0.0) -> None:
+        d = self.__dict__
+        d["qubit"] = qubit
+        d["angle"] = normalize_angle(angle)
 
 
-@dataclass(frozen=True)
-class Entangle:
+class Entangle(_Frozen):
     """Apply controlled-Z between two qubits (order irrelevant)."""
 
     a: int
     b: int
 
-    def __post_init__(self) -> None:
-        if self.a > self.b:
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
+    def __init__(self, a: int, b: int) -> None:
+        d = self.__dict__
+        d["a"], d["b"] = (b, a) if a > b else (a, b)
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(_Frozen):
     """Destructive equatorial measurement of ``qubit`` at ``angle``."""
 
     qubit: int
-    angle: float = 0.0
+    angle: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "angle", normalize_angle(self.angle))
+    def __init__(self, qubit: int, angle: float = 0.0) -> None:
+        d = self.__dict__
+        d["qubit"] = qubit
+        d["angle"] = normalize_angle(angle)
 
 
-@dataclass(frozen=True)
-class CorrectX:
+class CorrectX(_Frozen):
     """Pauli-X on ``qubit`` iff the XOR of the listed outcomes is 1."""
 
     qubit: int
-    signals: frozenset[int] = field(default_factory=frozenset)
+    signals: frozenset[int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "signals", frozenset(self.signals))
+    def __init__(self, qubit: int, signals: Iterable[int] = frozenset()) -> None:
+        d = self.__dict__
+        d["qubit"] = qubit
+        d["signals"] = frozenset(signals)
 
 
-@dataclass(frozen=True)
-class CorrectZ:
+class CorrectZ(_Frozen):
     """Pauli-Z on ``qubit`` iff the XOR of the listed outcomes is 1."""
 
     qubit: int
-    signals: frozenset[int] = field(default_factory=frozenset)
+    signals: frozenset[int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "signals", frozenset(self.signals))
+    def __init__(self, qubit: int, signals: Iterable[int] = frozenset()) -> None:
+        d = self.__dict__
+        d["qubit"] = qubit
+        d["signals"] = frozenset(signals)
 
 
-@dataclass(frozen=True)
-class CorrectXPhase:
+class CorrectXPhase(_Frozen):
     """Phase-conjugated X correction: Z(angle) X Z(-angle), signal gated.
 
     Absorbed exactly by a preparation with the same phase, which is what
@@ -142,11 +141,13 @@ class CorrectXPhase:
 
     qubit: int
     angle: float
-    signals: frozenset[int] = field(default_factory=frozenset)
+    signals: frozenset[int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "angle", normalize_angle(self.angle))
-        object.__setattr__(self, "signals", frozenset(self.signals))
+    def __init__(self, qubit: int, angle: float, signals: Iterable[int] = frozenset()) -> None:
+        d = self.__dict__
+        d["qubit"] = qubit
+        d["angle"] = normalize_angle(angle)
+        d["signals"] = frozenset(signals)
 
 
 Command = Union[Prepare, Entangle, Measure, CorrectX, CorrectZ, CorrectXPhase]
@@ -184,8 +185,7 @@ _GROW, _MEASURE, _X, _Z, _XA = range(5)
 _CORRECTION_STEPS = {CorrectX: _X, CorrectZ: _Z, CorrectXPhase: _XA}
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(_Frozen):
     """Command sequence with declared qubits, inputs and outputs.
 
     ``commands`` run left to right.  Input qubits hold arbitrary states
@@ -208,10 +208,11 @@ class Pattern:
         outputs: Iterable[int],
         commands: Iterable[Command] = (),
     ) -> None:
-        object.__setattr__(self, "vertices", tuple(sorted(set(vertices))))
-        object.__setattr__(self, "inputs", tuple(sorted(set(inputs))))
-        object.__setattr__(self, "outputs", tuple(sorted(set(outputs))))
-        object.__setattr__(self, "commands", tuple(commands))
+        d = self.__dict__
+        d["vertices"] = tuple(sorted(set(vertices)))
+        d["inputs"] = tuple(sorted(set(inputs)))
+        d["outputs"] = tuple(sorted(set(outputs)))
+        d["commands"] = tuple(commands)
 
     @cached_property
     def _walk(self) -> _Walk:
@@ -702,7 +703,7 @@ _FIELD_CODECS = {"angle": (repr, _parse_angle), "signals": (_format_signals, _pa
 _COMMANDS: dict[type, tuple[str, tuple[tuple[str, Callable, Callable], ...]]] = {
     cls: (
         token,
-        tuple((f.name, *_FIELD_CODECS.get(f.name, (str, _text_id))) for f in fields(cls)),
+        tuple((name, *_FIELD_CODECS.get(name, (str, _text_id))) for name in cls._fields),
     )
     for cls, token in [(Prepare, "N"), (Entangle, "E"), (Measure, "M"),
                        (CorrectX, "X"), (CorrectZ, "Z"), (CorrectXPhase, "XA")]

@@ -14,10 +14,10 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import asdict, dataclass
 from operator import mul
 from typing import Callable, NamedTuple
 
+from .graph_model import _Frozen
 from .pattern import EXACT_TOLERANCE
 from .verdict import _check_count, _check_tolerance
 
@@ -117,8 +117,7 @@ RULES = (
 )
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(_Frozen):
     """Max deviation observed for one rewrite identity."""
 
     name: str
@@ -126,18 +125,29 @@ class IdentityCheck:
     worst_angle: float
     passed: bool
 
+    def __init__(self, name: str, max_deviation: float, worst_angle: float, passed: bool) -> None:
+        d = self.__dict__
+        d["name"] = name
+        d["max_deviation"] = max_deviation
+        d["worst_angle"] = worst_angle
+        d["passed"] = passed
 
-@dataclass(frozen=True)
-class IdentityReport:
+
+class IdentityReport(_Frozen):
     checks: tuple[IdentityCheck, ...]
     tolerance: float
+
+    def __init__(self, checks: tuple[IdentityCheck, ...], tolerance: float) -> None:
+        d = self.__dict__
+        d["checks"] = checks
+        d["tolerance"] = tolerance
 
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        checks = [asdict(c) for c in self.checks]
+        checks = [{name: getattr(c, name) for name in c._fields} for c in self.checks]
         return {"tolerance": self.tolerance, "ok": self.ok, "checks": checks}
 
 

@@ -36,12 +36,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .graph_model import OpenGraphState
+from .graph_model import OpenGraphState, _Frozen
 from .pattern import (
     DEFAULT_TOLERANCE,
     CorrectX,
@@ -98,19 +97,30 @@ def measurement_bras(alpha: float) -> np.ndarray:
     return np.array([[1.0, e], [1.0, -e]], dtype=complex) * _SQRT2_INV
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class BranchReport:
+class BranchReport(_Frozen):
     """One branch: its outcome string, linear map, and optional probability.
 
     ``outcomes`` orders bits by measurement occurrence (first measurement
     is the leftmost character).  ``branch_map`` maps the input space to the
     output space with bases ordered by the sorted input/output vertex
     lists.  ``probability`` is filled when an input state was supplied.
+    Reports compare by identity.
     """
 
+    __slots__ = ("outcomes", "branch_map", "probability")
     outcomes: str
     branch_map: np.ndarray
-    probability: float | None = None
+    probability: float | None
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self, outcomes: str, branch_map: np.ndarray, probability: float | None = None
+    ) -> None:
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "branch_map", branch_map)
+        object.__setattr__(self, "probability", probability)
 
 
 def run_branch(p: Pattern, outcomes: str) -> np.ndarray:

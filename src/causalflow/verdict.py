@@ -6,10 +6,10 @@ and numpy with it, only for a pattern the Pauli-frame certificate declines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
+from .graph_model import _Frozen
 from .pattern import DEFAULT_TOLERANCE, Pattern, PatternError, certify_strong
 
 if TYPE_CHECKING:
@@ -28,14 +28,26 @@ class Classification(str, Enum):
         return self is not Classification.NOT_DETERMINISTIC
 
 
-@dataclass(frozen=True, eq=False)
-class Witness:
-    """A branch pair and an input state on which their images are not parallel."""
+class Witness(_Frozen):
+    """A branch pair and an input state on which their images are not parallel.
+    Witnesses compare by identity."""
 
     branch_a: str
     branch_b: str
     input_state: np.ndarray
     deviation: float
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self, branch_a: str, branch_b: str, input_state: np.ndarray, deviation: float
+    ) -> None:
+        d = self.__dict__
+        d["branch_a"] = branch_a
+        d["branch_b"] = branch_b
+        d["input_state"] = input_state
+        d["deviation"] = deviation
 
     def to_json_dict(self) -> dict:
         return {
@@ -46,23 +58,42 @@ class Witness:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class DeterminismVerdict:
+class DeterminismVerdict(_Frozen):
     """Classification of a pattern's branch maps.
 
     ``uniform`` records whether the sampled random measurement-angle
     vectors (same geometry and corrections) all stayed deterministic, or,
     for a pattern that :func:`certify_strong` certifies, that every angle
     vector is strong; the sample count and seed are kept so verdicts are
-    reproducible.
+    reproducible.  Verdicts compare by identity.
     """
 
     classification: Classification
     uniform: bool
-    witness: Witness | None = None
-    angle_samples: int = 0
-    seed: int = 0
-    tolerance: float = DEFAULT_TOLERANCE
+    witness: Witness | None
+    angle_samples: int
+    seed: int
+    tolerance: float
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        classification: Classification,
+        uniform: bool,
+        witness: Witness | None = None,
+        angle_samples: int = 0,
+        seed: int = 0,
+        tolerance: float = DEFAULT_TOLERANCE,
+    ) -> None:
+        d = self.__dict__
+        d["classification"] = classification
+        d["uniform"] = uniform
+        d["witness"] = witness
+        d["angle_samples"] = angle_samples
+        d["seed"] = seed
+        d["tolerance"] = tolerance
 
     @property
     def is_deterministic(self) -> bool:

@@ -22,7 +22,6 @@ rules or their texts is intended:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 from pathlib import Path
@@ -80,7 +79,9 @@ def _retarget(p: Pattern, rng: random.Random, where: str) -> Pattern:
     k = rng.randrange(len(p.commands))
     cmd = p.commands[k]
     name = rng.choice("ab") if isinstance(cmd, Entangle) else "qubit"
-    moved = dataclasses.replace(cmd, **{name: rng.choice(pool)})
+    fields = {field: getattr(cmd, field) for field in type(cmd)._fields}
+    fields[name] = rng.choice(pool)
+    moved = type(cmd)(**fields)
     return _with(p, p.commands[:k] + (moved,) + p.commands[k + 1 :])
 
 

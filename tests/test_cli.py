@@ -730,8 +730,9 @@ def test_output_matches_golden_file(tmp_path, capsys):
 
 
 # Runs the CLI in a fresh interpreter and reports on stderr whether the
-# pattern module, numpy, the simulator and circuit_extract got loaded; the package import loads
-# no module of the package, and neither it, dir() nor the CLI import loads numpy.
+# pattern module, numpy, the simulator, circuit_extract, flow_finder,
+# dataclasses and inspect got loaded; the package import loads no module of
+# the package, and neither it, dir() nor the CLI import loads numpy.
 _NUMPY_PROBE = """
 import sys
 import causalflow
@@ -747,33 +748,40 @@ sys.stderr.write(f"pattern loaded: {'causalflow.pattern' in sys.modules}\\n")
 sys.stderr.write(f"numpy loaded: {'numpy' in sys.modules}\\n")
 sys.stderr.write(f"simulator loaded: {'causalflow.simulator' in sys.modules}\\n")
 sys.stderr.write(f"circuit_extract loaded: {'causalflow.circuit_extract' in sys.modules}\\n")
+sys.stderr.write(f"flow_finder loaded: {'causalflow.flow_finder' in sys.modules}\\n")
+sys.stderr.write(f"dataclasses loaded: {'dataclasses' in sys.modules}\\n")
+sys.stderr.write(f"inspect loaded: {'inspect' in sys.modules}\\n")
 sys.exit(code)
 """
 
 
 @pytest.mark.parametrize(
-    "argv, loads_pattern, loads_numpy, loads_circuit",
+    "argv, loads_pattern, loads_numpy, loads_circuit, loads_flow",
     [
-        (["flow", "GRAPH"], False, False, False),
-        (["flow", "--bidirectional", "GRAPH"], False, False, False),
-        (["synth", "GRAPH", "--angles", "ANGLES"], True, False, False),
-        (["adjoint", "GRAPH", "--angles", "ANGLES"], True, False, False),
-        (["extract", "GRAPH", "--angles", "ANGLES"], True, False, True),
-        (["verify", "PATTERN"], True, False, False),
-        (["verify", "STRIPPED"], True, True, False),
-        (["identities"], True, False, False),
+        (["flow", "GRAPH"], False, False, False, True),
+        (["flow", "--bidirectional", "GRAPH"], False, False, False, True),
+        (["synth", "GRAPH", "--angles", "ANGLES"], True, False, False, True),
+        (["adjoint", "GRAPH", "--angles", "ANGLES"], True, False, False, True),
+        (["extract", "GRAPH", "--angles", "ANGLES"], True, False, True, True),
+        (["verify", "PATTERN"], True, False, False, False),
+        (["verify", "STRIPPED"], True, True, False, False),
+        (["identities"], True, False, False, False),
     ],
     ids=[
         "flow", "flow-bidirectional", "synth", "adjoint", "extract", "verify",
         "verify-declined", "identities",
     ],
 )
-def test_only_simulating_commands_load_numpy(write, argv, loads_pattern, loads_numpy, loads_circuit):
+def test_only_simulating_commands_load_numpy(
+    write, argv, loads_pattern, loads_numpy, loads_circuit, loads_flow
+):
     """Only the commands that simulate load the simulator, and numpy with it:
     ``verify`` on the certified Hadamard pattern loads neither, and on its
     stripped pattern, which the certificate declines, loads both (and exits
     1, not deterministic).  ``identities`` checks its table of rules in pure
-    Python and loads neither."""
+    Python and loads neither.  Only the commands that search for a flow load
+    the flow search.  No command loads ``dataclasses``, and only those that
+    load numpy load ``inspect``, which numpy imports."""
     files = {
         "GRAPH": graph_file(write, path_state(3, [1], [3])),
         "ANGLES": write("angles.json", {"1": 0.4, "2": 1.1}),
@@ -789,9 +797,12 @@ def test_only_simulating_commands_load_numpy(write, argv, loads_pattern, loads_n
         timeout=60,
     )
     assert proc.returncode == (1 if "STRIPPED" in argv else 0), proc.stderr
-    assert proc.stderr.splitlines()[-4:] == [
+    assert proc.stderr.splitlines()[-7:] == [
         f"pattern loaded: {loads_pattern}",
         f"numpy loaded: {loads_numpy}",
         f"simulator loaded: {loads_numpy}",
         f"circuit_extract loaded: {loads_circuit}",
+        f"flow_finder loaded: {loads_flow}",
+        "dataclasses loaded: False",
+        f"inspect loaded: {loads_numpy}",
     ]

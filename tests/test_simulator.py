@@ -6,7 +6,6 @@ import json
 import math
 import random
 import tracemalloc
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -1149,7 +1148,9 @@ def _correction_mutants(p: Pattern, rng: random.Random) -> list[Pattern]:
     k = rng.choice(spots)
     earlier = [c.qubit for c in cmds[:k] if isinstance(c, Measure)]
     signals = frozenset(rng.sample(earlier, rng.randint(1, len(earlier))))
-    resignalled = cmds[:k] + [replace(cmds[k], signals=signals)] + cmds[k + 1 :]
+    old = cmds[k]
+    fields = (old.qubit, old.angle) if isinstance(old, CorrectXPhase) else (old.qubit,)
+    resignalled = cmds[:k] + [type(old)(*fields, signals)] + cmds[k + 1 :]
     k = rng.choice(spots)
     duplicated = cmds[: k + 1] + cmds[k:]
     return mutants + [Pattern(p.vertices, p.inputs, p.outputs, c) for c in (resignalled, duplicated)]
@@ -1250,7 +1251,8 @@ class TestCertificate:
 
         def moved(delta: float) -> Pattern:
             cmds = list(phased.commands)
-            cmds[k] = replace(cmds[k], angle=cmds[k].angle + delta)
+            c = cmds[k]
+            cmds[k] = CorrectXPhase(c.qubit, c.angle + delta, c.signals)
             return Pattern(phased.vertices, phased.inputs, phased.outputs, cmds)
 
         plain_x = parse_pattern("V: 1 2\nI: 1\nO: 2\nN 2 0.5\nE 1 2\nM 1 0.3\nX 2 [1]\n")
