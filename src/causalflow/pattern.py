@@ -177,11 +177,8 @@ EXACT_TOLERANCE = 1e-12
 # (see check_runnable), the measurements as (qubit, angle) in command order,
 # and the most qubits live at once (inputs plus preparations less measurements).
 _Walk = namedtuple("_Walk", "violations measures live_peak")
-# The dense pass's plan: its prefix and steps (see Pattern._plan).
-_Plan = namedtuple("_Plan", "prefix steps")
-
-# Opcodes of the plan's steps, and each correction's.
-_GROW, _MEASURE, _X, _Z, _XA = range(5)
+# Opcodes of the dense pass's steps (see Pattern._plan), and each correction's.
+_PREPARE, _ENTANGLE, _MEASURE, _X, _Z, _XA = range(6)
 _CORRECTION_STEPS = {CorrectX: _X, CorrectZ: _Z, CorrectXPhase: _XA}
 
 
@@ -277,29 +274,27 @@ class Pattern(_Frozen):
         return _Walk(tuple(violations), tuple(measures), peak)
 
     @cached_property
-    def _plan(self) -> _Plan:
-        """The commands lowered to the dense pass's plan, made on the first
+    def _plan(self) -> list[tuple]:
+        """The commands lowered to the dense pass's steps, made on the first
         dense pass over the pattern.
 
-        The plan runs the commands in a lazy order: each ``N`` just before
+        The steps run the commands in a lazy order: each ``N`` just before
         the first command on its qubit, each ``E`` just before the first
         measurement or X/XA correction on either endpoint (it commutes with
         ``Z`` and with other ``E``s), and those never needed at the end, in
         their own order.  No command moves earlier, so the maps are those
         of the pattern's own order, and early gates act on the few qubits
-        prepared so far.  The order is lowered to a prefix, the leading
-        preparations and entanglers that the engine's constructor builds,
-        then steps ``(op, qubit, arg, signals)``: ``_GROW`` adds ``arg``, a
-        run of preparations and entanglers; ``_MEASURE`` is the butterfly at
-        entry ``arg`` of the pass's angle vector; ``_X``, ``_Z`` and ``_XA`` are
+        prepared so far.  Each step is ``(op, qubit, arg, signals)``:
+        ``_PREPARE`` adds ``qubit`` with phase ``arg = e^{i angle}``;
+        ``_ENTANGLE`` is the controlled-Z between ``qubit`` and ``arg``, the
+        entangler's two ends; ``_MEASURE`` is the butterfly at entry ``arg``
+        of the pass's angle vector; ``_X``, ``_Z`` and ``_XA`` are
         corrections, one engine call per signal (three for ``_XA``, a flip
         between the phases ``arg.conjugate()`` and ``arg = e^{i angle}``).
         The lowering raises on no pattern, runnable or not.
         """
         cmds = self.commands
         steps: list[tuple] = []
-        run: list[Command] = []
-        prefix = None
         measures = 0
         placed = bytearray(len(cmds))
         # the deferred preparations and entanglers, by qubit
@@ -308,7 +303,11 @@ class Pattern(_Frozen):
 
         def place(j: int) -> None:
             placed[j] = 1
-            run.append(cmds[j])
+            cmd = cmds[j]
+            if type(cmd) is Prepare:
+                steps.append((_PREPARE, cmd.qubit, cmath.exp(1j * cmd.angle), ()))
+            else:
+                steps.append((_ENTANGLE, cmd.b, cmd.a, ()))
 
         for idx, cmd in enumerate(cmds):
             kind = type(cmd)
@@ -331,11 +330,6 @@ class Pattern(_Frozen):
                         place(e)
             if q in prep:
                 place(prep.pop(q))
-            if prefix is None:
-                prefix, run = run, []
-            elif run:
-                steps.append((_GROW, None, run, ()))
-                run = []
             if kind is Measure:
                 steps.append((_MEASURE, q, measures, ()))
                 measures += 1
@@ -343,12 +337,10 @@ class Pattern(_Frozen):
                 arg = cmath.exp(1j * cmd.angle) if kind is CorrectXPhase else None
                 steps.append((_CORRECTION_STEPS[kind], q, arg, cmd.signals))
         # the leftovers, which no gate needs, in their own order
-        run = [c for c, flag in zip(cmds, placed) if not flag]
-        if prefix is None:
-            prefix = run
-        elif run:
-            steps.append((_GROW, None, run, ()))
-        return _Plan(prefix, steps)
+        for j, flag in enumerate(placed):
+            if not flag:
+                place(j)
+        return steps
 
     @property
     def measurement_order(self) -> tuple[int, ...]:
@@ -712,10 +704,17 @@ _COMMAND_OF_TOKEN = {token: (cls, fs) for cls, (token, fs) in _COMMANDS.items()}
 
 
 def relabel(p: Pattern, mapping: Mapping[int, int]) -> Pattern:
-    """Rename qubits throughout a pattern via a bijective id map."""
+    """Rename qubits throughout a pattern via a bijective id map; ids the
+    map leaves out keep their names.  PatternError, naming the ids, when
+    it sends two of the pattern's qubits to one id."""
+    # each new id, by the first qubit renamed to it
+    source: dict[int, int] = {}
 
     def m(q: int) -> int:
-        return mapping.get(q, q)
+        new = mapping.get(q, q)
+        if source.setdefault(new, q) != q:
+            raise PatternError(f"relabel sends qubits {source[new]} and {q} to one id, {new}")
+        return new
 
     def renamed(name: str, value):
         if name == "signals":

@@ -13,8 +13,10 @@ cross-checked in the test suite.
 A pass runs the pattern's plan (:attr:`Pattern._plan`, lowered on its first
 pass): the commands as integer opcodes, in a lazy order that defers each
 preparation and entangler until a command needs it.  A pass applies no
-matrices: every gate is an in-place phase, swap or butterfly on the halves
-of one axis, restricted for a dependent correction to the slice where its
+matrices: a preparation is one in-place product that adds its qubit's axis
+(:meth:`_TensorEngine.prepare`, the engine's one way to add a qubit), and
+every gate is an in-place phase, swap or butterfly on the halves of one
+axis, restricted for a dependent correction to the slice where its
 signal's branch bit is 1.  Every dense simulation fits one byte budget,
 checked before anything is allocated: at most 23 qubits plus inputs.
 ``classify_determinism`` (:mod:`causalflow.verdict`) first asks the
@@ -53,9 +55,10 @@ from .pattern import (
     Prepare,
     SimulationError,
     _check_angles,
+    _ENTANGLE,
     _MEASURE,
+    _PREPARE,
     _X,
-    _XA,
     _Z,
 )
 from .verdict import Classification, DeterminismVerdict, Witness, _check_tolerance, _runnable_or_raise
@@ -64,8 +67,9 @@ if TYPE_CHECKING:
     from .circuit_extract import Circuit
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
-# Each butterfly grows the engine's amplitudes by up to sqrt(2) and shrinks its
-# deferred scale by as much; at this scale the two are multiplied together.
+# Each preparation and each butterfly shrinks the engine's deferred scale by
+# sqrt(2), and can grow its amplitudes by as much; at this scale the two are
+# multiplied together.
 _MIN_SCALE = 2.0**-500
 # The index of the first k whole axes, for every k up to the budget's 23 axes.
 _LEADING = [(slice(None),) * k for k in range(24)]
@@ -84,11 +88,6 @@ def x_phase_gate(alpha: float) -> np.ndarray:
 def plus_ket(alpha: float = 0.0) -> np.ndarray:
     """(|0> + e^{i alpha}|1>)/sqrt(2) as a column of amplitudes."""
     return np.array([1.0, np.exp(1j * alpha)], dtype=complex) * _SQRT2_INV
-
-
-# The plus state at angle 0, computed once, for the simulators to read.
-_PLUS = plus_ket()
-_PLUS.flags.writeable = False
 
 
 def measurement_bras(alpha: float) -> np.ndarray:
@@ -215,14 +214,11 @@ class _TensorEngine:
     :attr:`axis_of`, then one domain axis per input, always the last axes.
     It starts one row: the constructor checks the byte budget for ``qubits``
     (the most held at once) and the domain axes, allocates a zero row with
-    room for them, and writes the graph state of ``prefix`` (preparations
-    and entanglers) into the input diagonal, where each input's qubit axis
-    equals its domain axis, with its qubits in the order of ``layout``.
-    Each plus state is (1, e^{i theta}), multiplied in preparation order,
-    its 1/sqrt(2) deferred to :attr:`scale`.  A measurement keeps its axis
-    as a branch index.  A later qubit takes axis 0, outermost in the row:
-    :meth:`add_qubit` and :meth:`grow` write in place, :meth:`contract_bra`
-    into a second row.
+    room for them, and writes ones on the input diagonal, where each input's
+    qubit axis equals its domain axis: the identity on the inputs, in their
+    order.  :meth:`prepare` adds every other qubit on axis 0, outermost in
+    the row, in place; a measurement keeps its axis as a branch index, and
+    :meth:`contract_bra` projects a qubit out into a second row.
 
     Every gate acts in place on the 0-half and the 1-half of one qubit's
     axis, restricted, when a control is given, to the slice where the
@@ -232,93 +228,35 @@ class _TensorEngine:
     phase-conjugated X); :meth:`butterfly` maps them to (a + f b, a - f b)
     /sqrt(2) (the Hadamard at f = 1, and the measurement at alpha with
     f = e^{-i alpha}).  Their scratch is at most half the tensor.  The
-    butterflies' 1/sqrt(2) collect in :attr:`scale` too, applied when
-    :meth:`maps` reads the result, or once ``scale`` falls below
-    :data:`_MIN_SCALE`, so amplitudes and ``scale`` stay normal floats.
+    1/sqrt(2) of each plus state and each butterfly collect in :attr:`scale`,
+    applied when :meth:`maps` reads the result, or once ``scale`` falls
+    below :data:`_MIN_SCALE`, so amplitudes and ``scale`` stay normal floats.
     """
 
-    def __init__(
-        self,
-        inputs: Sequence[int],
-        qubits: int,
-        prefix: Sequence[Prepare | Entangle] = (),
-        layout: Sequence[int] = (),
-    ) -> None:
+    def __init__(self, inputs: Sequence[int], qubits: int) -> None:
         n_in = len(inputs)
         _check_dense_bytes(qubits, n_in)
         self.branch_order: list[int] = []
         self.scale = 1.0
-        held = {q: k for k, q in enumerate(inputs)}
-        graph = self._graph(held, prefix, n_in)
-        order = [q for q in layout if q in held]
-        order += [q for q in held if q not in order]
-        self.axis_of = {q: k for k, q in enumerate(order)}
+        self.axis_of = {q: k for k, q in enumerate(inputs)}
         self._row = np.zeros(1 << (qubits + n_in), dtype=complex)
         self._spare: np.ndarray | None = None
-        self.t = self._row[: graph.size << n_in].reshape((2,) * (graph.ndim + n_in))
+        self.t = self._row[: 1 << 2 * n_in].reshape((2,) * (2 * n_in))
         # the input diagonal: a view of the row, each input's axis striding
         # over both its qubit axis and its domain axis
-        strides = list(self.t.strides[: graph.ndim])
-        for k, q in enumerate(inputs, graph.ndim):
-            strides[self.axis_of[q]] += self.t.strides[k]
-        diagonal = np.ndarray(graph.shape, complex, self._row, strides=strides)
-        diagonal[...] = graph.transpose([held[q] for q in order])
+        strides = [a + b for a, b in zip(self.t.strides, self.t.strides[n_in:])]
+        np.ndarray((2,) * n_in, complex, self._row, strides=strides)[...] = 1.0
 
-    def _graph(
-        self, held: dict[int, int], run: Sequence[Prepare | Entangle], n_axes: int
-    ) -> np.ndarray:
-        """The plus states of ``run``'s preparations, multiplied in order
-        after ``n_axes`` axes of ones, with the -1 of each of ``run``'s
-        entanglers whose two qubits ``held`` gives axes; adds each prepared
-        qubit's axis to ``held``."""
-        graph = np.empty((2,) * n_axes, dtype=complex)
-        graph[...] = 1.0  # on tiny arrays, cheaper than np.ones
-        plus = {}
-        for cmd in run:
-            if isinstance(cmd, Prepare):
-                if cmd.angle not in plus:
-                    plus[cmd.angle] = np.array([1.0, cmath.exp(1j * cmd.angle)])
-                held[cmd.qubit] = graph.ndim
-                graph = np.multiply.outer(graph, plus[cmd.angle])
-                # the next _shrink_scale folds scale if it gets small;
-                # the constructor has no tensor to fold into yet
-                self.scale *= _SQRT2_INV
-            elif cmd.a in held and cmd.b in held:
-                idx: list = [slice(None)] * graph.ndim
-                idx[held[cmd.a]] = idx[held[cmd.b]] = 1
-                graph[tuple(idx)] *= -1.0
-        return graph
-
-    def grow(self, run: Sequence[Prepare | Entangle]) -> None:
-        """Add a run of preparations and entanglers, in place.  The run's
-        qubits take axes 0 onwards, in preparation order, outermost in the
-        row, so the tensor as it stands is their 0-half and one outer
-        product with the run's graph state writes the rest.  Then each
-        entangler with an older qubit is applied."""
-        new: dict[int, int] = {}
-        graph = self._graph(new, run, 0)
+    def prepare(self, q: int, phase: complex) -> None:
+        """Prepare ``q`` in (|0> + ``phase`` |1>)/sqrt(2) on axis 0, in place:
+        the tensor as it stands is the new 0-half, one product writes the
+        1-half after it in the row, and the 1/sqrt(2) goes to :attr:`scale`."""
         size = self.t.size
-        row = self._row[: size * graph.size]
-        np.multiply(row[:size], graph.reshape(-1, 1)[1:], out=row[size:].reshape(-1, size))
-        self.t = row.reshape(graph.shape + self.t.shape)
-        self.axis_of = {q: a + len(new) for q, a in self.axis_of.items()}
-        self.axis_of.update(new)
-        for cmd in run:
-            if type(cmd) is Entangle and not (cmd.a in new and cmd.b in new):
-                self.phase(cmd.b, -1.0, cmd.a)
-
-    def add_qubit(self, q: int, state: np.ndarray) -> None:
-        """Prepare ``q`` in ``state`` on axis 0: the tensor times each of
-        ``state``'s amplitudes, written in place, is the new axis's halves."""
-        zero, one = state.tolist()
-        size = self.t.size
-        head = self._row[:size]
-        # amplitude first: swapped, numpy's complex product can round otherwise
-        np.multiply(one, head, self._row[size : 2 * size])
-        np.multiply(zero, head, head)
+        np.multiply(self._row[:size], phase, self._row[size : 2 * size])
         self.t = self._row[: 2 * size].reshape((2,) * (self.t.ndim + 1))
         self.axis_of = {key: a + 1 for key, a in self.axis_of.items()}
         self.axis_of[q] = 0
+        self._shrink_scale()
 
     def _half(self, q: int, bit: int, control: int | None = None) -> np.ndarray:
         """The ``bit``-half of ``q`` where ``control``, if given, reads 1: a
@@ -426,17 +364,18 @@ def _check_dense_bytes(n_qubits: int, n_inputs: int) -> None:
 
 def _run_branches(p: Pattern, angles: Sequence[float]) -> _TensorEngine:
     """One dense pass over every branch at one angle vector, ``angles[k]``
-    the k-th measurement's angle.  It runs the pattern's plan
-    (:attr:`Pattern._plan`, lowered on the pattern's first pass): its
-    prefix, then its steps, in an allocation with room for every qubit, and
-    keeps every measured qubit's axis as a branch index."""
+    the k-th measurement's angle.  It runs the pattern's steps
+    (:attr:`Pattern._plan`, lowered on the pattern's first pass) in an
+    allocation with room for every qubit, and keeps every measured qubit's
+    axis as a branch index."""
     factors = np.exp(-1j * np.asarray(angles, dtype=float))
-    # measured qubits in measurement order, then the outputs: the
-    # constructor's axis order, which the branch maps read unmoved
-    layout = (*p.measurement_order, *p.outputs)
-    eng = _TensorEngine(p.inputs, len(p.vertices), p._plan.prefix, layout)
-    for op, q, arg, signals in p._plan.steps:
-        if op == _MEASURE:
+    eng = _TensorEngine(p.inputs, len(p.vertices))
+    for op, q, arg, signals in p._plan:
+        if op == _PREPARE:
+            eng.prepare(q, arg)
+        elif op == _ENTANGLE:
+            eng.phase(q, -1.0, arg)
+        elif op == _MEASURE:
             eng.butterfly(q, factors[arg])
             eng.branch_order.append(q)
         elif op == _X:
@@ -445,13 +384,11 @@ def _run_branches(p: Pattern, angles: Sequence[float]) -> _TensorEngine:
         elif op == _Z:
             for s in signals:
                 eng.phase(q, -1.0, s)
-        elif op == _XA:
+        else:
             for s in signals:
                 eng.phase(q, arg.conjugate(), s)
                 eng.flip(q, s)
                 eng.phase(q, arg, s)
-        else:
-            eng.grow(arg)
     return eng
 
 
@@ -484,8 +421,8 @@ def enumerate_branches(
     ------
     ValueError
         If ``tolerance`` is not finite and positive, or ``input_state`` is
-        not a vector of 2^|I| finite amplitudes; both are checked before
-        any simulation.
+        not a vector of 2^|I| finite amplitudes whose norm is 1 within
+        ``tolerance``; both are checked before any simulation.
     SimulationError
         If the pass and its records exceed the dense tensor bound, or the
         branch family fails the trace-preservation check.
@@ -497,6 +434,9 @@ def enumerate_branches(
         dim = 1 << len(p.inputs)
         if input_state.shape != (dim,) or not np.isfinite(input_state).all():
             raise ValueError(f"input state must be a finite vector of length {dim}")
+        norm = float(np.linalg.norm(input_state))
+        if abs(norm - 1.0) > tolerance:
+            raise ValueError(f"input state has norm {norm!r}, not 1 within {tolerance!r}")
     records = _RECORD_BYTES << n
     if _pass_bytes(len(p.vertices), len(p.inputs)) + records > _MAX_DENSE_BYTES:
         raise SimulationError(
@@ -757,11 +697,10 @@ def realized_embedding(
         peak = max(peak, live)
         live -= len(done)
     eng = _TensorEngine(g.inputs, peak)
-    plus = {0.0: _PLUS} | {a: plus_ket(a) for a in set(preps.values()) - {0.0}}
     for step, done in zip(steps, leaving):
         for q in step:
             if q not in eng.axis_of:
-                eng.add_qubit(q, plus[preps[q]])
+                eng.prepare(q, cmath.exp(1j * preps[q]))
         if len(step) == 2:
             eng.phase(step[1], -1.0, step[0])
         for q in done:
@@ -785,7 +724,7 @@ def simulate_circuit(c: Circuit) -> np.ndarray:
     eng = _TensorEngine(inputs, len(c.wires))
     for w in c.wires:
         if w.source == "plus":
-            eng.add_qubit(w.id, _PLUS)
+            eng.prepare(w.id, 1.0)
     for gate in c.gates:
         if isinstance(gate, CZGate):
             eng.phase(gate.b, -1.0, gate.a)

@@ -364,6 +364,19 @@ class TestRelabelAndNotation:
         assert [(c.a, c.b) for c in q.commands[2:4]] == [(8, 9), (7, 8)]
         assert relabel(q, {9: 1, 8: 2, 7: 3}) == p
 
+    def test_relabel_rejects_two_qubits_on_one_id(self):
+        """On the 1-2-3 path, a map that sends 1 onto 3 (which it leaves
+        out), and one that sends 1 and 2 both to 5, raise PatternError
+        naming the two qubits, in the order met, and the shared id; a swap
+        is fine."""
+        g = path_state(3, [1], [3])
+        p = synthesize(g, find_flow(g).flow, {1: 0.1, 2: 0.2})
+        with pytest.raises(PatternError, match="qubits (1 and 3|3 and 1) to one id, 3"):
+            relabel(p, {1: 3})
+        with pytest.raises(PatternError, match="qubits (1 and 2|2 and 1) to one id, 5"):
+            relabel(p, {1: 5, 2: 5})
+        assert check_runnable(relabel(p, {1: 3, 3: 1})).ok
+
 
 class TestTextFormat:
     def test_hadamard_exact_text(self):

@@ -47,7 +47,7 @@ from causalflow import (
 )
 from causalflow import simulator
 from causalflow import verdict as front
-from causalflow.pattern import _GROW, certify_strong
+from causalflow.pattern import _ENTANGLE, _PREPARE, certify_strong
 from causalflow.simulator import DeterminismVerdict, _classify_entry, _run_branches, _TensorEngine
 from conftest import (
     CZ,
@@ -190,11 +190,18 @@ class TestEnumerateBranches:
             checked += 1
 
     @pytest.mark.parametrize(
-        "state", [np.ones(4) / 2, np.array([1.0, math.nan]), np.array([math.inf, 0.0])]
+        "state",
+        [
+            np.ones(4) / 2,
+            np.array([1.0, math.nan]),
+            np.array([math.inf, 0.0]),
+            np.array([3.0, 4.0]),
+        ],
     )
     def test_bad_input_state_rejected_before_any_pass(self, monkeypatch, state):
-        """A state of the wrong length or with a non-finite amplitude raises
-        ValueError before the dense pass, also on a pattern over the budget."""
+        """A state of the wrong length, with a non-finite amplitude or whose
+        norm is not 1 raises ValueError before the dense pass, also on a
+        pattern over the budget."""
         passes = _count_passes(monkeypatch)
         with pytest.raises(ValueError, match="input state"):
             enumerate_branches(hadamard_pattern(), input_state=state)
@@ -390,8 +397,9 @@ class TestOnePassPerAngleVector:
 def _late_graph_pattern(angles, preps=(0.3, 0.5, 1.2)) -> Pattern:
     """Inputs 1 and 2, outputs 1 and 5: qubits 4 and 5 are prepared and
     entangled after measurements, 4 and 5 with the input 1, and the
-    correction of 1 is controlled by the late qubit 4.  The measured input
-    2 comes first among the qubit axes but second in the input space.
+    correction of 1 is controlled by the late qubit 4.  The qubit axes end
+    as 5, 4, 3, 1, 2, so the read-out (the branches 2, 3, 4, then the
+    outputs 1, 5) moves every one.
     ``preps`` are the preparation angles of 3, 4 and 5."""
     return Pattern(
         range(1, 6),
@@ -420,18 +428,14 @@ def _late_graph_pattern(angles, preps=(0.3, 0.5, 1.2)) -> Pattern:
 
 def _eager_pass(p: Pattern, angles) -> _TensorEngine:
     """The reference pass, eager and in the pattern's own order, with the
-    dense pass's arithmetic: the constructor builds the leading preparations
-    and entanglers, each later preparation is a new axis 0 holding
-    (1, e^{i theta}) with its 1/sqrt(2) deferred to the scale, and every
-    gate is one of the engine's kernels."""
-    prefix = [*itertools.takewhile(lambda c: isinstance(c, (Prepare, Entangle)), p.commands)]
-    layout = (*p.measurement_order, *p.outputs)
-    eng = _TensorEngine(p.inputs, len(p.vertices), prefix, layout)
+    dense pass's arithmetic: from the identity on the inputs, each
+    preparation is a new axis 0 (``prepare``) and every gate is one of the
+    engine's kernels."""
+    eng = _TensorEngine(p.inputs, len(p.vertices))
     factors = iter(np.exp(-1j * np.asarray(angles, dtype=float)))
-    for cmd in p.commands[len(prefix) :]:
+    for cmd in p.commands:
         if isinstance(cmd, Prepare):
-            eng.add_qubit(cmd.qubit, np.array([1.0, cmath.exp(1j * cmd.angle)]))
-            eng._shrink_scale()
+            eng.prepare(cmd.qubit, cmath.exp(1j * cmd.angle))
         elif isinstance(cmd, Entangle):
             eng.phase(cmd.b, -1.0, cmd.a)
         elif isinstance(cmd, Measure):
@@ -463,7 +467,7 @@ def _edited(p: Pattern, rng: random.Random) -> list[Pattern]:
 
 
 class TestGraphStateBuild:
-    """The dense pass runs its plan's lazy order and grows its tensor in
+    """The dense pass runs its plan's lazy order and prepares each qubit in
     place.  At zero preparation angles its branch maps are bit for
     bit those of the eager reference pass; at any angles they equal
     run_branch's."""
@@ -506,9 +510,11 @@ class TestGraphStateBuild:
         assert check_runnable(p).ok
         for q in variants:
             eng = _run_branches(p, _angle_vector(p, q.measure_angles()))
-            # the constructor lays out 2, 3, 1; qubits 4 and 5, prepared after
-            # measurements, each took axis 0; the two domain axes stay last
-            assert sorted(eng.axis_of, key=eng.axis_of.get) == [5, 4, 2, 3, 1]
+            # the inputs 1 and 2 start on axes 0 and 1; 3, 4 and 5, each
+            # prepared later, took axis 0; the two domain axes stay last.  So
+            # Z1's control 2 and Z5's controls 3 and 4 have axes after their
+            # targets', and X1's control 4 before its target's
+            assert sorted(eng.axis_of, key=eng.axis_of.get) == [5, 4, 3, 1, 2]
             assert sorted(eng.axis_of.values()) == [0, 1, 2, 3, 4]
             assert eng.t.shape == (2,) * 7
             maps = eng.maps(p.outputs)
@@ -550,14 +556,20 @@ def _on(cmd, q: int) -> bool:
 
 
 def _lazy_order(p: Pattern) -> list:
-    """The commands of ``p`` in its plan's lazy order: the prefix, then each
-    _GROW step's run, and each other step's command, the next gate of
-    ``p.commands`` (no gate moves)."""
+    """The commands of ``p`` in its plan's lazy order: for each _PREPARE and
+    _ENTANGLE step, the first unused command that lowers to it, and for
+    each other step the next gate of ``p.commands`` (no gate moves)."""
     gates = (c for c in p.commands if not isinstance(c, (Prepare, Entangle)))
-    order = list(p._plan.prefix)
-    for op, _, arg, _ in p._plan.steps:
-        order += arg if op == _GROW else [next(gates)]
-    return order
+    deferred: dict = {}
+    for cmd in p.commands:
+        if isinstance(cmd, Prepare):
+            deferred.setdefault((_PREPARE, cmd.qubit, cmath.exp(1j * cmd.angle)), []).append(cmd)
+        elif isinstance(cmd, Entangle):
+            deferred.setdefault((_ENTANGLE, cmd.b, cmd.a), []).append(cmd)
+    return [
+        deferred[step[:3]].pop(0) if step[0] in (_PREPARE, _ENTANGLE) else next(gates)
+        for step in p._plan
+    ]
 
 
 class TestCompile:
@@ -651,78 +663,36 @@ class TestCompile:
         assert origin[tail:] == sorted(origin[tail:])
 
 
-def _eye_product_build(inputs, prefix, layout):
-    """The reference graph-state build: the plus states, each (1, e^{i theta})
-    with its 1/sqrt(2) collected in a scale, multiplied over the inputs and
-    prepared qubits in preparation order, transposed to the layout, times
-    the identity from each input's axis to its domain axis.  Returns the
-    tensor, the qubit order of its axes and the scale."""
-    n_in = len(inputs)
-    held = list(inputs)
-    graph = np.ones((2,) * n_in, dtype=complex)
-    scale = 1.0
-    for cmd in prefix:
-        if isinstance(cmd, Prepare):
-            held.append(cmd.qubit)
-            graph = np.multiply.outer(graph, np.array([1.0, cmath.exp(1j * cmd.angle)]))
-            scale *= 1.0 / math.sqrt(2.0)
-        else:
-            idx: list = [slice(None)] * graph.ndim
-            idx[held.index(cmd.a)] = idx[held.index(cmd.b)] = 1
-            graph[tuple(idx)] *= -1.0
-    layout = [q for q in layout if q in held] + [q for q in held if q not in layout]
-    graph = graph.transpose([held.index(q) for q in layout])[(...,) + (None,) * n_in]
-    eye = np.eye(1 << n_in, dtype=complex).reshape((2,) * (2 * n_in))
-    perm = [inputs.index(q) for q in layout if q in inputs] + [*range(n_in, 2 * n_in)]
-    eye = eye.transpose(perm).reshape([2 if q in inputs else 1 for q in layout] + [2] * n_in)
-    return graph * eye, layout, scale
-
-
 class TestInputDiagonalWrite:
-    """The engine writes the graph state into its input diagonal and zeros
-    elsewhere; its tensor equals the eye-product build's (zeros of either
-    sign compare equal: the product gives some zeros a minus sign)."""
+    """The constructor writes the identity on the inputs, ones where each
+    input's qubit axis equals its domain axis and zeros elsewhere, with the
+    qubit axes in input order; ``prepare`` puts a new qubit on axis 0."""
 
-    def _assert_equal(self, inputs, prefix, layout) -> None:
-        qubits = len(inputs) + sum(isinstance(c, Prepare) for c in prefix)
-        eng = _TensorEngine(inputs, qubits, prefix, layout)
-        expected, order, scale = _eye_product_build(list(inputs), prefix, layout)
-        # the qubit axes in layout order, then the domain axes
-        assert eng.axis_of == {q: k for k, q in enumerate(order)}
-        assert eng.t.shape == expected.shape
-        assert np.array_equal(eng.t, expected), (inputs, layout)
-        assert eng.scale == scale
-
-    def test_empty_prefix_at_every_layout(self):
-        """From no input, a tensor with no axis, to four."""
+    def test_identity_on_zero_to_four_inputs(self):
+        """From no input, a tensor with no axis, to four, in a row with and
+        without room for more qubits."""
         for n_in in range(5):
             inputs = [7, 2, 9, 4][:n_in]
-            for layout in [(), *itertools.permutations(inputs)]:
-                self._assert_equal(inputs, (), layout)
+            expected = np.eye(1 << n_in, dtype=complex).reshape((2,) * (2 * n_in))
+            for qubits in (n_in, n_in + 2):
+                eng = _TensorEngine(inputs, qubits)
+                assert eng.axis_of == {q: k for k, q in enumerate(inputs)}
+                assert eng.t.shape == expected.shape
+                assert np.array_equal(eng.t, expected), inputs
+                assert eng.scale == 1.0
 
-    def test_synthesized_prefixes_at_every_layout(self):
-        """Five-vertex flow geometries with 0 to 4 inputs, and the two-qubit
-        Hadamard geometry, whose entangler indexes every axis; random
-        preparation angles, each qubit order of the pattern as the layout."""
-        rng = random.Random(17)
-        arng = np.random.default_rng(17)
-        by_inputs: dict[int, Pattern] = {}
-        while len(by_inputs) < 5:
-            g = random_open_graph(rng, max_vertices=5)
-            if len(g.vertices) < 5 or len(g.inputs) > 4 or len(g.inputs) in by_inputs:
-                continue
-            result = find_flow(g)
-            if result.found:
-                meas, preps = random_angles(arng, g.measured), random_angles(arng, g.prepared)
-                by_inputs[len(g.inputs)] = synthesize(g, result.flow, meas, preps)
-        h = hadamard_geometry()
-        for p in [*by_inputs.values(), synthesize(h, find_flow(h).flow, {1: 0.3}, {2: 0.7})]:
-            prefix = [
-                *itertools.takewhile(lambda c: isinstance(c, (Prepare, Entangle)), p.commands)
-            ]
-            assert any(isinstance(c, Entangle) for c in prefix)
-            for layout in [(), *itertools.permutations(p.vertices)]:
-                self._assert_equal(p.inputs, prefix, layout)
+    def test_prepare_adds_axis_zero(self):
+        """The tensor as it stood is the new 0-half, times the phase the
+        1-half, exactly; the 1/sqrt(2) of each plus state is in the scale."""
+        eng = _TensorEngine([7, 2], 4)
+        before = eng.t.copy()
+        phases = [cmath.exp(0.7j), 1.0]
+        for q, phase in zip([5, 3], phases):
+            eng.prepare(q, phase)
+        assert eng.axis_of == {3: 0, 5: 1, 7: 2, 2: 3}
+        expected = np.multiply.outer([1.0, phases[1]], np.multiply.outer([1.0, phases[0]], before))
+        assert np.array_equal(eng.t, expected)
+        assert eng.scale == simulator._SQRT2_INV * simulator._SQRT2_INV
 
 
 class TestOneRow:
@@ -730,7 +700,7 @@ class TestOneRow:
     for its most qubits at once: each step leaves the tensor at the start
     of the engine's row, and the simulation allocates within its charge."""
 
-    STEPS = ("add_qubit", "contract_bra", "grow")
+    STEPS = ("prepare", "contract_bra")
 
     def _watch(self, monkeypatch) -> list[str]:
         """Check the tensor after every call of one of STEPS; return the
@@ -752,24 +722,24 @@ class TestOneRow:
     @pytest.mark.parametrize("inputs", [[1, 4, 7], [4]], ids=["grid-3x3", "grid-3x3-one-input"])
     def test_each_step_leaves_the_tensor_at_the_row_start(self, monkeypatch, inputs):
         """On the 3x3 grid, with its three inputs and with the middle one
-        alone: realized_embedding adds and contracts qubits, simulate_circuit
-        adds its ancilla wires (the one-input grid's circuit has two) and
-        the dense pass of enumerate_branches grows its tensor, each in its
-        row."""
+        alone: realized_embedding prepares and contracts qubits,
+        simulate_circuit prepares its ancilla wires (the one-input grid's
+        circuit has two) and the dense pass of enumerate_branches prepares
+        its qubits, each in its row."""
         calls = self._watch(monkeypatch)
         grid = cluster_grid(3, 3)
         g = OpenGraphState(grid.vertices, grid.edges, inputs, grid.outputs)
         flow = find_flow(g).flow
         angles = {q: 0.1 * q for q in g.measured}
         realized_embedding(g, angles)
-        assert {"add_qubit", "contract_bra"} <= set(calls)
+        assert {"prepare", "contract_bra"} <= set(calls)
         calls.clear()
         circuit = extract_circuit(g, flow, angles)
         simulate_circuit(circuit)
-        assert calls == ["add_qubit"] * sum(w.source == "plus" for w in circuit.wires)
+        assert calls == ["prepare"] * sum(w.source == "plus" for w in circuit.wires)
         calls.clear()
         enumerate_branches(synthesize(g, flow, angles))
-        assert set(calls) == {"grow"}
+        assert set(calls) == {"prepare"}
 
     @pytest.mark.parametrize(
         "g", [path_state(3000, [1], [3000]), cluster_grid(7, 6)], ids=["path-1x3000", "grid-7x6"]
@@ -786,12 +756,12 @@ class TestOneRow:
         charges = []
         engine = _TensorEngine.__init__
 
-        def charged(eng, inputs, qubits, *args):
+        def charged(eng, inputs, qubits):
             charges.append(
                 (simulator._pass_bytes(qubits, len(inputs)), tracemalloc.get_traced_memory()[0])
             )
             tracemalloc.reset_peak()
-            engine(eng, inputs, qubits, *args)
+            engine(eng, inputs, qubits)
 
         angles = {q: 0.0 for q in g.measured}
         circuit = extract_circuit(g, find_flow(g).flow, angles)
