@@ -15,13 +15,12 @@ use and kept with the pattern; the dense pass's plan, from a second.
 one backward sweep pulls each outcome's Pauli operator back through the
 commands, as the proof of the source paper's Theorem 1 does.
 ``classify_determinism`` asks it first, so a certified pattern is strong at
-any size, with no plan lowered and no numpy loaded; only the patterns the
+any size, with no plan made and no numpy loaded; only the patterns the
 certificate declines take the simulator's dense pass, within the byte budget.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 from collections import namedtuple
@@ -42,7 +41,7 @@ def normalize_angle(angle: float) -> float:
     a = math.fmod(a, TWO_PI)
     if a < 0.0:
         a += TWO_PI
-    if a >= TWO_PI:
+    if a >= TWO_PI or a == 0.0:  # 2*pi after rounding, or fmod's -0.0
         a = 0.0
     return a
 
@@ -177,9 +176,6 @@ EXACT_TOLERANCE = 1e-12
 # (see check_runnable), the measurements as (qubit, angle) in command order,
 # and the most qubits live at once (inputs plus preparations less measurements).
 _Walk = namedtuple("_Walk", "violations measures live_peak")
-# Opcodes of the dense pass's steps (see Pattern._plan), and each correction's.
-_PREPARE, _ENTANGLE, _MEASURE, _X, _Z, _XA = range(6)
-_CORRECTION_STEPS = {CorrectX: _X, CorrectZ: _Z, CorrectXPhase: _XA}
 
 
 class Pattern(_Frozen):
@@ -190,7 +186,7 @@ class Pattern(_Frozen):
     measured for the pattern to be runnable.  A pattern never changes, so
     what its commands say is computed once, on first use, and cached: the
     runnability violations, measurements and live-qubit peak (:attr:`_walk`)
-    and the dense pass's plan (:attr:`_plan`), which only a dense pass reads.
+    and the commands in the dense pass's order (:attr:`_plan`).
     """
 
     vertices: tuple[int, ...]
@@ -274,28 +270,18 @@ class Pattern(_Frozen):
         return _Walk(tuple(violations), tuple(measures), peak)
 
     @cached_property
-    def _plan(self) -> list[tuple]:
-        """The commands lowered to the dense pass's steps, made on the first
-        dense pass over the pattern.
-
-        The steps run the commands in a lazy order: each ``N`` just before
-        the first command on its qubit, each ``E`` just before the first
-        measurement or X/XA correction on either endpoint (it commutes with
-        ``Z`` and with other ``E``s), and those never needed at the end, in
-        their own order.  No command moves earlier, so the maps are those
-        of the pattern's own order, and early gates act on the few qubits
-        prepared so far.  Each step is ``(op, qubit, arg, signals)``:
-        ``_PREPARE`` adds ``qubit`` with phase ``arg = e^{i angle}``;
-        ``_ENTANGLE`` is the controlled-Z between ``qubit`` and ``arg``, the
-        entangler's two ends; ``_MEASURE`` is the butterfly at entry ``arg``
-        of the pass's angle vector; ``_X``, ``_Z`` and ``_XA`` are
-        corrections, one engine call per signal (three for ``_XA``, a flip
-        between the phases ``arg.conjugate()`` and ``arg = e^{i angle}``).
-        The lowering raises on no pattern, runnable or not.
+    def _plan(self) -> tuple[Command, ...]:
+        """The commands in the dense pass's lazy order, made on the first
+        dense pass over the pattern: each ``N`` just before the first command
+        on its qubit, each ``E`` just before the first measurement or X/XA
+        correction on either endpoint (it commutes with ``Z`` and with other
+        ``E``s), and those never needed at the end, in their own order.  No
+        command moves earlier and no gate moves, so the plan is a permutation
+        of :attr:`commands` with the same maps, and early gates act on the few
+        qubits prepared so far.  It is made for any pattern, runnable or not.
         """
         cmds = self.commands
-        steps: list[tuple] = []
-        measures = 0
+        plan: list[Command] = []
         placed = bytearray(len(cmds))
         # the deferred preparations and entanglers, by qubit
         prep: dict[int, int] = {}
@@ -303,11 +289,7 @@ class Pattern(_Frozen):
 
         def place(j: int) -> None:
             placed[j] = 1
-            cmd = cmds[j]
-            if type(cmd) is Prepare:
-                steps.append((_PREPARE, cmd.qubit, cmath.exp(1j * cmd.angle), ()))
-            else:
-                steps.append((_ENTANGLE, cmd.b, cmd.a, ()))
+            plan.append(cmds[j])
 
         for idx, cmd in enumerate(cmds):
             kind = type(cmd)
@@ -318,9 +300,8 @@ class Pattern(_Frozen):
                 ents.setdefault(cmd.a, []).append(idx)
                 ents.setdefault(cmd.b, []).append(idx)
                 continue
-            # a gate: place the deferred commands it needs, then its step
+            # a gate: place the deferred commands it needs, then the gate
             q = cmd.qubit
-            placed[idx] = 1
             if kind is not CorrectZ and q in ents:
                 for e in ents.pop(q):
                     if not placed[e]:
@@ -330,17 +311,10 @@ class Pattern(_Frozen):
                         place(e)
             if q in prep:
                 place(prep.pop(q))
-            if kind is Measure:
-                steps.append((_MEASURE, q, measures, ()))
-                measures += 1
-            else:
-                arg = cmath.exp(1j * cmd.angle) if kind is CorrectXPhase else None
-                steps.append((_CORRECTION_STEPS[kind], q, arg, cmd.signals))
+            place(idx)
         # the leftovers, which no gate needs, in their own order
-        for j, flag in enumerate(placed):
-            if not flag:
-                place(j)
-        return steps
+        plan += (cmd for cmd, flag in zip(cmds, placed) if not flag)
+        return tuple(plan)
 
     @property
     def measurement_order(self) -> tuple[int, ...]:

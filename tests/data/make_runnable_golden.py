@@ -18,12 +18,20 @@ byte, so the file is regenerated only when a change to the runnability
 rules or their texts is intended:
 
     PYTHONPATH=src python tests/data/make_runnable_golden.py
+
+With ``--diff`` it writes nothing.  It lists the entries that a regeneration
+would add, remove or change, each with the fields that change, and exits 1
+if any would, else 0:
+
+    PYTHONPATH=src python tests/data/make_runnable_golden.py --diff
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
+import sys
 from pathlib import Path
 
 from causalflow import (
@@ -150,19 +158,47 @@ def cases() -> list[tuple[str, Pattern]]:
     return out
 
 
+def entries() -> list[dict]:
+    """The file's entries, one per case, in order."""
+    return [
+        {
+            "kind": kind,
+            "pattern": print_pattern(p),
+            "violations": list(check_runnable(p).violations),
+            "measurement_order": list(p.measurement_order),
+            "measure_angles": [[q, a] for q, a in p.measure_angles().items()],
+        }
+        for kind, p in cases()
+    ]
+
+
+def diff() -> int:
+    """Print how a regeneration would change the file; 1 if any entry changes."""
+    old = json.loads(OUT.read_text(encoding="utf-8"))
+    new = entries()
+    print(f"entries: {len(old)} -> {len(new)}")
+    changed = 0
+    for k in range(max(len(old), len(new))):
+        if k >= len(old):
+            print(f"  added entry {k} ({new[k]['kind']})")
+        elif k >= len(new):
+            print(f"  removed entry {k} ({old[k]['kind']})")
+        elif old[k] != new[k]:
+            fields = [f for f in new[k] if old[k].get(f) != new[k][f]]
+            print(f"  changed entry {k} ({new[k]['kind']}): {', '.join(fields)}")
+        else:
+            continue
+        changed += 1
+    print(f"{changed} entries change")
+    return 1 if changed else 0
+
+
 def main() -> None:
-    entries = []
-    for kind, p in cases():
-        entries.append(
-            {
-                "kind": kind,
-                "pattern": print_pattern(p),
-                "violations": list(check_runnable(p).violations),
-                "measurement_order": list(p.measurement_order),
-                "measure_angles": [[q, a] for q, a in p.measure_angles().items()],
-            }
-        )
-    lines = ",\n".join(json.dumps(e, separators=(",", ":")) for e in entries)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--diff", action="store_true", help="list the changes, write nothing")
+    if parser.parse_args().diff:
+        sys.exit(diff())
+    lines = ",\n".join(json.dumps(e, separators=(",", ":")) for e in entries())
     OUT.write_text("[\n" + lines + "\n]\n", encoding="utf-8")
 
 

@@ -7,12 +7,12 @@ raise nothing else; an id, an angle-file key or a numeric flag spelled in a
 way that ``int()`` or ``float()`` would still read (``+2``, ``02``, ``0_2``,
 ``2.0``, ``1_0e-3``, ...) must exit 2, and so must a file that is not
 UTF-8.  Every pattern mutant that parses goes through ``check_runnable``,
-whose walk lowers the dense pass's plan and must raise on none of them, and
-through ``certify_strong``, which must return a bool; and every runnable one
-of at most 8 measurements must give dense branch maps equal to
-``run_branch``'s within 1e-12, from the lazy order of that plan
-(``Pattern._walk`` states the order), and equal to each other within 1e-12
-when the certificate certifies it.
+whose walk must raise on none of them, and through ``certify_strong``,
+which must return a bool; and every runnable one of at most 8 measurements
+must give dense branch maps equal to ``run_branch``'s within 1e-12, from
+the lazy order of the dense pass's plan (``Pattern._plan`` states the
+order), and equal to each other within 1e-12 when the certificate
+certifies it.
 """
 
 import contextlib

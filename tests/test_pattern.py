@@ -487,6 +487,14 @@ class TestAngles:
         assert Prepare(1, 2 * math.pi).angle == 0.0
         assert CorrectXPhase(1, 7.0, {2}).angle == pytest.approx(7.0 - 2 * math.pi)
 
+    def test_negative_zero_and_multiples_of_two_pi_map_to_plus_zero(self):
+        for angle in (-0.0, -2 * math.pi, -4 * math.pi, 2 * math.pi):
+            a = normalize_angle(angle)
+            assert a == 0.0 and math.copysign(1.0, a) == 1.0, angle
+        p = Pattern([1, 2], [1], [2], [Prepare(2, -0.0), Entangle(1, 2), Measure(1, -0.0)])
+        assert "-0.0" not in print_pattern(p)
+        assert "N 2 0.0" in print_pattern(p) and "M 1 0.0" in print_pattern(p)
+
     def test_non_finite_angles_rejected(self):
         for angle in (math.nan, math.inf, -math.inf, float("1e400")):
             with pytest.raises(PatternError, match="not finite"):

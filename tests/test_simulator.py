@@ -40,6 +40,7 @@ from causalflow import (
     parse_pattern,
     print_pattern,
     realized_embedding,
+    relabel,
     run_branch,
     simulate_circuit,
     synthesize,
@@ -47,7 +48,7 @@ from causalflow import (
 )
 from causalflow import simulator
 from causalflow import verdict as front
-from causalflow.pattern import _ENTANGLE, _PREPARE, certify_strong
+from causalflow.pattern import certify_strong
 from causalflow.simulator import DeterminismVerdict, _classify_entry, _run_branches, _TensorEngine
 from conftest import (
     CZ,
@@ -240,7 +241,7 @@ class TestOneWalk:
         """synthesize's own check, check_runnable, classify_determinism,
         enumerate_branches and run_branch all read the one walk of the
         pattern's commands that the first of them made.  The certified
-        classification lowers no plan; enumerate_branches lowers it once."""
+        classification makes no plan; enumerate_branches makes it once."""
         walked = _count_cached(monkeypatch, "_walk")
         planned = _count_cached(monkeypatch, "_plan")
         g = path_state(3, [1], [3])
@@ -256,9 +257,9 @@ class TestOneWalk:
         assert planned == [p]
 
     def test_one_walk_across_restarts(self, monkeypatch):
-        """classify_determinism walks a pattern and lowers its plan once,
+        """classify_determinism walks a pattern and makes its plan once,
         across its eight passes, one per angle vector; a second
-        classification and enumerate_branches walk it and lower it no
+        classification and enumerate_branches walk it and make it no
         more."""
         g = path_state(8, [1], [8])
         arng = np.random.default_rng(8)
@@ -543,7 +544,7 @@ class TestGraphStateBuild:
             self._assert_run_branch(variant)
 
 
-def _placed_at(p: Pattern, plan: list) -> list[int]:
+def _placed_at(p: Pattern, plan: tuple) -> list[int]:
     """Each plan entry's index in ``p.commands``; equal commands in order."""
     unused: dict = {}
     for k, cmd in enumerate(p.commands):
@@ -555,21 +556,28 @@ def _on(cmd, q: int) -> bool:
     return q in (cmd.a, cmd.b) if isinstance(cmd, Entangle) else cmd.qubit == q
 
 
-def _lazy_order(p: Pattern) -> list:
-    """The commands of ``p`` in its plan's lazy order: for each _PREPARE and
-    _ENTANGLE step, the first unused command that lowers to it, and for
-    each other step the next gate of ``p.commands`` (no gate moves)."""
-    gates = (c for c in p.commands if not isinstance(c, (Prepare, Entangle)))
-    deferred: dict = {}
-    for cmd in p.commands:
-        if isinstance(cmd, Prepare):
-            deferred.setdefault((_PREPARE, cmd.qubit, cmath.exp(1j * cmd.angle)), []).append(cmd)
-        elif isinstance(cmd, Entangle):
-            deferred.setdefault((_ENTANGLE, cmd.b, cmd.a), []).append(cmd)
-    return [
-        deferred[step[:3]].pop(0) if step[0] in (_PREPARE, _ENTANGLE) else next(gates)
-        for step in p._plan
-    ]
+def _compile_corpus() -> list[Pattern]:
+    """The late-graph pattern, and seeded synthesized patterns in both forms,
+    each as is, stripped and edited (``_edited``)."""
+    rng = random.Random(18)
+    arng = np.random.default_rng(18)
+    patterns = [_late_graph_pattern(random_angles(arng, [2, 3, 4]))]
+    for g, fl in _flow_patterns(18, 80, max_vertices=6):
+        meas = random_angles(arng, g.measured)
+        for p in (synthesize(g, fl, meas), synthesize_stabilizer_form(g, fl, meas)):
+            patterns += [p, p.without_corrections(), *_edited(p, rng)]
+    return patterns
+
+
+# Patterns that are not runnable: a repeated N, a self-entangler, gates on an
+# unprepared and on an undeclared qubit, signals never measured and a qubit
+# measured twice.
+MALFORMED = [
+    "V: 1 2\nI: 1\nO: 2\nN 2 0.0\nN 2 0.7\nE 1 2\nM 1 0.5\nX 2 [1]\n",
+    "V: 4\nI:\nO: 4\nE 4 4\nN 4 0.0\n",
+    "V: 1 2 3\nI: 1\nO: 3\nE 1 2\nM 2 0.1\nN 2 0.0\nZ 3 [1]\nX 9 [7]\n",
+    "V: 1 2\nI: 1\nO: 2\nN 2 0.0\nE 1 2\nXA 2 0.4 [1,5]\nM 1 0.3\nM 1 0.2\n",
+]
 
 
 class TestCompile:
@@ -584,41 +592,45 @@ class TestCompile:
         # N3 E23 M2; E13 X3; N4 E34 M3; E14 XA4; Z1 M4 X1; N5 Z5; then the
         # leftover E15, which commutes with Z5
         order = [0, 1, 3, 2, 4, 5, 7, 8, 6, 9, 10, 11, 12, 13, 15, 14]
-        assert _lazy_order(p) == [c[k] for k in order]
+        # the pattern's own command objects, not copies
+        assert type(p._plan) is tuple
+        assert [id(cmd) for cmd in p._plan] == [id(c[k]) for k in order]
 
     def test_rule_on_sampled_patterns(self):
-        rng = random.Random(18)
-        arng = np.random.default_rng(18)
-        patterns = [_late_graph_pattern(random_angles(arng, [2, 3, 4]))]
-        for g, fl in _flow_patterns(18, 80, max_vertices=6):
-            meas = random_angles(arng, g.measured)
-            for p in (synthesize(g, fl, meas), synthesize_stabilizer_form(g, fl, meas)):
-                patterns += [p, p.without_corrections(), *_edited(p, rng)]
-        for p in patterns:
+        for p in _compile_corpus():
             self._assert_rule(p)
 
-    def test_malformed_patterns_lower(self):
-        """The walk lowers a pattern that is not runnable without raising,
-        each command placed once and the gates in their own order: a
-        repeated N, a self-entangler, gates on an unprepared and on an
-        undeclared qubit, signals never measured and a qubit measured
-        twice."""
-        texts = [
-            "V: 1 2\nI: 1\nO: 2\nN 2 0.0\nN 2 0.7\nE 1 2\nM 1 0.5\nX 2 [1]\n",
-            "V: 4\nI:\nO: 4\nE 4 4\nN 4 0.0\n",
-            "V: 1 2 3\nI: 1\nO: 3\nE 1 2\nM 2 0.1\nN 2 0.0\nZ 3 [1]\nX 9 [7]\n",
-            "V: 1 2\nI: 1\nO: 2\nN 2 0.0\nE 1 2\nXA 2 0.4 [1,5]\nM 1 0.3\nM 1 0.2\n",
-        ]
-        for text in texts:
+    def test_malformed_patterns_are_planned(self):
+        """A pattern that is not runnable gets a plan without raising, each
+        command placed once and the gates in their own order."""
+        for text in MALFORMED:
             p = parse_pattern(text)
             assert not check_runnable(p).ok
-            origin = _placed_at(p, _lazy_order(p))
+            origin = _placed_at(p, p._plan)
             assert sorted(origin) == [*range(len(p.commands))], text
             gates = [k for k in origin if not isinstance(p.commands[k], (Prepare, Entangle))]
             assert gates == sorted(gates), text
 
+    def test_plan_is_a_pattern_with_the_same_maps(self):
+        """The plan, as a pattern with the same qubits, is a permutation of
+        the commands, runnable whenever the pattern is, with run_branch maps
+        equal to the pattern's."""
+        runnable = 0
+        for p in [*_compile_corpus(), *map(parse_pattern, MALFORMED)]:
+            q = Pattern(p.vertices, p.inputs, p.outputs, p._plan)
+            assert sorted(_placed_at(p, q.commands)) == [*range(len(p.commands))]
+            if not check_runnable(p).ok:
+                continue
+            runnable += 1
+            assert check_runnable(q).ok, print_pattern(p)
+            assert q.measurement_order == p.measurement_order
+            for s in range(1 << p.n_measurements):
+                label = format(s, f"0{p.n_measurements}b")
+                np.testing.assert_allclose(run_branch(q, label), run_branch(p, label), atol=1e-12)
+        assert runnable > 300
+
     def _assert_rule(self, p: Pattern) -> None:
-        plan = _lazy_order(p)
+        plan = p._plan
         origin = _placed_at(p, plan)
         assert sorted(origin) == [*range(len(p.commands))]
         # a command passes one that came before it in p only if that one
@@ -1279,6 +1291,86 @@ OVER_BUDGET = {
     # synthesis prepares all 24 qubits before the first measurement
     "run_branch": lambda: partial(run_branch, _path_pattern(24), "0" * 23),
 }
+
+
+def _sequential(p: Pattern, q: Pattern, rng: random.Random) -> Pattern | None:
+    """``q`` after ``p``: ``q``'s inputs relabelled onto ``p``'s outputs in a
+    seeded order, its other qubits onto fresh ids, and the two command lists
+    concatenated; None when ``q`` has not as many inputs as ``p`` outputs,
+    or when one of its entanglers lands on one of ``p``'s, as the two then
+    cancel and the geometry has a repeated edge."""
+    if len(q.inputs) != len(p.outputs):
+        return None
+    onto = list(p.outputs)
+    rng.shuffle(onto)
+    mapping = {v: max(p.vertices) + v for v in q.vertices}
+    mapping.update(zip(q.inputs, onto))
+    r = relabel(q, mapping)
+    if set(p.commands) & {cmd for cmd in r.commands if isinstance(cmd, Entangle)}:
+        return None
+    return Pattern((*p.vertices, *r.vertices), p.inputs, r.outputs, p.commands + r.commands)
+
+
+def _side_by_side(p: Pattern, q: Pattern, rng: random.Random) -> Pattern:
+    """``p`` beside ``q``, whose qubits are relabelled onto fresh ids, with
+    the two command lists interleaved in a seeded order from a seeded point
+    of ``p``'s on."""
+    r = relabel(q, {v: max(p.vertices) + v for v in q.vertices})
+    sources = (iter(p.commands), iter(r.commands))
+    cut = rng.randint(0, len(p.commands))
+    slots = [0] * (len(p.commands) - cut) + [1] * len(r.commands)
+    rng.shuffle(slots)
+    slots[:0] = [0] * cut
+    return Pattern(
+        (*p.vertices, *r.vertices),
+        (*p.inputs, *r.inputs),
+        (*p.outputs, *r.outputs),
+        [next(sources[k]) for k in slots],
+    )
+
+
+class TestComposition:
+    """The closure of flow patterns under composition, on seeded pairs of
+    synthesized patterns of at most five vertices, with and without
+    preparation phases: one after the other, and side by side with their
+    commands interleaved.  Both prepare qubits after a measurement, an order
+    that no synthesized pattern has."""
+
+    def test_compositions_keep_flow_certificate_and_maps(self, monkeypatch):
+        """Each composition has a flow and a certificate, the dense route
+        finds it strong and uniform, and its dense pass equals run_branch
+        within 1e-12 on every branch; no one-correction mutant is certified
+        unless the dense route finds it strong."""
+        monkeypatch.setattr(front, "certify_strong", lambda p: False)
+        rng = random.Random(35)
+        arng = np.random.default_rng(35)
+        pool = []
+        for k, (g, fl) in enumerate(_flow_patterns(35, 40, max_vertices=5)):
+            meas = random_angles(arng, g.measured)
+            pool.append(synthesize(g, fl, meas, random_angles(arng, g.prepared) if k % 2 else None))
+        late = {_sequential: 0, _side_by_side: 0}
+        refuted = []
+        for compose in (_sequential, _side_by_side) * 40:
+            c = None
+            while c is None or c.n_measurements > 6:
+                c = compose(*rng.sample(pool, 2), rng)
+            kinds = [type(cmd) for cmd in c.commands]
+            late[compose] += Prepare in kinds[kinds.index(Measure) :]
+            assert find_flow(c.geometry()).found, print_pattern(c)
+            assert certify_strong(c), print_pattern(c)
+            verdict = classify_determinism(c, angle_samples=2, seed=len(refuted))
+            assert verdict.is_strong and verdict.uniform, print_pattern(c)
+            maps = _run_branches(c, _angle_vector(c, c.measure_angles())).maps(c.outputs)
+            for s in range(1 << c.n_measurements):
+                label = format(s, f"0{c.n_measurements}b")
+                np.testing.assert_allclose(maps[s], run_branch(c, label), atol=1e-12)
+            for m in _mutants(c, rng):
+                strong = classify_determinism(m, angle_samples=3, seed=len(refuted)).is_strong
+                assert strong or not certify_strong(m), print_pattern(m)
+                refuted.append(not strong)
+        assert min(late.values()) >= 10
+        # the certificate's declines are tested on mutants that are not strong
+        assert sum(refuted) > len(refuted) // 2
 
 
 class TestDenseBudget:
