@@ -359,12 +359,10 @@ def check_runnable(p: Pattern) -> ValidationResult:
     return ValidationResult(p._walk.violations)
 
 
-def _bits(mask: int) -> Iterable[int]:
-    """The positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _xor(a: frozenset[int] | None, b: frozenset[int]) -> frozenset[int]:
+    """The symmetric difference of two outcome sets, or the one set itself
+    when the other is empty or None: the sweep shares the commands' sets."""
+    return b if not a else a if not b else a ^ b
 
 
 def certify_strong(p: Pattern) -> bool:
@@ -385,16 +383,17 @@ def certify_strong(p: Pattern) -> bool:
     (:func:`_is_zero_angle` of the difference) declines.  Measurement angles
     never enter, so a certificate holds at every angle.
 
-    One backward sweep pulls every P_k back to the start.  Bit k of the
-    ints ``x[q]`` and ``z[q]`` says that P_k has an X or a Z on qubit q;
-    the product over the signals set in s is a sign times X^x(s) Z^z(s),
-    and the sign is (-1) to the quadratic form s^T F s over GF(2), whose
-    row k is ``form[k]``.  Walking backwards:
+    One backward sweep pulls every P_k back to the start.  The sets
+    ``x[q]`` and ``z[q]`` hold the signals k (measured qubits' ids, as in
+    ``signals``) whose P_k has an X or a Z on qubit q; the product over the
+    signals set in s is a sign times X^x(s) Z^z(s), and the sign is (-1) to
+    the quadratic form s^T F s over GF(2), whose row k is the set
+    ``form[k]``.  Walking backwards, with ^ the symmetric difference:
 
     - ``M q`` puts Z on q for its own signal; nothing later may act on q.
-    - ``Z q [S]`` toggles Z on q for each signal in S.
+    - ``Z q [S]`` toggles Z on q for each signal in S: z[q] ^= S.
     - An X on q for the signals in S moves right of Z^z(s): form[k] ^= z[q]
-      for each k in S, then x[q] ^= mask(S).
+      for each k in S, then x[q] ^= S.
     - ``E a b`` conjugates X_a to X_a Z_b and X_b to Z_a X_b; reordering
       the two when both are present costs -1, the form's x[a] x[b] term.
     - ``N q`` absorbs X, which fixes |+>; a Z left on q would turn it into
@@ -407,50 +406,48 @@ def certify_strong(p: Pattern) -> bool:
     does not match a zero preparation.  A pattern that is not runnable
     declines; no pattern raises.
     """
-    walk = p._walk
-    if walk.violations:
+    if p._walk.violations:
         return False
-    bit = {q: 1 << k for k, (q, _) in enumerate(walk.measures)}
     theta = p.prep_angles()
-    x: dict[int, int] = {}
-    z: dict[int, int] = {}
-    form = [0] * len(bit)
+    none: frozenset[int] = frozenset()
+    x: dict[int, frozenset[int]] = {}
+    z: dict[int, frozenset[int]] = {}
+    form: dict[int, frozenset[int]] = {}
     for cmd in reversed(p.commands):
         kind = type(cmd)
         if kind is Entangle:
-            xa, xb = x.get(cmd.a, 0), x.get(cmd.b, 0)
+            xa, xb = x.get(cmd.a, none), x.get(cmd.b, none)
             if xb:
-                for k in _bits(xa):
-                    form[k] ^= xb
-            z[cmd.a] = z.get(cmd.a, 0) ^ xb
-            z[cmd.b] = z.get(cmd.b, 0) ^ xa
+                for k in xa:
+                    form[k] = _xor(form.get(k), xb)
+            z[cmd.a] = _xor(z.get(cmd.a), xb)
+            z[cmd.b] = _xor(z.get(cmd.b), xa)
             continue
         q = cmd.qubit
         if kind is Measure:
             # nothing acts on q after it is measured (the walk found no violation)
-            z[q] = bit[q]
+            z[q] = frozenset((q,))
         elif kind is Prepare:
-            if z.pop(q, 0):
+            if z.pop(q, none):
                 return False
             x.pop(q, None)
         else:
-            signals = sum(bit[s] for s in cmd.signals)
+            signals = cmd.signals
             if kind is CorrectZ:
-                z[q] = z.get(q, 0) ^ signals
+                z[q] = _xor(z.get(q), signals)
                 continue
             angle = cmd.angle if kind is CorrectXPhase else 0.0
             if not _is_zero_angle(angle - theta.get(q, 0.0)):
                 return False
-            zq = z.get(q, 0)
+            zq = z.get(q, none)
             if zq:
-                for k in _bits(signals):
-                    form[k] ^= zq
-            x[q] = x.get(q, 0) ^ signals
+                for k in signals:
+                    form[k] = _xor(form.get(k), zq)
+            x[q] = _xor(x.get(q), signals)
     if any(x.values()) or any(z.values()):
         return False
     return all(
-        not row >> k & 1 and all(form[l] >> k & 1 for l in _bits(row))
-        for k, row in enumerate(form)
+        k not in row and all(k in form.get(l, none) for l in row) for k, row in form.items()
     )
 
 
@@ -647,10 +644,12 @@ def _parse_signals(token: str) -> frozenset[int]:
     match = _SIGNAL_RE.match(token)
     if not match:
         raise PatternFormatError(f"bad signal set {token!r}")
-    body = match.group(1).strip()
-    if not body:
-        return frozenset()
-    return frozenset(_text_id(s) for s in body.replace(",", " ").split())
+    ids = [_text_id(s) for s in match.group(1).replace(",", " ").split()]
+    if len(set(ids)) < len(ids):
+        # [1,1] fires on s1 XOR s1, never: it is not the set {1}
+        repeated = next(s for s in ids if ids.count(s) > 1)
+        raise PatternFormatError(f"signal set {token!r} repeats outcome {repeated}")
+    return frozenset(ids)
 
 
 def _parse_angle(token: str) -> float:

@@ -543,10 +543,11 @@ def _classify_entry(
 
     The reference is the first branch of largest norm, by
     :func:`_first_near_max`.  Strongly deterministic when every branch is
-    within ``tolerance`` of it entrywise.  A modulus lies between the
-    larger of its real and imaginary parts and sqrt(2) times it, so the
-    largest part decides the test below ``tolerance / 2`` (below
-    ``tolerance / sqrt(2)`` with room for rounding) and at ``tolerance`` or
+    within ``bound``, ``tolerance`` times the maps' largest modulus, of it
+    entrywise: entries shrink as 2^(-n/2) with n measurements.  A modulus
+    lies between the larger of its real and imaginary parts and sqrt(2)
+    times it, so the largest part decides the test below ``bound / 2``
+    (below ``bound / sqrt(2)`` with room for rounding) and at ``bound`` or
     above; the moduli are taken only in between.  Else each branch whose
     Hilbert-Schmidt overlap with the reference, one matrix-vector product,
     falls short of proportional is probed (:func:`_pair_witness`):
@@ -570,16 +571,15 @@ def _classify_entry(
     ref = _first_near_max(norms)
     np.subtract(flat, flat[ref], out=work)
     largest = max(parts.max(), -parts.min())
-    strong = largest < tolerance / 2 or (
-        largest < tolerance and np.abs(work).max() < tolerance
-    )
+    bound = tolerance * scale
+    strong = largest < bound / 2 or (largest < bound and np.abs(work).max() < bound)
     del work, parts
     if strong:
         return Classification.STRONGLY_DETERMINISTIC, None
     products = norms[ref] * norms
     # einsum, not BLAS: a threaded matrix-vector product costs more here
     overlaps = np.abs(np.einsum("bk,k->b", flat, flat[ref].conj()))
-    live = norms > tolerance * scale
+    live = norms > bound
     live[ref] = False
     hs_defects = (products - overlaps) / np.where(live, products, np.inf)
     for s in np.flatnonzero(hs_defects > tolerance):

@@ -145,9 +145,9 @@ def classify_determinism(
 
     Strongly deterministic means all branch maps are equal; deterministic
     means every pair acts identically up to a scalar on each input (zero
-    maps count as proportional to everything).  ``uniform`` is decided by
-    re-running the classification on ``angle_samples`` uniformly random
-    measurement-angle vectors.
+    maps count as proportional to everything); on the dense route, within
+    ``tolerance`` times the maps' largest modulus.  ``uniform`` is decided
+    by re-classifying at ``angle_samples`` uniformly random angle vectors.
 
     The routes, in order.  After the arguments and the runnability check,
     a pattern with no measurement is strong and uniform.  Then the

@@ -256,6 +256,26 @@ class TestVerifyCommand:
         assert main(["verify", path]) == 2
         assert "bad header line" in capsys.readouterr().err
 
+    def test_stripped_path_is_not_strong_at_a_loose_tolerance(self, write, capsys):
+        """The correction-stripped 1x17 path's maps are far apart, though
+        each entry is below 1e-2: at --tolerance 1e-2 it is not
+        deterministic, with a witness."""
+        g = path_state(17, [1], [17])
+        pattern = synthesize(g, find_flow(g).flow, {q: 0.7 + 0.1 * q for q in g.measured})
+        path = write("path17.pat", print_pattern(pattern.without_corrections()))
+        assert main(["--tolerance", "1e-2", "verify", path, "--samples", "0"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["classification"] == "not-deterministic"
+        assert doc["witness"]["deviation"] > 1e-2
+
+    def test_repeated_signal_is_a_named_error(self, write, capsys):
+        """``X 2 [1,1]`` fires on s1 XOR s1, never: not the set {1}."""
+        path = write("h11.pat", H_TEXT.replace("X 2 [1]", "X 2 [1,1]"))
+        assert main(["verify", path]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {path}: signal set '[1,1]' repeats outcome 1\n"
+
     def test_default_tolerance(self, write, capsys):
         assert main(["verify", write("h.pat", H_TEXT)]) == 0
         assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-9

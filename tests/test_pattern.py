@@ -434,6 +434,9 @@ class TestTextFormat:
             parse_pattern("N 1 0.0\n")
         with pytest.raises(PatternFormatError):
             parse_pattern("V: 1\nI: 1\nO: 1\nM 1\n")
+        # s1 XOR s1 never fires, so [1,1] is not the set {1}
+        with pytest.raises(PatternFormatError, match="repeats outcome 1"):
+            parse_pattern("V: 1 2\nI: 1\nO: 2\nN 2 0.0\nE 1 2\nM 1 0.0\nX 2 [1,2,1]\n")
 
     def test_parser_strips_inline_comments(self):
         text = (

@@ -307,6 +307,21 @@ class TestClassification:
         gram = np.linalg.norm(u) * np.linalg.norm(v) - abs(np.vdot(u, v))
         assert gram > 1e-6
 
+    def test_stripped_patterns_are_never_strong_at_loose_tolerances(self):
+        """The correction-stripped paths 1x3 to 1x21 (odd lengths) and the
+        3x3, 2x5, 3x4 and 2x6 grids are not strong at tolerances 1e-3, 1e-2
+        and 1e-1.  Every entry of their maps shrinks as 2^(-n/2) with n
+        measurements, so only a test relative to the maps' largest modulus
+        sees that they are far apart."""
+        geometries = [(path_state(n, [1], [n]), 0.7) for n in range(3, 22, 2)]
+        geometries += [(cluster_grid(r, c), 0.0) for r, c in [(3, 3), (2, 5), (3, 4), (2, 6)]]
+        for g, offset in geometries:
+            meas = {q: offset + 0.1 * q for q in g.measured}
+            p = synthesize(g, find_flow(g).flow, meas).without_corrections()
+            for tolerance in (1e-3, 1e-2, 1e-1):
+                verdict = classify_determinism(p, angle_samples=0, tolerance=tolerance)
+                assert not verdict.is_strong, (len(g.vertices), tolerance)
+
     def test_no_measurements_is_trivially_strong(self):
         p = Pattern([1], [1], [1], [])
         verdict = classify_determinism(p)
@@ -1018,10 +1033,12 @@ class TestPassClassifier:
 
 # Moving the first or second XA angle of a synthesized path or grid by
 # OFF_ANGLE takes it off the certificate, whose exact-angle rule allows
-# 1e-12, while its branch maps stay within 1e-11 of each other entrywise, so
-# within OFF_TOLERANCE.
+# 1e-12, while its branch maps stay within about OFF_ANGLE times their
+# largest modulus of each other entrywise (1.2e-10 at most on these tests'
+# patterns): equal within OFF_TOLERANCE, three decades above, and unequal at
+# 1e-12.
 OFF_ANGLE = 1e-10
-OFF_TOLERANCE = 1e-10
+OFF_TOLERANCE = 1e-7
 
 
 def _off_strong(p: Pattern, k: int) -> Pattern:
@@ -1186,6 +1203,36 @@ class TestCertificate:
             assert certify_strong(synthesize(g, fl, meas, random_angles(arng, g.prepared)))
             assert certify_strong(synthesize_stabilizer_form(g, fl, meas))
 
+    def test_every_synthesized_pattern_of_six_or_seven_vertices_is_certified(self):
+        """Beyond the exhaustive five-vertex sweep: a seeded sample of flow
+        geometries of six and seven vertices, each synthesized with random
+        preparation phases and in stabilizer form, is certified."""
+        rng = random.Random(67)
+        arng = np.random.default_rng(67)
+        sizes = []
+        while len(sizes) < 300:
+            g = random_open_graph(rng, max_vertices=7)
+            result = find_flow(g)
+            if len(g.vertices) < 6 or not result.found:
+                continue
+            sizes.append(len(g.vertices))
+            meas = random_angles(arng, g.measured)
+            phased = synthesize(g, result.flow, meas, random_angles(arng, g.prepared))
+            assert certify_strong(phased), print_pattern(phased)
+            stabilizer = synthesize_stabilizer_form(g, result.flow, meas)
+            assert certify_strong(stabilizer), print_pattern(stabilizer)
+        assert min(sizes.count(6), sizes.count(7)) > 100
+
+    def test_certificate_at_scale(self):
+        """The synthesized 1x20000 path and 8x2500 grid are certified; each
+        with its first Z correction dropped is declined."""
+        for g in (path_state(20000, [1], [20000]), cluster_grid(8, 2500)):
+            p = synthesize(g, find_flow(g).flow, {q: 0.1 for q in g.measured})
+            assert certify_strong(p)
+            k = next(k for k, c in enumerate(p.commands) if isinstance(c, CorrectZ))
+            dropped = Pattern(p.vertices, p.inputs, p.outputs, p.commands[:k] + p.commands[k + 1 :])
+            assert not certify_strong(dropped)
+
     def test_certified_pattern_runs_no_pass(self, monkeypatch):
         """A certified pattern's verdict draws no angle, builds no engine and
         runs no pass, and keeps the call's samples, seed and tolerance; a
@@ -1329,6 +1376,20 @@ def _side_by_side(p: Pattern, q: Pattern, rng: random.Random) -> Pattern:
     )
 
 
+def _adjacent_swaps(p: Pattern, rng: random.Random) -> list[Pattern]:
+    """Up to two seeded patterns, each ``p`` with two adjacent commands
+    of different kinds swapped, among the swaps that leave it runnable."""
+    cmds = p.commands
+    swaps = []
+    for k in range(len(cmds) - 1):
+        a, b = cmds[k : k + 2]
+        if type(a) is not type(b):
+            q = Pattern(p.vertices, p.inputs, p.outputs, (*cmds[:k], b, a, *cmds[k + 2 :]))
+            if check_runnable(q).ok:
+                swaps.append(q)
+    return rng.sample(swaps, min(2, len(swaps)))
+
+
 class TestComposition:
     """The closure of flow patterns under composition, on seeded pairs of
     synthesized patterns of at most five vertices, with and without
@@ -1339,8 +1400,9 @@ class TestComposition:
     def test_compositions_keep_flow_certificate_and_maps(self, monkeypatch):
         """Each composition has a flow and a certificate, the dense route
         finds it strong and uniform, and its dense pass equals run_branch
-        within 1e-12 on every branch; no one-correction mutant is certified
-        unless the dense route finds it strong."""
+        within 1e-12 on every branch; no one-correction mutant, and no
+        runnable swap of two adjacent commands of different kinds, is
+        certified unless the dense route finds it strong."""
         monkeypatch.setattr(front, "certify_strong", lambda p: False)
         rng = random.Random(35)
         arng = np.random.default_rng(35)
@@ -1350,6 +1412,7 @@ class TestComposition:
             pool.append(synthesize(g, fl, meas, random_angles(arng, g.prepared) if k % 2 else None))
         late = {_sequential: 0, _side_by_side: 0}
         refuted = []
+        swapped = []
         for compose in (_sequential, _side_by_side) * 40:
             c = None
             while c is None or c.n_measurements > 6:
@@ -1368,9 +1431,17 @@ class TestComposition:
                 strong = classify_determinism(m, angle_samples=3, seed=len(refuted)).is_strong
                 assert strong or not certify_strong(m), print_pattern(m)
                 refuted.append(not strong)
+            for m in _adjacent_swaps(c, rng):
+                certified = certify_strong(m)
+                strong = classify_determinism(m, angle_samples=3, seed=len(swapped)).is_strong
+                assert strong or not certified, print_pattern(m)
+                swapped.append(certified)
         assert min(late.values()) >= 10
         # the certificate's declines are tested on mutants that are not strong
         assert sum(refuted) > len(refuted) // 2
+        # each swap drawn exchanges commands on disjoint qubits, whose updates
+        # the certificate's sweep commutes, so each is certified as well
+        assert len(swapped) > 100 and all(swapped)
 
 
 class TestDenseBudget:
